@@ -48,6 +48,7 @@ from .gibbs import (
     csiszar_bound_check,
     conditional_tv_curve,
     exact_conditional,
+    exact_event_log_probability,
     exact_event_probability,
     metric_ball,
     moment_band,

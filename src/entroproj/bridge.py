@@ -257,10 +257,9 @@ def marginal_schedule_check(nu: FiniteMeasure, metric: str, epsilon_fn, n_list,
         counts = np.bincount(
             (idx + m * np.arange(trials)[:, None]).ravel(), minlength=trials * m
         ).reshape(trials, m)
-        hits = 0
-        for row in counts:
-            ln = FiniteMeasure(nu.space, row / n)
-            if dist(ln, nu) <= eps:
-                hits += 1
+        # one distance per distinct type, however many trials share it
+        types, inverse = np.unique(counts, axis=0, return_inverse=True)
+        ok = np.array([dist(FiniteMeasure(nu.space, row / n), nu) <= eps for row in types])
+        hits = int(np.count_nonzero(ok[inverse.reshape(-1)]))
         rows.append({"n": n, "epsilon": eps, "prob": hits / trials})
     return rows

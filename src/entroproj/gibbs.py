@@ -1,8 +1,9 @@
 """Conditional laws of i.i.d. blocks given an empirical-measure event.
 
 Two engines drive everything: exact enumeration over type classes
-(multinomial count vectors), which scales to a few hundred samples on small
-alphabets, and Monte Carlo rejection with counter-based per-worker streams.
+(multinomial count vectors), vectorized over blocks of classes and summed in
+log space so that events far below the double range keep a finite log
+probability, and Monte Carlo rejection with counter-based per-worker streams.
 On top of them sit the quantitative checks: the Csiszar information
 inequality for conditional block laws, the Sanov sandwich for event
 probabilities, and total-variation curves along enlargement schedules.
@@ -12,10 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as iter_product
-from math import comb, lgamma, perm
+from math import comb
 
 import numpy as np
+from scipy.special import gammaln, logsumexp
 
+from .iproj import composition_blocks
 from .measures import (
     FiniteMeasure,
     MetricSpacePoints,
@@ -27,6 +30,9 @@ from .measures import (
 
 ENUMERATION_BUDGET = 2_000_000
 _PATTERN_BUDGET = 1_000_000
+# Cells of one slab of the (classes, pattern count vectors, letters) array
+# of falling factorials, so that wide windows stay within a few megabytes.
+_LAW_CELLS = 1 << 18
 
 
 class ZeroAcceptanceError(RuntimeError):
@@ -65,16 +71,17 @@ class MomentBand:
         if self.norm not in ("sup", "euclidean"):
             raise ValueError(f"unknown norm {self.norm!r}")
 
-    def contains_weights(self, weights) -> bool:
+    def contains_weights(self, weights):
+        """Membership of each row of ``weights`` (one answer for a vector)."""
         gap = weights @ self.F - self.center
         if self.norm == "sup":
-            dev = float(np.max(np.abs(gap)))
+            dev = np.abs(gap).max(axis=-1)
         else:
-            dev = float(np.linalg.norm(gap))
+            dev = np.linalg.norm(gap, axis=-1)
         return dev <= self.radius
 
     def contains(self, nu: FiniteMeasure) -> bool:
-        return self.contains_weights(nu.weights)
+        return bool(self.contains_weights(nu.weights))
 
 
 @dataclass(frozen=True)
@@ -113,11 +120,14 @@ class ConditionalEstimate:
     For exact enumeration ``acceptance_rate`` is the exact event probability
     and ``n_trials`` counts the enumerated type classes; for Monte Carlo it
     is the accepted fraction over ``n_trials`` sampled blocks.
+    ``log_acceptance`` is its logarithm, finite even where the probability
+    underflows to 0.0.
     """
 
     k: int
     law: FiniteMeasure
     acceptance_rate: float
+    log_acceptance: float
     n_trials: int
     exact: bool
 
@@ -154,75 +164,64 @@ def _check_budget(n, m):
         )
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def _accepts(event, counts, n, space):
+    """Event membership of the empirical measure of each row of counts.
+
+    Metric balls cost one distance per distinct row, however many rows
+    repeat it.
+    """
+    if isinstance(event, MomentBand):
+        return event.contains_weights(counts / n)
+    types, inverse = np.unique(counts, axis=0, return_inverse=True)
+    ok = np.array([event.contains(FiniteMeasure(space, row / n)) for row in types], dtype=bool)
+    return ok[inverse.reshape(-1)]
 
 
-def _type_classes(alpha: FiniteMeasure, n: int):
-    """Yield (counts, probability) for every type class with positive mass."""
+def _pattern_types(m, k):
+    """Distinct count vectors of the m**k patterns of length k, and the row
+    of each pattern (in itertools.product order) among them."""
+    patterns = np.array(list(iter_product(range(m), repeat=k))).reshape(m ** k, k)
+    counts = (patterns[:, :, None] == np.arange(m)).sum(axis=1)
+    types, inverse = np.unique(counts, axis=0, return_inverse=True)
+    return types, inverse.reshape(-1)
+
+
+def _type_class_sums(alpha: FiniteMeasure, n: int, event, k: int):
+    """Sums over the positive-mass type classes of an i.i.d.(alpha) n-block
+    whose empirical measure satisfies the event, all in log space.
+
+    Returns (log P(event), log-weights proportional to the law of the first
+    k coordinates given the event, number of positive-mass classes). Within
+    a class of counts c the first k coordinates are drawn without
+    replacement, so a pattern with letter counts r has probability
+    prod_s (c_s)_(r_s) / (n)_k in falling factorials; it is computed once
+    per distinct r. Classes are visited in blocks, so memory stays bounded.
+    """
     w = alpha.weights
     m = len(w)
-    log_w = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -math.inf)
-    base = lgamma(n + 1)
-    for counts in _compositions(n, m):
-        c = np.array(counts)
-        mask = c > 0
-        if np.any(mask & (w == 0)):
-            continue
-        log_p = base - sum(lgamma(ci + 1) for ci in counts) + float(c[mask] @ log_w[mask])
-        yield c, math.exp(log_p)
-
-
-def _pattern_law_of_class(counts, n, k, m):
-    """Within a type class, the exact law of the first k coordinates.
-
-    Exchangeability reduces it to sampling without replacement from the
-    count vector: P(pattern) = prod_s perm(c_s, r_s) / perm(n, k) where r_s
-    counts symbol s inside the pattern.
-    """
-    denom = perm(n, k)
-    out = np.zeros(m ** k)
-    for pid, pattern in enumerate(iter_product(range(m), repeat=k)):
-        num = 1
-        for s in set(pattern):
-            num *= perm(int(counts[s]), pattern.count(s))
-            if num == 0:
-                break
-        out[pid] = num / denom
-    return out
-
-
-def _enumerate_conditional(alpha, n, event, k):
-    m = len(alpha.space)
     _check_budget(n, m)
-    if k > n:
-        raise ValueError("window k cannot exceed the block length n")
-    if m ** k > _PATTERN_BUDGET:
-        raise ValueError("pattern alphabet too large for the window size")
-    total_p = 0.0
-    accepted_p = 0.0
-    law = np.zeros(m ** k)
+    zero = w == 0
+    log_w = np.log(np.where(zero, 1.0, w))
+    log_fact = gammaln(np.arange(n + 1) + 1.0)
+    r_types, pattern_type = _pattern_types(m, k)
+    slab = max(1, _LAW_CELLS // r_types.size)
+    log_p_event = -math.inf
+    log_law = np.full(len(r_types), -math.inf)
     n_classes = 0
-    for counts, p in _type_classes(alpha, n):
-        n_classes += 1
-        total_p += p
-        if not _event_accepts(event, counts / n, alpha.space):
-            continue
-        accepted_p += p
-        if p > 0:
-            law += p * _pattern_law_of_class(counts, n, k, m)
-    return law, accepted_p, n_classes
-
-
-def _event_accepts(event, weights, space) -> bool:
-    if isinstance(event, MomentBand):
-        return event.contains_weights(weights)
-    return event.contains(FiniteMeasure(space, weights))
+    for counts in composition_blocks(n, m):
+        counts = counts[~np.any(counts[:, zero] > 0, axis=1)]
+        n_classes += len(counts)
+        counts = counts[_accepts(event, counts, n, alpha.space)]
+        log_c = log_fact[counts]
+        log_p = log_fact[n] - log_c.sum(axis=1) + counts @ log_w
+        log_p_event = np.logaddexp(log_p_event, logsumexp(log_p))
+        for lo in range(0, len(counts), slab):
+            rest = counts[lo:lo + slab, None, :] - r_types
+            falling = np.where(rest >= 0, log_c[lo:lo + slab, None, :]
+                               - log_fact[np.maximum(rest, 0)], -math.inf).sum(axis=2)
+            log_law = np.logaddexp(
+                log_law, logsumexp(log_p[lo:lo + slab, None] + falling, axis=0))
+    return float(log_p_event), log_law[pattern_type], n_classes
 
 
 def exact_conditional(alpha: FiniteMeasure, n: int, event, k: int) -> ConditionalEstimate:
@@ -234,31 +233,37 @@ def exact_conditional(alpha: FiniteMeasure, n: int, event, k: int) -> Conditiona
     class probability. Raises ZeroAcceptanceError when the event has
     probability zero, which is the thin-set situation.
     """
-    law, accepted_p, n_classes = _enumerate_conditional(alpha, n, event, k)
-    if accepted_p <= 0.0:
+    if k > n:
+        raise ValueError("window k cannot exceed the block length n")
+    if len(alpha.space) ** k > _PATTERN_BUDGET:
+        raise ValueError("pattern alphabet too large for the window size")
+    log_p, log_law, n_classes = _type_class_sums(alpha, n, event, k)
+    if log_p == -math.inf:
         raise ZeroAcceptanceError(
             "the event has probability zero under every type class",
             upper_bound=0.0,
         )
-    weights = law / law.sum()
+    weights = np.exp(log_law - logsumexp(log_law))
     return ConditionalEstimate(
         k=k,
         law=FiniteMeasure(product_space(alpha.space, k), weights),
-        acceptance_rate=accepted_p,
+        acceptance_rate=math.exp(log_p),
+        log_acceptance=log_p,
         n_trials=n_classes,
         exact=True,
     )
 
 
+def exact_event_log_probability(alpha: FiniteMeasure, n: int, event) -> float:
+    """Exact log P(empirical measure of an n-block satisfies the event),
+    -inf for an empty event and never above 0."""
+    return min(_type_class_sums(alpha, n, event, 0)[0], 0.0)
+
+
 def exact_event_probability(alpha: FiniteMeasure, n: int, event) -> float:
-    """Exact P(empirical measure of an n-block satisfies the event)."""
-    m = len(alpha.space)
-    _check_budget(n, m)
-    total = 0.0
-    for counts, p in _type_classes(alpha, n):
-        if _event_accepts(event, counts / n, alpha.space):
-            total += p
-    return min(total, 1.0)
+    """Exact P(empirical measure of an n-block satisfies the event), capped
+    at 1.0; it underflows to 0.0 where exact_event_log_probability does not."""
+    return math.exp(exact_event_log_probability(alpha, n, event))
 
 
 def _worker_trial_counts(trials, workers):
@@ -299,17 +304,7 @@ def run_conditional_mc(alpha: FiniteMeasure, n: int, event, k: int,
         counts = np.bincount(
             (idx + m * np.arange(t_w)[:, None]).ravel(), minlength=t_w * m
         ).reshape(t_w, m)
-        if isinstance(event, MomentBand):
-            gap = counts / n @ event.F - event.center
-            if event.norm == "sup":
-                dev = np.abs(gap).max(axis=1)
-            else:
-                dev = np.linalg.norm(gap, axis=1)
-            ok = dev <= event.radius
-        else:
-            ok = np.array([
-                event.contains(FiniteMeasure(alpha.space, row / n)) for row in counts
-            ])
+        ok = _accepts(event, counts, n, alpha.space)
         accepted += int(ok.sum())
         if np.any(ok):
             pids = idx[ok, :k] @ pattern_scale
@@ -326,6 +321,7 @@ def run_conditional_mc(alpha: FiniteMeasure, n: int, event, k: int,
         k=k,
         law=law,
         acceptance_rate=accepted / trials,
+        log_acceptance=math.log(accepted / trials),
         n_trials=trials,
         exact=False,
     )
@@ -344,11 +340,11 @@ def sanov_sandwich(alpha: FiniteMeasure, solution, event_fn, n_list,
     rows = []
     H = solution.entropy
     for n in n_list:
-        p = exact_event_probability(alpha, n, event_fn(n))
-        log_p_over_n = math.log(p) / n if p > 0 else -math.inf
+        log_p = exact_event_log_probability(alpha, n, event_fn(n))
+        log_p_over_n = log_p / n
         row = {
             "n": n,
-            "p_event": p,
+            "p_event": math.exp(log_p),
             "log_p_over_n": log_p_over_n,
             "neg_entropy": -H,
             "slack": log_p_over_n + H,
@@ -371,9 +367,8 @@ def csiszar_bound_check(alpha: FiniteMeasure, n: int, event, k: int,
     with ok = lhs <= rhs + 1e-9. The integer bracket is read as floor.
     """
     est = exact_conditional(alpha, n, event, k)
-    p = est.acceptance_rate
     lhs = relative_entropy(est.law, product_law(alpha_star, k))
-    rhs = -(math.log(p) + n * H_event) / math.floor(n / k)
+    rhs = -(est.log_acceptance + n * H_event) / math.floor(n / k)
     return lhs, rhs, bool(lhs <= rhs + 1e-9)
 
 
@@ -395,12 +390,11 @@ def conditional_tv_curve(alpha: FiniteMeasure, solution, schedule, n_list, k: in
         eps = schedule.epsilon(n)
         event = moment_band(problem.F, center, eps, norm="euclidean")
         est = exact_conditional(alpha, n, event, k)
-        p = est.acceptance_rate
         rows.append({
             "n": n,
             "epsilon": eps,
-            "p_event": p,
-            "log_p_over_n": math.log(p) / n if p > 0 else -math.inf,
+            "p_event": est.acceptance_rate,
+            "log_p_over_n": est.log_acceptance / n,
             "tv_k": tv_distance(est.law, ref),
         })
     return rows

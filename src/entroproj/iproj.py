@@ -6,7 +6,8 @@ convex dual: Newton iterations on the log partition function for point
 targets, subgradient descent plus a Newton polish on the active face for box
 targets. It also provides the quantitative enlargement schedules (sqrt(n)
 and 1/n radii), two tail lower bounds, and a simplex-grid brute-force
-projection used as an oracle in tests.
+projection used as an oracle in tests, driven by the same blocked
+enumerator of integer compositions that gibbs uses for type classes.
 """
 from __future__ import annotations
 
@@ -24,6 +25,9 @@ _NEWTON_TOL = 1e-10
 _NEWTON_CAP = 200
 _SUBGRAD_ITERS = 400
 _ACTIVE_TOL = 1e-7
+# Rows per block of type-class (composition) enumeration: bounds the memory
+# of the vectorized engines while keeping the Python loop over blocks short.
+COMPOSITION_BLOCK_ROWS = 8192
 
 
 class InfeasibleTargetError(ValueError):
@@ -492,34 +496,30 @@ def solve_dual(problem: MomentProblem) -> TiltedSolution:
     return _solve_box(problem)
 
 
-def _compositions_grid(total, parts):
-    """Yield integer weight vectors summing to ``total`` over ``parts`` bins,
-    vectorized over the last free coordinate (returns 2-D blocks)."""
-    if parts == 1:
-        yield np.array([[total]])
-        return
-    if parts == 2:
-        k = np.arange(total + 1)
-        yield np.stack([k, total - k], axis=1)
-        return
-    if parts == 3:
-        for k1 in range(total + 1):
-            k2 = np.arange(total - k1 + 1)
-            block = np.stack([np.full_like(k2, k1), k2, total - k1 - k2], axis=1)
-            yield block
-        return
-    if parts == 4:
-        for k1 in range(total + 1):
-            for k2 in range(total - k1 + 1):
-                k3 = np.arange(total - k1 - k2 + 1)
-                block = np.stack(
-                    [np.full_like(k3, k1), np.full_like(k3, k2), k3,
-                     total - k1 - k2 - k3],
-                    axis=1,
-                )
-                yield block
-        return
-    raise ValueError("grid search supports at most 4 support points")
+def composition_blocks(total, parts):
+    """Yield every vector of ``parts`` nonnegative integers summing to
+    ``total``, in lexicographic order, as int64 arrays of at most
+    COMPOSITION_BLOCK_ROWS rows."""
+    def extend(prefix):
+        # each prefix followed by every entry that fits, in increasing order
+        reps = total - prefix.sum(axis=1) + 1
+        heads = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        return np.column_stack([np.repeat(prefix, reps, axis=0), heads])
+
+    def walk(prefix):
+        free = parts - prefix.shape[1]
+        size = sum(math.comb(int(r) + free - 1, free - 1) for r in total - prefix.sum(axis=1))
+        if size <= COMPOSITION_BLOCK_ROWS:
+            while prefix.shape[1] < parts - 1:
+                prefix = extend(prefix)
+            yield np.column_stack([prefix, total - prefix.sum(axis=1)])
+        elif len(prefix) == 1:
+            yield from walk(extend(prefix))
+        else:
+            yield from walk(prefix[:len(prefix) // 2])
+            yield from walk(prefix[len(prefix) // 2:])
+
+    yield from walk(np.zeros((1, 0), dtype=np.int64))
 
 
 def brute_force_projection(problem: MomentProblem, grid_step: float):
@@ -545,7 +545,7 @@ def brute_force_projection(problem: MomentProblem, grid_step: float):
     log_alpha = np.where(alpha_w > 0, np.log(np.where(alpha_w > 0, alpha_w, 1.0)), 0.0)
     best_entropy = math.inf
     best_weights = None
-    for block in _compositions_grid(M, n):
+    for block in composition_blocks(M, n):
         W = block / M
         moments = W @ problem.F
         feasible = np.all(moments >= lo - tol, axis=1) & np.all(moments <= hi + tol, axis=1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import entroproj as ep
+from entroproj import bridge
 
 from conftest import line_space
 
@@ -273,6 +274,31 @@ class TestMarginalScheduleCheck:
         a = ep.marginal_schedule_check(nu, "fm", lambda n: 0.3, [10, 40], **kw)
         b = ep.marginal_schedule_check(nu, "fm", lambda n: 0.3, [10, 40], **kw)
         assert a == b
+
+    @pytest.mark.parametrize("metric", ["fm", "prohorov"])
+    def test_one_distance_per_type_matches_per_trial_loop(self, monkeypatch, metric):
+        nu = ep.FiniteMeasure(line_space(3), np.array([0.5, 0.3, 0.2]))
+        n_list, trials, seed = [4, 9], 300, 8
+        eps = lambda n: 0.6 / n ** 0.5
+        real = getattr(bridge, f"{metric}_distance")
+        # per-trial loop over the same stream
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+        cumw = np.cumsum(nu.weights)
+        cumw[-1] = 1.0
+        want, n_types = [], 0
+        for n in n_list:
+            idx = np.searchsorted(cumw, gen.random((trials, n)), side="right")
+            counts = np.array([np.bincount(row, minlength=3) for row in idx])
+            n_types += len(np.unique(counts, axis=0))
+            hits = sum(real(ep.FiniteMeasure(nu.space, c / n), nu) <= eps(n) for c in counts)
+            want.append({"n": n, "epsilon": eps(n), "prob": hits / trials})
+
+        calls = []
+        monkeypatch.setattr(bridge, f"{metric}_distance",
+                            lambda *a: calls.append(1) or real(*a))
+        rows = ep.marginal_schedule_check(nu, metric, eps, n_list, trials=trials, seed=seed)
+        assert 0 < len(calls) <= n_types
+        assert rows == want
 
     def test_rejects_unknown_metric(self):
         nu = ep.FiniteMeasure.uniform(line_space(4))

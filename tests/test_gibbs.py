@@ -1,16 +1,82 @@
 """Tests for conditional block laws under empirical-measure events."""
 
 import math
+from fractions import Fraction
+from itertools import product as iter_product
+from math import lgamma, perm
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entroproj as ep
+from entroproj import gibbs, iproj
 from entroproj.gibbs import ENUMERATION_BUDGET
 
 from conftest import bernoulli, line_space, two_point_space
 
 KL_07_05 = 0.08228287850505185
+
+
+# Reference engine: one type class at a time, in linear space. The
+# vectorized log-space engine must reproduce it wherever it does not
+# underflow.
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def _type_classes(alpha, n):
+    """Yield (counts, probability) for every type class with positive mass."""
+    w = alpha.weights
+    m = len(w)
+    log_w = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -math.inf)
+    base = lgamma(n + 1)
+    for counts in _compositions(n, m):
+        c = np.array(counts)
+        mask = c > 0
+        if np.any(mask & (w == 0)):
+            continue
+        log_p = base - sum(lgamma(ci + 1) for ci in counts) + float(c[mask] @ log_w[mask])
+        yield c, math.exp(log_p)
+
+
+def _pattern_law_of_class(counts, n, k, m):
+    """P(pattern) = prod_s perm(c_s, r_s) / perm(n, k) within one class."""
+    denom = perm(n, k)
+    out = np.zeros(m ** k)
+    for pid, pattern in enumerate(iter_product(range(m), repeat=k)):
+        num = 1
+        for s in set(pattern):
+            num *= perm(int(counts[s]), pattern.count(s))
+            if num == 0:
+                break
+        out[pid] = num / denom
+    return out
+
+
+def reference_conditional(alpha, n, event, k):
+    """(normalized law or None, event probability, positive-mass classes)."""
+    m = len(alpha.space)
+    law = np.zeros(m ** k)
+    accepted_p = 0.0
+    n_classes = 0
+    for counts, p in _type_classes(alpha, n):
+        n_classes += 1
+        if not event.contains(ep.FiniteMeasure(alpha.space, counts / n)):
+            continue
+        accepted_p += p
+        law += p * _pattern_law_of_class(counts, n, k, m)
+    if accepted_p <= 0.0:
+        return None, accepted_p, n_classes
+    return law / law.sum(), accepted_p, n_classes
 
 
 def mean_band(center, radius):
@@ -118,6 +184,105 @@ class TestExactConditional:
         assert ENUMERATION_BUDGET == 2_000_000
 
 
+class TestEngineAgainstReference:
+    @given(
+        st.integers(1, 4).flatmap(lambda m: st.tuples(
+            st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any),
+            st.integers(1, 2).flatmap(lambda d: st.tuples(
+                st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                         min_size=m, max_size=m),
+                st.lists(st.integers(-24, 24), min_size=d, max_size=d))))),
+        st.integers(1, 12),
+        st.integers(1, 3),
+        st.integers(0, 30),
+        st.sampled_from(["sup", "euclidean"]),
+        st.sampled_from([(2, 1), (8, 40), (8192, 1 << 18)]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_loop_engine(self, shape, n, k, r, norm, sizes):
+        raw_w, (F, center) = shape
+        k = min(k, n)
+        m = len(raw_w)
+        alpha = ep.FiniteMeasure(line_space(m), np.array(raw_w) / sum(raw_w))
+        # center on a 1/12 grid and radius 1e-7 off a 1/12 grid: no count
+        # vector of n <= 12 sits within rounding of the band's edge
+        event = ep.moment_band(np.array(F, dtype=float), np.array(center) / 12.0,
+                               r / 12.0 + 1e-7, norm=norm)
+        law, p, n_classes = reference_conditional(alpha, n, event, k)
+        # small sizes split the classes into many blocks and slabs
+        rows, cells = sizes
+        with patch.object(iproj, "COMPOSITION_BLOCK_ROWS", rows), \
+                patch.object(gibbs, "_LAW_CELLS", cells):
+            assert ep.exact_event_probability(alpha, n, event) == pytest.approx(
+                min(p, 1.0), rel=1e-12, abs=0.0)
+            if law is None:
+                with pytest.raises(ep.ZeroAcceptanceError):
+                    ep.exact_conditional(alpha, n, event, k)
+                return
+            est = ep.exact_conditional(alpha, n, event, k)
+        assert est.n_trials == n_classes
+        assert est.acceptance_rate == pytest.approx(p, rel=1e-12, abs=0.0)
+        assert est.log_acceptance == pytest.approx(math.log(p), rel=1e-12, abs=1e-13)
+        np.testing.assert_allclose(est.law.weights, law, rtol=1e-12, atol=0.0)
+
+    def test_metric_ball_matches_loop_engine(self):
+        space = line_space(3)
+        alpha = ep.FiniteMeasure(space, np.array([0.5, 0.3, 0.2]))
+        event = ep.metric_ball(ep.FiniteMeasure.uniform(space), "fm", 0.12)
+        law, p, n_classes = reference_conditional(alpha, 9, event, 2)
+        est = ep.exact_conditional(alpha, 9, event, 2)
+        assert est.n_trials == n_classes
+        assert est.acceptance_rate == pytest.approx(p, rel=1e-12)
+        np.testing.assert_allclose(est.law.weights, law, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 64])
+    def test_block_enumerator_is_the_recursive_order(self, monkeypatch, rows):
+        monkeypatch.setattr(iproj, "COMPOSITION_BLOCK_ROWS", rows)
+        for n, m in [(0, 1), (0, 3), (5, 1), (5, 2), (6, 3), (7, 4), (4, 5)]:
+            blocks = list(iproj.composition_blocks(n, m))
+            assert all(1 <= len(b) <= rows for b in blocks)
+            np.testing.assert_array_equal(
+                np.concatenate(blocks), np.array(list(_compositions(n, m))))
+
+
+class TestLogProbabilityBelowDoubleRange:
+    def test_skewed_band_at_n400(self):
+        # nH is about 1500 here, so P(event) underflows a double while
+        # log P stays well within range
+        n = 400
+        weights = [0.98, 0.01, 0.01]
+        alpha = ep.FiniteMeasure(line_space(3, 0.0, 2.0), np.array(weights))
+        F = np.array([0.0, 1.0, 2.0])
+        band = ep.moment_band(F, np.array([1.8]), 0.02)
+
+        est = ep.exact_conditional(alpha, n, band, 1)
+        assert est.acceptance_rate == 0.0
+        assert ep.exact_event_probability(alpha, n, band) == 0.0
+
+        # exact integer sum over the classes the band accepts, with every
+        # float weight scaled to a common power-of-two denominator
+        c1, c2 = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+        counts = np.stack([n - c1 - c2, c1, c2], axis=-1)[c1 + c2 <= n]
+        accepted = counts[band.contains_weights(counts / n)]
+        scale = max(Fraction(w).denominator for w in weights)
+        nums = [int(Fraction(w) * scale) for w in weights]
+        total = sum(
+            math.comb(n, int(c[0])) * math.comb(n - int(c[0]), int(c[1]))
+            * nums[0] ** int(c[0]) * nums[1] ** int(c[1]) * nums[2] ** int(c[2])
+            for c in accepted)
+        log_p_over_n = (math.log(total) - n * math.log(scale)) / n
+
+        assert est.log_acceptance / n == pytest.approx(log_p_over_n, rel=1e-9)
+        assert ep.exact_event_log_probability(alpha, n, band) / n == pytest.approx(
+            log_p_over_n, rel=1e-9)
+        np.testing.assert_allclose(est.law.weights.sum(), 1.0, atol=1e-12)
+
+        sol = ep.solve_dual(ep.MomentProblem(alpha, F[:, None], ep.Point(np.array([1.8]))))
+        (row,) = ep.sanov_sandwich(alpha, sol, lambda _: band, [n])
+        assert math.isfinite(row["log_p_over_n"]) and math.isfinite(row["slack"])
+        assert row["log_p_over_n"] == pytest.approx(log_p_over_n, rel=1e-9)
+
+
 class TestExactEventProbability:
     def test_unconstrained_is_one(self):
         assert ep.exact_event_probability(
@@ -202,6 +367,29 @@ class TestMonteCarlo:
             ep.run_conditional_mc(alpha, 4, mean_band(0.6, 0.001), 1,
                                   trials=trials, seed=9)
         assert exc.value.upper_bound == pytest.approx(3.0 / trials)
+
+    def test_metric_ball_costs_one_distance_per_type(self, monkeypatch):
+        space = line_space(3)
+        alpha = ep.FiniteMeasure(space, np.array([0.5, 0.3, 0.2]))
+        ball = ep.metric_ball(alpha, "fm", 0.15)
+        n, k, trials, seed = 6, 2, 400, 21
+        # per-trial loop over the single worker's stream
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+        cumw = np.cumsum(alpha.weights)
+        cumw[-1] = 1.0
+        idx = np.searchsorted(cumw, gen.random((trials, n)), side="right")
+        counts = np.array([np.bincount(row, minlength=3) for row in idx])
+        ok = np.array([ball.contains(ep.FiniteMeasure(space, c / n)) for c in counts])
+        want = np.bincount(idx[ok, :k] @ np.array([3, 1]), minlength=9) / ok.sum()
+
+        calls = []
+        real = gibbs.fm_distance
+        monkeypatch.setattr(gibbs, "fm_distance",
+                            lambda *a: calls.append(1) or real(*a))
+        est = ep.run_conditional_mc(alpha, n, ball, k, trials=trials, seed=seed)
+        assert 0 < len(calls) <= len(np.unique(counts, axis=0))
+        assert est.acceptance_rate == ok.sum() / trials
+        np.testing.assert_array_equal(est.law.weights, want)
 
     def test_rejects_nonpositive_trials(self):
         with pytest.raises(ValueError):
