@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .gibbs import _sample_types, mc_stream
 from .measures import (
     FiniteMeasure,
     MetricSpacePoints,
@@ -245,18 +246,11 @@ def marginal_schedule_check(nu: FiniteMeasure, metric: str, epsilon_fn, n_list,
     if metric not in ("fm", "prohorov"):
         raise ValueError(f"unknown metric {metric!r}")
     dist = fm_distance if metric == "fm" else prohorov_distance
-    m = len(nu.space)
-    cumw = np.cumsum(nu.weights)
-    cumw[-1] = 1.0
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    gen = mc_stream(seed)
     rows = []
     for n in n_list:
         eps = float(epsilon_fn(n))
-        u = gen.random((trials, n))
-        idx = np.searchsorted(cumw, u, side="right")
-        counts = np.bincount(
-            (idx + m * np.arange(trials)[:, None]).ravel(), minlength=trials * m
-        ).reshape(trials, m)
+        counts, _ = _sample_types(gen, nu.weights, n, trials, 0)
         # one distance per distinct type, however many trials share it
         types, inverse = np.unique(counts, axis=0, return_inverse=True)
         ok = np.array([dist(FiniteMeasure(nu.space, row / n), nu) <= eps for row in types])

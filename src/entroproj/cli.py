@@ -3,7 +3,7 @@
 Each run is described by a JSON document naming an experiment, a mandatory
 seed, experiment parameters, and an output target. Tables are written
 atomically (temp file + rename) with repr-exact floats, so re-running an
-identical config at the same worker count reproduces the output bytes.
+identical config reproduces the output bytes on any host.
 A manifest with the config echo, row counts, and wall time lands next to
 the tables.
 
@@ -139,7 +139,7 @@ def _schedule_from(sol, doc):
     )
 
 
-def _run_iproj(params, seed, workers):
+def _run_iproj(params, seed):
     measure, F = _measure_and_map(params)
     problem = MomentProblem(measure, F, _target_from(params["target"]))
     sol = solve_dual(problem)
@@ -156,7 +156,7 @@ def _run_iproj(params, seed, workers):
     return {"solution": (["field", "value"], rows)}
 
 
-def _run_gibbs(params, seed, workers):
+def _run_gibbs(params, seed):
     measure, F = _measure_and_map(params)
     x0 = np.atleast_1d(np.asarray(params["x0"], dtype=float))
     problem = MomentProblem(measure, F, Point(x0))
@@ -177,7 +177,7 @@ def _run_gibbs(params, seed, workers):
         for n in n_list:
             eps = schedule.epsilon(n)
             event = moment_band(problem.F, x0, eps, norm="euclidean")
-            est = run_conditional_mc(measure, n, event, k, trials, seed, workers=workers)
+            est = run_conditional_mc(measure, n, event, k, trials, seed)
             p = est.acceptance_rate
             rows.append([n, eps, p, math.log(p) / n, tv_distance(est.law, ref), p])
     return {"curve": (columns, rows)}
@@ -198,7 +198,7 @@ def _grid_weights(space, x, doc):
     raise ValueError(f"unknown weight kind {kind!r}")
 
 
-def _run_bridge(params, seed, workers):
+def _run_bridge(params, seed):
     gdoc = params["grid"]
     if isinstance(gdoc, dict):
         x = np.linspace(float(gdoc["start"]), float(gdoc["stop"]), int(gdoc["num"]))
@@ -254,7 +254,7 @@ def _normalized_payoff(params, spec):
     return (lambda x: x * x / target_value), target_value
 
 
-def _run_calibrate(params, seed, workers):
+def _run_calibrate(params, seed):
     spec = _lattice_from(params)
     payoff, target_value = _normalized_payoff(params, spec)
     problem = CalibProblem(
@@ -274,7 +274,7 @@ def _run_calibrate(params, seed, workers):
     return {"report": (["field", "value"], rows)}
 
 
-def _run_gamma(params, seed, workers):
+def _run_gamma(params, seed):
     sigma = float(params["sigma"])
     sigma0 = float(params["sigma0"])
     rows = []
@@ -289,7 +289,7 @@ def _run_gamma(params, seed, workers):
     return {"sweep": (["n", "H_over_n", "I_rate", "gap", "n_times_gap"], rows)}
 
 
-def _run_covering(params, seed, workers):
+def _run_covering(params, seed):
     if "points" in params:
         space = MetricSpacePoints.from_coordinates(np.asarray(params["points"], dtype=float))
     else:
@@ -303,7 +303,7 @@ def _run_covering(params, seed, workers):
     return {"covering": (["epsilon", "count", "method"], rows)}
 
 
-def _run_schedules(params, seed, workers):
+def _run_schedules(params, seed):
     measure, F = _measure_and_map(params)
     x0 = np.atleast_1d(np.asarray(params["x0"], dtype=float))
     sol = solve_dual(MomentProblem(measure, F, Point(x0)))
@@ -328,6 +328,16 @@ _DISPATCH = {
     "covering": _run_covering,
     "schedules": _run_schedules,
 }
+
+
+def _positive(value, kind=(int, float)):
+    """Whether a parsed JSON value is a positive number of the given kind."""
+    return isinstance(value, kind) and not isinstance(value, bool) and value > 0
+
+
+def _n_list_ok(params):
+    n_list = params.get("n_list")
+    return isinstance(n_list, list) and len(n_list) > 0 and all(_positive(n, int) for n in n_list)
 
 
 def validate_config(doc) -> list:
@@ -359,6 +369,8 @@ def validate_config(doc) -> list:
     if not isinstance(params, dict):
         diags.append("params must be an object")
         return diags
+    if experiment in ("gibbs", "schedules", "gamma") and not _n_list_ok(params):
+        diags.append("params.n_list must be a nonempty list of positive integers")
 
     if experiment in ("iproj", "gibbs", "schedules"):
         if "alpha_weights" not in params or "F" not in params:
@@ -368,22 +380,17 @@ def validate_config(doc) -> list:
         if experiment in ("gibbs", "schedules"):
             if "x0" not in params:
                 diags.append("params.x0 is required")
-            if not params.get("n_list"):
-                diags.append("params.n_list must be a nonempty list")
         if experiment == "gibbs" and params.get("mode", "exact") not in ("exact", "mc"):
             diags.append(f"params.mode {params.get('mode')!r} is not exact or mc")
     elif experiment in ("calibrate", "gamma"):
         probe = dict(params)
+        n_list = params["n_list"] if experiment == "gamma" and _n_list_ok(params) else []
         if experiment == "gamma":
-            n_list = params.get("n_list") or []
-            if not n_list:
-                diags.append("params.n_list must be a nonempty list")
             probe["n"] = n_list[0] if n_list else 1
         try:
             spec = _lattice_from(probe)
-            if experiment == "gamma":
-                for n in n_list:
-                    _lattice_from({**params, "n": int(n)})
+            for n in n_list:
+                _lattice_from({**params, "n": n})
         except (KeyError, TypeError) as exc:
             diags.append(f"lattice parameters incomplete: {exc}")
             spec = None
@@ -392,8 +399,8 @@ def validate_config(doc) -> list:
             spec = None
         if experiment == "calibrate":
             eps = params.get("epsilon")
-            if eps is None or not eps > 0:
-                diags.append("params.epsilon must be positive")
+            if not _positive(eps):
+                diags.append("params.epsilon must be positive, as a JSON number")
             elif spec is not None and eps > spec.s:
                 diags.append(
                     f"epsilon {eps} exceeds the drift band half-width s={spec.s}"
@@ -403,26 +410,25 @@ def validate_config(doc) -> list:
     elif experiment == "bridge":
         if "grid" not in params or "t" not in params:
             diags.append("params.grid and params.t are required")
-        elif not float(params["t"]) > 0:
-            diags.append("params.t must be positive")
+        elif not _positive(params["t"]):
+            diags.append("params.t must be positive, as a JSON number")
     elif experiment == "covering":
         if "points" not in params and "grid" not in params:
             diags.append("params.points or params.grid is required")
         eps_list = params.get("epsilon_list")
-        if not eps_list:
+        if not isinstance(eps_list, list) or not eps_list:
             diags.append("params.epsilon_list must be a nonempty list")
-        elif any(not 0 < float(e) for e in eps_list):
-            diags.append("epsilon values must be positive")
+        elif not all(_positive(e) for e in eps_list):
+            diags.append("epsilon values must be positive numbers")
     return diags
 
 
-def run(doc, workers=None, out_dir=None):
-    """Execute a validated config; returns the manifest dictionary."""
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = max(1, int(workers))
+def run(doc, workers=1, out_dir=None):
+    """Execute a validated config; returns the manifest dictionary.
+
+    ``workers`` is only recorded there: no table depends on it."""
     start = time.monotonic()
-    tables = _DISPATCH[doc["experiment"]](doc.get("params", {}), int(str(doc["seed"]), 10), workers)
+    tables = _DISPATCH[doc["experiment"]](doc.get("params", {}), int(str(doc["seed"]), 10))
     wall = time.monotonic() - start
 
     output = doc["output"]
@@ -481,7 +487,7 @@ def main():
 
 @main.command(name="run")
 @click.option("--config", "config_path", required=True, type=click.Path(), help="JSON config file")
-@click.option("--workers", type=int, default=None, help="worker count (default: hardware parallelism)")
+@click.option("--workers", type=int, default=1, help="recorded in the manifest; no table depends on it")
 @click.option("--out", "out_dir", type=click.Path(), default=None, help="directory for relative output paths")
 def run_cmd(config_path, workers, out_dir):
     """Run the experiment described by a config file."""

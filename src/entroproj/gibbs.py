@@ -3,7 +3,7 @@
 Two engines drive everything: exact enumeration over type classes
 (multinomial count vectors), vectorized over blocks of classes and summed in
 log space so that events far below the double range keep a finite log
-probability, and Monte Carlo rejection with counter-based per-worker streams.
+probability, and Monte Carlo rejection on one counter-based stream per call.
 On top of them sit the quantitative checks: the Csiszar information
 inequality for conditional block laws, the Sanov sandwich for event
 probabilities, and total-variation curves along enlargement schedules.
@@ -33,6 +33,9 @@ _PATTERN_BUDGET = 1_000_000
 # Cells of one slab of the (classes, pattern count vectors, letters) array
 # of falling factorials, so that wide windows stay within a few megabytes.
 _LAW_CELLS = 1 << 18
+# Uniforms in one block of Monte Carlo draws, so that the (rows, n) array of
+# a block stays within about eight megabytes whatever the trial count.
+_MC_CELLS = 1 << 20
 
 
 class ZeroAcceptanceError(RuntimeError):
@@ -266,20 +269,39 @@ def exact_event_probability(alpha: FiniteMeasure, n: int, event) -> float:
     return math.exp(exact_event_log_probability(alpha, n, event))
 
 
-def _worker_trial_counts(trials, workers):
-    base = trials // workers
-    extra = trials % workers
-    return [base + (1 if w < extra else 0) for w in range(workers)]
+def mc_stream(seed):
+    """The counter-based stream of one Monte Carlo call, keyed by (seed, 0)."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+
+
+def _sample_types(gen, weights, n, trials, k):
+    """Letter counts of ``trials`` i.i.d.(weights) n-blocks, as a (trials, m)
+    matrix, and the first k letters of every block, as (trials, k).
+
+    The stream is read in blocks of about _MC_CELLS uniforms. Philox fills
+    draws in order, so the result equals that of one (trials, n) draw.
+    """
+    m = len(weights)
+    cumw = np.cumsum(weights)
+    cumw[-1] = 1.0
+    rows = max(1, _MC_CELLS // n)
+    counts, heads = [], []
+    for lo in range(0, trials, rows):
+        t = min(rows, trials - lo)
+        idx = np.searchsorted(cumw, gen.random((t, n)), side="right")
+        flat = (idx + m * np.arange(t)[:, None]).ravel()
+        counts.append(np.bincount(flat, minlength=t * m).reshape(t, m))
+        heads.append(idx[:, :k].copy())  # a view would keep all of idx alive
+    return np.concatenate(counts), np.concatenate(heads)
 
 
 def run_conditional_mc(alpha: FiniteMeasure, n: int, event, k: int,
-                       trials: int, seed: int, workers: int = 1) -> ConditionalEstimate:
+                       trials: int, seed: int) -> ConditionalEstimate:
     """Monte Carlo rejection estimate of the conditional k-coordinate law.
 
-    Each worker draws from its own counter-based stream keyed by
-    (seed, worker index), so results are bit-identical for a fixed
-    (seed, workers) pair and merge by plain summation. Zero acceptances
-    raise ZeroAcceptanceError carrying the rule-of-three bound 3/trials.
+    All trials read one counter-based stream keyed by (seed, 0), so results
+    are bit-identical for a fixed seed on any host. Zero acceptances raise
+    ZeroAcceptanceError carrying the rule-of-three bound 3/trials.
     """
     if trials < 1:
         raise ValueError("trials must be a positive integer")
@@ -288,35 +310,18 @@ def run_conditional_mc(alpha: FiniteMeasure, n: int, event, k: int,
     m = len(alpha.space)
     if m ** k > _PATTERN_BUDGET:
         raise ValueError("pattern alphabet too large for the window size")
-    cumw = np.cumsum(alpha.weights)
-    cumw[-1] = 1.0
-    pattern_scale = m ** np.arange(k - 1, -1, -1)
-
-    accepted = 0
-    pattern_counts = np.zeros(m ** k, dtype=np.int64)
-    for w_idx, t_w in enumerate(_worker_trial_counts(trials, workers)):
-        if t_w == 0:
-            continue
-        bits = np.random.Philox(key=np.array([seed, w_idx], dtype=np.uint64))
-        gen = np.random.Generator(bits)
-        u = gen.random((t_w, n))
-        idx = np.searchsorted(cumw, u, side="right")
-        counts = np.bincount(
-            (idx + m * np.arange(t_w)[:, None]).ravel(), minlength=t_w * m
-        ).reshape(t_w, m)
-        ok = _accepts(event, counts, n, alpha.space)
-        accepted += int(ok.sum())
-        if np.any(ok):
-            pids = idx[ok, :k] @ pattern_scale
-            pattern_counts += np.bincount(pids, minlength=m ** k)
-
+    counts, heads = _sample_types(mc_stream(seed), alpha.weights, n, trials, k)
+    ok = _accepts(event, counts, n, alpha.space)
+    accepted = int(ok.sum())
     if accepted == 0:
         raise ZeroAcceptanceError(
             f"no acceptances in {trials} trials; event probability is below "
             f"3/trials = {3.0 / trials:.3g} with 95% confidence",
             upper_bound=3.0 / trials,
         )
-    law = FiniteMeasure(product_space(alpha.space, k), pattern_counts / accepted)
+    pids = heads[ok] @ (m ** np.arange(k - 1, -1, -1))
+    law = FiniteMeasure(product_space(alpha.space, k),
+                        np.bincount(pids, minlength=m ** k) / accepted)
     return ConditionalEstimate(
         k=k,
         law=law,

@@ -17,6 +17,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
+from .gibbs import mc_stream
 from .measures import FiniteMeasure, MetricSpacePoints, fm_distance
 
 _THETA_SCAN = 400
@@ -381,6 +382,12 @@ def entropy_decomposition_check(Q: np.ndarray, surface: VolSurface,
     return lhs, middle + third
 
 
+def _q(x, y, a2):
+    """Two-point KL on {move, stay} with move probability x/a2 against
+    y/a2, elementwise over arrays of variances."""
+    return np.log(x / y) * x / a2 + np.log((a2 - x) / (a2 - y)) * (1.0 - x / a2)
+
+
 def q_rate(x: float, y: float, spec: LatticeSpec) -> float:
     """Pointwise entropy rate between variance levels x and y.
 
@@ -390,7 +397,7 @@ def q_rate(x: float, y: float, spec: LatticeSpec) -> float:
     a2 = spec.alpha_tick ** 2
     if not (0 < x < a2 and 0 < y < a2):
         raise ValueError(f"arguments must lie in (0, {a2})")
-    return math.log(x / y) * x / a2 + math.log((a2 - x) / (a2 - y)) * (1.0 - x / a2)
+    return float(_q(x, y, a2))
 
 
 def dl_gap(surface: VolSurface, surface0: VolSurface, spec: LatticeSpec):
@@ -407,10 +414,7 @@ def dl_gap(surface: VolSurface, surface0: VolSurface, spec: LatticeSpec):
         h = _level_local_entropy(
             surface.sigma[k], surface.b[k], surface0.sigma[k], surface0.b[k], spec
         )
-        x = surface.sigma[k] ** 2
-        y = surface0.sigma[k] ** 2
-        q = np.log(x / y) * x / a2 + np.log((a2 - x) / (a2 - y)) * (1.0 - x / a2)
-        gap = np.abs(h - q)
+        gap = np.abs(h - _q(surface.sigma[k] ** 2, surface0.sigma[k] ** 2, a2))
         visited = tree.node_prob[k] > 0
         if np.any(visited):
             worst = max(worst, float(gap[visited].max()))
@@ -435,10 +439,7 @@ def I_rate(surface: VolSurface, surface0: VolSurface, spec: LatticeSpec,
     a2 = spec.alpha_tick ** 2
     total = 0.0
     for k in range(N):
-        x = surf.sigma[k] ** 2
-        y = surf0.sigma[k] ** 2
-        q = np.log(x / y) * x / a2 + np.log((a2 - x) / (a2 - y)) * (1.0 - x / a2)
-        total += float(tree.node_prob[k] @ q)
+        total += float(tree.node_prob[k] @ _q(surf.sigma[k] ** 2, surf0.sigma[k] ** 2, a2))
     return total / N
 
 
@@ -723,7 +724,7 @@ def _sample_paths(tree: TrinomialTree, m: int, gen):
 
 
 def gibbs_tree_mc(spec: LatticeSpec, sigma0: float, payoff, n: int, epsilon: float,
-                  m: int, trials: int, seed: int, workers: int = 1,
+                  m: int, trials: int, seed: int,
                   delta_rel: float = 0.05, modulus=None) -> dict:
     """Conditioned-ensemble experiment on the lattice at fixed small n.
 
@@ -745,24 +746,17 @@ def gibbs_tree_mc(spec: LatticeSpec, sigma0: float, payoff, n: int, epsilon: flo
 
     accepted = 0
     terminal_sum = np.zeros(2 * n + 1)
-    base = trials // workers
-    extra = trials % workers
-    for w_idx in range(workers):
-        t_w = base + (1 if w_idx < extra else 0)
-        if t_w == 0:
-            continue
-        bits = np.random.Philox(key=np.array([seed, w_idx], dtype=np.uint64))
-        gen = np.random.Generator(bits)
-        for _ in range(t_w):
-            counts, j_final = _sample_paths(tree0, m, gen)
-            marg = [c / m for c in counts]
-            ok, _ = tilde_t_membership(marg, spec_n, epsilon, modulus=modulus,
-                                       slack=delta_rel)
-            xs = j_final * spec_n.dx
-            emp_moment = float(np.mean([payoff(x) for x in xs]))
-            if ok and abs(emp_moment - 1.0) <= epsilon + delta_rel:
-                accepted += 1
-                terminal_sum += np.bincount(j_final + n, minlength=2 * n + 1) / m
+    gen = mc_stream(seed)
+    for _ in range(trials):
+        counts, j_final = _sample_paths(tree0, m, gen)
+        marg = [c / m for c in counts]
+        ok, _ = tilde_t_membership(marg, spec_n, epsilon, modulus=modulus,
+                                   slack=delta_rel)
+        xs = j_final * spec_n.dx
+        emp_moment = float(np.mean([payoff(x) for x in xs]))
+        if ok and abs(emp_moment - 1.0) <= epsilon + delta_rel:
+            accepted += 1
+            terminal_sum += np.bincount(j_final + n, minlength=2 * n + 1) / m
 
     report = {
         "n": n,

@@ -157,6 +157,25 @@ class TestValidate:
         }
         assert any("positive" in d for d in validate_config(covering_bad))
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("doc", [
+        {"experiment": "bridge",
+         "params": {"grid": {"start": -1, "stop": 1, "num": 5}, "t": "abc"}},
+        {"experiment": "covering",
+         "params": {"points": [0.0, 1.0], "epsilon_list": ["x"]}},
+        {"experiment": "calibrate",
+         "params": {"n": 100, "alpha_tick": 2.0, "sigma_min": 0.5, "sigma_max": 1.5,
+                    "b0": 0.5, "s": 0.25, "sigma0": 1.0, "epsilon": "0.1"}},
+        {"experiment": "gibbs",
+         "params": {**gibbs_config()["params"], "n_list": "abc"}},
+    ], ids=["bridge_t", "covering_epsilon", "calibrate_epsilon", "gibbs_n_list"])
+    def test_mistyped_values_exit_config(self, runner, tmp_path, command, doc):
+        cfg = write_config(tmp_path, {**doc, "seed": 1, "output": {"path": "x.csv"}})
+        out = ["--out", str(tmp_path)] if command == "run" else []
+        result = runner.invoke(main, [command, "--config", cfg, *out])
+        assert result.exit_code == 2, result.output
+        assert json.loads(result.output)["diagnostics"]
+
     def test_malformed_json_reported(self, runner, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -259,6 +278,20 @@ class TestRunGibbs:
             assert result.exit_code == 0, result.output
             outputs.append((out_dir / "curve.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_mc_tables_do_not_depend_on_the_worker_flag(self, runner, tmp_path):
+        doc = gibbs_config(mode="mc", trials=3000, n_list=[4, 6],
+                           schedule={"kind": "sqrt_n", "c": 1.0})
+        cfg = write_config(tmp_path, doc)
+        outputs = []
+        for name, flag in (("one", ["--workers", "1"]), ("three", ["--workers", "3"]),
+                           ("default", [])):
+            out_dir = tmp_path / name
+            out_dir.mkdir()
+            result = runner.invoke(main, ["run", "--config", cfg, *flag, "--out", str(out_dir)])
+            assert result.exit_code == 0, result.output
+            outputs.append((out_dir / "curve.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_zero_acceptance_exits_with_the_bound(self, runner, tmp_path):
         doc = gibbs_config(mode="mc", trials=300, n_list=[7],

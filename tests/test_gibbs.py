@@ -338,11 +338,11 @@ class TestMonteCarlo:
         se = math.sqrt(p * (1.0 - p) / trials)
         assert abs(mc.acceptance_rate - p) <= 3.0 * se
 
-    def test_deterministic_at_fixed_seed_and_workers(self):
+    def test_deterministic_at_fixed_seed(self):
         alpha = bernoulli(0.6)
         event = mean_band(0.7, 0.1)
-        a = ep.run_conditional_mc(alpha, 8, event, 2, trials=5000, seed=42, workers=3)
-        b = ep.run_conditional_mc(alpha, 8, event, 2, trials=5000, seed=42, workers=3)
+        a = ep.run_conditional_mc(alpha, 8, event, 2, trials=5000, seed=42)
+        b = ep.run_conditional_mc(alpha, 8, event, 2, trials=5000, seed=42)
         np.testing.assert_array_equal(a.law.weights, b.law.weights)
         assert a.acceptance_rate == b.acceptance_rate
 
@@ -353,12 +353,19 @@ class TestMonteCarlo:
         b = ep.run_conditional_mc(alpha, 8, event, 1, trials=2000, seed=2)
         assert not np.array_equal(a.law.weights, b.law.weights)
 
-    def test_worker_split_covers_all_trials(self):
-        alpha = bernoulli(0.5)
-        est = ep.run_conditional_mc(alpha, 4, whole_simplex_band(), 1,
-                                    trials=1003, seed=5, workers=4)
-        assert est.n_trials == 1003
-        assert est.acceptance_rate == 1.0
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("event", [mean_band(0.7, 0.1), whole_simplex_band()],
+                             ids=["band", "whole"])
+    def test_block_split_matches_one_block(self, monkeypatch, rows, event):
+        alpha = bernoulli(0.6)
+        n, trials = 8, 1003
+        one = ep.run_conditional_mc(alpha, n, event, 2, trials=trials, seed=5)
+        # 1003 trials in blocks of 7 rows end in a ragged block of 2
+        monkeypatch.setattr(gibbs, "_MC_CELLS", rows * n)
+        split = ep.run_conditional_mc(alpha, n, event, 2, trials=trials, seed=5)
+        np.testing.assert_array_equal(split.law.weights, one.law.weights)
+        assert split.acceptance_rate == one.acceptance_rate
+        assert split.n_trials == one.n_trials == trials
 
     def test_zero_acceptance_reports_rule_of_three(self):
         alpha = bernoulli(0.5)

@@ -605,7 +605,7 @@ class TestGibbsTreeMc:
         spec = wide_spec(8)
         payoff = normalized_square_payoff(wide_spec(2), 1.0)
         args = dict(spec=spec, sigma0=1.0, payoff=payoff, n=2, epsilon=0.3,
-                    m=400, trials=40, seed=77, workers=1, delta_rel=0.4)
+                    m=400, trials=40, seed=77, delta_rel=0.4)
         args.update(overrides)
         return gibbs_tree_mc(**args)
 
@@ -637,8 +637,8 @@ class TestGibbsTreeMc:
         assert report["p_upper_rule_of_three"] == pytest.approx(0.1)
 
     def test_deterministic_per_configuration(self):
-        first = self._run(workers=3)
-        second = self._run(workers=3)
+        first = self._run()
+        second = self._run()
         assert first == second
         assert second["accepted"] == 40
 
