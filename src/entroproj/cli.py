@@ -7,15 +7,19 @@ identical config reproduces the output bytes on any host.
 A manifest with the config echo, row counts, and wall time lands next to
 the tables.
 
+Each experiment has a parser, which checks every parameter key and returns
+the experiment's compute step: a function of the seed that reads only the
+parsed values. `validate` runs the same parsers as `run`.
+
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 zero-acceptance
 conditioning.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -24,73 +28,19 @@ import time
 import click
 import numpy as np
 
-from . import __version__
-from .measures import FiniteMeasure, MetricSpacePoints, covering_number, tv_distance
-from .iproj import (
-    Box,
-    MomentProblem,
-    Point,
-    ScheduleParams,
-    schedule_from_solution,
-    solve_dual,
-)
-from .gibbs import (
-    ZeroAcceptanceError,
-    conditional_tv_curve,
-    moment_band,
-    product_law,
-    run_conditional_mc,
-)
-from .bridge import gaussian_reference, bridge_entropy, sinkhorn, with_targets
-from .tritree import (
-    CalibProblem,
-    LatticeSpec,
-    VolSurface,
-    I_rate,
-    build_tree,
-    calibrate,
-    dl_gap,
-    epsilon0,
-    expectation,
-    tree_entropy_chain,
-)
+from . import __version__, bridge, gibbs, iproj, measures, tritree
 
-EXPERIMENTS = ("iproj", "gibbs", "bridge", "calibrate", "gamma", "covering", "schedules")
-_SEED_MAX = 2 ** 64
+_REQUIRED = object()
 
 
-def _fmt_cell(v):
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
-
-
-def _native(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return v
-
-
-def _render_csv(columns, rows) -> str:
+def _render(fmt, columns, rows) -> str:
+    """The table as csv (floats written as repr) or json text."""
+    rows = [[v.item() if isinstance(v, np.generic) else v for v in row] for row in rows]
+    if fmt == "json":
+        return json.dumps({"columns": list(columns), "rows": rows}, indent=2) + "\n"
     sio = io.StringIO()
-    writer = csv.writer(sio, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt_cell(v) for v in row])
+    csv.writer(sio, lineterminator="\n").writerows([columns, *rows])
     return sio.getvalue()
-
-
-def _render_json(columns, rows) -> str:
-    doc = {"columns": list(columns), "rows": [[_native(v) for v in row] for row in rows]}
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def _write_atomic(path: str, text: str):
@@ -107,348 +57,399 @@ def _write_atomic(path: str, text: str):
         raise
 
 
-def _measure_and_map(params):
-    weights = np.asarray(params["alpha_weights"], dtype=float)
-    if "points" in params:
-        space = MetricSpacePoints.from_coordinates(np.asarray(params["points"], dtype=float))
-    else:
-        space = MetricSpacePoints.from_coordinates(np.arange(len(weights), dtype=float))
-    measure = FiniteMeasure(space, weights)
-    F = np.asarray(params["F"], dtype=float)
-    return measure, F
+class ConfigError(ValueError):
+    """A config that cannot run; each argument is a diagnostic naming a key."""
 
 
-def _target_from(doc):
-    kind = doc.get("kind")
-    if kind == "point":
-        return Point(np.atleast_1d(np.asarray(doc["x0"], dtype=float)))
-    if kind == "box":
-        return Box(
-            np.atleast_1d(np.asarray(doc["lo"], dtype=float)),
-            np.atleast_1d(np.asarray(doc["hi"], dtype=float)),
-        )
-    raise ValueError(f"unknown target kind {kind!r}")
+class _Doc:
+    """One JSON object of a config, read key by key; ``path`` names it."""
+
+    def __init__(self, value, path):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be an object")
+        self.value, self.path = value, path
+
+    def get(self, key, read, default=_REQUIRED):
+        """read(value, key path) of the key, or of the default when the key
+        is absent; a None default is returned unread."""
+        path = f"{self.path}.{key}"
+        if key in self.value:
+            return read(self.value[key], path)
+        if default is _REQUIRED:
+            raise ConfigError(f"{path} is required")
+        return None if default is None else read(default, path)
 
 
-def _schedule_from(sol, doc):
-    kind = doc.get("kind", "sqrt_n")
-    if "c" in doc:
-        return ScheduleParams(kind=kind, c=float(doc["c"]))
-    return schedule_from_solution(
-        sol, kind, a=float(doc.get("a", 1.0)), margin=float(doc.get("margin", 1.1))
-    )
+def _number(value, path, kind=(int, float), positive=False):
+    """A finite JSON number of the given kind (a bool is none), above zero
+    with positive=True; integers stay ints."""
+    if isinstance(value, bool) or not isinstance(value, kind) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path} must be a finite JSON {'integer' if kind is int else 'number'}")
+    if positive and value <= 0:
+        raise ConfigError(f"{path} must be positive")
+    return value if kind is int else float(value)
 
 
-def _run_iproj(params, seed):
-    measure, F = _measure_and_map(params)
-    problem = MomentProblem(measure, F, _target_from(params["target"]))
-    sol = solve_dual(problem)
-    rows = []
-    for i, v in enumerate(np.atleast_1d(sol.lambda_star)):
-        rows.append([f"lambda_{i}", float(v)])
-    rows.append(["entropy", sol.entropy])
-    rows.append(["log_Z", sol.log_Z])
-    for i, v in enumerate(np.atleast_1d(sol.moment)):
-        rows.append([f"moment_{i}", float(v)])
-    rows.append(["variance", sol.variance])
-    for i, v in enumerate(sol.alpha_star.weights):
-        rows.append([f"alpha_star_{i}", float(v)])
-    return {"solution": (["field", "value"], rows)}
+_positive = functools.partial(_number, positive=True)
+_integer = functools.partial(_number, kind=int, positive=True)
 
 
-def _run_gibbs(params, seed):
-    measure, F = _measure_and_map(params)
-    x0 = np.atleast_1d(np.asarray(params["x0"], dtype=float))
-    problem = MomentProblem(measure, F, Point(x0))
-    sol = solve_dual(problem)
-    schedule = _schedule_from(sol, params.get("schedule", {"kind": "sqrt_n"}))
-    n_list = [int(n) for n in params["n_list"]]
-    k = int(params.get("k", 1))
-    mode = params.get("mode", "exact")
-    columns = ["n", "epsilon", "p_event", "log_p_over_n", "tv_k", "acceptance_rate"]
-    rows = []
-    if mode == "exact":
-        for r in conditional_tv_curve(measure, sol, schedule, n_list, k):
-            rows.append([r["n"], r["epsilon"], r["p_event"], r["log_p_over_n"],
-                         r["tv_k"], r["p_event"]])
-    else:
-        trials = int(params.get("trials", 20000))
-        ref = product_law(sol.alpha_star, k)
-        for n in n_list:
-            eps = schedule.epsilon(n)
-            event = moment_band(problem.F, x0, eps, norm="euclidean")
-            est = run_conditional_mc(measure, n, event, k, trials, seed)
-            p = est.acceptance_rate
-            rows.append([n, eps, p, math.log(p) / n, tv_distance(est.law, ref), p])
-    return {"curve": (columns, rows)}
+def _text(value, path):
+    if not isinstance(value, str):
+        raise ConfigError(f"{path} must be a string")
+    return value
 
 
-def _grid_weights(space, x, doc):
-    kind = doc.get("kind", "uniform")
+def _kind(*kinds):
+    """Reader of one of the given names."""
+    def read(value, path):
+        if value not in kinds:
+            raise ConfigError(f"{path} {value!r} is not {' or '.join(kinds)}")
+        return value
+    return read
+
+
+def _items(read):
+    """Reader of a nonempty JSON list whose entries ``read`` accepts."""
+    def items(value, path):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path} must be a nonempty list")
+        return [read(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return items
+
+
+def _numbers(value, path):
+    """A JSON number or a nonempty list of numbers, as a 1-D float array, or
+    a nonempty list of equal-length such lists, as a 2-D one."""
+    if not isinstance(value, list):
+        return np.array([_number(value, path)])
+    if not (value and all(isinstance(row, list) for row in value)):
+        return np.array(_items(_number)(value, path))
+    rows = _items(_items(_number))(value, path)
+    if len({len(row) for row in rows}) > 1:
+        raise ConfigError(f"{path} rows must have equal lengths")
+    return np.array(rows)
+
+
+def _grid(value, path):
+    """Grid coordinates: {start, stop, num} evenly spaced, or a list."""
+    if not isinstance(value, dict):
+        return _numbers(value, path)
+    doc = _Doc(value, path)
+    return np.linspace(doc.get("start", _number), doc.get("stop", _number),
+                       doc.get("num", _integer))
+
+
+def _build(path, make, *args):
+    """make(*args), reporting the invariant its constructor checks against
+    the config key the arguments came from."""
+    try:
+        return make(*args)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _problem(p, target):
+    """Moment problem of alpha_weights (on points), F and the target."""
+    weights = p.get("alpha_weights", _numbers)
+    coords = p.get("points", _numbers, list(range(len(weights))))
+    space = _build("params.points", measures.MetricSpacePoints.from_coordinates, coords)
+    measure = _build("params.alpha_weights", measures.FiniteMeasure, space, weights)
+    return _build("params.F", iproj.MomentProblem, measure, p.get("F", _numbers), target)
+
+
+def _target(value, path):
+    doc = _Doc(value, path)
+    if doc.get("kind", _kind("point", "box")) == "point":
+        return iproj.Point(doc.get("x0", _numbers))
+    return _build(path, iproj.Box, doc.get("lo", _numbers), doc.get("hi", _numbers))
+
+
+def _schedule(value, path):
+    """The enlargement schedule, as a function of the solved projection."""
+    doc = _Doc(value, path)
+    kind = doc.get("kind", _kind("sqrt_n", "inv_n"), "sqrt_n")
+    c = doc.get("c", _positive, None)
+    if c is not None:
+        fixed = iproj.ScheduleParams(kind=kind, c=c)
+        return lambda sol: fixed
+    return functools.partial(iproj.schedule_from_solution, kind=kind,
+                             a=doc.get("a", _positive, 1.0),
+                             margin=doc.get("margin", _positive, 1.1))
+
+
+def _iproj(p):
+    problem = _problem(p, p.get("target", _target))
+
+    def compute(seed):
+        sol = iproj.solve_dual(problem)
+        rows = []
+        for i, v in enumerate(np.atleast_1d(sol.lambda_star)):
+            rows.append([f"lambda_{i}", float(v)])
+        rows.append(["entropy", sol.entropy])
+        rows.append(["log_Z", sol.log_Z])
+        for i, v in enumerate(np.atleast_1d(sol.moment)):
+            rows.append([f"moment_{i}", float(v)])
+        rows.append(["variance", sol.variance])
+        for i, v in enumerate(sol.alpha_star.weights):
+            rows.append([f"alpha_star_{i}", float(v)])
+        return {"solution": (["field", "value"], rows)}
+    return compute
+
+
+def _gibbs(p):
+    problem = _problem(p, iproj.Point(p.get("x0", _numbers)))
+    schedule_of = p.get("schedule", _schedule, {})
+    n_list = p.get("n_list", _items(_integer))
+    k = p.get("k", _integer, 1)
+    mode = p.get("mode", _kind("exact", "mc"), "exact")
+    trials = p.get("trials", _integer, 20000)
+
+    def compute(seed):
+        sol = iproj.solve_dual(problem)
+        schedule = schedule_of(sol)
+        columns = ["n", "epsilon", "p_event", "log_p_over_n", "tv_k", "acceptance_rate"]
+        rows = []
+        if mode == "exact":
+            for r in gibbs.conditional_tv_curve(problem.alpha, sol, schedule, n_list, k):
+                rows.append([r["n"], r["epsilon"], r["p_event"], r["log_p_over_n"],
+                             r["tv_k"], r["p_event"]])
+        else:
+            ref = gibbs.product_law(sol.alpha_star, k)
+            for n in n_list:
+                eps = schedule.epsilon(n)
+                event = gibbs.moment_band(problem.F, problem.target.x0, eps, norm="euclidean")
+                est = gibbs.run_conditional_mc(problem.alpha, n, event, k, trials, seed)
+                q = est.acceptance_rate
+                tv = measures.tv_distance(est.law, ref)
+                rows.append([n, eps, q, est.log_acceptance / n, tv, q])
+        return {"curve": (columns, rows)}
+    return compute
+
+
+def _grid_weights(value, path, space, x):
+    doc = _Doc(value, path)
+    kind = doc.get("kind", _kind("uniform", "gaussian", "explicit"), "uniform")
     if kind == "uniform":
-        return FiniteMeasure.uniform(space)
+        return measures.FiniteMeasure.uniform(space)
     if kind == "gaussian":
-        mean = float(doc.get("mean", 0.0))
-        std = float(doc.get("std", 1.0))
+        mean, std = doc.get("mean", _number, 0.0), doc.get("std", _positive, 1.0)
         w = np.exp(-((x - mean) ** 2) / (2.0 * std * std))
-        return FiniteMeasure(space, w / w.sum())
-    if kind == "explicit":
-        w = np.asarray(doc["weights"], dtype=float)
-        return FiniteMeasure(space, w / w.sum())
-    raise ValueError(f"unknown weight kind {kind!r}")
-
-
-def _run_bridge(params, seed):
-    gdoc = params["grid"]
-    if isinstance(gdoc, dict):
-        x = np.linspace(float(gdoc["start"]), float(gdoc["stop"]), int(gdoc["num"]))
     else:
-        x = np.asarray(gdoc, dtype=float)
-    space = MetricSpacePoints.from_coordinates(x)
-    mu0 = _grid_weights(space, x, params.get("mu0", {"kind": "uniform"}))
-    base = gaussian_reference(x, float(params["t"]), mu0=mu0)
-    nu0 = _grid_weights(space, x, params["nu0"]) if "nu0" in params else base.nu0
-    nu1 = _grid_weights(space, x, params["nu1"]) if "nu1" in params else base.nu1
-    problem = with_targets(base, nu0, nu1)
-    pots = sinkhorn(problem, tol=float(params.get("tol", 1e-12)),
-                    max_iter=int(params.get("max_iter", 500)))
-    h_direct, h_pot = bridge_entropy(problem, pots)
-    history_rows = [[i + 1, r] for i, r in enumerate(pots.history)]
-    pot_rows = [["f", i, float(x[i]), float(v)] for i, v in enumerate(pots.f)]
-    pot_rows += [["g", i, float(x[i]), float(v)] for i, v in enumerate(pots.g)]
-    summary_rows = [
-        ["H_direct", h_direct],
-        ["H_potentials", h_pot],
-        ["residual", pots.residual],
-        ["iterations", len(pots.history)],
-    ]
-    return {
-        "history": (["iteration", "residual"], history_rows),
-        "potentials": (["side", "index", "point", "value"], pot_rows),
-        "summary": (["field", "value"], summary_rows),
-    }
+        w = doc.get("weights", _numbers)
+    if not w.sum() > 0:
+        raise ConfigError(f"{path} weights must have a positive sum")
+    return _build(path, measures.FiniteMeasure, space, w / w.sum())
 
 
-def _lattice_from(params) -> LatticeSpec:
-    return LatticeSpec(
-        n=int(params["n"]),
-        alpha_tick=float(params["alpha_tick"]),
-        sigma_min=float(params["sigma_min"]),
-        sigma_max=float(params["sigma_max"]),
-        b0=float(params["b0"]),
-        s=float(params["s"]),
-    )
+def _bridge(p):
+    x = p.get("grid", _grid)
+    space = _build("params.grid", measures.MetricSpacePoints.from_coordinates, x)
+    weights = functools.partial(_grid_weights, space=space, x=x)
+    t = p.get("t", _positive)
+    mu0 = p.get("mu0", weights, {})
+    nu0, nu1 = p.get("nu0", weights, None), p.get("nu1", weights, None)
+    tol = p.get("tol", _positive, 1e-12)
+    max_iter = p.get("max_iter", _integer, 500)
+
+    def compute(seed):
+        base = bridge.gaussian_reference(x, t, mu0=mu0)
+        problem = bridge.with_targets(base, nu0 or base.nu0, nu1 or base.nu1)
+        pots = bridge.sinkhorn(problem, tol=tol, max_iter=max_iter)
+        h_direct, h_pot = bridge.bridge_entropy(problem, pots)
+        history_rows = [[i + 1, r] for i, r in enumerate(pots.history)]
+        pot_rows = [["f", i, float(x[i]), float(v)] for i, v in enumerate(pots.f)]
+        pot_rows += [["g", i, float(x[i]), float(v)] for i, v in enumerate(pots.g)]
+        summary_rows = [
+            ["H_direct", h_direct],
+            ["H_potentials", h_pot],
+            ["residual", pots.residual],
+            ["iterations", len(pots.history)],
+        ]
+        return {
+            "history": (["iteration", "residual"], history_rows),
+            "potentials": (["side", "index", "point", "value"], pot_rows),
+            "summary": (["field", "value"], summary_rows),
+        }
+    return compute
 
 
-def _normalized_payoff(params, spec):
-    doc = params.get("payoff", {"kind": "square"})
-    if doc.get("kind", "square") != "square":
-        raise ValueError(f"unknown payoff kind {doc.get('kind')!r}")
-    if "sigma_target" in doc:
-        surf = VolSurface.constant(spec, float(doc["sigma_target"]), spec.b0)
-        target_value = expectation(build_tree(surf, spec), lambda x: x * x, spec.n)
-    else:
-        target_value = float(doc.get("target_value", 1.0))
-    if target_value <= 0:
-        raise ValueError("payoff normalization must be positive")
-    return (lambda x: x * x / target_value), target_value
+def _lattice(p, n) -> tritree.LatticeSpec:
+    ranges = [p.get(key, _number) for key in ("alpha_tick", "sigma_min", "sigma_max", "b0", "s")]
+    return _build("params", tritree.LatticeSpec, n, *ranges)
 
 
-def _run_calibrate(params, seed):
-    spec = _lattice_from(params)
-    payoff, target_value = _normalized_payoff(params, spec)
-    problem = CalibProblem(
-        sigma0=float(params["sigma0"]),
-        payoff=payoff,
-        n_pieces=int(params.get("n_pieces", 1)),
-    )
-    res = calibrate(problem, spec, float(params["epsilon"]))
-    rows = [[f"theta_{i}", float(v)] for i, v in enumerate(res.theta_star)]
-    rows += [
-        ["entropy", res.entropy],
-        ["moment", res.moment],
-        ["slack", res.slack],
-        ["target_value", target_value],
-        ["epsilon0", epsilon0(res.sigma_star, spec, payoff)],
-    ]
-    return {"report": (["field", "value"], rows)}
+def _calibrate(p):
+    spec = _lattice(p, p.get("n", _integer))
+    payoff_doc = p.get("payoff", _Doc, {})
+    payoff_doc.get("kind", _kind("square"), "square")
+    sigma_target = payoff_doc.get("sigma_target", _number, None)
+    target_value = payoff_doc.get("target_value", _positive, 1.0)
+    sigma0, n_pieces = p.get("sigma0", _number), p.get("n_pieces", _integer, 1)
+    epsilon = p.get("epsilon", _positive)
+    if epsilon > spec.s:
+        raise ConfigError(f"params.epsilon {epsilon} exceeds the drift band half-width s={spec.s}")
+
+    def compute(seed):
+        value = target_value
+        if sigma_target is not None:
+            surf = tritree.VolSurface.constant(spec, sigma_target, spec.b0)
+            value = tritree.expectation(tritree.build_tree(surf, spec), lambda x: x * x, spec.n)
+
+        def payoff(x):
+            return x * x / value
+
+        problem = tritree.CalibProblem(sigma0=sigma0, payoff=payoff, n_pieces=n_pieces)
+        res = tritree.calibrate(problem, spec, epsilon)
+        rows = [[f"theta_{i}", float(v)] for i, v in enumerate(res.theta_star)]
+        rows += [
+            ["entropy", res.entropy],
+            ["moment", res.moment],
+            ["slack", res.slack],
+            ["target_value", value],
+            ["epsilon0", tritree.epsilon0(res.sigma_star, spec, payoff)],
+        ]
+        return {"report": (["field", "value"], rows)}
+    return compute
 
 
-def _run_gamma(params, seed):
-    sigma = float(params["sigma"])
-    sigma0 = float(params["sigma0"])
-    rows = []
-    for n in params["n_list"]:
-        spec = _lattice_from({**params, "n": int(n)})
-        surf = VolSurface.constant(spec, sigma, spec.b0)
-        surf0 = VolSurface.constant(spec, sigma0, spec.b0)
-        h = tree_entropy_chain(surf, surf0, spec)
-        rate = I_rate(surf, surf0, spec)
-        gap, n_gap = dl_gap(surf, surf0, spec)
-        rows.append([int(n), h / n, rate, gap, n_gap])
-    return {"sweep": (["n", "H_over_n", "I_rate", "gap", "n_times_gap"], rows)}
+def _gamma(p):
+    specs = [_lattice(p, n) for n in p.get("n_list", _items(_integer))]
+    sigma, sigma0 = p.get("sigma", _number), p.get("sigma0", _number)
+
+    def compute(seed):
+        rows = []
+        for spec in specs:
+            surf = tritree.VolSurface.constant(spec, sigma, spec.b0)
+            surf0 = tritree.VolSurface.constant(spec, sigma0, spec.b0)
+            h = tritree.tree_entropy_chain(surf, surf0, spec)
+            rate = tritree.I_rate(surf, surf0, spec)
+            gap, n_gap = tritree.dl_gap(surf, surf0, spec)
+            rows.append([spec.n, h / spec.n, rate, gap, n_gap])
+        return {"sweep": (["n", "H_over_n", "I_rate", "gap", "n_times_gap"], rows)}
+    return compute
 
 
-def _run_covering(params, seed):
-    if "points" in params:
-        space = MetricSpacePoints.from_coordinates(np.asarray(params["points"], dtype=float))
-    else:
-        gdoc = params["grid"]
-        x = np.linspace(float(gdoc["start"]), float(gdoc["stop"]), int(gdoc["num"]))
-        space = MetricSpacePoints.from_coordinates(x)
-    rows = []
-    for eps in params["epsilon_list"]:
-        report = covering_number(space, float(eps))
-        rows.append([float(eps), report.count, report.method])
-    return {"covering": (["epsilon", "count", "method"], rows)}
+def _covering(p):
+    coords = p.get("points", _numbers, None)
+    if coords is None:
+        coords = p.get("grid", _grid)
+    space = _build("params", measures.MetricSpacePoints.from_coordinates, coords)
+    epsilon_list = p.get("epsilon_list", _items(_positive))
+
+    def compute(seed):
+        rows = []
+        for eps in epsilon_list:
+            report = measures.covering_number(space, eps)
+            rows.append([eps, report.count, report.method])
+        return {"covering": (["epsilon", "count", "method"], rows)}
+    return compute
 
 
-def _run_schedules(params, seed):
-    measure, F = _measure_and_map(params)
-    x0 = np.atleast_1d(np.asarray(params["x0"], dtype=float))
-    sol = solve_dual(MomentProblem(measure, F, Point(x0)))
-    rows = []
-    for kind in params.get("kinds", ["sqrt_n"]):
-        schedule = _schedule_from(sol, {
-            "kind": kind,
-            "a": params.get("a", 1.0),
-            "margin": params.get("margin", 1.1),
-        })
-        for n in params["n_list"]:
-            rows.append([kind, int(n), schedule.epsilon(int(n))])
-    return {"schedules": (["kind", "n", "epsilon"], rows)}
+def _schedules(p):
+    problem = _problem(p, iproj.Point(p.get("x0", _numbers)))
+    n_list = p.get("n_list", _items(_integer))
+    kinds = p.get("kinds", _items(_kind("sqrt_n", "inv_n")), ["sqrt_n"])
+    a, margin = p.get("a", _positive, 1.0), p.get("margin", _positive, 1.1)
+
+    def compute(seed):
+        sol = iproj.solve_dual(problem)
+        rows = []
+        for kind in kinds:
+            schedule = iproj.schedule_from_solution(sol, kind, a=a, margin=margin)
+            for n in n_list:
+                rows.append([kind, n, schedule.epsilon(n)])
+        return {"schedules": (["kind", "n", "epsilon"], rows)}
+    return compute
 
 
-_DISPATCH = {
-    "iproj": _run_iproj,
-    "gibbs": _run_gibbs,
-    "bridge": _run_bridge,
-    "calibrate": _run_calibrate,
-    "gamma": _run_gamma,
-    "covering": _run_covering,
-    "schedules": _run_schedules,
+_PARSERS = {
+    "iproj": _iproj,
+    "gibbs": _gibbs,
+    "bridge": _bridge,
+    "calibrate": _calibrate,
+    "gamma": _gamma,
+    "covering": _covering,
+    "schedules": _schedules,
 }
+EXPERIMENTS = tuple(_PARSERS)
 
 
-def _positive(value, kind=(int, float)):
-    """Whether a parsed JSON value is a positive number of the given kind."""
-    return isinstance(value, kind) and not isinstance(value, bool) and value > 0
+def _seed(doc):
+    if "seed" not in doc:
+        raise ConfigError("seed is required; runs never draw entropy from the clock")
+    seed = doc["seed"]
+    try:
+        value = int(str(seed), 10)
+    except ValueError:
+        value = -1
+    if isinstance(seed, bool) or not 0 <= value < 2 ** 64:
+        raise ConfigError(f"seed {seed!r} does not parse as an unsigned 64-bit integer")
+    return value
 
 
-def _n_list_ok(params):
-    n_list = params.get("n_list")
-    return isinstance(n_list, list) and len(n_list) > 0 and all(_positive(n, int) for n in n_list)
+def _output(doc):
+    """(path, format); the format defaults to json for a .json path, else csv."""
+    output = _Doc(doc.get("output"), "output")
+    path = output.get("path", _text)
+    default = "json" if os.path.splitext(path)[1] == ".json" else "csv"
+    return path, output.get("format", _kind("csv", "json"), default)
+
+
+def _compute_step(doc):
+    params = _Doc(doc.get("params"), "params")
+    experiment = doc.get("experiment")
+    return _PARSERS[experiment](params) if experiment in EXPERIMENTS else None
+
+
+def _parse(doc):
+    """Diagnostics of a config, each naming a key, and, when there are none,
+    its (seed, (path, format), compute step)."""
+    if not isinstance(doc, dict):
+        return ["config must be a JSON object"], None
+    experiment = doc.get("experiment")
+    diags = [] if experiment in EXPERIMENTS else [
+        f"unknown experiment {experiment!r}; expected one of {', '.join(EXPERIMENTS)}"]
+    parts = []
+    for read in (_seed, _output, _compute_step):
+        try:
+            parts.append(read(doc))
+        except ConfigError as exc:
+            diags.extend(exc.args)
+    return diags, None if diags else parts
 
 
 def validate_config(doc) -> list:
-    """Schema and range diagnostics; an empty list means runnable."""
-    diags = []
-    if not isinstance(doc, dict):
-        return ["config must be a JSON object"]
-    experiment = doc.get("experiment")
-    if experiment not in EXPERIMENTS:
-        diags.append(f"unknown experiment {experiment!r}; expected one of {', '.join(EXPERIMENTS)}")
-    if "seed" not in doc:
-        diags.append("seed is required; runs never draw entropy from the clock")
-    else:
-        seed = doc["seed"]
-        try:
-            if isinstance(seed, bool):
-                raise ValueError
-            seed_val = int(str(seed), 10)
-            if not 0 <= seed_val < _SEED_MAX:
-                raise ValueError
-        except (TypeError, ValueError):
-            diags.append(f"seed {seed!r} does not parse as an unsigned 64-bit integer")
-    output = doc.get("output")
-    if not isinstance(output, dict) or "path" not in output:
-        diags.append("output.path is required")
-    elif output.get("format", "csv") not in ("csv", "json"):
-        diags.append(f"output.format {output.get('format')!r} is not csv or json")
-    params = doc.get("params")
-    if not isinstance(params, dict):
-        diags.append("params must be an object")
-        return diags
-    if experiment in ("gibbs", "schedules", "gamma") and not _n_list_ok(params):
-        diags.append("params.n_list must be a nonempty list of positive integers")
-
-    if experiment in ("iproj", "gibbs", "schedules"):
-        if "alpha_weights" not in params or "F" not in params:
-            diags.append("params.alpha_weights and params.F are required")
-        if experiment == "iproj" and "target" not in params:
-            diags.append("params.target is required")
-        if experiment in ("gibbs", "schedules"):
-            if "x0" not in params:
-                diags.append("params.x0 is required")
-        if experiment == "gibbs" and params.get("mode", "exact") not in ("exact", "mc"):
-            diags.append(f"params.mode {params.get('mode')!r} is not exact or mc")
-    elif experiment in ("calibrate", "gamma"):
-        probe = dict(params)
-        n_list = params["n_list"] if experiment == "gamma" and _n_list_ok(params) else []
-        if experiment == "gamma":
-            probe["n"] = n_list[0] if n_list else 1
-        try:
-            spec = _lattice_from(probe)
-            for n in n_list:
-                _lattice_from({**params, "n": n})
-        except (KeyError, TypeError) as exc:
-            diags.append(f"lattice parameters incomplete: {exc}")
-            spec = None
-        except ValueError as exc:
-            diags.append(str(exc))
-            spec = None
-        if experiment == "calibrate":
-            eps = params.get("epsilon")
-            if not _positive(eps):
-                diags.append("params.epsilon must be positive, as a JSON number")
-            elif spec is not None and eps > spec.s:
-                diags.append(
-                    f"epsilon {eps} exceeds the drift band half-width s={spec.s}"
-                )
-            if "sigma0" not in params:
-                diags.append("params.sigma0 is required")
-    elif experiment == "bridge":
-        if "grid" not in params or "t" not in params:
-            diags.append("params.grid and params.t are required")
-        elif not _positive(params["t"]):
-            diags.append("params.t must be positive, as a JSON number")
-    elif experiment == "covering":
-        if "points" not in params and "grid" not in params:
-            diags.append("params.points or params.grid is required")
-        eps_list = params.get("epsilon_list")
-        if not isinstance(eps_list, list) or not eps_list:
-            diags.append("params.epsilon_list must be a nonempty list")
-        elif not all(_positive(e) for e in eps_list):
-            diags.append("epsilon values must be positive numbers")
-    return diags
+    """Diagnostics of parsing the config as `run` does; empty means runnable."""
+    return _parse(doc)[0]
 
 
 def run(doc, workers=1, out_dir=None):
-    """Execute a validated config; returns the manifest dictionary.
+    """Parse and execute a config; returns the manifest dictionary.
 
-    ``workers`` is only recorded there: no table depends on it."""
+    Raises ConfigError, before any work, on a config `validate` rejects.
+    ``workers`` is only recorded in the manifest: no table depends on it."""
+    diags, parsed = _parse(doc)
+    if diags:
+        raise ConfigError(*diags)
+    seed, (path, fmt), compute = parsed
     start = time.monotonic()
-    tables = _DISPATCH[doc["experiment"]](doc.get("params", {}), int(str(doc["seed"]), 10))
+    tables = compute(seed)
     wall = time.monotonic() - start
 
-    output = doc["output"]
-    path = output["path"]
     if out_dir and not os.path.isabs(path):
         path = os.path.join(out_dir, path)
-    fmt = output.get("format", "csv")
-    render = _render_csv if fmt == "csv" else _render_json
     stem, ext = os.path.splitext(path)
     if not ext:
         ext = "." + fmt
-    outputs = {}
     if len(tables) == 1:
         name = next(iter(tables))
-        targets = {name: stem + ext}
+        outputs = {name: stem + ext}
     else:
-        targets = {name: f"{stem}.{name}{ext}" for name in tables}
+        outputs = {name: f"{stem}.{name}{ext}" for name in tables}
     for name, (columns, rows) in tables.items():
-        _write_atomic(targets[name], render(columns, rows))
-        outputs[name] = targets[name]
+        _write_atomic(outputs[name], _render(fmt, columns, rows))
 
     manifest = {
         "artifact_version": __version__,
@@ -462,10 +463,7 @@ def run(doc, workers=1, out_dir=None):
     return manifest
 
 
-def _fail(code, kind, message, extra=None):
-    doc = {"error": kind, "message": message}
-    if extra:
-        doc.update(extra)
+def _fail(code, **doc):
     click.echo(json.dumps(doc, sort_keys=True))
     sys.exit(code)
 
@@ -473,11 +471,11 @@ def _fail(code, kind, message, extra=None):
 def _load_config(path):
     try:
         with open(path, "r") as handle:
-            return json.load(handle), None
+            return json.load(handle)
     except OSError as exc:
-        return None, f"cannot read config: {exc}"
+        raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
-        return None, f"config is not valid JSON: {exc}"
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
 
 
 @click.group()
@@ -491,18 +489,14 @@ def main():
 @click.option("--out", "out_dir", type=click.Path(), default=None, help="directory for relative output paths")
 def run_cmd(config_path, workers, out_dir):
     """Run the experiment described by a config file."""
-    doc, err = _load_config(config_path)
-    if err:
-        _fail(2, "config", err)
-    diags = validate_config(doc)
-    if diags:
-        _fail(2, "config", "; ".join(diags), extra={"diagnostics": diags})
     try:
-        manifest = run(doc, workers=workers, out_dir=out_dir)
-    except ZeroAcceptanceError as exc:
-        _fail(4, "zero_acceptance", str(exc), extra={"upper_bound": exc.upper_bound})
+        manifest = run(_load_config(config_path), workers=workers, out_dir=out_dir)
+    except ConfigError as exc:
+        _fail(2, error="config", message="; ".join(exc.args), diagnostics=list(exc.args))
+    except gibbs.ZeroAcceptanceError as exc:
+        _fail(4, error="zero_acceptance", message=str(exc), upper_bound=exc.upper_bound)
     except Exception as exc:
-        _fail(3, "numeric", f"{type(exc).__name__}: {exc}")
+        _fail(3, error="numeric", message=f"{type(exc).__name__}: {exc}")
     click.echo(json.dumps(manifest, sort_keys=True))
 
 
@@ -510,11 +504,10 @@ def run_cmd(config_path, workers, out_dir):
 @click.option("--config", "config_path", required=True, type=click.Path(), help="JSON config file")
 def validate_cmd(config_path):
     """Print diagnostics for a config; exit 0 only when it is runnable."""
-    doc, err = _load_config(config_path)
-    if err:
-        click.echo(json.dumps({"diagnostics": [err]}))
-        sys.exit(2)
-    diags = validate_config(doc)
+    try:
+        diags = validate_config(_load_config(config_path))
+    except ConfigError as exc:
+        diags = list(exc.args)
     click.echo(json.dumps({"diagnostics": diags}))
     if diags:
         sys.exit(2)

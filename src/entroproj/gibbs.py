@@ -281,6 +281,8 @@ def _sample_types(gen, weights, n, trials, k):
     The stream is read in blocks of about _MC_CELLS uniforms. Philox fills
     draws in order, so the result equals that of one (trials, n) draw.
     """
+    if trials < 1:
+        raise ValueError("trials must be a positive integer")
     m = len(weights)
     cumw = np.cumsum(weights)
     cumw[-1] = 1.0
@@ -303,8 +305,6 @@ def run_conditional_mc(alpha: FiniteMeasure, n: int, event, k: int,
     are bit-identical for a fixed seed on any host. Zero acceptances raise
     ZeroAcceptanceError carrying the rule-of-three bound 3/trials.
     """
-    if trials < 1:
-        raise ValueError("trials must be a positive integer")
     if k > n:
         raise ValueError("window k cannot exceed the block length n")
     m = len(alpha.space)

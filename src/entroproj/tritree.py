@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -287,54 +286,36 @@ def tree_entropy_chain(surface: VolSurface, surface0: VolSurface, spec: LatticeS
     return total
 
 
+def _paths(level: int, transitions=None):
+    """Terminal offset j of every move sequence of the given length, as an
+    array of shape (3,)*level indexed by the moves (0 up, 1 stay, 2 down),
+    and, given a tree's transitions, each sequence's log-probability in the
+    same shape (else 0.0)."""
+    j = np.zeros((), dtype=int)
+    lp = np.zeros(())
+    for k in range(level):
+        if transitions is not None:
+            lp = lp[..., None] + np.log(transitions[k])[j + k]
+        j = j[..., None] + np.array([1, 0, -1])
+    return j, lp
+
+
 def tree_entropy_paths(surface: VolSurface, surface0: VolSurface, spec: LatticeSpec) -> float:
     """Brute-force path-enumeration oracle for tree_entropy_chain; n <= 10."""
     if spec.n > 10:
         raise ValueError("path enumeration is limited to n <= 10")
-    t1 = build_tree(surface, spec).transitions
-    t0 = build_tree(surface0, spec).transitions
-    total = 0.0
-    for moves in iter_product(range(3), repeat=spec.n):
-        j = 0
-        lp1 = 0.0
-        lp0 = 0.0
-        for k, mv in enumerate(moves):
-            i = j + k
-            lp1 += math.log(t1[k][i, mv])
-            lp0 += math.log(t0[k][i, mv])
-            j += 1 - mv
-        total += math.exp(lp1) * (lp1 - lp0)
-    return total
-
-
-def _path_log_probs(tree: TrinomialTree) -> np.ndarray:
-    """log P(path) for every move sequence, shape (3,)*n; n <= 10."""
-    n = tree.spec.n
-    out = np.empty((3,) * n)
-    for moves in iter_product(range(3), repeat=n):
-        j = 0
-        lp = 0.0
-        for k, mv in enumerate(moves):
-            lp += math.log(tree.transitions[k][j + k, mv])
-            j += 1 - mv
-        out[moves] = lp
-    return out
+    _, lp1 = _paths(spec.n, build_tree(surface, spec).transitions)
+    _, lp0 = _paths(spec.n, build_tree(surface0, spec).transitions)
+    return float(np.sum(np.exp(lp1) * (lp1 - lp0)))
 
 
 def path_marginal(Q: np.ndarray, level: int) -> np.ndarray:
     """Level marginal of a path-indexed law; entry j+level is P(X_level = j dx)."""
-    n = Q.ndim
-    if not 0 <= level <= n:
+    if not 0 <= level <= Q.ndim:
         raise ValueError("level out of range")
-    out = np.zeros(2 * level + 1)
-    if level == 0:
-        out[0] = Q.sum()
-        return out
     head = Q.reshape((3,) * level + (-1,)).sum(axis=-1)
-    for moves in iter_product(range(3), repeat=level):
-        j = sum(1 - mv for mv in moves)
-        out[j + level] += head[moves]
-    return out
+    j, _ = _paths(level)
+    return np.bincount((j + level).ravel(), weights=head.ravel(), minlength=2 * level + 1)
 
 
 def entropy_decomposition_check(Q: np.ndarray, surface: VolSurface,
@@ -358,11 +339,8 @@ def entropy_decomposition_check(Q: np.ndarray, surface: VolSurface,
     tree0 = build_tree(surface0, spec)
 
     for k in range(n):
-        agg = np.zeros((2 * k + 1, 3))
-        head = Q.reshape((3,) * (k + 1) + (-1,)).sum(axis=-1)
-        for moves in iter_product(range(3), repeat=k):
-            j = sum(1 - mv for mv in moves)
-            agg[j + k] += head[moves] if k else head
+        # joint law of (X_k, move k): the level-k marginal of each move's slice
+        agg = np.stack([path_marginal(np.take(Q, mv, axis=k), k) for mv in range(3)], axis=1)
         mass = agg.sum(axis=1)
         for i in range(2 * k + 1):
             if mass[i] <= 0:
@@ -373,8 +351,8 @@ def entropy_decomposition_check(Q: np.ndarray, surface: VolSurface,
                     f"Q violates the one-step conditional at level {k}, offset {i - k}"
                 )
 
-    lt = _path_log_probs(tree)
-    lt0 = _path_log_probs(tree0)
+    _, lt = _paths(n, tree.transitions)
+    _, lt0 = _paths(n, tree0.transitions)
     mask = Q > 0
     lhs = float(np.sum(Q[mask] * (np.log(Q[mask]) - lt0[mask])))
     middle = float(np.sum(Q[mask] * (np.log(Q[mask]) - lt[mask])))
@@ -432,14 +410,14 @@ def I_rate(surface: VolSurface, surface0: VolSurface, spec: LatticeSpec,
         N = spec.n
     if not min_level_n0(spec) <= N <= spec.n:
         raise ValueError("N must lie between the minimal level and spec.n")
-    spec_N = replace(spec, n=N)
-    surf = surface.truncated(N)
-    surf0 = surface0.truncated(N)
-    tree = build_tree(surf, spec_N)
+    if surface0.levels < N:
+        raise ValueError(f"surface0 has {surface0.levels} levels, N needs {N}")
+    # build_tree reads only the levels below N, so neither surface is truncated
+    tree = build_tree(surface, replace(spec, n=N))
     a2 = spec.alpha_tick ** 2
     total = 0.0
     for k in range(N):
-        total += float(tree.node_prob[k] @ _q(surf.sigma[k] ** 2, surf0.sigma[k] ** 2, a2))
+        total += float(tree.node_prob[k] @ _q(surface.sigma[k] ** 2, surface0.sigma[k] ** 2, a2))
     return total / N
 
 

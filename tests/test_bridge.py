@@ -305,3 +305,9 @@ class TestMarginalScheduleCheck:
         with pytest.raises(ValueError):
             ep.marginal_schedule_check(nu, "tv", lambda n: 0.5, [8],
                                        trials=5, seed=0)
+
+    def test_rejects_nonpositive_trials(self):
+        nu = ep.FiniteMeasure.uniform(line_space(4))
+        with pytest.raises(ValueError, match="trials must be a positive integer"):
+            ep.marginal_schedule_check(nu, "fm", lambda n: 0.5, [8],
+                                       trials=0, seed=0)

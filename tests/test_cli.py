@@ -1,5 +1,6 @@
 """End-to-end checks of the config-driven experiment runner."""
 
+import copy
 import csv
 import json
 import math
@@ -7,6 +8,8 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entroproj import __version__
 from entroproj.cli import main, validate_config
@@ -175,6 +178,31 @@ class TestValidate:
         result = runner.invoke(main, [command, "--config", cfg, *out])
         assert result.exit_code == 2, result.output
         assert json.loads(result.output)["diagnostics"]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("doc, key", [
+        (gibbs_config(mode="mc", trials=0), "params.trials"),
+        (iproj_config(params={**iproj_config()["params"], "alpha_weights": [0.6, 0.5]}),
+         "params.alpha_weights"),
+        (iproj_config(params={**iproj_config()["params"], "F": 0.7}), "params.F"),
+        (gibbs_config(k="x"), "params.k"),
+        (iproj_config(params={**iproj_config()["params"],
+                              "target": {"kind": "ball", "x0": [0.7]}}), "params.target.kind"),
+        ({"experiment": "bridge", "params": {"grid": {"start": -1, "stop": 1}, "t": 0.5}},
+         "params.grid.num"),
+        ({"experiment": "covering",
+          "params": {"grid": {"start": 0, "stop": 1}, "epsilon_list": [0.5]}}, "params.grid.num"),
+        ({"experiment": "schedules",
+          "params": {**gibbs_config()["params"], "kinds": ["cubic"]}}, "params.kinds"),
+    ], ids=["mc_trials", "weights_sum", "scalar_F", "k_string", "target_kind",
+            "bridge_grid_num", "covering_grid_num", "schedule_kind"])
+    def test_configs_that_used_to_fail_in_run_exit_config(self, runner, tmp_path, command,
+                                                          doc, key):
+        cfg = write_config(tmp_path, {"seed": 1, "output": {"path": "x.csv"}, **doc})
+        out = ["--out", str(tmp_path)] if command == "run" else []
+        result = runner.invoke(main, [command, "--config", cfg, *out])
+        assert result.exit_code == 2, result.output
+        assert any(key in d for d in json.loads(result.output)["diagnostics"])
 
     def test_malformed_json_reported(self, runner, tmp_path):
         path = tmp_path / "broken.json"
@@ -458,3 +486,88 @@ class TestRunSchedules:
         assert len(rows) == 6
         for kind, n_str, eps_str in rows:
             assert float(eps_str) == schedules[kind].epsilon(int(n_str))
+
+
+def test_json_path_without_format_writes_json(runner, tmp_path):
+    doc = {
+        "experiment": "schedules",
+        "seed": 4,
+        "params": {"alpha_weights": [0.5, 0.5], "F": [[0.0], [1.0]], "x0": [0.7],
+                   "n_list": [4, 16]},
+        "output": {"path": "sched.json"},
+    }
+    result = runner.invoke(main, ["run", "--config", write_config(tmp_path, doc),
+                                  "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    table = json.loads((tmp_path / "sched.json").read_text())
+    assert table["columns"] == ["kind", "n", "epsilon"]
+    assert [row[:2] for row in table["rows"]] == [["sqrt_n", 4], ["sqrt_n", 16]]
+
+
+_LATTICE = {"alpha_tick": 2.0, "sigma_min": 0.6, "sigma_max": 1.4, "b0": 0.15, "s": 0.03}
+
+# one small valid params object per experiment; each runs in milliseconds
+SMALL_PARAMS = {
+    "iproj": {"alpha_weights": [0.5, 0.5], "F": [[0.0], [1.0]],
+              "target": {"kind": "point", "x0": [0.7]}},
+    "gibbs": {"alpha_weights": [0.5, 0.5], "F": [[0.0], [1.0]], "x0": [0.7], "n_list": [4],
+              "k": 1, "mode": "exact", "trials": 50, "schedule": {"kind": "sqrt_n", "c": 0.5}},
+    "bridge": {"grid": {"start": -1.0, "stop": 1.0, "num": 5}, "t": 0.5,
+               "mu0": {"kind": "gaussian", "mean": 0.0, "std": 1.0},
+               "nu1": {"kind": "explicit", "weights": [1, 2, 3, 2, 1]},
+               "tol": 1e-10, "max_iter": 50},
+    "calibrate": {"n": 4, **_LATTICE, "sigma0": 1.2, "n_pieces": 1, "epsilon": 0.01,
+                  "payoff": {"kind": "square", "sigma_target": 1.1}},
+    "gamma": {**_LATTICE, "sigma": 1.1, "sigma0": 1.3, "n_list": [2, 4]},
+    "covering": {"grid": {"start": 0.0, "stop": 1.0, "num": 5}, "epsilon_list": [0.3, 0.1]},
+    "schedules": {"alpha_weights": [0.5, 0.5], "F": [[0.0], [1.0]], "x0": [0.7],
+                  "n_list": [4, 16], "kinds": ["sqrt_n", "inv_n"], "a": 1.0, "margin": 1.1},
+}
+REPLACEMENTS = [None, True, "x", -1, 0, 2.5, [], {}]
+
+
+def _nodes(obj, path=()):
+    """(path, parent is an object) of every key and list entry below obj."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,), isinstance(obj, dict)
+        yield from _nodes(value, path + (key,))
+
+
+MUTATIONS = [
+    (experiment, path, action)
+    for experiment, params in SMALL_PARAMS.items()
+    for path, in_object in _nodes(params)
+    for action in (["delete"] if in_object else []) + [("set", v) for v in REPLACEMENTS]
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.sampled_from(MUTATIONS))
+def test_every_mutated_config_runs_or_fails_typed(tmp_path_factory, mutation):
+    experiment, path, action = mutation
+    params = copy.deepcopy(SMALL_PARAMS[experiment])
+    parent = params
+    for key in path[:-1]:
+        parent = parent[key]
+    if action == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = action[1]
+    doc = {"experiment": experiment, "seed": 3, "params": params, "output": {"path": "t.csv"}}
+    diags = validate_config(doc)
+    assert isinstance(diags, list)
+    out = tmp_path_factory.mktemp("mutated")
+    cfg = write_config(out, doc)
+    runner = CliRunner()
+    validated = runner.invoke(main, ["validate", "--config", cfg])
+    assert validated.exit_code in (0, 2)
+    assert (validated.exit_code == 2) == bool(diags)
+    ran = runner.invoke(main, ["run", "--config", cfg, "--out", str(out)])
+    if validated.exit_code == 2:
+        assert ran.exit_code == 2, ran.output
+    else:
+        assert ran.exit_code in (0, 3, 4), (ran.output, ran.exception)
+    if ran.exit_code == 3:
+        error = json.loads(ran.output)["message"].split(":")[0]
+        assert error not in ("TypeError", "KeyError", "IndexError", "AttributeError")

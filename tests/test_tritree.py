@@ -429,6 +429,14 @@ class TestIRate:
         with pytest.raises(ValueError, match="between the minimal level"):
             I_rate(surf, surf, spec, N=101)
 
+    def test_reference_surface_needs_n_levels(self):
+        spec = wide_spec(12)
+        surf = VolSurface.constant(spec, 1.1, spec.b0)
+        short = VolSurface.constant(wide_spec(8), 1.3, spec.b0)
+        with pytest.raises(ValueError):
+            I_rate(surf, short, spec)
+        assert I_rate(surf, short, spec, N=8) == I_rate(surf.truncated(8), short, wide_spec(8))
+
 
 class TestTwoTimeAndRecovery:
     def test_tables_carry_unit_mass(self, rng):
