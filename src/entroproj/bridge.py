@@ -15,13 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gibbs import _sample_types, mc_stream
-from .measures import (
-    FiniteMeasure,
-    MetricSpacePoints,
-    fm_distance,
-    prohorov_distance,
-)
+from .gibbs import _accepts, _sample_types, mc_stream, metric_ball
+from .measures import FiniteMeasure, MetricSpacePoints
 
 _MARGINAL_TOL = 1e-10
 
@@ -194,6 +189,15 @@ def bridge_entropy(problem: BridgeProblem, potentials: BridgePotentials):
     return h_direct, h_pot
 
 
+def increasing_grid(grid) -> np.ndarray:
+    """The grid as a float array; raises unless it is one-dimensional and
+    strictly increasing with at least two points."""
+    x = np.asarray(grid, dtype=float)
+    if x.ndim != 1 or len(x) < 2 or np.any(np.diff(x) <= 0):
+        raise ValueError("grid must be strictly increasing with at least two points")
+    return x
+
+
 def gaussian_reference(grid, t: float, mu0: FiniteMeasure | None = None,
                        nu0: FiniteMeasure | None = None,
                        nu1: FiniteMeasure | None = None) -> BridgeProblem:
@@ -205,9 +209,7 @@ def gaussian_reference(grid, t: float, mu0: FiniteMeasure | None = None,
     default to the reference marginals themselves, giving the trivial
     bridge; callers swap in their own nu0, nu1.
     """
-    x = np.asarray(grid, dtype=float)
-    if x.ndim != 1 or len(x) < 2 or np.any(np.diff(x) <= 0):
-        raise ValueError("grid must be strictly increasing with at least two points")
+    x = increasing_grid(grid)
     if t <= 0:
         raise ValueError("kernel variance t must be positive")
     if mu0 is None:
@@ -243,17 +245,11 @@ def marginal_schedule_check(nu: FiniteMeasure, metric: str, epsilon_fn, n_list,
     convergence of conditioned bridges asks for this probability to reach 1
     along the sequence; a too-fast schedule shows up as a stalled column.
     """
-    if metric not in ("fm", "prohorov"):
-        raise ValueError(f"unknown metric {metric!r}")
-    dist = fm_distance if metric == "fm" else prohorov_distance
     gen = mc_stream(seed)
     rows = []
     for n in n_list:
-        eps = float(epsilon_fn(n))
+        ball = metric_ball(nu, metric, float(epsilon_fn(n)))
         counts, _ = _sample_types(gen, nu.weights, n, trials, 0)
-        # one distance per distinct type, however many trials share it
-        types, inverse = np.unique(counts, axis=0, return_inverse=True)
-        ok = np.array([dist(FiniteMeasure(nu.space, row / n), nu) <= eps for row in types])
-        hits = int(np.count_nonzero(ok[inverse.reshape(-1)]))
-        rows.append({"n": n, "epsilon": eps, "prob": hits / trials})
+        hits = int(np.count_nonzero(_accepts(ball, counts, n, nu.space)))
+        rows.append({"n": n, "epsilon": ball.radius, "prob": hits / trials})
     return rows

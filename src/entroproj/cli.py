@@ -244,7 +244,7 @@ def _grid_weights(value, path, space, x):
 
 
 def _bridge(p):
-    x = p.get("grid", _grid)
+    x = _build("params.grid", bridge.increasing_grid, p.get("grid", _grid))
     space = _build("params.grid", measures.MetricSpacePoints.from_coordinates, x)
     weights = functools.partial(_grid_weights, space=space, x=x)
     t = p.get("t", _positive)
@@ -323,10 +323,8 @@ def _gamma(p):
         for spec in specs:
             surf = tritree.VolSurface.constant(spec, sigma, spec.b0)
             surf0 = tritree.VolSurface.constant(spec, sigma0, spec.b0)
-            h = tritree.tree_entropy_chain(surf, surf0, spec)
-            rate = tritree.I_rate(surf, surf0, spec)
-            gap, n_gap = tritree.dl_gap(surf, surf0, spec)
-            rows.append([spec.n, h / spec.n, rate, gap, n_gap])
+            h, rate, gap = tritree._chain_walk(surf, surf0, spec)
+            rows.append([spec.n, h / spec.n, rate, gap, spec.n * gap])
         return {"sweep": (["n", "H_over_n", "I_rate", "gap", "n_times_gap"], rows)}
     return compute
 

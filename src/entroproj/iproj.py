@@ -110,37 +110,6 @@ class MomentProblem:
     def dim(self):
         return self.F.shape[1]
 
-    def to_document(self):
-        if isinstance(self.target, Point):
-            target = {"kind": "point", "x0": [repr(float(v)) for v in self.target.x0]}
-        else:
-            target = {
-                "kind": "box",
-                "lo": [repr(float(v)) for v in self.target.lo],
-                "hi": [repr(float(v)) for v in self.target.hi],
-            }
-        return {
-            "alpha": self.alpha.to_document(),
-            "F": [[repr(float(v)) for v in row] for row in self.F],
-            "target": target,
-        }
-
-    @classmethod
-    def from_document(cls, doc):
-        alpha = FiniteMeasure.from_document(doc["alpha"])
-        F = np.array([[float(v) for v in row] for row in doc["F"]])
-        t = doc["target"]
-        if t["kind"] == "point":
-            target = Point(np.array([float(v) for v in t["x0"]]))
-        elif t["kind"] == "box":
-            target = Box(
-                np.array([float(v) for v in t["lo"]]),
-                np.array([float(v) for v in t["hi"]]),
-            )
-        else:
-            raise ValueError(f"unknown target kind {t['kind']!r}")
-        return cls(alpha=alpha, F=F, target=target)
-
 
 @dataclass(frozen=True)
 class TiltedSolution:
@@ -160,39 +129,6 @@ class TiltedSolution:
     variance: float
     third_abs_moment: Optional[float]
     problem: MomentProblem = field(repr=False, compare=False)
-
-    def to_document(self):
-        return {
-            "problem": self.problem.to_document(),
-            "lambda_star": [repr(float(v)) for v in self.lambda_star],
-            "log_Z": repr(float(self.log_Z)),
-            "entropy": repr(float(self.entropy)),
-            "moment": [repr(float(v)) for v in self.moment],
-            "variance": repr(float(self.variance)),
-            "third_abs_moment": None
-            if self.third_abs_moment is None
-            else repr(float(self.third_abs_moment)),
-            "alpha_star_weights": [repr(float(w)) for w in self.alpha_star.weights],
-        }
-
-    @classmethod
-    def from_document(cls, doc):
-        problem = MomentProblem.from_document(doc["problem"])
-        alpha_star = FiniteMeasure(
-            problem.alpha.space,
-            np.array([float(w) for w in doc["alpha_star_weights"]]),
-        )
-        kappa = doc["third_abs_moment"]
-        return cls(
-            lambda_star=np.array([float(v) for v in doc["lambda_star"]]),
-            log_Z=float(doc["log_Z"]),
-            alpha_star=alpha_star,
-            entropy=float(doc["entropy"]),
-            moment=np.array([float(v) for v in doc["moment"]]),
-            variance=float(doc["variance"]),
-            third_abs_moment=None if kappa is None else float(kappa),
-            problem=problem,
-        )
 
 
 @dataclass(frozen=True)
@@ -397,7 +333,6 @@ def _solve_point(problem: MomentProblem) -> TiltedSolution:
 
 def _box_value_and_subgrad(problem, lo, hi, lam):
     value, grad, _ = log_laplace(problem, lam)
-    pinned = np.where(lam > 0, lo, np.where(lam < 0, hi, 0.0))
     inf_term = float(np.sum(np.where(lam > 0, lam * lo, lam * hi)))
     h = value - inf_term
     # minimal-norm subgradient: free coordinates may pick any y in [lo, hi]

@@ -78,17 +78,6 @@ class MetricSpacePoints:
     def index_of(self, point):
         return self.points.index(point)
 
-    def to_document(self):
-        return {
-            "points": list(self.points),
-            "dist": [[repr(float(x)) for x in row] for row in self.dist],
-        }
-
-    @classmethod
-    def from_document(cls, doc):
-        dist = np.array([[float(x) for x in row] for row in doc["dist"]])
-        return cls(points=tuple(doc["points"]), dist=dist)
-
     @classmethod
     def from_coordinates(cls, coords, points=None):
         """Euclidean space on explicit coordinates (1-D or d-dimensional)."""
@@ -134,16 +123,6 @@ class FiniteMeasure:
 
     def integrate(self, values):
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))
-
-    def to_document(self):
-        doc = self.space.to_document()
-        doc["weights"] = [repr(float(w)) for w in self.weights]
-        return doc
-
-    @classmethod
-    def from_document(cls, doc):
-        space = MetricSpacePoints.from_document(doc)
-        return cls(space, np.array([float(w) for w in doc["weights"]]))
 
 
 @dataclass(frozen=True)
@@ -304,18 +283,38 @@ def prohorov_distance(nu1: FiniteMeasure, nu2: FiniteMeasure) -> float:
     _require_same_support(nu1, nu2)
     n = len(nu1.space)
     d = nu1.space.dist
-    thresholds = np.unique(d)  # starts at 0
     if n <= EXACT_SCAN_LIMIT:
-        return _prohorov_exact(nu1.weights, nu2.weights, d, thresholds)
-    warnings.warn(
-        f"prohorov_distance: {n} support points exceeds the exact scan limit "
-        f"({EXACT_SCAN_LIMIT}); returning a greedy worst-set estimate",
-        stacklevel=2,
-    )
-    return _prohorov_greedy(nu1.weights, nu2.weights, d, thresholds)
+        deficiency = _exact_deficiency(nu1.weights, nu2.weights, d)
+    else:
+        warnings.warn(
+            f"prohorov_distance: {n} support points exceeds the exact scan limit "
+            f"({EXACT_SCAN_LIMIT}); returning a greedy worst-set estimate",
+            stacklevel=2,
+        )
+        deficiency = _greedy_deficiency(nu1.weights, nu2.weights, d)
+    thresholds = np.unique(d)  # starts at 0
+    upper = np.append(thresholds[1:], math.inf)
+    cache = {}
+
+    def defic(k):
+        if k not in cache:
+            cache[k] = deficiency(thresholds[k])
+        return cache[k]
+
+    # binary search for the first interval k with deficiency(k) <= upper edge
+    lo, hi = 0, len(thresholds) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if defic(mid) <= upper[mid]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return max(defic(lo), float(thresholds[lo]))
 
 
-def _prohorov_exact(w1, w2, d, thresholds):
+def _exact_deficiency(w1, w2, d):
+    """The worst-set deficiency as a function of the fattening t, by a scan
+    over every subset."""
     n = len(w1)
     sub1 = _subset_weights(w1)
     sub2 = _subset_weights(w2)
@@ -327,31 +326,15 @@ def _prohorov_exact(w1, w2, d, thresholds):
         s12 = float(np.max(sub1 - sub2[fat]))
         s21 = float(np.max(sub2 - sub1[fat]))
         return max(s12, s21, 0.0)
-
-    m = len(thresholds)
-    upper = np.append(thresholds[1:], math.inf)
-    # binary search for the first interval k with deficiency(k) <= upper edge
-    lo, hi = 0, m - 1
-    cache = {}
-
-    def defic(k):
-        if k not in cache:
-            cache[k] = deficiency(thresholds[k])
-        return cache[k]
-
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if defic(mid) <= upper[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return max(defic(lo), float(thresholds[lo]))
+    return deficiency
 
 
-def _prohorov_greedy(w1, w2, d, thresholds):
+def _greedy_deficiency(w1, w2, d):
+    """A greedy lower estimate of the worst-set deficiency, as a function of
+    the fattening t."""
     n = len(w1)
 
-    def greedy_deficiency(t, wa, wb):
+    def one_side(t, wa, wb):
         fat_rows = d <= t  # fat_rows[x] = ball of x
         chosen = np.zeros(n, dtype=bool)
         covered = np.zeros(n, dtype=bool)
@@ -373,17 +356,8 @@ def _prohorov_greedy(w1, w2, d, thresholds):
         return total
 
     def deficiency(t):
-        return max(greedy_deficiency(t, w1, w2), greedy_deficiency(t, w2, w1), 0.0)
-
-    upper = np.append(thresholds[1:], math.inf)
-    lo, hi = 0, len(thresholds) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if deficiency(thresholds[mid]) <= upper[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return max(deficiency(thresholds[lo]), float(thresholds[lo]))
+        return max(one_side(t, w1, w2), one_side(t, w2, w1), 0.0)
+    return deficiency
 
 
 def weighted_tv_ratio(f, nu1: FiniteMeasure, nu2: FiniteMeasure, delta: float):

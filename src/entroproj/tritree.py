@@ -12,7 +12,7 @@ minimization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,10 +27,6 @@ _COND_TOL = 1e-9
 
 class CalibrationInfeasible(ValueError):
     """No parameter in the family satisfies the moment band at this (n, epsilon)."""
-
-
-def _min_level(alpha_tick, sigma_min, b0, s):
-    return math.floor((alpha_tick * (b0 + s) / sigma_min ** 2) ** 2) + 1
 
 
 @dataclass(frozen=True)
@@ -55,7 +51,7 @@ class LatticeSpec:
             raise ValueError("need 0 < sigma_min <= sigma_max < alpha_tick")
         if not (0 <= self.s < self.b0):
             raise ValueError("need 0 <= s < b0")
-        n0 = _min_level(self.alpha_tick, self.sigma_min, self.b0, self.s)
+        n0 = min_level_n0(self)
         if self.n < n0:
             raise ValueError(
                 f"n={self.n} is below the minimal level {n0} for these ranges"
@@ -75,7 +71,7 @@ def min_level_n0(spec: LatticeSpec) -> int:
     The binding entry is the down weight at (sigma_min, b0+s); the middle
     weight is positive for any n because sigma_max < alpha_tick.
     """
-    return _min_level(spec.alpha_tick, spec.sigma_min, spec.b0, spec.s)
+    return math.floor((spec.alpha_tick * (spec.b0 + spec.s) / spec.sigma_min ** 2) ** 2) + 1
 
 
 @dataclass(frozen=True)
@@ -133,22 +129,13 @@ class VolSurface:
             raise ValueError("cannot extend a surface by truncation")
         return VolSurface(sigma=self.sigma[:levels], b=self.b[:levels])
 
-    def to_document(self) -> dict:
-        return {
-            "sigma": [[repr(float(v)) for v in a] for a in self.sigma],
-            "b": [[repr(float(v)) for v in a] for a in self.b],
-        }
-
-    @classmethod
-    def from_document(cls, doc: dict) -> "VolSurface":
-        return cls(
-            sigma=tuple(np.array([float(v) for v in a]) for a in doc["sigma"]),
-            b=tuple(np.array([float(v) for v in a]) for a in doc["b"]),
-        )
-
 
 def _kernel_arrays(y, z, spec):
-    """Vectorized (m, r, d) for arrays of variance and drift values."""
+    """Vectorized (m, r, d) for arrays of variance and drift values.
+
+    Raises when any weight fails strict positivity, which is the signature
+    of n below the minimal level for these (y, z).
+    """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     half_var = y ** 2 / (2.0 * spec.alpha_tick ** 2)
@@ -156,6 +143,14 @@ def _kernel_arrays(y, z, spec):
     m = half_var + tilt
     d = half_var - tilt
     r = 1.0 - (m + d)
+    low = np.minimum(np.minimum(m, r), d)
+    if not np.all(low > 0.0):
+        i = np.argmin(low)
+        at = [float(np.broadcast_to(a, low.shape).flat[i]) for a in (m, r, d, y, z)]
+        raise ValueError(
+            "kernel not strictly positive at n={}: weights ({:.6g}, {:.6g}, {:.6g}) "
+            "at (y, z)=({!r}, {!r})".format(spec.n, *at)
+        )
     return m, r, d
 
 
@@ -164,83 +159,57 @@ def kernel(y: float, z: float, spec: LatticeSpec):
 
     m = y^2/(2 alpha^2) + z/(2 alpha sqrt(n)) and d is its mirror, so the
     three weights sum to 1 exactly. Raises when any weight fails strict
-    positivity, which is the signature of n below the minimal level for
-    this (y, z).
+    positivity.
     """
     m, r, d = _kernel_arrays(y, z, spec)
-    m, r, d = float(m), float(r), float(d)
-    if min(m, r, d) <= 0.0:
-        raise ValueError(
-            f"kernel weights ({m:.6g}, {r:.6g}, {d:.6g}) are not strictly "
-            f"positive at n={spec.n} for (y, z)=({y}, {z})"
-        )
-    return m, r, d
+    return float(m), float(r), float(d)
 
 
 @dataclass(frozen=True)
 class TrinomialTree:
     """Forward law of a lattice chain started at the origin.
 
-    node_prob[k][j + k] is P(X_{k/n} = j dx); transitions[k] has rows
-    (m, r, d) per level-k node. Construction checks the stochasticity of
-    every row, unit mass per level, and forward consistency of node_prob
-    with the transitions.
+    transitions[k] has rows (m, r, d) per level-k node and is the tree's
+    only input. Construction checks that every row is stochastic and
+    pushes the unit mass at the origin forward through them, so that
+    node_prob[k][j + k] is P(X_{k/n} = j dx).
     """
 
     spec: LatticeSpec
-    node_prob: tuple
     transitions: tuple
+    node_prob: tuple = field(init=False)
 
     def __post_init__(self):
-        n = self.spec.n
-        probs = tuple(np.asarray(a, dtype=float) for a in self.node_prob)
         trans = tuple(np.asarray(a, dtype=float) for a in self.transitions)
-        if len(probs) != n + 1 or len(trans) != n:
-            raise ValueError("need node_prob for levels 0..n and transitions for 0..n-1")
-        for k, a in enumerate(probs):
-            if a.shape != (2 * k + 1,):
-                raise ValueError(f"level {k} node_prob must have length {2 * k + 1}")
-            if abs(a.sum() - 1.0) > 1e-12:
-                raise ValueError(f"level {k} probabilities sum to {a.sum()!r}")
-            a.setflags(write=False)
+        if len(trans) != self.spec.n:
+            raise ValueError(f"need transitions for levels 0..{self.spec.n - 1}")
+        probs = [np.ones(1)]
+        probs[0].setflags(write=False)
         for k, t in enumerate(trans):
             if t.shape != (2 * k + 1, 3):
                 raise ValueError(f"level {k} transitions must be ({2 * k + 1}, 3)")
             if np.any(t < 0) or np.max(np.abs(t.sum(axis=1) - 1.0)) > 1e-12:
                 raise ValueError(f"level {k} transition rows are not stochastic")
             t.setflags(write=False)
-            pushed = _push_level(probs[k], t)
-            if np.max(np.abs(pushed - probs[k + 1])) > 1e-12:
-                raise ValueError(f"node_prob at level {k + 1} is not the push of level {k}")
-        object.__setattr__(self, "node_prob", probs)
+            prob = np.zeros(2 * k + 3)
+            prob[2:] += probs[k] * t[:, 0]
+            prob[1:-1] += probs[k] * t[:, 1]
+            prob[:-2] += probs[k] * t[:, 2]
+            prob.setflags(write=False)
+            probs.append(prob)
         object.__setattr__(self, "transitions", trans)
-
-
-def _push_level(prob, trans):
-    out = np.zeros(len(prob) + 2)
-    out[2:] += prob * trans[:, 0]
-    out[1:-1] += prob * trans[:, 1]
-    out[:-2] += prob * trans[:, 2]
-    return out
+        object.__setattr__(self, "node_prob", tuple(probs))
 
 
 def build_tree(surface: VolSurface, spec: LatticeSpec) -> TrinomialTree:
-    """Forward induction from a unit mass at the origin."""
+    """The tree whose level-k transitions are the kernels of the surface's
+    level-k coefficients; raises where a kernel is not strictly positive."""
     if surface.levels < spec.n:
         raise ValueError(f"surface has {surface.levels} levels, spec needs {spec.n}")
-    probs = [np.array([1.0])]
-    trans = []
-    for k in range(spec.n):
-        m, r, d = _kernel_arrays(surface.sigma[k], surface.b[k], spec)
-        if min(m.min(), r.min(), d.min()) <= 0.0:
-            raise ValueError(
-                f"kernel not strictly positive at level {k}; n={spec.n} is too "
-                "small for these coefficient values"
-            )
-        t = np.column_stack([m, r, d])
-        trans.append(t)
-        probs.append(_push_level(probs[k], t))
-    return TrinomialTree(spec=spec, node_prob=tuple(probs), transitions=tuple(trans))
+    return TrinomialTree(spec, tuple(
+        np.column_stack(_kernel_arrays(surface.sigma[k], surface.b[k], spec))
+        for k in range(spec.n)
+    ))
 
 
 def expectation(tree: TrinomialTree, payoff, level: int) -> float:
@@ -253,8 +222,6 @@ def expectation(tree: TrinomialTree, payoff, level: int) -> float:
 def _level_local_entropy(sig, b, sig0, b0, spec):
     m1, r1, d1 = _kernel_arrays(sig, b, spec)
     m0, r0, d0 = _kernel_arrays(sig0, b0, spec)
-    if min(m1.min(), r1.min(), d1.min(), m0.min(), r0.min(), d0.min()) <= 0.0:
-        raise ValueError("local entropy needs strictly positive kernels on both sides")
     out = np.zeros_like(m1)
     for p1, p0 in ((m1, m0), (r1, r0), (d1, d0)):
         out += p1 * np.log(p1 / p0)
@@ -264,10 +231,7 @@ def _level_local_entropy(sig, b, sig0, b0, spec):
 def local_entropy(sigma_val: float, b_val: float, sigma0_val: float, b0_val: float,
                   spec: LatticeSpec) -> float:
     """KL divergence of the (sigma, b) kernel from the (sigma0, b0) kernel."""
-    return float(_level_local_entropy(
-        np.atleast_1d(float(sigma_val)), np.atleast_1d(float(b_val)),
-        np.atleast_1d(float(sigma0_val)), np.atleast_1d(float(b0_val)), spec,
-    )[0])
+    return float(_level_local_entropy(sigma_val, b_val, sigma0_val, b0_val, spec))
 
 
 def tree_entropy_chain(surface: VolSurface, surface0: VolSurface, spec: LatticeSpec) -> float:
@@ -276,14 +240,7 @@ def tree_entropy_chain(surface: VolSurface, surface0: VolSurface, spec: LatticeS
     Sums, over levels, the (sigma, b)-tree expectation of the nodewise
     kernel KL. Linear work per node, usable to n in the hundreds.
     """
-    tree = build_tree(surface, spec)
-    total = 0.0
-    for k in range(spec.n):
-        h = _level_local_entropy(
-            surface.sigma[k], surface.b[k], surface0.sigma[k], surface0.b[k], spec
-        )
-        total += float(tree.node_prob[k] @ h)
-    return total
+    return _chain_walk(surface, surface0, spec)[0]
 
 
 def _paths(level: int, transitions=None):
@@ -341,15 +298,14 @@ def entropy_decomposition_check(Q: np.ndarray, surface: VolSurface,
     for k in range(n):
         # joint law of (X_k, move k): the level-k marginal of each move's slice
         agg = np.stack([path_marginal(np.take(Q, mv, axis=k), k) for mv in range(3)], axis=1)
-        mass = agg.sum(axis=1)
-        for i in range(2 * k + 1):
-            if mass[i] <= 0:
-                continue
-            cond = agg[i] / mass[i]
-            if np.max(np.abs(cond - tree.transitions[k][i])) > _COND_TOL:
-                raise ValueError(
-                    f"Q violates the one-step conditional at level {k}, offset {i - k}"
-                )
+        mass = agg.sum(axis=1, keepdims=True)
+        # nodes Q never visits keep the tree's own conditional
+        cond = np.divide(agg, mass, out=np.array(tree.transitions[k]), where=mass > 0)
+        bad = np.flatnonzero(np.abs(cond - tree.transitions[k]).max(axis=1) > _COND_TOL)
+        if bad.size:
+            raise ValueError(
+                f"Q violates the one-step conditional at level {k}, offset {bad[0] - k}"
+            )
 
     _, lt = _paths(n, tree.transitions)
     _, lt0 = _paths(n, tree0.transitions)
@@ -385,18 +341,29 @@ def dl_gap(surface: VolSurface, surface0: VolSurface, spec: LatticeSpec):
     the (sigma, b) tree; the scaled value staying bounded across an
     n-sweep is the O(1/n) certificate.
     """
+    worst = _chain_walk(surface, surface0, spec)[2]
+    return worst, spec.n * worst
+
+
+def _chain_walk(surface: VolSurface, surface0: VolSurface, spec: LatticeSpec):
+    """Build the (sigma, b) tree once and walk its levels for the chain-rule
+    entropy against the (sigma0, b0) kernels, the tree mean of the rate q
+    (I_rate at N = n) and the worst nodewise gap between the two."""
     tree = build_tree(surface, spec)
     a2 = spec.alpha_tick ** 2
-    worst = 0.0
+    entropy = rate = worst = 0.0
     for k in range(spec.n):
         h = _level_local_entropy(
             surface.sigma[k], surface.b[k], surface0.sigma[k], surface0.b[k], spec
         )
-        gap = np.abs(h - _q(surface.sigma[k] ** 2, surface0.sigma[k] ** 2, a2))
-        visited = tree.node_prob[k] > 0
+        q = _q(surface.sigma[k] ** 2, surface0.sigma[k] ** 2, a2)
+        prob = tree.node_prob[k]
+        entropy += float(prob @ h)
+        rate += float(prob @ q)
+        visited = prob > 0
         if np.any(visited):
-            worst = max(worst, float(gap[visited].max()))
-    return worst, spec.n * worst
+            worst = max(worst, float(np.abs(h - q)[visited].max()))
+    return entropy, rate / spec.n, worst
 
 
 def I_rate(surface: VolSurface, surface0: VolSurface, spec: LatticeSpec,
@@ -581,19 +548,14 @@ def _feasible_segments(gap_fn, lo, hi, epsilon, n_scan):
                 t_infeas = mid
         return t_feas
 
+    # a run of feasible points starts where the zero-padded indicator steps
+    # up and ends just before it steps down
+    steps = np.diff(np.concatenate([[0], feasible.astype(int), [0]]))
     segments = []
-    i = 0
-    while i < n_scan:
-        if not feasible[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n_scan and feasible[j + 1]:
-            j += 1
+    for i, j in zip(np.flatnonzero(steps == 1), np.flatnonzero(steps == -1) - 1):
         left = grid[i] if i == 0 else refine(grid[i], grid[i - 1])
         right = grid[j] if j == n_scan - 1 else refine(grid[j], grid[j + 1])
         segments.append((left, right))
-        i = j + 1
     return segments, float(gaps.min())
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import entroproj as ep
-from entroproj import bridge
+from entroproj import gibbs
 
 from conftest import line_space
 
@@ -280,7 +280,7 @@ class TestMarginalScheduleCheck:
         nu = ep.FiniteMeasure(line_space(3), np.array([0.5, 0.3, 0.2]))
         n_list, trials, seed = [4, 9], 300, 8
         eps = lambda n: 0.6 / n ** 0.5
-        real = getattr(bridge, f"{metric}_distance")
+        real = getattr(gibbs, f"{metric}_distance")
         # per-trial loop over the same stream
         gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
         cumw = np.cumsum(nu.weights)
@@ -294,7 +294,7 @@ class TestMarginalScheduleCheck:
             want.append({"n": n, "epsilon": eps(n), "prob": hits / trials})
 
         calls = []
-        monkeypatch.setattr(bridge, f"{metric}_distance",
+        monkeypatch.setattr(gibbs, f"{metric}_distance",
                             lambda *a: calls.append(1) or real(*a))
         rows = ep.marginal_schedule_check(nu, metric, eps, n_list, trials=trials, seed=seed)
         assert 0 < len(calls) <= n_types
@@ -304,6 +304,12 @@ class TestMarginalScheduleCheck:
         nu = ep.FiniteMeasure.uniform(line_space(4))
         with pytest.raises(ValueError):
             ep.marginal_schedule_check(nu, "tv", lambda n: 0.5, [8],
+                                       trials=5, seed=0)
+
+    def test_rejects_negative_epsilon(self):
+        nu = ep.FiniteMeasure.uniform(line_space(4))
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            ep.marginal_schedule_check(nu, "fm", lambda n: -0.1, [8],
                                        trials=5, seed=0)
 
     def test_rejects_nonpositive_trials(self):

@@ -11,8 +11,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroproj import __version__
-from entroproj.cli import main, validate_config
+from entroproj import __version__, tritree
+from entroproj.cli import main, run, validate_config
 from entroproj.iproj import (
     MomentProblem,
     Point,
@@ -203,6 +203,23 @@ class TestValidate:
         result = runner.invoke(main, [command, "--config", cfg, *out])
         assert result.exit_code == 2, result.output
         assert any(key in d for d in json.loads(result.output)["diagnostics"])
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("grid", [
+        {"start": 2.5, "stop": 1.0, "num": 5},
+        {"start": -1.0, "stop": 1.0, "num": 1},
+        [0.0, 0.5, 0.5, 1.0],
+        [[0.0], [1.0]],
+    ], ids=["decreasing", "one_point", "repeated", "two_dimensional"])
+    def test_bridge_grid_must_increase(self, runner, tmp_path, command, grid):
+        doc = {"experiment": "bridge", "seed": 1, "params": {"grid": grid, "t": 0.5},
+               "output": {"path": "x.csv"}}
+        cfg = write_config(tmp_path, doc)
+        out = ["--out", str(tmp_path)] if command == "run" else []
+        result = runner.invoke(main, [command, "--config", cfg, *out])
+        assert result.exit_code == 2, result.output
+        assert any(d.startswith("params.grid") and "strictly increasing" in d
+                   for d in json.loads(result.output)["diagnostics"])
 
     def test_malformed_json_reported(self, runner, tmp_path):
         path = tmp_path / "broken.json"
@@ -452,6 +469,16 @@ class TestRunGamma:
             # the mean nodewise gap cannot exceed the worst nodewise gap
             assert abs(h_over_n - rate) <= gap + 1e-15
             assert n_gap == pytest.approx(n * gap, rel=1e-12)
+
+    def test_builds_one_tree_per_n(self, monkeypatch, tmp_path):
+        sizes, real = [], tritree.build_tree
+        monkeypatch.setattr(tritree, "build_tree",
+                            lambda surface, spec: sizes.append(spec.n) or real(surface, spec))
+        lattice = {"alpha_tick": 2.0, "sigma_min": 0.6, "sigma_max": 1.4, "b0": 0.15, "s": 0.03}
+        run({"experiment": "gamma", "seed": 2, "output": {"path": "sweep.csv"},
+             "params": {**lattice, "sigma": 1.1, "sigma0": 1.3, "n_list": [8, 16]}},
+            out_dir=str(tmp_path))
+        assert sizes == [8, 16]
 
 
 class TestRunSchedules:

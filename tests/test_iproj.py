@@ -46,12 +46,6 @@ class TestTargets:
         with pytest.raises(ValueError):
             ep.Box(np.array([1.0]), np.array([0.0]))
 
-    def test_problem_document_round_trip(self):
-        prob = bern_problem()
-        back = ep.MomentProblem.from_document(prob.to_document())
-        np.testing.assert_array_equal(back.F, prob.F)
-        np.testing.assert_array_equal(back.target.x0, prob.target.x0)
-
 
 class TestLogLaplace:
     def test_zero_at_origin(self, rng):
@@ -152,12 +146,6 @@ class TestSolveDualPoint:
         # the certificate separates the target from the attainable moments
         vals = F @ direction
         assert direction @ np.array([1.5]) > vals.max() - 1e-9
-
-    def test_document_round_trip(self):
-        sol = ep.solve_dual(bern_problem())
-        back = ep.TiltedSolution.from_document(sol.to_document())
-        assert back.entropy == sol.entropy
-        np.testing.assert_array_equal(back.lambda_star, sol.lambda_star)
 
 
 class TestSolveDualBox:

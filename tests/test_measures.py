@@ -55,12 +55,6 @@ class TestMetricSpacePoints:
         space = line_space(4)
         assert space.index_of(space.points[2]) == 2
 
-    def test_document_round_trip(self):
-        space = random_space(np.random.default_rng(3), 5)
-        back = ep.MetricSpacePoints.from_document(space.to_document())
-        assert back.points == space.points
-        np.testing.assert_array_equal(back.dist, space.dist)
-
 
 class TestFiniteMeasure:
     def test_rejects_negative_weights(self):
@@ -84,12 +78,6 @@ class TestFiniteMeasure:
         nu = bernoulli(0.7)
         assert nu.integrate(np.array([0.0, 1.0])) == pytest.approx(0.7)
         assert nu.integrate(np.array([1.0, 5.0])) == pytest.approx(0.3 + 3.5)
-
-    def test_document_round_trip(self):
-        nu = bernoulli(0.3)
-        back = ep.FiniteMeasure.from_document(nu.to_document())
-        np.testing.assert_array_equal(back.weights, nu.weights)
-        assert back.space.points == nu.space.points
 
 
 class TestRelativeEntropy:

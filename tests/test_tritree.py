@@ -12,7 +12,10 @@ from entroproj.tritree import (
     CalibProblem,
     CalibrationInfeasible,
     LatticeSpec,
+    TrinomialTree,
     VolSurface,
+    _chain_walk,
+    _feasible_segments,
     build_tree,
     calibrate,
     dl_gap,
@@ -161,14 +164,6 @@ class TestVolSurface:
         with pytest.raises(ValueError, match="cannot extend"):
             short.truncated(4)
 
-    def test_document_round_trip(self):
-        rng = np.random.default_rng(7)
-        surf = random_surface(rng, wide_spec(4))
-        back = VolSurface.from_document(surf.to_document())
-        for k in range(4):
-            assert np.array_equal(back.sigma[k], surf.sigma[k])
-            assert np.array_equal(back.b[k], surf.b[k])
-
     def test_level_length_validation(self):
         with pytest.raises(ValueError, match="must have length"):
             VolSurface(sigma=(np.array([1.0, 1.0]),), b=(np.array([0.15, 0.15]),))
@@ -216,6 +211,31 @@ class TestBuildTree:
         surf = VolSurface.constant(spec, 0.3, 0.18)
         with pytest.raises(ValueError, match="kernel not strictly positive"):
             build_tree(surf, spec)
+
+
+class TestTrinomialTree:
+    def test_node_prob_is_the_push_of_the_transitions(self, rng):
+        spec = wide_spec(5)
+        built = build_tree(random_surface(rng, spec), spec)
+        tree = TrinomialTree(spec, [np.array(t) for t in built.transitions])
+        for k in range(6):
+            assert np.array_equal(tree.node_prob[k], built.node_prob[k])
+        with pytest.raises(TypeError):
+            TrinomialTree(spec, built.transitions, node_prob=built.node_prob)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ts: ts[:-1], "need transitions"),
+        (lambda ts: ts[:1] + [np.full((2, 3), 1 / 3)] + ts[2:], "must be"),
+        (lambda ts: ts[:1] + [ts[1] + [[0.5, 0, -0.5], [0, 0, 0], [0, 0, 0]]] + ts[2:],
+         "not stochastic"),
+        (lambda ts: ts[:1] + [ts[1] * 1.01] + ts[2:], "not stochastic"),
+    ], ids=["levels", "shape", "negative", "row_sum"])
+    def test_caller_built_transitions_are_checked(self, edit, message):
+        spec = wide_spec(3)
+        trans = [np.array([[0.25, 0.5, 0.25]] * (2 * k + 1)) for k in range(3)]
+        TrinomialTree(spec, trans)
+        with pytest.raises(ValueError, match=message):
+            TrinomialTree(spec, edit(trans))
 
 
 class TestExpectation:
@@ -407,7 +427,27 @@ class TestDlGap:
         assert raw[-1] < raw[0] / 4
 
 
+class TestChainWalk:
+    def test_one_tree_gives_chain_rate_and_gap(self, rng):
+        spec = wide_spec(9)
+        surf, surf0 = random_surface(rng, spec), random_surface(rng, spec)
+        assert _chain_walk(surf, surf0, spec) == (
+            tree_entropy_chain(surf, surf0, spec), I_rate(surf, surf0, spec),
+            dl_gap(surf, surf0, spec)[0],
+        )
+
+
 class TestIRate:
+    def test_needs_no_positive_reference_kernel(self):
+        # the (0.3, 0.15) kernel has a negative down weight at n=8, so the
+        # chain rule fails while the rate q(1.1^2, 0.3^2) is defined
+        spec = wide_spec(8)
+        surf = VolSurface.constant(spec, 1.1, 0.15)
+        surf0 = VolSurface.constant(spec, 0.3, 0.15)
+        assert I_rate(surf, surf0, spec) == pytest.approx(0.550662900129418, rel=1e-14)
+        with pytest.raises(ValueError, match="kernel not strictly positive at n=8"):
+            tree_entropy_chain(surf, surf0, spec)
+
     def test_zero_for_equal_surfaces(self):
         spec = wide_spec(24)
         surf = VolSurface.constant(spec, 1.1, 0.15)
@@ -531,6 +571,20 @@ def normalized_square_payoff(spec, sigma_value):
     tree = build_tree(VolSurface.constant(spec, sigma_value, spec.b0), spec)
     c = expectation(tree, lambda x: x * x, spec.n)
     return lambda x: x * x / c
+
+
+class TestFeasibleSegments:
+    def test_runs_at_both_ends_and_inside(self):
+        def gap(t):
+            return 0.0 if t <= 0.25 or 0.45 <= t <= 0.65 or t >= 0.85 else 1.0
+
+        segments, best = _feasible_segments(gap, 0.0, 1.0, 0.5, 11)
+        assert best == 0.0
+        assert [a for a, _ in segments] == pytest.approx([0.0, 0.45, 0.85], abs=1e-15)
+        assert [b for _, b in segments] == pytest.approx([0.25, 0.65, 1.0], abs=1e-15)
+
+    def test_no_feasible_point(self):
+        assert _feasible_segments(lambda t: t + 1.0, 0.0, 1.0, 0.5, 5) == ([], 1.0)
 
 
 class TestCalibrate:
