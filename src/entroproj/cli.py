@@ -321,9 +321,9 @@ def _gamma(p):
     def compute(seed):
         rows = []
         for spec in specs:
-            surf = tritree.VolSurface.constant(spec, sigma, spec.b0)
-            surf0 = tritree.VolSurface.constant(spec, sigma0, spec.b0)
-            h, rate, gap = tritree._chain_walk(surf, surf0, spec)
+            # constant coefficients walk as scalars: no tables, no tree
+            _, h, rate, gap = tritree._chain_walk(
+                *([v] * spec.n for v in (sigma, spec.b0, sigma0, spec.b0)), spec)
             rows.append([spec.n, h / spec.n, rate, gap, spec.n * gap])
         return {"sweep": (["n", "H_over_n", "I_rate", "gap", "n_times_gap"], rows)}
     return compute

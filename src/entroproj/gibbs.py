@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
 from math import comb
 
 import numpy as np
@@ -135,6 +134,12 @@ class ConditionalEstimate:
     exact: bool
 
 
+def _patterns(m, k):
+    """The m**k letter patterns of length k as the rows of an (m**k, k) array,
+    in itertools.product order; k=0 gives the one empty pattern."""
+    return np.indices((m,) * k).reshape(k, m ** k).T.copy()
+
+
 def product_space(space: MetricSpacePoints, k: int) -> MetricSpacePoints:
     """k-fold product support with the max metric; k=1 returns the space."""
     if k == 1:
@@ -142,8 +147,8 @@ def product_space(space: MetricSpacePoints, k: int) -> MetricSpacePoints:
     m = len(space)
     if m ** k > _PATTERN_BUDGET:
         raise ValueError("product support too large")
-    points = tuple(iter_product(space.points, repeat=k))
-    idx = np.array(list(iter_product(range(m), repeat=k)))
+    idx = _patterns(m, k)
+    points = tuple(tuple(space.points[i] for i in row) for row in idx.tolist())
     d = space.dist[idx[:, None, :], idx[None, :, :]].max(axis=2)
     return MetricSpacePoints(points=points, dist=d, validate=False)
 
@@ -153,9 +158,7 @@ def product_law(nu: FiniteMeasure, k: int) -> FiniteMeasure:
     if k == 1:
         return nu
     space_k = product_space(nu.space, k)
-    m = len(nu.space)
-    idx = np.array(list(iter_product(range(m), repeat=k)))
-    w = nu.weights[idx].prod(axis=1)
+    w = nu.weights[_patterns(len(nu.space), k)].prod(axis=1)
     return FiniteMeasure(space_k, w / w.sum())
 
 
@@ -183,8 +186,7 @@ def _accepts(event, counts, n, space):
 def _pattern_types(m, k):
     """Distinct count vectors of the m**k patterns of length k, and the row
     of each pattern (in itertools.product order) among them."""
-    patterns = np.array(list(iter_product(range(m), repeat=k))).reshape(m ** k, k)
-    counts = (patterns[:, :, None] == np.arange(m)).sum(axis=1)
+    counts = (_patterns(m, k)[:, :, None] == np.arange(m)).sum(axis=1)
     types, inverse = np.unique(counts, axis=0, return_inverse=True)
     return types, inverse.reshape(-1)
 

@@ -180,25 +180,33 @@ class TrinomialTree:
     node_prob: tuple = field(init=False)
 
     def __post_init__(self):
-        trans = tuple(np.asarray(a, dtype=float) for a in self.transitions)
+        # copied, so that no later write through the caller's arrays can
+        # change the transitions behind node_prob's back
+        trans = tuple(np.array(a, dtype=float) for a in self.transitions)
         if len(trans) != self.spec.n:
             raise ValueError(f"need transitions for levels 0..{self.spec.n - 1}")
         probs = [np.ones(1)]
-        probs[0].setflags(write=False)
         for k, t in enumerate(trans):
             if t.shape != (2 * k + 1, 3):
                 raise ValueError(f"level {k} transitions must be ({2 * k + 1}, 3)")
             if np.any(t < 0) or np.max(np.abs(t.sum(axis=1) - 1.0)) > 1e-12:
                 raise ValueError(f"level {k} transition rows are not stochastic")
-            t.setflags(write=False)
-            prob = np.zeros(2 * k + 3)
-            prob[2:] += probs[k] * t[:, 0]
-            prob[1:-1] += probs[k] * t[:, 1]
-            prob[:-2] += probs[k] * t[:, 2]
-            prob.setflags(write=False)
-            probs.append(prob)
+            probs.append(_push(probs[k], *t.T))
+        for a in trans + tuple(probs):
+            a.setflags(write=False)
         object.__setattr__(self, "transitions", trans)
         object.__setattr__(self, "node_prob", tuple(probs))
+
+
+def _push(prob, m, r, d):
+    """The node law one level on: the mass at each node moves up, stays and
+    moves down with weights m, r, d, which broadcast against prob."""
+    up = prob * m
+    out = np.zeros(up.shape[:-1] + (up.shape[-1] + 2,))
+    out[..., 2:] += up
+    out[..., 1:-1] += prob * r
+    out[..., :-2] += prob * d
+    return out
 
 
 def build_tree(surface: VolSurface, spec: LatticeSpec) -> TrinomialTree:
@@ -219,28 +227,25 @@ def expectation(tree: TrinomialTree, payoff, level: int) -> float:
     return float(tree.node_prob[level] @ values)
 
 
-def _level_local_entropy(sig, b, sig0, b0, spec):
-    m1, r1, d1 = _kernel_arrays(sig, b, spec)
-    m0, r0, d0 = _kernel_arrays(sig0, b0, spec)
-    out = np.zeros_like(m1)
-    for p1, p0 in ((m1, m0), (r1, r0), (d1, d0)):
-        out += p1 * np.log(p1 / p0)
-    return out
+def _kl(p, p0):
+    """KL divergence between kernel triples (m, r, d), elementwise."""
+    return sum(a * np.log(a / a0) for a, a0 in zip(p, p0))
 
 
 def local_entropy(sigma_val: float, b_val: float, sigma0_val: float, b0_val: float,
                   spec: LatticeSpec) -> float:
     """KL divergence of the (sigma, b) kernel from the (sigma0, b0) kernel."""
-    return float(_level_local_entropy(sigma_val, b_val, sigma0_val, b0_val, spec))
+    return float(_kl(_kernel_arrays(sigma_val, b_val, spec),
+                     _kernel_arrays(sigma0_val, b0_val, spec)))
 
 
 def tree_entropy_chain(surface: VolSurface, surface0: VolSurface, spec: LatticeSpec) -> float:
     """Relative entropy of the two path laws via the Markov chain rule.
 
-    Sums, over levels, the (sigma, b)-tree expectation of the nodewise
-    kernel KL. Linear work per node, usable to n in the hundreds.
+    Sums, over levels, the (sigma, b)-chain expectation of the nodewise
+    kernel KL. Linear work per node, usable to n in the thousands.
     """
-    return _chain_walk(surface, surface0, spec)[0]
+    return float(_chain_walk(surface.sigma, surface.b, surface0.sigma, surface0.b, spec)[1])
 
 
 def _paths(level: int, transitions=None):
@@ -338,32 +343,42 @@ def dl_gap(surface: VolSurface, surface0: VolSurface, spec: LatticeSpec):
     """Worst nodewise gap between the local entropy and the rate q.
 
     Returns (max_gap, n * max_gap) over nodes carrying positive mass under
-    the (sigma, b) tree; the scaled value staying bounded across an
+    the (sigma, b) chain; the scaled value staying bounded across an
     n-sweep is the O(1/n) certificate.
     """
-    worst = _chain_walk(surface, surface0, spec)[2]
+    worst = float(_chain_walk(surface.sigma, surface.b, surface0.sigma, surface0.b, spec)[3])
     return worst, spec.n * worst
 
 
-def _chain_walk(surface: VolSurface, surface0: VolSurface, spec: LatticeSpec):
-    """Build the (sigma, b) tree once and walk its levels for the chain-rule
-    entropy against the (sigma0, b0) kernels, the tree mean of the rate q
-    (I_rate at N = n) and the worst nodewise gap between the two."""
-    tree = build_tree(surface, spec)
+def _chain_walk(sigma, b, sigma0, b0, spec: LatticeSpec):
+    """Push the (sigma, b) chain's node law forward from the origin, level
+    by level, against the (sigma0, b0) kernels.
+
+    Each argument is a per-level sequence whose level-k value broadcasts
+    against the 2k+1 level-k nodes: a scalar is constant in space, and a
+    (B, 1) column walks B chains at once. Returns, per chain, the terminal
+    law, the chain-rule entropy, the mean of the rate q over the levels
+    (I_rate at N = n) and the worst gap between the two over visited nodes.
+    """
+    for name, levels in (("sigma", sigma), ("b", b), ("sigma0", sigma0), ("b0", b0)):
+        if len(levels) < spec.n:
+            raise ValueError(f"{name} has {len(levels)} levels, spec needs {spec.n}")
     a2 = spec.alpha_tick ** 2
+    prob = np.ones(1)
     entropy = rate = worst = 0.0
     for k in range(spec.n):
-        h = _level_local_entropy(
-            surface.sigma[k], surface.b[k], surface0.sigma[k], surface0.b[k], spec
-        )
-        q = _q(surface.sigma[k] ** 2, surface0.sigma[k] ** 2, a2)
-        prob = tree.node_prob[k]
-        entropy += float(prob @ h)
-        rate += float(prob @ q)
-        visited = prob > 0
-        if np.any(visited):
-            worst = max(worst, float(np.abs(h - q)[visited].max()))
-    return entropy, rate / spec.n, worst
+        step = _kernel_arrays(sigma[k], b[k], spec)
+        h = _kl(step, _kernel_arrays(sigma0[k], b0[k], spec))
+        q = _q(np.square(sigma[k]), np.square(sigma0[k]), a2)
+        shape = np.broadcast_shapes(prob.shape, np.shape(h), np.shape(q))
+        prob = np.broadcast_to(prob, shape)
+        # materialized, since np.vecdot sums stride-0 views in another order
+        h, q = np.full(shape, h), np.full(shape, q)
+        entropy = entropy + np.vecdot(prob, h)
+        rate = rate + np.vecdot(prob, q)
+        worst = np.maximum(worst, np.where(prob > 0, np.abs(h - q), 0.0).max(axis=-1))
+        prob = _push(prob, *step)
+    return prob, entropy, rate / spec.n, worst
 
 
 def I_rate(surface: VolSurface, surface0: VolSurface, spec: LatticeSpec,
@@ -495,147 +510,128 @@ class CalibrationResult:
     slack: float
 
 
-def _reference_surface(problem: CalibProblem, spec: LatticeSpec) -> VolSurface:
-    if isinstance(problem.sigma0, VolSurface):
-        return problem.sigma0.truncated(spec.n)
-    return VolSurface.constant(spec, float(problem.sigma0), spec.b0)
-
-
-def _theta_surface(theta, spec: LatticeSpec) -> VolSurface:
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    p = len(theta)
-    sig = []
-    for k in range(spec.n):
-        block = min(k * p // spec.n, p - 1)
-        sig.append(np.full(2 * k + 1, theta[block]))
-    return VolSurface(
-        sigma=tuple(sig),
-        b=tuple(np.full(2 * k + 1, spec.b0) for k in range(spec.n)),
-    )
-
-
 def _golden_min(fn, lo, hi, tol):
+    """Golden-section minima of fn on the intervals [lo[i], hi[i]] in
+    lockstep. fn maps an array of points to their values; each step
+    evaluates, in one call, one new point per interval still wider than
+    tol. Returns the minimizers and their values."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = hi - gr * (hi - lo)
     d = lo + gr * (hi - lo)
-    fc, fd = fn(c), fn(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - gr * (hi - lo)
-            fc = fn(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + gr * (hi - lo)
-            fd = fn(d)
-    return (c, fc) if fc <= fd else (d, fd)
+    fc, fd = np.split(fn(np.concatenate([c, d])), 2)
+    while np.any(live := hi - lo > tol):
+        left, right = live & (fc < fd), live & ~(fc < fd)
+        hi[left], d[left], fd[left] = d[left], c[left], fc[left]
+        c[left] = hi[left] - gr * (hi[left] - lo[left])
+        lo[right], c[right], fc[right] = c[right], d[right], fd[right]
+        d[right] = lo[right] + gr * (hi[right] - lo[right])
+        f = fn(np.where(left, c, d)[live])
+        fc[left], fd[right] = f[left[live]], f[right[live]]
+    return np.where(fc <= fd, c, d), np.where(fc <= fd, fc, fd)
 
 
 def _feasible_segments(gap_fn, lo, hi, epsilon, n_scan):
-    """Maximal subintervals of [lo, hi] where |gap| <= epsilon, endpoints refined."""
+    """Maximal subintervals of [lo, hi] where |gap| <= epsilon, endpoints
+    refined; gap_fn maps an array of points to their gaps."""
     grid = np.linspace(lo, hi, n_scan)
-    gaps = np.array([abs(gap_fn(t)) for t in grid])
+    gaps = np.abs(gap_fn(grid))
     feasible = gaps <= epsilon
     if not np.any(feasible):
         return [], float(gaps.min())
-
-    def refine(t_feas, t_infeas):
-        for _ in range(60):
-            mid = 0.5 * (t_feas + t_infeas)
-            if abs(gap_fn(mid)) <= epsilon:
-                t_feas = mid
-            else:
-                t_infeas = mid
-        return t_feas
-
     # a run of feasible points starts where the zero-padded indicator steps
     # up and ends just before it steps down
     steps = np.diff(np.concatenate([[0], feasible.astype(int), [0]]))
-    segments = []
-    for i, j in zip(np.flatnonzero(steps == 1), np.flatnonzero(steps == -1) - 1):
-        left = grid[i] if i == 0 else refine(grid[i], grid[i - 1])
-        right = grid[j] if j == n_scan - 1 else refine(grid[j], grid[j + 1])
-        segments.append((left, right))
-    return segments, float(gaps.min())
+    first, last = np.flatnonzero(steps == 1), np.flatnonzero(steps == -1) - 1
+    # every run end bisects against its infeasible neighbour, all ends in
+    # one call per step; an end on the grid's edge bisects against itself
+    t_feas = grid[np.concatenate([first, last])]
+    t_infeas = grid[np.concatenate([np.maximum(first - 1, 0),
+                                    np.minimum(last + 1, n_scan - 1)])]
+    for _ in range(60):
+        mid = 0.5 * (t_feas + t_infeas)
+        ok = np.abs(gap_fn(mid)) <= epsilon
+        t_feas, t_infeas = np.where(ok, mid, t_feas), np.where(ok, t_infeas, mid)
+    return list(zip(*np.split(t_feas, 2))), float(gaps.min())
 
 
 def calibrate(problem: CalibProblem, spec: LatticeSpec, epsilon: float) -> CalibrationResult:
     """Entropy-minimal family member subject to the terminal moment band.
 
-    One parameter: scan the variance range, refine the feasible segments
-    where |E[payoff] - target| <= epsilon by bisection, and golden-section
-    the tree entropy inside each. Several parameters: coordinate descent
-    with the same one-dimensional machinery per coordinate, seeded at the
-    best feasible constant.
+    One search serves every line through parameter space: scan it, refine
+    the feasible segments where |E[payoff] - target| <= epsilon by
+    bisection, and golden-section the chain entropy inside each. Several
+    parameters add coordinate descent, seeded at the best feasible
+    constant. Each step walks all its candidates in one batch.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    surf0 = _reference_surface(problem, spec)
+    n, p = spec.n, problem.n_pieces
+    if isinstance(problem.sigma0, VolSurface):
+        sigma0, b0 = problem.sigma0.sigma, problem.sigma0.b
+    else:
+        sigma0, b0 = [float(problem.sigma0)] * n, [spec.b0] * n
+    block = [min(k * p // n, p - 1) for k in range(n)]
+    payoff = np.array([float(problem.payoff(x)) for x in spec.positions(n)])
     span = spec.sigma_max - spec.sigma_min
     lo = spec.sigma_min + 1e-9 * span
     hi = spec.sigma_max - 1e-9 * span
+    tol = _GOLDEN_TOL * span
 
-    def moment_of(theta):
-        tree = build_tree(_theta_surface(theta, spec), spec)
-        return expectation(tree, problem.payoff, spec.n)
+    def walk(thetas):
+        """Terminal moment and chain entropy of each row of parameters."""
+        law, entropy, _, _ = _chain_walk(
+            [thetas[:, [i]] for i in block], [spec.b0] * n, sigma0, b0, spec)
+        return np.vecdot(law, payoff), entropy
 
-    def entropy_of(theta):
-        return tree_entropy_chain(_theta_surface(theta, spec), surf0, spec)
+    def search(axis, n_scan):
+        """The entropy-minimal feasible point t of the line that sets the
+        parameters on the axis mask to t and keeps the others at theta (None
+        when no scan point is feasible), and the smallest |gap| on the scan."""
+        def line(t):
+            return np.where(axis, t[:, None], theta)
 
-    def constant_gap(t):
-        return moment_of(np.full(problem.n_pieces, t)) - problem.target
+        segments, best_gap = _feasible_segments(
+            lambda t: walk(line(t))[0] - problem.target, lo, hi, epsilon, n_scan)
+        if not segments:
+            return None, best_gap
+        a, b = np.array(segments).T
+        points, values = _golden_min(lambda t: walk(line(t))[1], a, b, tol)
+        points = np.concatenate([points, a, b])
+        values = np.concatenate([values, walk(line(np.concatenate([a, b])))[1]])
+        return points[np.argmin(values)], best_gap
 
-    segments, best_gap = _feasible_segments(constant_gap, lo, hi, epsilon, _THETA_SCAN)
-    if not segments:
+    # the constant line first, then coordinate descent along each axis
+    theta = np.zeros(p)
+    t, best_gap = search(np.ones(p, dtype=bool), _THETA_SCAN)
+    if t is None:
         raise CalibrationInfeasible(
             f"no constant parameter meets the band; smallest |gap| is {best_gap:.3e}"
         )
+    theta[:] = t
+    for _ in range(30 if p > 1 else 0):
+        moved = 0.0
+        for i in range(p):
+            t, _ = search(np.arange(p) == i, 100)
+            if t is not None:
+                moved = max(moved, abs(t - theta[i]))
+                theta[i] = t
+        if moved < tol:
+            break
 
-    def best_on_segments(fn, segs):
-        winners = [_golden_min(fn, a, b, _GOLDEN_TOL * span) for (a, b) in segs]
-        winners.extend((a, fn(a)) for a, _ in segs)
-        winners.extend((b, fn(b)) for _, b in segs)
-        return min(winners, key=lambda w: w[1])
-
-    t0, _ = best_on_segments(
-        lambda t: entropy_of(np.full(problem.n_pieces, t)), segments
-    )
-    theta = np.full(problem.n_pieces, t0)
-
-    if problem.n_pieces > 1:
-        for _ in range(30):
-            moved = 0.0
-            for i in range(problem.n_pieces):
-                def line_gap(t, i=i):
-                    cand = theta.copy()
-                    cand[i] = t
-                    return moment_of(cand) - problem.target
-
-                segs, _ = _feasible_segments(line_gap, lo, hi, epsilon, 100)
-                if not segs:
-                    continue
-
-                def line_entropy(t, i=i):
-                    cand = theta.copy()
-                    cand[i] = t
-                    return entropy_of(cand)
-
-                t_new, _ = best_on_segments(line_entropy, segs)
-                moved = max(moved, abs(t_new - theta[i]))
-                theta[i] = t_new
-            if moved < _GOLDEN_TOL * span:
-                break
-
-    moment = moment_of(theta)
+    moment, entropy = (float(v[0]) for v in walk(theta[None, :]))
     if abs(moment - problem.target) > epsilon + 1e-9:
         raise CalibrationInfeasible(
             f"search ended outside the band (|gap| = {abs(moment - problem.target):.3e})"
         )
-    surface = _theta_surface(theta, spec)
+    sigma_star = VolSurface(
+        sigma=tuple(np.full(2 * k + 1, theta[i]) for k, i in enumerate(block)),
+        b=tuple(np.full(2 * k + 1, spec.b0) for k in range(n)),
+    )
     return CalibrationResult(
-        theta_star=theta.copy(),
-        sigma_star=surface,
-        entropy=entropy_of(theta),
+        theta_star=theta,
+        sigma_star=sigma_star,
+        entropy=entropy,
         moment=moment,
         slack=abs(moment - problem.target),
     )

@@ -444,6 +444,26 @@ class TestRunCalibrate:
         )
 
 
+    # the calibrate reports of the benchmark's lattice configs, pinned far
+    # tighter than the benchmark's own 1e-5 output check
+    @pytest.mark.parametrize("pieces, expected", [
+        (1, {"theta_0": 1.1055855349089916, "entropy": 0.2637532619604322,
+             "moment": 1.009999999999999, "slack": 0.009999999999998899}),
+        (2, {"theta_0": 1.1055855349089925, "theta_1": 1.1055855349089945,
+             "entropy": 0.2637532619604239, "moment": 1.0099999999999998,
+             "slack": 0.009999999999999787}),
+    ])
+    def test_benchmark_reports_are_pinned(self, tmp_path, pieces, expected):
+        run({"experiment": "calibrate", "seed": 31, "output": {"path": "report.csv"},
+             "params": {"alpha_tick": 2.0, "sigma_min": 0.6, "sigma_max": 1.4, "b0": 0.15,
+                        "s": 0.03, "n": 40, "sigma0": 1.2, "epsilon": 0.01, "n_pieces": pieces,
+                        "payoff": {"kind": "square", "sigma_target": 1.1}}},
+            out_dir=str(tmp_path))
+        _, rows = read_table(tmp_path / "report.csv")
+        expected.update(target_value=1.2319375000000026, epsilon0=0.03)
+        assert field_map(rows) == pytest.approx(expected, rel=1e-12)
+
+
 class TestRunGamma:
     def test_sweep_internal_consistency(self, runner, tmp_path):
         doc = {
@@ -470,15 +490,19 @@ class TestRunGamma:
             assert abs(h_over_n - rate) <= gap + 1e-15
             assert n_gap == pytest.approx(n * gap, rel=1e-12)
 
-    def test_builds_one_tree_per_n(self, monkeypatch, tmp_path):
-        sizes, real = [], tritree.build_tree
-        monkeypatch.setattr(tritree, "build_tree",
-                            lambda surface, spec: sizes.append(spec.n) or real(surface, spec))
+    def test_walks_once_per_n_and_builds_no_tree(self, monkeypatch, tmp_path):
+        sizes, built, real_walk = [], [], tritree._chain_walk
+        monkeypatch.setattr(tritree, "_chain_walk",
+                            lambda *args: sizes.append(args[-1].n) or real_walk(*args))
+        monkeypatch.setattr(tritree, "build_tree", lambda *args: built.append(args))
+        for cls in (tritree.TrinomialTree, tritree.VolSurface):
+            monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
         lattice = {"alpha_tick": 2.0, "sigma_min": 0.6, "sigma_max": 1.4, "b0": 0.15, "s": 0.03}
         run({"experiment": "gamma", "seed": 2, "output": {"path": "sweep.csv"},
              "params": {**lattice, "sigma": 1.1, "sigma0": 1.3, "n_list": [8, 16]}},
             out_dir=str(tmp_path))
         assert sizes == [8, 16]
+        assert built == []
 
 
 class TestRunSchedules:

@@ -111,6 +111,18 @@ class TestEvents:
 
 
 class TestProductConstructions:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_patterns_enumerate_in_product_order(self, m, k):
+        patterns = gibbs._patterns(m, k)
+        assert patterns.shape == (m ** k, k)
+        assert [tuple(row) for row in patterns.tolist()] == list(iter_product(range(m), repeat=k))
+
+    def test_product_space_points_follow_the_patterns(self):
+        space = line_space(3, hi=2.0)
+        prod = ep.product_space(space, 3)
+        assert prod.points == tuple(iter_product(space.points, repeat=3))
+
     def test_product_space_max_metric(self):
         space = two_point_space()
         prod = ep.product_space(space, 2)

@@ -16,6 +16,7 @@ from entroproj.tritree import (
     VolSurface,
     _chain_walk,
     _feasible_segments,
+    _golden_min,
     build_tree,
     calibrate,
     dl_gap,
@@ -237,6 +238,16 @@ class TestTrinomialTree:
         with pytest.raises(ValueError, match=message):
             TrinomialTree(spec, edit(trans))
 
+    def test_later_writes_to_the_caller_tables_change_nothing(self):
+        # both levels are views of one table; the tree keeps its own copy
+        table = np.array([[0.25, 0.5, 0.25]] * 4)
+        tree = TrinomialTree(wide_spec(2), [table[:1], table[1:]])
+        table[:] = [0.5, 0.0, 0.5]
+        assert np.array_equal(tree.transitions[1], np.full((3, 3), [0.25, 0.5, 0.25]))
+        assert np.array_equal(tree.node_prob[2], [0.0625, 0.25, 0.375, 0.25, 0.0625])
+        with pytest.raises(ValueError, match="read-only"):
+            tree.transitions[0][0, 0] = 1.0
+
 
 class TestExpectation:
     def test_constant_payoff(self):
@@ -427,14 +438,70 @@ class TestDlGap:
         assert raw[-1] < raw[0] / 4
 
 
+def walk(surface, surface0, spec):
+    return _chain_walk(surface.sigma, surface.b, surface0.sigma, surface0.b, spec)
+
+
 class TestChainWalk:
-    def test_one_tree_gives_chain_rate_and_gap(self, rng):
+    def test_gives_chain_rate_and_gap(self, rng):
         spec = wide_spec(9)
         surf, surf0 = random_surface(rng, spec), random_surface(rng, spec)
-        assert _chain_walk(surf, surf0, spec) == (
+        assert walk(surf, surf0, spec)[1:] == (
             tree_entropy_chain(surf, surf0, spec), I_rate(surf, surf0, spec),
             dl_gap(surf, surf0, spec)[0],
         )
+
+    def test_terminal_law_is_the_tree_push(self, rng):
+        spec = wide_spec(12)
+        surf, surf0 = random_surface(rng, spec), random_surface(rng, spec)
+        assert np.array_equal(walk(surf, surf0, spec)[0], build_tree(surf, spec).node_prob[12])
+
+    def test_batched_chains_match_their_own_walks_bit_for_bit(self, rng):
+        # B chains as (B, 1) columns against each chain as full node tables
+        spec = wide_spec(30)
+        thetas = rng.uniform(0.7, 1.3, (5, spec.n))
+        drifts = rng.uniform(0.13, 0.17, spec.n)
+        surf0 = random_surface(rng, spec)
+        law, entropy, rate, gap = _chain_walk(
+            [thetas[:, [k]] for k in range(spec.n)], drifts, surf0.sigma, surf0.b, spec)
+        assert law.shape == (5, 2 * spec.n + 1) and entropy.shape == (5,)
+        for row, theta in enumerate(thetas):
+            alone = VolSurface(sigma=tuple(np.full(2 * k + 1, theta[k]) for k in range(spec.n)),
+                               b=tuple(np.full(2 * k + 1, drifts[k]) for k in range(spec.n)))
+            one = walk(alone, surf0, spec)
+            assert np.array_equal(law[row], one[0])
+            assert (entropy[row], rate[row], gap[row]) == one[1:]
+
+    @pytest.mark.parametrize("n", [8, 64, 300])
+    def test_scalar_levels_match_constant_surfaces_bit_for_bit(self, n):
+        spec = wide_spec(n)
+        surf = VolSurface.constant(spec, 1.1, spec.b0)
+        surf0 = VolSurface.constant(spec, 1.3, spec.b0)
+        law, *numbers = _chain_walk(*([v] * n for v in (1.1, spec.b0, 1.3, spec.b0)), spec)
+        full_law, *full_numbers = walk(surf, surf0, spec)
+        assert np.array_equal(law, full_law)
+        assert numbers == full_numbers
+        assert numbers[1] == I_rate(surf, surf0, spec)
+
+    @pytest.mark.parametrize("short", ["sigma", "b", "sigma0", "b0"])
+    def test_every_sequence_needs_n_levels(self, short):
+        spec = wide_spec(40)
+        levels = {name: [1.1] * spec.n for name in ("sigma", "sigma0")}
+        levels.update(b=[spec.b0] * spec.n, b0=[spec.b0] * spec.n)
+        levels[short] = levels[short][:10]
+        with pytest.raises(ValueError, match=f"^{short} has 10 levels, spec needs 40$"):
+            _chain_walk(levels["sigma"], levels["b"], levels["sigma0"], levels["b0"], spec)
+
+    def test_short_reference_surface_is_a_typed_error(self):
+        spec = wide_spec(40)
+        surf = VolSurface.constant(spec, 1.1, spec.b0)
+        short = VolSurface.constant(spec, 1.3, spec.b0).truncated(10)
+        for fn in (tree_entropy_chain, dl_gap):
+            with pytest.raises(ValueError, match="sigma0 has 10 levels, spec needs 40"):
+                fn(surf, short, spec)
+        problem = CalibProblem(sigma0=short, payoff=lambda x: x * x)
+        with pytest.raises(ValueError, match="sigma0 has 10 levels, spec needs 40"):
+            calibrate(problem, spec, 0.01)
 
 
 class TestIRate:
@@ -576,7 +643,7 @@ def normalized_square_payoff(spec, sigma_value):
 class TestFeasibleSegments:
     def test_runs_at_both_ends_and_inside(self):
         def gap(t):
-            return 0.0 if t <= 0.25 or 0.45 <= t <= 0.65 or t >= 0.85 else 1.0
+            return np.where((t <= 0.25) | ((0.45 <= t) & (t <= 0.65)) | (t >= 0.85), 0.0, 1.0)
 
         segments, best = _feasible_segments(gap, 0.0, 1.0, 0.5, 11)
         assert best == 0.0
@@ -585,6 +652,23 @@ class TestFeasibleSegments:
 
     def test_no_feasible_point(self):
         assert _feasible_segments(lambda t: t + 1.0, 0.0, 1.0, 0.5, 5) == ([], 1.0)
+
+
+class TestGoldenMin:
+    def test_intervals_of_different_widths_in_lockstep(self):
+        # the minimum of (t - 0.3)^2 lies inside, at the left end and at the
+        # right end of the three intervals, which need different step counts
+        calls = []
+
+        def fn(t):
+            calls.append(len(t))
+            return (t - 0.3) ** 2
+
+        points, values = _golden_min(fn, np.array([0.0, 0.5, -1.0]),
+                                     np.array([1.0, 0.9, 0.1]), 1e-8)
+        assert points == pytest.approx([0.3, 0.5, 0.1], abs=1e-7)
+        assert np.array_equal(values, (points - 0.3) ** 2)
+        assert calls[0] == 6 and max(calls[1:]) == 3 and min(calls[1:]) < 3
 
 
 class TestCalibrate:
@@ -624,6 +708,19 @@ class TestCalibrate:
         assert two.theta_star.shape == (2,)
         assert two.slack <= 0.01 + 1e-9
         assert two.entropy <= one.entropy + 1e-12
+
+    def test_builds_no_tree_and_only_the_result_surface(self, monkeypatch):
+        built = []
+        for cls in (TrinomialTree, VolSurface):
+            real = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, real=real: built.append(type(self)) or real(self))
+        spec = wide_spec(40)
+        payoff = normalized_square_payoff(spec, 1.1)
+        built.clear()
+        result = calibrate(CalibProblem(sigma0=1.2, payoff=payoff, n_pieces=2), spec, 0.01)
+        assert built == [VolSurface]
+        assert result.sigma_star.levels == 40
 
     def test_unreachable_band_rejected(self):
         spec = wide_spec(20)
