@@ -82,13 +82,7 @@ class BridgeProblem:
     def joint_space(self) -> MetricSpacePoints:
         """Product support with the max metric, built once on demand."""
         if self._joint_space is None:
-            s0, s1 = self.mu0.space, self.mu1.space
-            points = tuple((a, b) for a in s0.points for b in s1.points)
-            d = np.maximum(
-                np.kron(s0.dist, np.ones_like(s1.dist)),
-                np.kron(np.ones_like(s0.dist), s1.dist),
-            )
-            space = MetricSpacePoints(points=points, dist=d, validate=False)
+            space = MetricSpacePoints.product([self.mu0.space, self.mu1.space])
             object.__setattr__(self, "_joint_space", space)
         return self._joint_space
 
@@ -212,18 +206,15 @@ def gaussian_reference(grid, t: float, mu0: FiniteMeasure | None = None,
     x = increasing_grid(grid)
     if t <= 0:
         raise ValueError("kernel variance t must be positive")
+    space = MetricSpacePoints.from_coordinates(x)
     if mu0 is None:
-        space = MetricSpacePoints.from_coordinates(x[:, None])
         mu0 = FiniteMeasure.uniform(space)
-    else:
-        space = mu0.space
-        pts = np.asarray(space.points, dtype=float).reshape(-1)
-        if len(pts) != len(x) or np.max(np.abs(pts - x)) > 0:
-            raise ValueError("mu0 must live on the supplied grid")
+    elif mu0.space != space:
+        raise ValueError("mu0 must live on the supplied grid")
     k = np.exp(-((x[None, :] - x[:, None]) ** 2) / (2.0 * t))
     T = k / k.sum(axis=1, keepdims=True)
     w1 = T.T @ mu0.weights
-    mu1 = FiniteMeasure(space, w1 / w1.sum())
+    mu1 = FiniteMeasure(mu0.space, w1 / w1.sum())
     p = T / mu1.weights[None, :]
     if nu0 is None:
         nu0 = mu0

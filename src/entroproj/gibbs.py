@@ -144,13 +144,9 @@ def product_space(space: MetricSpacePoints, k: int) -> MetricSpacePoints:
     """k-fold product support with the max metric; k=1 returns the space."""
     if k == 1:
         return space
-    m = len(space)
-    if m ** k > _PATTERN_BUDGET:
+    if len(space) ** k > _PATTERN_BUDGET:
         raise ValueError("product support too large")
-    idx = _patterns(m, k)
-    points = tuple(tuple(space.points[i] for i in row) for row in idx.tolist())
-    d = space.dist[idx[:, None, :], idx[None, :, :]].max(axis=2)
-    return MetricSpacePoints(points=points, dist=d, validate=False)
+    return MetricSpacePoints.product([space] * k)
 
 
 def product_law(nu: FiniteMeasure, k: int) -> FiniteMeasure:

@@ -12,10 +12,11 @@ minimal set covers. All types are immutable and all operations are pure.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq, linprog
@@ -37,24 +38,22 @@ def _as_readonly(a, dtype=float):
     return arr
 
 
-@dataclass(frozen=True)
 class MetricSpacePoints:
-    """A finite metric space: opaque point identifiers plus a distance table.
+    """A finite metric space: opaque point identifiers plus a distance source.
 
-    The distance table must be symmetric with zero diagonal and satisfy the
-    triangle inequality; all three are checked exhaustively at construction
-    (the triangle scan is O(N^3), skip it via ``validate=False`` only for
-    spaces built from a formula that guarantees it).
+    A caller's table, ``MetricSpacePoints(points, dist)``, is checked in full,
+    the O(N^3) triangle scan included. ``from_coordinates`` (Euclidean) and
+    ``product`` (max over the factors) are metrics by construction: they keep
+    their coordinates or factors and build the table when ``dist`` is first
+    read. Spaces are equal when identical, or with equal points and the same
+    distance source (equal tables, coordinates or factors); no table is built
+    to decide it.
     """
 
-    points: tuple
-    dist: np.ndarray
-    validate: bool = field(default=True, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        d = _as_readonly(self.dist)
-        object.__setattr__(self, "dist", d)
+    def __init__(self, points, dist):
+        self.points = tuple(points)
+        self._kind = "table"
+        self._source = self.dist = d = _as_readonly(dist)
         n = len(self.points)
         if d.shape != (n, n):
             raise ValueError(f"distance table shape {d.shape} does not match {n} points")
@@ -66,11 +65,41 @@ class MetricSpacePoints:
             raise ValueError("self-distances must be zero")
         if np.max(np.abs(d - d.T)) > 1e-12:
             raise ValueError("distance table must be symmetric")
-        if self.validate:
-            # min over k of d(i,k)+d(k,j), compared against d(i,j)
-            through = (d[:, None, :] + d.T[None, :, :]).min(axis=2)
-            if np.any(d > through + 1e-12):
-                raise ValueError("triangle inequality violated")
+        # min over k of d(i,k)+d(k,j), compared against d(i,j)
+        through = (d[:, None, :] + d.T[None, :, :]).min(axis=2)
+        if np.any(d > through + 1e-12):
+            raise ValueError("triangle inequality violated")
+
+    @classmethod
+    def _by_formula(cls, points, kind, source):
+        space = cls.__new__(cls)
+        space.points = tuple(points)
+        space._kind = kind
+        space._source = source
+        return space
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        """The N x N distance table, built on first read and kept."""
+        if self._kind == "euclidean":
+            diff = self._source[:, None, :] - self._source[None, :, :]
+            return _as_readonly(np.sqrt((diff ** 2).sum(axis=2)))
+        # gather each factor's distances between the product's points; keep the largest
+        idx = np.indices([len(f) for f in self._source]).reshape(len(self._source), len(self))
+        d = np.zeros((len(self), len(self)))
+        for f, i in zip(self._source, idx):
+            np.maximum(d, f.dist[i[:, None], i], out=d)
+        return _as_readonly(d)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, MetricSpacePoints) or self._kind != other._kind \
+                or self.points != other.points:
+            return False
+        if self._kind == "product":
+            return self._source == other._source
+        return np.array_equal(self._source, other._source)
 
     def __len__(self):
         return len(self.points)
@@ -79,18 +108,24 @@ class MetricSpacePoints:
         return self.points.index(point)
 
     @classmethod
-    def from_coordinates(cls, coords, points=None):
-        """Euclidean space on explicit coordinates (1-D or d-dimensional)."""
-        arr = np.atleast_2d(np.asarray(coords, dtype=float))
-        if arr.shape[0] == 1 and np.asarray(coords).ndim == 1:
-            arr = arr.T
-        diff = arr[:, None, :] - arr[None, :, :]
-        d = np.sqrt((diff ** 2).sum(axis=2))
-        if points is None:
-            points = tuple(float(x) for x in np.asarray(coords).reshape(len(arr), -1)[:, 0]) \
-                if arr.shape[1] == 1 else tuple(map(tuple, arr))
-        # Euclidean distances satisfy the triangle inequality by construction
-        return cls(points=points, dist=d, validate=False)
+    def from_coordinates(cls, coords):
+        """Euclidean space on finite coordinates (1-D or d-dimensional)."""
+        arr = np.asarray(coords, dtype=float)
+        if arr.ndim == 1:
+            arr = arr[:, None]
+        # the diagonal of the bounding box bounds every distance
+        with np.errstate(over="ignore", invalid="ignore"):
+            if arr.ndim != 2 or arr.size == 0 or not np.isfinite(np.linalg.norm(np.ptp(arr, axis=0))):
+                raise ValueError("coordinates must be a nonempty 1-D or 2-D array at finite distances")
+        points = tuple(float(x) for x in arr[:, 0]) if arr.shape[1] == 1 else tuple(map(tuple, arr))
+        return cls._by_formula(points, "euclidean", _as_readonly(arr))
+
+    @classmethod
+    def product(cls, factors):
+        """Product of the factor spaces with the max metric, in itertools.product order."""
+        factors = tuple(factors)
+        points = itertools.product(*(f.points for f in factors))
+        return cls._by_formula(points, "product", factors)
 
 
 @dataclass(frozen=True)
@@ -105,8 +140,8 @@ class FiniteMeasure:
         object.__setattr__(self, "weights", w)
         if w.shape != (len(self.space),):
             raise ValueError("weights length does not match the space")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all(w >= 0):  # NaN fails this too
+            raise ValueError("weights must be nonnegative numbers")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1 within 1e-12")
 
@@ -142,11 +177,8 @@ class CoveringReport:
 
 
 def _require_same_support(a: FiniteMeasure, b: FiniteMeasure):
-    if a.space is b.space:
-        return
-    if a.space.points == b.space.points and np.array_equal(a.space.dist, b.space.dist):
-        return
-    raise SupportMismatchError("measures live on different supports")
+    if a.space != b.space:
+        raise SupportMismatchError("measures live on different supports")
 
 
 def relative_entropy(beta: FiniteMeasure, gamma: FiniteMeasure) -> float:
@@ -202,41 +234,22 @@ def fm_distance(nu1: FiniteMeasure, nu2: FiniteMeasure) -> float:
     d = nu1.space.dist
     c_obj = np.concatenate([-(nu1.weights - nu2.weights), [0.0, 0.0]])
 
-    rows, cols, vals = [], [], []
-    rhs = []
-    r = 0
-    for i in range(n):  # f_i - a <= 0 and -f_i - a <= 0
-        rows += [r, r]
-        cols += [i, n]
-        vals += [1.0, -1.0]
-        rhs.append(0.0)
-        r += 1
-        rows += [r, r]
-        cols += [i, n]
-        vals += [-1.0, -1.0]
-        rhs.append(0.0)
-        r += 1
-    for i in range(n):  # |f_i - f_j| <= L d_ij
-        for j in range(i + 1, n):
-            rows += [r, r, r]
-            cols += [i, j, n + 1]
-            vals += [1.0, -1.0, -d[i, j]]
-            rhs.append(0.0)
-            r += 1
-            rows += [r, r, r]
-            cols += [i, j, n + 1]
-            vals += [-1.0, 1.0, -d[i, j]]
-            rhs.append(0.0)
-            r += 1
-    rows += [r, r]  # a + L <= 1
-    cols += [n, n + 1]
-    vals += [1.0, 1.0]
-    rhs.append(1.0)
-    r += 1
+    i, j = np.triu_indices(n, 1)
+    # rows in order: f_i - a <= 0 and -f_i - a <= 0 for each point, then
+    # f_i - f_j - L d_ij <= 0 and its mirror for each pair i < j, then a + L <= 1
+    point_cols = np.column_stack([np.arange(n), np.full(n, n)]).repeat(2, axis=0)
+    pair_cols = np.column_stack([i, j, np.full(len(i), n + 1)]).repeat(2, axis=0)
+    sign = np.tile([1.0, -1.0], len(i))[:, None]
+    pair_vals = np.column_stack([sign, -sign, -d[i, j].repeat(2)])
+    r = 2 * n + 2 * len(i) + 1
+    rows = np.concatenate([np.arange(2 * n).repeat(2), np.arange(2 * n, r - 1).repeat(3), [r - 1] * 2])
+    cols = np.concatenate([point_cols.ravel(), pair_cols.ravel(), [n, n + 1]])
+    vals = np.concatenate([np.tile([1.0, -1.0, -1.0, -1.0], n), pair_vals.ravel(), [1.0, 1.0]])
+    rhs = np.append(np.zeros(r - 1), 1.0)
 
     A = csr_matrix((vals, (rows, cols)), shape=(r, n + 2))
     bounds = [(-1.0, 1.0)] * n + [(0.0, 1.0), (0.0, 1.0)]
-    res = linprog(c_obj, A_ub=A, b_ub=np.array(rhs), bounds=bounds, method="highs")
+    res = linprog(c_obj, A_ub=A, b_ub=rhs, bounds=bounds, method="highs")
     if res.status != 0:
         raise RuntimeError(f"Fortet-Mourier LP failed: {res.message}")
     return max(-float(res.fun), 0.0)
@@ -370,8 +383,7 @@ def weighted_tv_ratio(f, nu1: FiniteMeasure, nu2: FiniteMeasure, delta: float):
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    _require_same_support(nu1, nu2)
-    H = relative_entropy(nu1, nu2)
+    H = relative_entropy(nu1, nu2)  # checks the supports
     if math.isinf(H):
         raise ValueError("relative entropy is infinite")
     fa = np.abs(np.asarray(f, dtype=float))
@@ -421,7 +433,7 @@ def covering_number(space: MetricSpacePoints, epsilon: float) -> CoveringReport:
     Exact minimal set cover by exhaustive search for at most 20 points;
     greedy farthest-point cover (an upper bound, flagged) beyond that.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     n = len(space)
     d = space.dist
@@ -441,7 +453,7 @@ def covering_number(space: MetricSpacePoints, epsilon: float) -> CoveringReport:
         full = (1 << n) - 1
         mask_items = sorted(keep.items(), key=lambda kv: -bin(kv[0]).count("1"))
         for r in range(1, len(mask_items) + 1):
-            for combo in combinations(mask_items, r):
+            for combo in itertools.combinations(mask_items, r):
                 acc = 0
                 for m, _ in combo:
                     acc |= m

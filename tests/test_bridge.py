@@ -1,5 +1,7 @@
 """Tests for two-marginal entropic fitting on discrete grids."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,19 @@ class TestBridgeProblem:
         i = js.index_of((0.0, 1.0))
         j = js.index_of((1.0, 0.0))
         assert js.dist[i, j] == pytest.approx(1.0)
+
+    def test_bridge_measure_builds_no_joint_table(self):
+        # two Kronecker tables of 3600^2 entries would take about 415 MB
+        prob = criterion_problem(60)
+        pots = ep.sinkhorn(prob)
+        tracemalloc.start()
+        try:
+            pi = ep.bridge_measure(prob, pots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pi.space) == 3600
+        assert peak < 16 * 2 ** 20
 
 
 class TestSinkhorn:

@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,23 @@ class TestValidate:
         result = runner.invoke(main, [command, "--config", cfg, *out])
         assert result.exit_code == 2, result.output
         assert any(key in d for d in json.loads(result.output)["diagnostics"])
+
+    def test_bridge_grid_builds_no_distance_table(self):
+        # a 3000 x 3000 Euclidean table and its temporaries would take about 360 MB
+        doc = {
+            "experiment": "bridge",
+            "seed": 1,
+            "params": {"grid": {"start": -2.0, "stop": 2.0, "num": 3000}, "t": 0.05,
+                       "mu0": {"kind": "gaussian", "mean": 0.0, "std": 1.0}},
+            "output": {"path": "bridge"},
+        }
+        tracemalloc.start()
+        try:
+            assert validate_config(doc) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("grid", [

@@ -1,5 +1,6 @@
 """Tests for metric supports, finite measures, divergences, and coverings."""
 
+import itertools
 import math
 import warnings
 
@@ -55,12 +56,58 @@ class TestMetricSpacePoints:
         space = line_space(4)
         assert space.index_of(space.points[2]) == 2
 
+    def test_equal_coordinates_give_equal_spaces(self):
+        coords = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
+        a = ep.MetricSpacePoints.from_coordinates(coords)
+        b = ep.MetricSpacePoints.from_coordinates(coords.copy())
+        assert a == b
+        assert ep.tv_distance(ep.FiniteMeasure.uniform(a), ep.FiniteMeasure.uniform(b)) == 0.0
+
+    def test_different_coordinates_are_different_supports(self):
+        a = ep.FiniteMeasure.uniform(line_space(3))
+        b = ep.FiniteMeasure.uniform(line_space(3, hi=2.0))
+        assert a.space != b.space
+        with pytest.raises(ep.SupportMismatchError):
+            ep.tv_distance(a, b)
+
+    def test_comparing_supports_builds_no_table(self, monkeypatch):
+        space = line_space(3)
+        first = ep.product_law(ep.FiniteMeasure.uniform(space), 2)
+        second = ep.product_law(ep.FiniteMeasure(space, np.array([0.5, 0.25, 0.25])), 2)
+
+        def refuse(_):
+            raise AssertionError("a distance table was read")
+        monkeypatch.setattr(ep.MetricSpacePoints, "dist", property(refuse))
+        assert first.space is not second.space
+        assert ep.relative_entropy(first, second) > 0.0
+
+    def test_rejects_nonfinite_coordinates(self):
+        for coords in ([0.0, math.nan, 1.0], [[0.0, 1.0], [math.inf, 0.0]], [-1e300, 1e300]):
+            with pytest.raises(ValueError):
+                ep.MetricSpacePoints.from_coordinates(coords)
+
+    def test_product_of_unequal_factors_takes_the_max_metric(self, rng):
+        a = line_space(3)
+        b = random_space(rng, 4)
+        prod = ep.MetricSpacePoints.product([a, b])
+        assert prod.points == tuple(itertools.product(a.points, b.points))
+        expected = np.maximum(np.kron(a.dist, np.ones((4, 4))), np.kron(np.ones((3, 3)), b.dist))
+        np.testing.assert_array_equal(prod.dist, expected)
+        assert prod == ep.MetricSpacePoints.product([a, b])
+        assert prod != ep.MetricSpacePoints.product([a, random_space(rng, 4)])
+
+    def test_table_is_built_once(self):
+        space = line_space(5)
+        assert space.dist is space.dist
+        assert not space.dist.flags.writeable
+
 
 class TestFiniteMeasure:
     def test_rejects_negative_weights(self):
         space = two_point_space()
-        with pytest.raises(ValueError):
-            ep.FiniteMeasure(space, np.array([1.2, -0.2]))
+        for weights in ([1.2, -0.2], [math.nan, 1.0]):
+            with pytest.raises(ValueError):
+                ep.FiniteMeasure(space, np.array(weights))
 
     def test_rejects_unnormalized(self):
         space = two_point_space()
@@ -352,8 +399,9 @@ class TestCoveringNumber:
             assert min(space.dist[j, i] for i in centers_idx) <= 0.9 + 1e-12
 
     def test_rejects_nonpositive_epsilon(self):
-        with pytest.raises(ValueError):
-            ep.covering_number(self.grid11(), 0.0)
+        for epsilon in (0.0, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                ep.covering_number(self.grid11(), epsilon)
 
 
 class TestCoveringBoundMeasures:
