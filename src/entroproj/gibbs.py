@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .iproj import composition_blocks
 from .measures import (
@@ -198,6 +197,8 @@ def _type_class_sums(alpha: FiniteMeasure, n: int, event, k: int):
     prod_s (c_s)_(r_s) / (n)_k in falling factorials; it is computed once
     per distinct r. Classes are visited in blocks, so memory stays bounded.
     """
+    from scipy.special import gammaln, logsumexp
+
     w = alpha.weights
     m = len(w)
     _check_budget(n, m)
@@ -234,6 +235,8 @@ def exact_conditional(alpha: FiniteMeasure, n: int, event, k: int) -> Conditiona
     class probability. Raises ZeroAcceptanceError when the event has
     probability zero, which is the thin-set situation.
     """
+    from scipy.special import logsumexp
+
     if k > n:
         raise ValueError("window k cannot exceed the block length n")
     if len(alpha.space) ** k > _PATTERN_BUDGET:

@@ -19,9 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq, linprog
-from scipy.sparse import csr_matrix
-from scipy.special import logsumexp
 
 EXACT_SCAN_LIMIT = 20
 _GRID_RATIO = 0.95
@@ -65,8 +62,11 @@ class MetricSpacePoints:
             raise ValueError("self-distances must be zero")
         if np.max(np.abs(d - d.T)) > 1e-12:
             raise ValueError("distance table must be symmetric")
-        # min over k of d(i,k)+d(k,j), compared against d(i,j)
-        through = (d[:, None, :] + d.T[None, :, :]).min(axis=2)
+        # min over k of d(i,k)+d(k,j), compared against d(i,j); one k at a
+        # time, so the scan needs N x N memory, not N x N x N
+        through = np.full((n, n), np.inf)
+        for k in range(n):
+            np.minimum(through, d[:, k, None] + d[k], out=through)
         if np.any(d > through + 1e-12):
             raise ValueError("triangle inequality violated")
 
@@ -203,6 +203,8 @@ def variational_entropy_lower(beta: FiniteMeasure, gamma: FiniteMeasure, phis) -
     ``phis`` is a nonempty list of test functions given by their values on
     the support. The result never exceeds relative_entropy(beta, gamma).
     """
+    from scipy.special import logsumexp
+
     _require_same_support(beta, gamma)
     phis = list(phis)
     if not phis:
@@ -229,6 +231,9 @@ def fm_distance(nu1: FiniteMeasure, nu2: FiniteMeasure) -> float:
     Variables are (f_1..f_N, a, L) with |f_i| <= a, |f_i - f_j| <= L d_ij
     and a + L <= 1.
     """
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
     _require_same_support(nu1, nu2)
     n = len(nu1.space)
     d = nu1.space.dist
@@ -252,7 +257,7 @@ def fm_distance(nu1: FiniteMeasure, nu2: FiniteMeasure) -> float:
     res = linprog(c_obj, A_ub=A, b_ub=rhs, bounds=bounds, method="highs")
     if res.status != 0:
         raise RuntimeError(f"Fortet-Mourier LP failed: {res.message}")
-    return max(-float(res.fun), 0.0)
+    return max(0.0, -float(res.fun))  # a tie keeps +0.0, never -0.0
 
 
 def _subset_weights(weights):
@@ -381,6 +386,8 @@ def weighted_tv_ratio(f, nu1: FiniteMeasure, nu2: FiniteMeasure, delta: float):
     empirical constant of the weighted Pinsker comparison; by convention it
     is 0 when the entropy vanishes.
     """
+    from scipy.special import logsumexp
+
     if delta <= 0:
         raise ValueError("delta must be positive")
     H = relative_entropy(nu1, nu2)  # checks the supports
@@ -407,6 +414,8 @@ def luxemburg_norm(g, alpha: FiniteMeasure) -> float:
     for nonzero g, so the gauge is the root of (integral - 1), bracketed and
     solved to 1e-12. Returns 0 for the zero function.
     """
+    from scipy.optimize import brentq
+
     g = np.asarray(g, dtype=float)
     support = alpha.weights > 0
     gs = g[support]

@@ -4,6 +4,9 @@ import copy
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,6 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entroproj
 from entroproj import __version__, tritree
 from entroproj.cli import main, run, validate_config
 from entroproj.iproj import (
@@ -640,3 +644,32 @@ def test_every_mutated_config_runs_or_fails_typed(tmp_path_factory, mutation):
     if ran.exit_code == 3:
         error = json.loads(ran.output)["message"].split(":")[0]
         assert error not in ("TypeError", "KeyError", "IndexError", "AttributeError")
+
+
+
+# validates and runs each config in this fresh interpreter, then prints
+# whether any scipy module is loaded by then
+_SCIPY_PROBE = """
+import sys
+from entroproj.cli import main
+for cfg in sys.argv[2:]:
+    main(["validate", "--config", cfg], standalone_mode=False)
+    main(["run", "--config", cfg, "--out", sys.argv[1]], standalone_mode=False)
+    print(any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
+"""
+
+
+def test_lattice_path_loads_no_scipy(tmp_path):
+    experiments = ["calibrate", "gamma", "bridge", "covering", "gibbs"]
+    cfgs = [write_config(tmp_path, {"experiment": name, "seed": 3, "params": SMALL_PARAMS[name],
+                                    "output": {"path": f"{name}.csv"}}, name=f"{name}.json")
+            for name in experiments]
+    src = os.path.dirname(os.path.dirname(entroproj.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), *cfgs],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    assert all(any(tmp_path.glob(f"{name}*.csv")) for name in experiments)
+    # the exact gibbs op solves the hull LP, so scipy loads on demand there
+    loaded = [line for line in probe.stdout.splitlines() if line in ("True", "False")]
+    assert loaded == ["False"] * 4 + ["True"]

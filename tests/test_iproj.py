@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import null_space
 
 import entroproj as ep
+from entroproj import iproj
 
 from conftest import bernoulli, line_space, random_measure
 
@@ -178,6 +179,14 @@ class TestSolveDualBox:
         for _ in range(10):
             prob = random_problem(rng, d=2, target="box")
             assert ep.solve_dual(prob).entropy >= 0.0
+
+    def test_hull_lp_goes_through_the_module_binding(self, rng, monkeypatch):
+        # the benchmark's layer trace times the LP by wrapping iproj.linprog
+        assert iproj.linprog.__module__ == "entroproj.iproj"
+        calls, real = [], iproj.linprog
+        monkeypatch.setattr(iproj, "linprog", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        assert ep.solve_dual(random_problem(rng, d=2, target="box")).entropy >= 0.0
+        assert len(calls) == 1
 
 
 class TestPythagoras:

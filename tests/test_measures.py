@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -51,6 +52,17 @@ class TestMetricSpacePoints:
         ])
         with pytest.raises(ValueError):
             ep.MetricSpacePoints(points=(0, 1, 2), dist=d)
+
+    def test_triangle_scan_needs_no_cubic_temporary(self, rng):
+        # one N x N x N array of sums would take 61 MiB at N = 200
+        table = random_space(rng, 200).dist
+        tracemalloc.start()
+        try:
+            ep.MetricSpacePoints(range(200), table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_index_of(self):
         space = line_space(4)
@@ -243,6 +255,11 @@ class TestFortetMourier:
         space = random_space(rng, 4)
         nu = random_measure(rng, space)
         assert ep.fm_distance(nu, nu) == pytest.approx(0.0, abs=1e-10)
+
+    def test_equal_measures_give_positive_zero(self):
+        for space in (line_space(3), ep.MetricSpacePoints.from_coordinates([0.0])):
+            nu = ep.FiniteMeasure.uniform(space)
+            assert repr(ep.fm_distance(nu, nu)) == "0.0"
 
 
 class TestProhorov:
