@@ -26,13 +26,17 @@ _ACTIVE_TOL = 1e-7
 # Rows per block of type-class (composition) enumeration: bounds the memory
 # of the vectorized engines while keeping the Python loop over blocks short.
 COMPOSITION_BLOCK_ROWS = 8192
+# Pivot cap of the hull LP per column: Bland's rule may step through every
+# support row once, and a run this long means rounding broke its guarantee.
+_PIVOTS_PER_COLUMN = 50
 
 
 class InfeasibleTargetError(ValueError):
-    """The target set misses the convex hull of the moment map values.
+    """The target set misses the convex hull of the moment map values F_i
+    over the support of alpha (the rows with alpha_i > 0).
 
-    ``direction`` is a certificate: a vector u with <u, y> > max_i <u, F_i>
-    for every y in the target set.
+    ``direction`` is a certificate: a vector u with |u|_inf <= 1 and
+    <u, y> > max_i <u, F_i> over the support, for every y in the target set.
     """
 
     def __init__(self, message, direction=None):
@@ -51,7 +55,10 @@ class Point:
     x0: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
+        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
+        if not np.all(np.isfinite(x0)):
+            raise ValueError("target must be finite")
+        object.__setattr__(self, "x0", x0)
 
     @property
     def lo(self):
@@ -74,6 +81,8 @@ class Box:
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
         if lo.shape != hi.shape:
             raise ValueError("lo and hi must have the same shape")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("target must be finite")
         if np.any(lo > hi):
             raise ValueError("box target needs lo <= hi componentwise")
         object.__setattr__(self, "lo", lo)
@@ -190,54 +199,61 @@ def tilt(alpha: FiniteMeasure, F, lam) -> FiniteMeasure:
     return FiniteMeasure(alpha.space, w / w.sum())
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first call so that importing
-    this module loads no scipy. The hull LP calls it through this module
-    binding, which the benchmark's layer trace wraps."""
-    from scipy.optimize import linprog as scipy_linprog
-    return scipy_linprog(*args, **kwargs)
+def linprog(c, A, b, basis):
+    """Minimize c.x subject to A x = b, x >= 0, from the feasible basis
+    ``basis`` (one column index per row of A), by the revised simplex method.
+
+    Bland's rule (the lowest-index improving column enters, the lowest-index
+    tied column leaves) keeps degenerate pivots from cycling. Returns the
+    optimal value and the row duals y, which satisfy A^T y <= c and
+    b.y = value. The hull LP calls it through this module binding, which the
+    benchmark's layer trace wraps.
+    """
+    basis = list(basis)
+    scale = 1.0 + float(np.abs(A).max())
+    for _ in range(_PIVOTS_PER_COLUMN * A.shape[1]):
+        B = A[:, basis]
+        x = np.linalg.solve(B, b)
+        y = np.linalg.solve(B.T, c[basis])
+        improving = np.flatnonzero(c - A.T @ y < -1e-12 * scale)
+        if improving.size == 0:
+            return float(c[basis] @ x), y
+        column = np.linalg.solve(B, A[:, improving[0]])
+        rows = np.flatnonzero(column > 1e-11)
+        if rows.size == 0:
+            raise RuntimeError("feasibility LP failed: the objective is unbounded below")
+        ratios = np.maximum(x[rows], 0.0) / column[rows]
+        tied = rows[ratios <= ratios.min() + 1e-12 * scale]
+        basis[min(tied, key=basis.__getitem__)] = improving[0]
+    raise RuntimeError("feasibility LP failed: no optimal basis within the pivot cap")
 
 
 def _hull_certificate(problem: MomentProblem, lo, hi, tol=1e-11):
-    """None when some simplex measure puts its moment inside [lo, hi];
-    otherwise a separating direction (the infeasibility certificate).
+    """None when some measure on the support of alpha puts its moment inside
+    [lo, hi]; otherwise a separating direction (the infeasibility
+    certificate).
 
-    Solves max t s.t. min_{y in box} <u, y> - <u, F_i> >= t for all i,
-    with  |u|_inf <= 1. Strict positivity of t certifies separation.
+    The LP finds t*, the l1 distance between the box and the convex hull of
+    the rows F_i with alpha_i > 0: minimize sum(p + q) subject to
+    F^T w - z + p - q = lo, sum w = 1, z + r = hi - lo, all variables >= 0,
+    starting from w at the first support row. By duality t* is also
+    max min_{y in box} <u, y> - max_i <u, F_i> over |u|_inf <= 1, and the
+    moment-row duals are a maximizing u. t* > tol certifies separation.
     """
-    F = problem.F
-    npts, d = F.shape
-    # variables: u (d), m (d), t (1); minimize -t
-    c = np.zeros(2 * d + 1)
-    c[-1] = -1.0
-    rows = []
-    rhs = []
-    for j in range(d):  # m_j <= u_j lo_j and m_j <= u_j hi_j
-        row = np.zeros(2 * d + 1)
-        row[d + j] = 1.0
-        row[j] = -lo[j]
-        rows.append(row)
-        rhs.append(0.0)
-        row = np.zeros(2 * d + 1)
-        row[d + j] = 1.0
-        row[j] = -hi[j]
-        rows.append(row)
-        rhs.append(0.0)
-    for i in range(npts):  # t - sum m + <u, F_i> <= 0
-        row = np.zeros(2 * d + 1)
-        row[-1] = 1.0
-        row[d:2 * d] = -1.0
-        row[:d] = F[i]
-        rows.append(row)
-        rhs.append(0.0)
-    bounds = [(-1.0, 1.0)] * d + [(None, None)] * d + [(None, None)]
-    res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds,
-                  method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"feasibility LP failed: {res.message}")
-    t_star = -float(res.fun)
+    F = problem.F[problem.alpha.weights > 0]
+    m, d = F.shape
+    eye, zero = np.eye(d), np.zeros((d, d))
+    A = np.block([[F.T, -eye, eye, -eye, zero],
+                  [np.ones((1, m)), np.zeros((1, 4 * d))],
+                  [np.zeros((d, m)), eye, zero, zero, eye]])
+    b = np.concatenate([lo, [1.0], hi - lo])
+    c = np.concatenate([np.zeros(m + d), np.ones(2 * d), np.zeros(d)])
+    # w = e_0 with p or q absorbing lo - F_0 and r = hi - lo is feasible
+    gap_columns = np.where(lo >= F[0], m + d, m + 2 * d) + np.arange(d)
+    basis = [0, *gap_columns, *(m + 3 * d + np.arange(d))]
+    t_star, duals = linprog(c, A, b, basis)
     if t_star > tol:
-        return res.x[:problem.dim]
+        return np.clip(duals[:d], -1.0, 1.0)
     return None
 
 

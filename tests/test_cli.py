@@ -648,28 +648,36 @@ def test_every_mutated_config_runs_or_fails_typed(tmp_path_factory, mutation):
 
 
 # validates and runs each config in this fresh interpreter, then prints
-# whether any scipy module is loaded by then
+# whether any scipy module, and whether scipy's LP or sparse modules, are
+# loaded by then
 _SCIPY_PROBE = """
 import sys
 from entroproj.cli import main
 for cfg in sys.argv[2:]:
     main(["validate", "--config", cfg], standalone_mode=False)
     main(["run", "--config", cfg, "--out", sys.argv[1]], standalone_mode=False)
-    print(any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
+    print(any(m == "scipy" or m.startswith("scipy.") for m in sys.modules),
+          any(m.startswith(("scipy.optimize", "scipy.sparse")) for m in sys.modules))
 """
 
 
 def test_lattice_path_loads_no_scipy(tmp_path):
-    experiments = ["calibrate", "gamma", "bridge", "covering", "gibbs"]
-    cfgs = [write_config(tmp_path, {"experiment": name, "seed": 3, "params": SMALL_PARAMS[name],
-                                    "output": {"path": f"{name}.csv"}}, name=f"{name}.json")
-            for name in experiments]
+    box = {**SMALL_PARAMS["iproj"], "target": {"kind": "box", "lo": [0.6], "hi": [0.8]}}
+    mc = {**SMALL_PARAMS["gibbs"], "mode": "mc"}
+    runs = [(name, SMALL_PARAMS[name]) for name in ["calibrate", "gamma", "bridge", "covering",
+                                                    "iproj", "schedules", "gibbs"]]
+    runs += [("iproj", box), ("gibbs", mc)]
+    cfgs = [write_config(tmp_path, {"experiment": name, "seed": 3, "params": params,
+                                    "output": {"path": f"{name}{i}.csv"}}, name=f"{name}{i}.json")
+            for i, (name, params) in enumerate(runs)]
     src = os.path.dirname(os.path.dirname(entroproj.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), *cfgs],
                            env=env, capture_output=True, text=True, timeout=120)
     assert probe.returncode == 0, probe.stderr
-    assert all(any(tmp_path.glob(f"{name}*.csv")) for name in experiments)
-    # the exact gibbs op solves the hull LP, so scipy loads on demand there
-    loaded = [line for line in probe.stdout.splitlines() if line in ("True", "False")]
-    assert loaded == ["False"] * 4 + ["True"]
+    assert all(any(tmp_path.glob(f"{name}{i}*.csv")) for i, (name, _) in enumerate(runs))
+    # the lattice, bridge and covering runs load no scipy; the hull LP of the
+    # iproj, schedules and gibbs runs is numpy, so only scipy.special loads
+    loaded = [line for line in probe.stdout.splitlines() if line.endswith(("True", "False"))]
+    assert loaded[:4] == ["False False"] * 4
+    assert [line.split()[1] for line in loaded[4:]] == ["False"] * 5

@@ -47,6 +47,13 @@ class TestTargets:
         with pytest.raises(ValueError):
             ep.Box(np.array([1.0]), np.array([0.0]))
 
+    @pytest.mark.parametrize("make", [lambda: ep.Point([math.nan]),
+                                      lambda: ep.Box([math.nan], [1.0]),
+                                      lambda: ep.Box([0.5], [math.inf])])
+    def test_targets_reject_non_finite_entries(self, make):
+        with pytest.raises(ValueError, match="target must be finite"):
+            make()
+
 
 class TestLogLaplace:
     def test_zero_at_origin(self, rng):
@@ -149,6 +156,17 @@ class TestSolveDualPoint:
         assert direction @ np.array([1.5]) > vals.max() - 1e-9
 
 
+@pytest.mark.parametrize("target", [ep.Point([1.5]), ep.Box([1.5], [1.8])])
+def test_zero_weight_atoms_do_not_widen_the_hull(target):
+    # the atom at F = 2 has no mass, so no measure reaches a moment above 1
+    alpha = ep.FiniteMeasure(line_space(3), np.array([0.5, 0.5, 0.0]))
+    F = np.array([[0.0], [1.0], [2.0]])
+    with pytest.raises(ep.InfeasibleTargetError) as exc:
+        ep.solve_dual(ep.MomentProblem(alpha, F, target))
+    direction = exc.value.direction
+    assert direction @ target.lo > (F[:2] @ direction).max()
+
+
 class TestSolveDualBox:
     def test_slack_box_needs_no_tilt(self):
         alpha = bernoulli(0.5)
@@ -187,6 +205,112 @@ class TestSolveDualBox:
         monkeypatch.setattr(iproj, "linprog", lambda *a, **kw: calls.append(a) or real(*a, **kw))
         assert ep.solve_dual(random_problem(rng, d=2, target="box")).entropy >= 0.0
         assert len(calls) == 1
+
+
+def _highs_t_star(support, lo, hi, tolerance=1e-7):
+    """The hull LP as posed for scipy's HiGHS: max t subject to
+    min_{y in box} <u, y> - <u, F_i> >= t over the support, |u|_inf <= 1.
+    ``tolerance`` is HiGHS's primal and dual feasibility tolerance."""
+    from scipy.optimize import linprog
+
+    d = support.shape[1]
+    unit = np.eye(2 * d + 1)  # over the variables u (d), m (d) and t
+    box_rows = [unit[d + j] - bound[j] * unit[j] for j in range(d) for bound in (lo, hi)]
+    hull_rows = [unit[2 * d] - unit[d:2 * d].sum(axis=0) + F_i @ unit[:d] for F_i in support]
+    A = np.array(box_rows + hull_rows)
+    res = linprog(-unit[2 * d], A_ub=A, b_ub=np.zeros(len(A)),
+                  bounds=[(-1.0, 1.0)] * d + [(None, None)] * (d + 1), method="highs",
+                  options={"primal_feasibility_tolerance": tolerance,
+                           "dual_feasibility_tolerance": tolerance})
+    assert res.status == 0, res.message
+    return -float(res.fun)
+
+
+def _hull_cases(rng, count):
+    """Random moment maps (d <= 3, at most 12 rows, integer or real, some
+    atoms without mass) with targets inside the hull, on a face, at a
+    vertex, just outside a face, or random boxes."""
+    for _ in range(count):
+        d, m = int(rng.integers(1, 4)), int(rng.integers(1, 13))
+        if rng.random() < 0.5:
+            F = rng.integers(-3, 4, size=(m, d)).astype(float)
+        else:
+            F = rng.normal(scale=3.0, size=(m, d))
+        weights = rng.dirichlet(np.ones(m))
+        weights[rng.random(m) < 0.2] = 0.0
+        if weights.sum() == 0.0:
+            weights[0] = 1.0
+        alpha = ep.FiniteMeasure(line_space(m), weights / weights.sum())
+        support = F[alpha.weights > 0]
+        u = rng.normal(size=d)
+        scores = support @ u
+        face = support[scores >= scores.max() - 1e-12]
+        kind = rng.integers(5)
+        if kind == 0:
+            lo = hi = rng.dirichlet(np.ones(len(support))) @ support
+        elif kind == 1:
+            lo = hi = rng.dirichlet(np.ones(len(face))) @ face
+        elif kind == 2:
+            lo = hi = face[0]
+        elif kind == 3:
+            lo = hi = face.mean(axis=0) + 10.0 ** rng.integers(-8, 0) * u
+        else:
+            lo = rng.normal(scale=3.0, size=d)
+            hi = lo + rng.uniform(0.0, 2.0, size=d) * rng.integers(0, 2, size=d)
+        yield ep.MomentProblem(alpha, F, ep.Box(lo, hi))
+
+
+def _degenerate_cases():
+    uniform = lambda m: ep.FiniteMeasure.uniform(line_space(m))
+    repeated = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    equal = np.ones((6, 2))
+    for F, alpha in [(repeated, uniform(5)), (equal, uniform(6)),
+                     (np.array([[1.0, 2.0]]), uniform(1)),
+                     (repeated, ep.FiniteMeasure.point_mass(line_space(5), 4))]:
+        for lo, hi in [(F[0], F[0]), (F[-1], F[-1]), (np.array([0.5, 0.5]),) * 2,
+                       (np.array([0.0, 0.0]), np.array([1.0, 1.0])),
+                       (np.array([2.0, 2.0]), np.array([2.0, 3.0]))]:
+            yield ep.MomentProblem(alpha, F, ep.Box(lo, hi))
+
+
+class TestHullLP:
+    def test_simplex_returns_optimum_and_duals(self):
+        # min x1 + 2 x2 s.t. x0 + x1 + x2 = 1, x0 - x3 = 0.25: x0 = 1, x3 = 0.75
+        A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, -1.0]])
+        b, c = np.array([1.0, 0.25]), np.array([0.0, 1.0, 2.0, 0.0])
+        value, y = iproj.linprog(c, A, b, [1, 0])
+        assert value == 0.0
+        assert np.all(A.T @ y <= c + 1e-12)
+        assert b @ y == pytest.approx(value, abs=1e-12)
+
+    def test_pivot_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(iproj, "_PIVOTS_PER_COLUMN", 0)
+        with pytest.raises(RuntimeError, match="feasibility LP failed"):
+            ep.solve_dual(bern_problem())
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_matches_highs(self, rng, monkeypatch, degenerate):
+        values, real = [], iproj.linprog
+
+        def record(*args):
+            values.append(real(*args))
+            return values[-1]
+
+        monkeypatch.setattr(iproj, "linprog", record)
+        problems = _degenerate_cases() if degenerate else _hull_cases(rng, 400)
+        for problem in problems:
+            lo, hi = problem.target.lo, problem.target.hi
+            support = problem.F[problem.alpha.weights > 0]
+            cert = iproj._hull_certificate(problem, lo, hi)
+            # HiGHS at its default tolerance (1e-7) decides as before; its t*
+            # is that coarse too, so the value is checked against a run at 1e-10
+            default = _highs_t_star(support, lo, hi)
+            if abs(default - 1e-11) > 1e-7:
+                assert (cert is not None) == (default > 1e-11)
+            assert values[-1][0] == pytest.approx(_highs_t_star(support, lo, hi, 1e-10), abs=1e-9)
+            if cert is not None:
+                assert np.abs(cert).max() <= 1.0
+                assert np.minimum(cert * lo, cert * hi).sum() > (support @ cert).max()
 
 
 class TestPythagoras:
