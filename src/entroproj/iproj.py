@@ -3,11 +3,12 @@
 The minimizer of relative entropy over {nu : int F dnu in K} is an
 exponential tilt of the base measure. This module computes it through the
 convex dual: Newton iterations on the log partition function for point
-targets, subgradient descent plus a Newton polish on the active face for box
-targets. It also provides the quantitative enlargement schedules (sqrt(n)
-and 1/n radii), two tail lower bounds, and a simplex-grid brute-force
-projection used as an oracle in tests, driven by the same blocked
-enumerator of integer compositions that gibbs uses for type classes.
+targets, and for box targets (zero-width coordinates included) proximal
+Newton on the same function plus a weighted l1 term. It also provides the
+quantitative enlargement schedules (sqrt(n) and 1/n radii), two tail lower
+bounds, and a simplex-grid brute-force projection used as an oracle in
+tests, driven by the same blocked enumerator of integer compositions that
+gibbs uses for type classes.
 """
 from __future__ import annotations
 
@@ -21,8 +22,6 @@ from .measures import FiniteMeasure, relative_entropy
 
 _NEWTON_TOL = 1e-10
 _NEWTON_CAP = 200
-_SUBGRAD_ITERS = 400
-_ACTIVE_TOL = 1e-7
 # Rows per block of type-class (composition) enumeration: bounds the memory
 # of the vectorized engines while keeping the Python loop over blocks short.
 COMPOSITION_BLOCK_ROWS = 8192
@@ -193,9 +192,12 @@ def tilt(alpha: FiniteMeasure, F, lam) -> FiniteMeasure:
     if F.ndim == 1:
         F = F[:, None]
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    scores = F @ lam
-    shift = float(np.max(scores))
-    w = alpha.weights * np.exp(scores - shift)
+    # massless atoms stay out of the exponent: a far heavier one would
+    # underflow every weight to zero, or overflow to inf times zero
+    mass = alpha.weights > 0
+    scores = (F @ lam)[mass]
+    w = np.zeros(len(alpha.weights))
+    w[mass] = alpha.weights[mass] * np.exp(scores - float(np.max(scores)))
     return FiniteMeasure(alpha.space, w / w.sum())
 
 
@@ -236,9 +238,9 @@ def _hull_certificate(problem: MomentProblem, lo, hi, tol=1e-11):
     The LP finds t*, the l1 distance between the box and the convex hull of
     the rows F_i with alpha_i > 0: minimize sum(p + q) subject to
     F^T w - z + p - q = lo, sum w = 1, z + r = hi - lo, all variables >= 0,
-    starting from w at the first support row. By duality t* is also
-    max min_{y in box} <u, y> - max_i <u, F_i> over |u|_inf <= 1, and the
-    moment-row duals are a maximizing u. t* > tol certifies separation.
+    starting from w at the support row nearest lo in l1. By duality t* is
+    also max min_{y in box} <u, y> - max_i <u, F_i> over |u|_inf <= 1, and
+    the moment-row duals are a maximizing u. t* > tol certifies separation.
     """
     F = problem.F[problem.alpha.weights > 0]
     m, d = F.shape
@@ -248,9 +250,10 @@ def _hull_certificate(problem: MomentProblem, lo, hi, tol=1e-11):
                   [np.zeros((d, m)), eye, zero, zero, eye]])
     b = np.concatenate([lo, [1.0], hi - lo])
     c = np.concatenate([np.zeros(m + d), np.ones(2 * d), np.zeros(d)])
-    # w = e_0 with p or q absorbing lo - F_0 and r = hi - lo is feasible
-    gap_columns = np.where(lo >= F[0], m + d, m + 2 * d) + np.arange(d)
-    basis = [0, *gap_columns, *(m + 3 * d + np.arange(d))]
+    # w = e_k with p or q absorbing lo - F_k and r = hi - lo is feasible
+    k = int(np.argmin(np.abs(F - lo).sum(axis=1)))
+    gap_columns = np.where(lo >= F[k], m + d, m + 2 * d) + np.arange(d)
+    basis = [k, *gap_columns, *(m + 3 * d + np.arange(d))]
     t_star, duals = linprog(c, A, b, basis)
     if t_star > tol:
         return np.clip(duals[:d], -1.0, 1.0)
@@ -260,12 +263,9 @@ def _hull_certificate(problem: MomentProblem, lo, hi, tol=1e-11):
 def _finalize(problem: MomentProblem, lam) -> TiltedSolution:
     value, grad, hess = log_laplace(problem, lam)
     alpha_star = tilt(problem.alpha, problem.F, lam)
-    if isinstance(problem.target, Point):
-        entropy = float(np.dot(lam, problem.target.x0)) - value
-    else:
-        pinned = np.where(lam > 0, problem.target.lo, problem.target.hi)
-        entropy = float(np.dot(lam, pinned)) - value
-    entropy = max(entropy, 0.0)
+    # the dual value inf_{y in target} <lam, y> - Lambda(lam)
+    pinned = np.where(lam > 0, problem.target.lo, problem.target.hi)
+    entropy = max(float(np.dot(lam, pinned)) - value, 0.0)
     eigs = np.linalg.eigvalsh(hess)
     variance = max(float(eigs[-1]), 0.0)
     kappa = None
@@ -284,58 +284,47 @@ def _finalize(problem: MomentProblem, lam) -> TiltedSolution:
     )
 
 
-def _newton_point(problem, x0, lam0=None, active=None):
-    """Newton with backtracking on Lambda(lam) - <lam, x0>.
+def _descend(evaluate, lam, obj, step, decrease):
+    """lam + t step and its evaluation for the first t = 1, 1/2, ... (at most
+    60 halvings) that passes the Armijo test on the first-order decrease,
+    or None. Inside the quadratic basin the decrease is below the rounding
+    noise of the objective, so the full step is taken untested."""
+    if decrease >= -1e-12:
+        cand = lam + step
+        return cand, evaluate(cand)
+    t = 1.0
+    for _ in range(60):
+        cand = lam + t * step
+        value = evaluate(cand)
+        if value[0] <= obj + 1e-4 * t * decrease:
+            return cand, value
+        t *= 0.5
+    return None
 
-    ``active`` restricts the iteration to a coordinate subspace (used by the
-    box polish); the remaining coordinates stay at their lam0 values.
-    """
-    d = problem.dim
-    lam = np.zeros(d) if lam0 is None else np.array(lam0, dtype=float)
-    act = np.arange(d) if active is None else np.asarray(active, dtype=int)
 
-    def objective(l):
-        v, _, _ = log_laplace(problem, l)
-        return v - float(np.dot(l, x0))
+def _newton_point(problem, x0):
+    """Newton with backtracking on Lambda(lam) - <lam, x0>."""
+    def evaluate(lam):
+        value, grad, hess = log_laplace(problem, lam)
+        return value - float(np.dot(lam, x0)), grad - x0, hess
 
-    obj = objective(lam)
+    lam = np.zeros(problem.dim)
+    obj, r, hess = evaluate(lam)
     for _ in range(_NEWTON_CAP):
-        _, grad, hess = log_laplace(problem, lam)
-        r = (grad - x0)[act]
         if np.linalg.norm(r) <= _NEWTON_TOL:
             return lam, True
-        H = hess[np.ix_(act, act)]
         try:
-            step = np.linalg.solve(H, r)
+            step = np.linalg.solve(hess, r)
         except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(H, r, rcond=None)
+            step, *_ = np.linalg.lstsq(hess, r, rcond=None)
         slope = float(np.dot(r, step))
         if slope <= 0:
-            step = r
-            slope = float(np.dot(r, r))
-        if slope <= 1e-12:
-            # inside the quadratic basin the Armijo decrease is below the
-            # rounding noise of the objective, so backtracking would reject
-            # perfectly good steps; take the raw Newton step instead
-            cand = lam.copy()
-            cand[act] = lam[act] - step
-            cand_obj = objective(cand)
-        else:
-            t = 1.0
-            for _ in range(60):
-                cand = lam.copy()
-                cand[act] = lam[act] - t * step
-                cand_obj = objective(cand)
-                if cand_obj <= obj - 1e-4 * t * slope:
-                    break
-                t *= 0.5
-            else:
-                return lam, False
-        lam = cand
-        obj = cand_obj
-    _, grad, _ = log_laplace(problem, lam)
-    converged = np.linalg.norm((grad - x0)[act]) <= _NEWTON_TOL
-    return lam, converged
+            step, slope = r, float(np.dot(r, r))
+        accepted = _descend(evaluate, lam, obj, -step, -slope)
+        if accepted is None:
+            return lam, False
+        lam, (obj, r, hess) = accepted
+    return lam, np.linalg.norm(r) <= _NEWTON_TOL
 
 
 def _solve_point(problem: MomentProblem) -> TiltedSolution:
@@ -355,99 +344,92 @@ def _solve_point(problem: MomentProblem) -> TiltedSolution:
     return _finalize(problem, lam)
 
 
-def _box_value_and_subgrad(problem, lo, hi, lam):
-    value, grad, _ = log_laplace(problem, lam)
-    inf_term = float(np.sum(np.where(lam > 0, lam * lo, lam * hi)))
-    h = value - inf_term
-    # minimal-norm subgradient: free coordinates may pick any y in [lo, hi]
-    y = np.where(lam > 0, lo, np.where(lam < 0, hi, np.clip(grad, lo, hi)))
-    return h, grad - y
+def _model_minimizer(hess, g, lam, w, frozen):
+    """Minimizer over mu of <g, mu - lam> + (mu - lam).hess.(mu - lam)/2
+    + sum_j w_j |mu_j|, the frozen coordinates held at lam, by a primal
+    active-set method: a linear solve minimizes the model on the free
+    coordinates with their signs fixed; the walk toward it stops where a
+    weighted coordinate reaches zero, which then leaves the free set; at a
+    free minimizer the zero coordinate that most violates optimality enters.
+    """
+    mu, sign = lam.copy(), np.sign(lam)
+    free = ~frozen & ((w == 0) | (lam != 0))
+    for _ in range(_NEWTON_CAP):
+        S = np.flatnonzero(free)
+        delta = np.zeros_like(mu)
+        rhs = -(g + hess @ (mu - lam) + w * sign)[S]
+        delta[S] = np.linalg.solve(hess[np.ix_(S, S)], rhs)
+        crossing = free & (w > 0) & (sign * delta < 0)
+        reach = np.full(len(mu), np.inf)
+        reach[crossing] = -mu[crossing] / delta[crossing]
+        j = int(np.argmin(reach))
+        if reach[j] < 1.0:
+            mu = mu + reach[j] * delta
+            mu[j], free[j] = 0.0, False
+            continue
+        mu = mu + delta
+        r = g + hess @ (mu - lam)
+        excess = np.where(free | frozen, -np.inf, np.abs(r) - w)
+        j = int(np.argmax(excess))
+        if excess[j] <= 1e-2 * _NEWTON_TOL:  # solved well past the outer tolerance
+            break
+        free[j], sign[j] = True, -np.sign(r[j])
+    return mu
 
 
 def _solve_box(problem: MomentProblem) -> TiltedSolution:
-    lo = problem.target.lo
-    hi = problem.target.hi
+    """Proximal Newton (Lee, Sun & Saunders, SIAM J. Optim. 24, 2014) on the
+    box dual: min_{y in [lo, hi]} <lam, y> = <lam, c> - sum_j w_j |lam_j|
+    with c = (lo + hi)/2 and w = (hi - lo)/2, so the dual is the point dual
+    at c plus a weighted l1 term."""
+    lo, hi = problem.target.lo, problem.target.hi
     cert = _hull_certificate(problem, lo, hi)
     if cert is not None:
         raise InfeasibleTargetError(
             "box target does not meet the convex hull of the moment map",
             direction=cert,
         )
-    _, base_moment, _ = log_laplace(problem, np.zeros(problem.dim))
-    if np.all(base_moment >= lo - 1e-12) and np.all(base_moment <= hi + 1e-12):
-        return _finalize(problem, np.zeros(problem.dim))
+    c, w = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    # the rounding noise of each Hessian diagonal entry. The model moves no
+    # coordinate whose curvature is below it and whose subgradient is within
+    # tolerance (a constant column); elsewhere it floors the curvature there,
+    # so a direction the dual is flat along (two collinear columns, or a law
+    # collapsed onto a face after an overlong step) takes a long but finite
+    # step that the line search damps, or that stops at a kink of the l1 term
+    noise = len(problem.F) * np.finfo(float).eps * np.abs(problem.F).max(axis=0) ** 2
 
-    # phase 1: Polyak subgradient descent on H(lam) = Lambda - inf_K <lam, y>
+    def evaluate(lam):
+        value, grad, hess = log_laplace(problem, lam)
+        return value - float(np.dot(lam, c)) + float(np.dot(w, np.abs(lam))), grad - c, hess
+
     lam = np.zeros(problem.dim)
-    best_lam = lam.copy()
-    best_h = _box_value_and_subgrad(problem, lo, hi, lam)[0]
-    for k in range(_SUBGRAD_ITERS):
-        h, g = _box_value_and_subgrad(problem, lo, hi, lam)
-        if h < best_h:
-            best_h = h
-            best_lam = lam.copy()
-        gn = float(np.dot(g, g))
-        if gn <= 1e-24:
-            break
-        step = (h - best_h + 1.0 / (k + 10.0)) / gn
-        lam = lam - step * g
-
-    # phase 2: Newton polish on the face picked out by the multiplier signs
-    lam = best_lam
-    for _ in range(3 * problem.dim + 3):
-        active = np.nonzero(np.abs(lam) > _ACTIVE_TOL)[0]
-        if active.size == 0:
-            lam = np.zeros(problem.dim)
-            _, grad, _ = log_laplace(problem, lam)
-            if np.all(grad >= lo - 1e-9) and np.all(grad <= hi + 1e-9):
-                return _finalize(problem, lam)
-            # pin the most violated coordinate and try again
-            viol_lo = lo - grad
-            viol_hi = grad - hi
-            j = int(np.argmax(np.maximum(viol_lo, viol_hi)))
-            lam = lam.copy()
-            lam[j] = _ACTIVE_TOL * 2 * (1.0 if viol_lo[j] > viol_hi[j] else -1.0)
-            continue
-        pins = np.where(lam > 0, lo, hi)
-        off = np.setdiff1d(np.arange(problem.dim), active)
-        start = lam.copy()
-        start[off] = 0.0
-        polished, ok = _newton_point(problem, pins, lam0=start, active=active)
-        # sign flips mean the face guess was wrong; an unattainable face
-        # target makes the polish diverge and the divergence direction
-        # crosses zero, so a failed run with a flip is also a face update
-        flipped = [j for j in active
-                   if polished[j] * (1.0 if pins[j] == lo[j] else -1.0) < 0]
-        if not ok:
-            if not flipped:
-                raise SolverError("box dual polish did not converge")
-            # drop the diverged iterate; release the flipped coordinates
-            # and restart from the sane entry point of this round
-            lam = start.copy()
-            for j in flipped:
-                lam[j] = 0.0
-            continue
-        _, grad, _ = log_laplace(problem, polished)
-        outside = [j for j in off
-                   if grad[j] < lo[j] - 1e-9 or grad[j] > hi[j] + 1e-9]
-        if not flipped and not outside:
-            return _finalize(problem, polished)
-        lam = polished.copy()
-        for j in flipped:
-            lam[j] = 0.0
-        for j in outside:
-            lam[j] = _ACTIVE_TOL * 2 * (1.0 if grad[j] < lo[j] else -1.0)
-    raise SolverError("box dual active-face iteration did not settle")
+    obj, g, hess = evaluate(lam)
+    for _ in range(_NEWTON_CAP):
+        # the minimum-norm subgradient; at lam_j = 0 it soft-thresholds g_j
+        shrunk = np.sign(g) * np.maximum(np.abs(g) - w, 0.0)
+        subgradient = np.where(lam != 0, g + w * np.sign(lam), shrunk)
+        if np.linalg.norm(subgradient) <= _NEWTON_TOL:
+            return _finalize(problem, lam)
+        frozen = (np.diag(hess) <= noise) & (np.abs(subgradient) <= _NEWTON_TOL)
+        step = _model_minimizer(hess + np.diag(noise), g, lam, w, frozen) - lam
+        decrease = float(np.dot(g, step) + np.dot(w, np.abs(lam + step) - np.abs(lam)))
+        accepted = _descend(evaluate, lam, obj, step, decrease)
+        if accepted is None:
+            raise SolverError("box dual line search failed")
+        lam, (obj, g, hess) = accepted
+    raise SolverError("box dual did not reach the subgradient tolerance")
 
 
 def solve_dual(problem: MomentProblem) -> TiltedSolution:
     """I-projection of the base measure onto {nu : int F dnu in target}.
 
     Point targets run damped Newton until the tilted moment matches x0 to
-    1e-10. Box targets minimize the piecewise-smooth dual by subgradient
-    descent with Polyak steps, then polish with Newton on the active face.
-    Raises InfeasibleTargetError (with a separating direction) when the
-    target misses the convex hull of the moment values, and SolverError on
+    1e-10. Box targets (lo == hi allowed) run proximal Newton on the point
+    dual at the box centre plus the l1 term of the half-widths, until the
+    minimum-norm subgradient is 1e-10: the moment is then in [lo, hi], at lo
+    where lambda_j > 0 and at hi where lambda_j < 0. Raises
+    InfeasibleTargetError (with a separating direction) when the target
+    misses the convex hull of the moment values, and SolverError on
     non-convergence.
     """
     if isinstance(problem.target, Point):

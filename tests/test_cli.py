@@ -289,6 +289,19 @@ class TestRunIproj:
         assert payload["error"] == "numeric"
         assert "InfeasibleTargetError" in payload["message"]
 
+    def test_zero_width_box_solves_as_its_point(self, runner, tmp_path):
+        doc = iproj_config()
+        doc["params"]["target"] = {"kind": "box", "lo": [0.3], "hi": [0.3]}
+        cfg = write_config(tmp_path, doc)
+        result = runner.invoke(
+            main, ["run", "--config", cfg, "--workers", "1", "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 0, result.output
+        values = field_map(read_table(tmp_path / "solution.csv")[1])
+        assert values["lambda_0"] == pytest.approx(-LAMBDA_BERN, abs=1e-8)
+        assert values["entropy"] == pytest.approx(KL_07_05, abs=1e-9)
+        assert values["moment_0"] == pytest.approx(0.3, abs=1e-9)
+
     def test_unreadable_config_exits_config(self, runner, tmp_path):
         result = runner.invoke(main, ["run", "--config", str(tmp_path / "nope.json")])
         assert result.exit_code == 2

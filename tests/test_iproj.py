@@ -100,6 +100,12 @@ class TestTilt:
         tilted = ep.tilt(prob.alpha, prob.F, np.zeros(1))
         np.testing.assert_allclose(tilted.weights, prob.alpha.weights, atol=1e-15)
 
+    def test_massless_atom_does_not_set_the_scale(self):
+        # the massless atom scores 999 above the others, past exp's range
+        alpha = ep.FiniteMeasure(line_space(3), np.array([0.5, 0.5, 0.0]))
+        tilted = ep.tilt(alpha, np.array([0.0, 1.0, 1000.0]), np.array([1.0]))
+        np.testing.assert_allclose(tilted.weights, [1 / (1 + math.e), 1 / (1 + 1 / math.e), 0.0])
+
 
 class TestSolveDualPoint:
     def test_bernoulli_multiplier_and_entropy(self):
@@ -198,6 +204,24 @@ class TestSolveDualBox:
             prob = random_problem(rng, d=2, target="box")
             assert ep.solve_dual(prob).entropy >= 0.0
 
+    @pytest.mark.parametrize("x", [0.3, 0.7])
+    def test_zero_width_box_matches_point(self, x):
+        box = ep.MomentProblem(bernoulli(0.5), np.array([[0.0], [1.0]]), ep.Box([x], [x]))
+        sol_box, sol_pt = ep.solve_dual(box), ep.solve_dual(bern_problem(x))
+        assert sol_box.entropy == pytest.approx(sol_pt.entropy, abs=1e-12)
+        np.testing.assert_allclose(sol_box.lambda_star, sol_pt.lambda_star, atol=1e-8)
+
+    def test_benchmark_box_needs_few_dual_evaluations(self, monkeypatch):
+        # the benchmark's `box` op; its layer trace counts the calls through
+        # the module binding
+        calls, real = [], iproj.log_laplace
+        monkeypatch.setattr(iproj, "log_laplace", lambda *a: calls.append(a) or real(*a))
+        alpha = ep.FiniteMeasure(line_space(4), np.array([0.4, 0.3, 0.2, 0.1]))
+        F = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        sol = ep.solve_dual(ep.MomentProblem(alpha, F, ep.Box([0.5, 0.45], [0.6, 0.55])))
+        np.testing.assert_allclose(sol.moment, [0.5, 0.45], atol=1e-10)
+        assert len(calls) <= 20
+
     def test_hull_lp_goes_through_the_module_binding(self, rng, monkeypatch):
         # the benchmark's layer trace times the LP by wrapping iproj.linprog
         assert iproj.linprog.__module__ == "entroproj.iproj"
@@ -205,6 +229,43 @@ class TestSolveDualBox:
         monkeypatch.setattr(iproj, "linprog", lambda *a, **kw: calls.append(a) or real(*a, **kw))
         assert ep.solve_dual(random_problem(rng, d=2, target="box")).entropy >= 0.0
         assert len(calls) == 1
+
+
+def _kkt_cases(rng, count):
+    """Box problems with d <= 5 and d+1 to 11 atoms, some without mass, some
+    zero-width coordinates, some constant or collinear columns, and centres
+    F^T Dirichlet(0.3) over all atoms, so some boxes miss the hull."""
+    for _ in range(count):
+        d = int(rng.integers(1, 6))
+        m = int(rng.integers(d + 1, 12))
+        F = rng.normal(size=(m, d))
+        if rng.random() < 0.2:
+            F[:, -1] = 1.0 if rng.random() < 0.5 else 2.0 * F[:, 0] - 1.0
+        weights = rng.dirichlet(np.ones(m))
+        weights[rng.random(m) < 0.2] = 0.0
+        if weights.sum() == 0.0:
+            weights[0] = 1.0
+        alpha = ep.FiniteMeasure(line_space(m), weights / weights.sum())
+        centre = rng.dirichlet(np.full(m, 0.3)) @ F
+        half = rng.uniform(0.0, 0.3, size=d) * (rng.random(d) < 0.7)
+        yield ep.MomentProblem(alpha, F, ep.Box(centre - half, centre + half))
+
+
+def test_box_solutions_meet_kkt(rng):
+    solved = 0
+    for problem in _kkt_cases(rng, 300):
+        lo, hi = problem.target.lo, problem.target.hi
+        if iproj._hull_certificate(problem, lo, hi) is not None:
+            continue
+        sol = ep.solve_dual(problem)
+        moment, lam = sol.moment, sol.lambda_star
+        assert np.all(moment >= lo - 1e-8) and np.all(moment <= hi + 1e-8)
+        # complementary slackness: a positive multiplier pins the moment to
+        # lo, a negative one to hi
+        np.testing.assert_allclose(moment[lam > 0], lo[lam > 0], rtol=0, atol=1e-8)
+        np.testing.assert_allclose(moment[lam < 0], hi[lam < 0], rtol=0, atol=1e-8)
+        solved += 1
+    assert solved >= 150
 
 
 def _highs_t_star(support, lo, hi, tolerance=1e-7):
@@ -287,6 +348,17 @@ class TestHullLP:
         monkeypatch.setattr(iproj, "_PIVOTS_PER_COLUMN", 0)
         with pytest.raises(RuntimeError, match="feasibility LP failed"):
             ep.solve_dual(bern_problem())
+
+    def test_starts_at_the_support_row_nearest_lo(self, monkeypatch):
+        # a sorted moment map with the target past its last row: the last
+        # row is the nearest, and its basis is already optimal
+        alpha = ep.FiniteMeasure.uniform(line_space(1000))
+        problem = ep.MomentProblem(alpha, np.linspace(0.0, 1.0, 1000), ep.Point([1.5]))
+        solves, real = [], np.linalg.solve
+        monkeypatch.setattr(iproj.np.linalg, "solve", lambda *a: solves.append(a) or real(*a))
+        assert iproj._hull_certificate(problem, problem.target.lo, problem.target.hi) is not None
+        # the primal and dual solves of the first basis, and no pivot
+        assert len(solves) == 2
 
     @pytest.mark.parametrize("degenerate", [False, True])
     def test_matches_highs(self, rng, monkeypatch, degenerate):
