@@ -101,16 +101,6 @@ class BridgePotentials:
     history: tuple
 
 
-def _marginal_residual(problem, f, g):
-    w0, w1 = problem.mu0.weights, problem.mu1.weights
-    row = f * w0 * (problem.p @ (g * w1))
-    col = g * w1 * (problem.p.T @ (f * w0))
-    return float(max(
-        np.sum(np.abs(row - problem.nu0.weights)),
-        np.sum(np.abs(col - problem.nu1.weights)),
-    ))
-
-
 def sinkhorn(problem: BridgeProblem, tol: float = 1e-12, max_iter: int = 500) -> BridgePotentials:
     """Alternating marginal fitting for the potential system.
 
@@ -123,6 +113,8 @@ def sinkhorn(problem: BridgeProblem, tol: float = 1e-12, max_iter: int = 500) ->
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be a positive integer")
     a0 = _density_ratio(problem.nu0, problem.mu0)
     a1 = _density_ratio(problem.nu1, problem.mu1)
     w0, w1 = problem.mu0.weights, problem.mu1.weights
@@ -130,8 +122,8 @@ def sinkhorn(problem: BridgeProblem, tol: float = 1e-12, max_iter: int = 500) ->
     g = np.ones(len(w1))
     f = np.zeros(len(w0))
     history = []
+    den_f = p @ (g * w1)
     for _ in range(max_iter):
-        den_f = p @ (g * w1)
         if np.any((den_f <= 0) & (a0 > 0)):
             raise ValueError("reference density vanishes where the first target is charged")
         f = np.divide(a0, den_f, out=np.zeros_like(a0), where=den_f > 0)
@@ -139,7 +131,12 @@ def sinkhorn(problem: BridgeProblem, tol: float = 1e-12, max_iter: int = 500) ->
         if np.any((den_g <= 0) & (a1 > 0)):
             raise ValueError("reference density vanishes where the second target is charged")
         g = np.divide(a1, den_g, out=np.zeros_like(a1), where=den_g > 0)
-        residual = _marginal_residual(problem, f, g)
+        # the next sweep's den_f; with den_g it gives both coupled marginals
+        den_f = p @ (g * w1)
+        residual = float(max(
+            np.sum(np.abs(f * w0 * den_f - problem.nu0.weights)),
+            np.sum(np.abs(g * w1 * den_g - problem.nu1.weights)),
+        ))
         history.append(residual)
         if residual <= tol:
             break

@@ -21,6 +21,8 @@ from .measures import (
     FiniteMeasure,
     MetricSpacePoints,
     fm_distance,
+    log_factorials,
+    logsumexp,
     prohorov_distance,
     relative_entropy,
     tv_distance,
@@ -197,14 +199,12 @@ def _type_class_sums(alpha: FiniteMeasure, n: int, event, k: int):
     prod_s (c_s)_(r_s) / (n)_k in falling factorials; it is computed once
     per distinct r. Classes are visited in blocks, so memory stays bounded.
     """
-    from scipy.special import gammaln, logsumexp
-
     w = alpha.weights
     m = len(w)
     _check_budget(n, m)
     zero = w == 0
     log_w = np.log(np.where(zero, 1.0, w))
-    log_fact = gammaln(np.arange(n + 1) + 1.0)
+    log_fact = log_factorials(n)
     r_types, pattern_type = _pattern_types(m, k)
     slab = max(1, _LAW_CELLS // r_types.size)
     log_p_event = -math.inf
@@ -235,8 +235,6 @@ def exact_conditional(alpha: FiniteMeasure, n: int, event, k: int) -> Conditiona
     class probability. Raises ZeroAcceptanceError when the event has
     probability zero, which is the thin-set situation.
     """
-    from scipy.special import logsumexp
-
     if k > n:
         raise ValueError("window k cannot exceed the block length n")
     if len(alpha.space) ** k > _PATTERN_BUDGET:

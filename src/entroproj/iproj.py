@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import FiniteMeasure, relative_entropy
+from .measures import FiniteMeasure, logsumexp, relative_entropy
 
 _NEWTON_TOL = 1e-10
 _NEWTON_CAP = 200
@@ -169,8 +169,6 @@ def log_laplace(problem: MomentProblem, lam):
     of F and the hessian the tilted covariance (positive semidefinite).
     Shifted exponentials guard against overflow.
     """
-    from scipy.special import logsumexp
-
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     scores = problem.F @ lam
     value = float(logsumexp(scores, b=problem.alpha.weights))

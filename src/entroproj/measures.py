@@ -23,6 +23,15 @@ import numpy as np
 EXACT_SCAN_LIMIT = 20
 _GRID_RATIO = 0.95
 _GRID_DEPTH = 400
+# cephes lgam: log sqrt(2 pi) and the coefficients, highest power first, of
+# its Stirling correction polynomials in 1/x^2, for 13 <= x < 1000 and for
+# 1000 <= x <= 1e8
+_LOG_SQRT_2PI = 0.91893853320467274178
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+             7.93650340457716943945e-4, -2.77777777730099687205e-3,
+             8.33333333333331927722e-2)
+_STIRLING_SHORT = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
+                   0.0833333333333333333333)
 
 
 class SupportMismatchError(ValueError):
@@ -33,6 +42,73 @@ def _as_readonly(a, dtype=float):
     arr = np.array(a, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def logsumexp(a, axis=None, b=None):
+    """log sum b e^a over axis (all entries for None), for weights b >= 0.
+
+    The algorithm of scipy 1.17's logsumexp, whose results it reproduces
+    bit for bit: entries of zero weight drop out, the maximum is taken out,
+    the (weighted) count m of entries tied at it is kept apart from the sum
+    s of the others, and the result is log1p(s/m) + log m + max, or
+    log sum b e^a where that is not finite. Empty input gives -inf, and so
+    does a slice whose weights are all zero, where scipy gives NaN if an
+    entry's exponential overflows.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if b is not None:
+        a, b = np.broadcast_arrays(a, np.asarray(b, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    if a.size == 0:
+        out = np.full(np.sum(a, axis=axis, keepdims=True).shape, -np.inf)
+    else:
+        with np.errstate(all="ignore"):
+            if b is not None:
+                a = np.where(b == 0, -np.inf, a)
+            top = np.max(a, axis=axis, keepdims=True)
+            at_top = a == top
+            m = np.sum(at_top if b is None else np.where(at_top, b, 0.0), axis=axis,
+                       keepdims=True, dtype=float)
+            rest = np.exp(np.where(at_top, -np.inf, a) - top)
+            s = np.sum(rest if b is None else b * rest, axis=axis, keepdims=True)
+            out = np.log1p(s / m) + np.log(m) + top
+            bad = ~np.isfinite(out)
+            if bad.any():
+                terms = np.exp(a) if b is None else b * np.exp(a)
+                out = np.where(bad, np.log(np.sum(terms, axis=axis, keepdims=True)), out)
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n, equal bit for bit to scipy's gammaln(k + 1).
+
+    A port of the integer path of cephes lgam (Moshier, Methods and Programs
+    for Mathematical Functions, 1989): the log of the exact factorial below
+    x = k + 1 = 13, above it Stirling's series with cephes' polynomial in
+    1/x^2 (its shorter series from x = 1000, none past 1e8). Every logarithm
+    is the C library's, through math.log, as cephes' is; numpy's own log
+    differs from it in the last bit on some integers.
+    """
+    out = np.empty(n + 1)
+    out[:12] = [math.log(math.factorial(k)) for k in range(min(n + 1, 12))]
+    # q, the entries for k >= 12, is a view of out, updated in place
+    x, q = np.arange(13.0, n + 2.0), out[12:]
+    q[:] = np.fromiter(map(math.log, range(13, n + 2)), float, len(x))
+    q *= x - 0.5
+    q -= x
+    q += _LOG_SQRT_2PI
+    mid, far = np.searchsorted(x, 1000.0), np.searchsorted(x, 1e8, side="right")
+    p = x[:far] * x[:far]
+    np.divide(1.0, p, out=p)
+    for part, coef in ((slice(0, mid), _STIRLING), (slice(mid, far), _STIRLING_SHORT)):
+        poly = np.full_like(p[part], coef[0])
+        for c in coef[1:]:
+            poly *= p[part]
+            poly += c
+        poly /= x[part]
+        q[part] += poly
+    return out
 
 
 class MetricSpacePoints:
@@ -203,8 +279,6 @@ def variational_entropy_lower(beta: FiniteMeasure, gamma: FiniteMeasure, phis) -
     ``phis`` is a nonempty list of test functions given by their values on
     the support. The result never exceeds relative_entropy(beta, gamma).
     """
-    from scipy.special import logsumexp
-
     _require_same_support(beta, gamma)
     phis = list(phis)
     if not phis:
@@ -386,8 +460,6 @@ def weighted_tv_ratio(f, nu1: FiniteMeasure, nu2: FiniteMeasure, delta: float):
     empirical constant of the weighted Pinsker comparison; by convention it
     is 0 when the entropy vanishes.
     """
-    from scipy.special import logsumexp
-
     if delta <= 0:
         raise ValueError("delta must be positive")
     H = relative_entropy(nu1, nu2)  # checks the supports

@@ -126,6 +126,10 @@ class TestSinkhorn:
         assert len(pots.history) == 3
         assert pots.residual == pots.history[-1]
 
+    def test_rejects_no_sweeps(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            ep.sinkhorn(criterion_problem(5), max_iter=0)
+
 
 class TestBridgeMeasure:
     def test_marginals_match_targets_within_residual(self):

@@ -660,21 +660,26 @@ def test_every_mutated_config_runs_or_fails_typed(tmp_path_factory, mutation):
 
 
 
-# validates and runs each config in this fresh interpreter, then prints
-# whether any scipy module, and whether scipy's LP or sparse modules, are
-# loaded by then
+# validates and runs each config in this fresh interpreter, printing after
+# each whether any scipy module is loaded; then conditions on a
+# Fortet-Mourier ball and prints whether scipy.optimize is loaded
 _SCIPY_PROBE = """
 import sys
+import entroproj as ep
 from entroproj.cli import main
+def loaded(name):
+    return any(m == name or m.startswith(name + ".") for m in sys.modules)
 for cfg in sys.argv[2:]:
     main(["validate", "--config", cfg], standalone_mode=False)
     main(["run", "--config", cfg, "--out", sys.argv[1]], standalone_mode=False)
-    print(any(m == "scipy" or m.startswith("scipy.") for m in sys.modules),
-          any(m.startswith(("scipy.optimize", "scipy.sparse")) for m in sys.modules))
+    print("scipy", loaded("scipy"))
+alpha = ep.FiniteMeasure.uniform(ep.MetricSpacePoints.from_coordinates([0.0, 1.0]))
+ep.exact_conditional(alpha, 4, ep.metric_ball(alpha, "fm", 0.5), 1)
+print("scipy.optimize", loaded("scipy.optimize"))
 """
 
 
-def test_lattice_path_loads_no_scipy(tmp_path):
+def test_experiment_runs_load_no_scipy(tmp_path):
     box = {**SMALL_PARAMS["iproj"], "target": {"kind": "box", "lo": [0.6], "hi": [0.8]}}
     mc = {**SMALL_PARAMS["gibbs"], "mode": "mc"}
     runs = [(name, SMALL_PARAMS[name]) for name in ["calibrate", "gamma", "bridge", "covering",
@@ -689,8 +694,7 @@ def test_lattice_path_loads_no_scipy(tmp_path):
                            env=env, capture_output=True, text=True, timeout=120)
     assert probe.returncode == 0, probe.stderr
     assert all(any(tmp_path.glob(f"{name}{i}*.csv")) for i, (name, _) in enumerate(runs))
-    # the lattice, bridge and covering runs load no scipy; the hull LP of the
-    # iproj, schedules and gibbs runs is numpy, so only scipy.special loads
+    # no run loads any scipy module; the Fortet-Mourier LP of a metric-ball
+    # event, run last, does load scipy.optimize, so the probe sees imports
     loaded = [line for line in probe.stdout.splitlines() if line.endswith(("True", "False"))]
-    assert loaded[:4] == ["False False"] * 4
-    assert [line.split()[1] for line in loaded[4:]] == ["False"] * 5
+    assert loaded == ["scipy False"] * len(runs) + ["scipy.optimize True"]

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import entroproj as ep
-from entroproj.measures import EXACT_SCAN_LIMIT
+from entroproj.measures import EXACT_SCAN_LIMIT, log_factorials, logsumexp
 
 from conftest import bernoulli, line_space, random_measure, random_space, two_point_space
 
@@ -466,3 +467,61 @@ class TestEpsilonScheduleMetric:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             ep.epsilon_schedule_metric(lambda r: 0.0, 0)
+
+
+@st.composite
+def _logsumexp_cases(draw):
+    """(a, b, axis) with -inf entries, tied maxima, zero weights and entries
+    up to 700 in size; b is None in some cases."""
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)))
+    scale = draw(st.sampled_from([1e-2, 1.0, 30.0, 700.0]))
+    entry = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 0.0, 1.0]),
+                      st.just(-math.inf))
+    a = draw(hnp.arrays(float, shape, elements=entry)) * scale
+    weight = st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, 0.5, 1.0]))
+    b = draw(st.none() | hnp.arrays(float, shape, elements=weight))
+    axis = draw(st.sampled_from([None, *range(len(shape))]))
+    return a, b, axis
+
+
+class TestLogSpaceKernels:
+    @given(_logsumexp_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_logsumexp_is_scipy_bit_for_bit(self, case):
+        from scipy.special import logsumexp as scipy_logsumexp
+
+        a, b, axis = case
+        got = np.asarray(logsumexp(a, axis=axis, b=b))
+        with np.errstate(all="ignore"):
+            want = np.asarray(scipy_logsumexp(a, axis=axis, b=b))
+        assert got.shape == want.shape
+        # a slice with every weight zero is -inf here; scipy may give NaN
+        massless = np.asarray(False if b is None else np.all(b == 0, axis=axis))
+        massless = np.broadcast_to(massless, got.shape)
+        assert np.all(got[massless] == -np.inf)
+        assert got[~massless].tobytes() == want[~massless].tobytes()
+
+    def test_logsumexp_of_empty_input_is_minus_inf(self):
+        assert logsumexp(np.array([])) == -math.inf
+        np.testing.assert_array_equal(logsumexp(np.zeros((0, 3)), axis=0), [-math.inf] * 3)
+
+    def test_logsumexp_with_all_zero_weights_is_minus_inf(self):
+        assert logsumexp(np.array([1.0, 800.0]), b=np.zeros(2)) == -math.inf
+        b = np.array([[0.0, 0.0], [1.0, 0.0]])
+        got = logsumexp(np.array([[1.0, 2.0], [3.0, 4.0]]), axis=1, b=b)
+        np.testing.assert_array_equal(got, [-math.inf, 3.0])
+
+    def test_log_factorials_are_scipy_gammaln_bit_for_bit(self):
+        from scipy.special import gammaln
+
+        got = log_factorials(200_000)
+        assert got.tobytes() == gammaln(np.arange(200_001) + 1.0).tobytes()
+        for n in (0, 1, 11, 12, 13):
+            assert log_factorials(n).tobytes() == got[:n + 1].tobytes()
+
+    def test_log_factorials_at_the_series_switch_and_the_budget(self):
+        from scipy.special import gammaln
+
+        got = log_factorials(2_000_000)
+        for k in (999, 1000, 1001, 2_000_000):
+            assert got[k] == gammaln(k + 1.0)
