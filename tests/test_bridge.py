@@ -319,6 +319,26 @@ class TestMarginalScheduleCheck:
         assert 0 < len(calls) <= n_types
         assert rows == want
 
+    def test_large_alphabet_matches_per_trial_loop(self):
+        # more letters than the sampler counts by comparison passes
+        m = gibbs._SEARCH_LETTERS + 4
+        w = np.arange(m, dtype=float) % 5
+        nu = ep.FiniteMeasure(line_space(m), w / w.sum())
+        n_list, trials, seed = [3, 12], 100, 17
+        eps = lambda n: 0.3 / n ** 0.5
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+        cumw = np.cumsum(nu.weights)
+        cumw[-1] = 1.0
+        want = []
+        for n in n_list:
+            idx = np.searchsorted(cumw, gen.random((trials, n)), side="right")
+            hits = sum(ep.fm_distance(ep.FiniteMeasure(nu.space, np.bincount(row, minlength=m) / n),
+                                      nu) <= eps(n) for row in idx)
+            want.append({"n": n, "epsilon": eps(n), "prob": hits / trials})
+        rows = ep.marginal_schedule_check(nu, "fm", eps, n_list, trials=trials, seed=seed)
+        assert rows == want
+        assert all(0 < row["prob"] < 1 for row in rows)
+
     def test_rejects_unknown_metric(self):
         nu = ep.FiniteMeasure.uniform(line_space(4))
         with pytest.raises(ValueError):

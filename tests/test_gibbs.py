@@ -195,6 +195,22 @@ class TestExactConditional:
             ep.exact_conditional(alpha, 600, whole_simplex_band(), 1)
         assert ENUMERATION_BUDGET == 2_000_000
 
+    def test_point_mass_budget_bounds_block_length(self, monkeypatch):
+        # One letter gives one type class at every n; the log-factorial
+        # table of n + 1 entries is what the budget must bound.
+        delta = ep.FiniteMeasure(line_space(1), np.array([1.0]))
+        band = ep.moment_band(np.array([0.0]), np.array([0.0]), 0.1)
+        monkeypatch.setattr(gibbs, "log_factorials", lambda n: pytest.fail("table built"))
+        with pytest.raises(ValueError, match="enumeration budget"):
+            ep.exact_event_log_probability(delta, ENUMERATION_BUDGET, band)
+        with pytest.raises(ValueError, match="enumeration budget"):
+            ep.exact_conditional(delta, ENUMERATION_BUDGET, band, 1)
+        monkeypatch.undo()
+        monkeypatch.setattr(gibbs, "ENUMERATION_BUDGET", 10)
+        assert ep.exact_event_log_probability(delta, 9, band) == 0.0
+        with pytest.raises(ValueError, match="enumeration budget"):
+            ep.exact_event_log_probability(delta, 10, band)
+
 
 class TestEngineAgainstReference:
     @given(
@@ -378,6 +394,47 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(split.law.weights, one.law.weights)
         assert split.acceptance_rate == one.acceptance_rate
         assert split.n_trials == one.n_trials == trials
+
+    @pytest.mark.parametrize("n, accepted, heads", [
+        (50, 24866, [9963, 8282, 6621]),
+        (100, 11628, [4670, 3827, 3131]),
+        (200, 2505, [966, 846, 693]),
+    ])
+    def test_benchmark_table_is_pinned(self, n, accepted, heads):
+        # The Monte Carlo op of the benchmark's arrays workload at seed 7
+        alpha = ep.FiniteMeasure.uniform(line_space(3, 0.0, 2.0))
+        eps = iproj.ScheduleParams(kind="sqrt_n", c=0.5).epsilon(n)
+        band = ep.moment_band(np.array([0.0, 1.0, 2.0]), np.array([0.85]), eps, norm="euclidean")
+        est = ep.run_conditional_mc(alpha, n, band, 1, trials=100_000, seed=7)
+        assert est.acceptance_rate == accepted / 100_000
+        np.testing.assert_array_equal(est.law.weights, np.array(heads) / accepted)
+
+    @given(st.data(), st.integers(1, 24), st.integers(1, 40), st.integers(0, 3),
+           st.integers(0, 2 ** 32), st.sampled_from([None, 1, 3, 8]), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_sampler_matches_searchsorted_bincount(self, data, n, trials, k, seed,
+                                                   rows, overshoot):
+        # m = 1, both sides of the comparison/search crossover, zero weights
+        # (tied thresholds), and partial sums that round to 1.0 or above
+        # before the last letter
+        cross = gibbs._SEARCH_LETTERS
+        m = data.draw(st.sampled_from([1, 2, 3, cross - 1, cross, cross + 3]))
+        raw = np.array(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)
+                                 .filter(any)), dtype=float)
+        w = raw / raw.sum()
+        if overshoot:
+            w = np.append(w * (1.0 + 8 * np.finfo(float).eps), 0.0)
+            assert np.cumsum(w)[-2] >= 1.0
+        k = min(k, n)
+        with patch.object(gibbs, "_MC_CELLS", rows * n if rows else gibbs._MC_CELLS):
+            counts, heads = gibbs._sample_types(gibbs.mc_stream(seed), w, n, trials, k)
+        cumw = np.cumsum(w)
+        cumw[-1] = 1.0
+        idx = np.searchsorted(cumw, gibbs.mc_stream(seed).random((trials, n)), side="right")
+        want = np.array([np.bincount(row, minlength=len(w)) for row in idx])
+        assert counts.dtype == want.dtype and heads.dtype == idx.dtype
+        assert counts.tobytes() == want.tobytes() and counts.shape == want.shape
+        assert heads.tobytes() == idx[:, :k].tobytes() and heads.shape == (trials, k)
 
     def test_zero_acceptance_reports_rule_of_three(self):
         alpha = bernoulli(0.5)
