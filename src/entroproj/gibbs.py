@@ -33,21 +33,10 @@ _PATTERN_BUDGET = 1_000_000
 # Cells of one slab of the (classes, pattern count vectors, letters) array
 # of falling factorials, so that wide windows stay within a few megabytes.
 _LAW_CELLS = 1 << 18
-# Uniforms in one block of Monte Carlo draws. Below _SEARCH_LETTERS letters
-# a block holds its (rows, n) float64 uniforms (eight megabytes) and one
-# (rows, n) boolean comparison; from there on it also holds the int64 letter
-# index of every draw and its flattened offset, about 24 megabytes in all,
-# whatever the trial count.
+# Uniforms in one block of Monte Carlo draws. A block holds its (rows, n)
+# float64 uniforms (eight megabytes), one reused (rows, n) boolean mask and
+# its (rows, m) counts, whatever the trial count.
 _MC_CELLS = 1 << 20
-# Alphabet size from which the sampler finds each draw's letter by binary
-# search instead of counting a block in m - 1 comparison passes. The passes
-# grow linearly in m and the search only logarithmically, and the row sums
-# of the passes cost more on short rows. Best of nine per block of 2**20
-# uniforms on a 2-core Xeon VM, search against passes in ms: n = 10: m = 8
-# 28 vs 29, m = 16 39 vs 69; n = 20: m = 12 36 vs 34, m = 16 46 vs 49;
-# n = 50: m = 3 22 vs 4.5, m = 16 38 vs 25, m = 32 53 vs 53; n = 200: m = 16
-# 37 vs 18, m = 48 49 vs 44, m = 64 56 vs 60.
-_SEARCH_LETTERS = 16
 
 
 class ZeroAcceptanceError(RuntimeError):
@@ -297,14 +286,14 @@ def _sample_types(gen, weights, n, trials, k):
     matrix, and the first k letters of every block, as (trials, k).
 
     A uniform u is letter j when cumw[j-1] <= u < cumw[j]. The stream is read
-    in blocks of about _MC_CELLS uniforms. Below _SEARCH_LETTERS letters a
-    block is counted in m - 1 passes: count_nonzero(u < cumw[j]) per row is
-    the number of draws below letter j + 1, and the differences of these are
-    the counts, so a block holds its uniforms and one boolean mask; only the
-    first k columns are mapped to letters. From _SEARCH_LETTERS on, every
-    draw is mapped to its letter by binary search and the rows are
-    bincounted. Both rules give the same integers. Philox fills draws in
-    order, so the result equals that of one (trials, n) draw.
+    in blocks of about _MC_CELLS uniforms, and each block is counted in
+    m - 1 comparison passes: the number of draws per row below cumw[j] is
+    the number of draws of letters 0..j, and the differences of these are
+    the counts. A block holds its uniforms, one boolean mask and its counts;
+    only the first k columns are mapped to letters. The passes grow linearly
+    in m, so from about 12 letters on rows of 10 draws, and about 32 on rows
+    of 200, they cost more than a binary search per draw would. Philox fills
+    draws in order, so the result equals that of one (trials, n) draw.
     """
     if trials < 1:
         raise ValueError("trials must be a positive integer")
@@ -312,23 +301,22 @@ def _sample_types(gen, weights, n, trials, k):
     cumw = np.cumsum(weights)
     cumw[-1] = 1.0
     rows = max(1, _MC_CELLS // n)
+    mask = np.empty((min(rows, trials), n), dtype=bool)
     counts, heads = [], []
     for lo in range(0, trials, rows):
         t = min(rows, trials - lo)
         u = gen.random((t, n))
-        if m < _SEARCH_LETTERS:
-            below = np.empty((t, m + 1), dtype=np.intp)
-            below[:, 0] = 0
-            below[:, m] = n
-            for j in range(m - 1):
-                below[:, j + 1] = np.count_nonzero(u < cumw[j], axis=1)
-            counts.append(np.diff(below, axis=1))
-            heads.append(np.searchsorted(cumw, u[:, :k], side="right"))
-        else:
-            idx = np.searchsorted(cumw, u, side="right")
-            flat = (idx + m * np.arange(t)[:, None]).ravel()
-            counts.append(np.bincount(flat, minlength=t * m).reshape(t, m))
-            heads.append(idx[:, :k].copy())  # a view would keep all of idx alive
+        c = np.empty((t, m), dtype=np.intp)
+        below = 0
+        for j in range(m - 1):
+            np.less(u, cumw[j], out=mask[:t])
+            # with an integer dtype einsum counts the mask instead of or-ing it
+            upto = np.einsum("ij->i", mask[:t], dtype=np.intp)
+            c[:, j] = upto - below
+            below = upto
+        c[:, m - 1] = n - below
+        counts.append(c)
+        heads.append(np.searchsorted(cumw, u[:, :k], side="right"))
     return np.concatenate(counts), np.concatenate(heads)
 
 

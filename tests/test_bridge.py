@@ -294,11 +294,18 @@ class TestMarginalScheduleCheck:
         b = ep.marginal_schedule_check(nu, "fm", lambda n: 0.3, [10, 40], **kw)
         assert a == b
 
-    @pytest.mark.parametrize("metric", ["fm", "prohorov"])
-    def test_one_distance_per_type_matches_per_trial_loop(self, monkeypatch, metric):
-        nu = ep.FiniteMeasure(line_space(3), np.array([0.5, 0.3, 0.2]))
-        n_list, trials, seed = [4, 9], 300, 8
-        eps = lambda n: 0.6 / n ** 0.5
+    @pytest.mark.parametrize("metric, weights, c, trials", [
+        ("fm", [5, 3, 2], 0.6, 300),
+        ("prohorov", [5, 3, 2], 0.6, 300),
+        ("fm", [0, 1, 2, 3, 4] * 4, 0.25, 100),  # twenty letters, four of them null
+    ], ids=["fm", "prohorov", "fm-20"])
+    def test_one_distance_per_type_matches_per_trial_loop(self, monkeypatch, metric, weights,
+                                                          c, trials):
+        w = np.array(weights, dtype=float)
+        m = len(w)
+        nu = ep.FiniteMeasure(line_space(m), w / w.sum())
+        n_list, seed = [4, 9], 8
+        eps = lambda n: c / n ** 0.5
         real = getattr(gibbs, f"{metric}_distance")
         # per-trial loop over the same stream
         gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
@@ -307,9 +314,10 @@ class TestMarginalScheduleCheck:
         want, n_types = [], 0
         for n in n_list:
             idx = np.searchsorted(cumw, gen.random((trials, n)), side="right")
-            counts = np.array([np.bincount(row, minlength=3) for row in idx])
+            counts = np.array([np.bincount(row, minlength=m) for row in idx])
             n_types += len(np.unique(counts, axis=0))
-            hits = sum(real(ep.FiniteMeasure(nu.space, c / n), nu) <= eps(n) for c in counts)
+            hits = sum(real(ep.FiniteMeasure(nu.space, row / n), nu) <= eps(n)
+                       for row in counts)
             want.append({"n": n, "epsilon": eps(n), "prob": hits / trials})
 
         calls = []
@@ -318,26 +326,6 @@ class TestMarginalScheduleCheck:
         rows = ep.marginal_schedule_check(nu, metric, eps, n_list, trials=trials, seed=seed)
         assert 0 < len(calls) <= n_types
         assert rows == want
-
-    def test_large_alphabet_matches_per_trial_loop(self):
-        # more letters than the sampler counts by comparison passes
-        m = gibbs._SEARCH_LETTERS + 4
-        w = np.arange(m, dtype=float) % 5
-        nu = ep.FiniteMeasure(line_space(m), w / w.sum())
-        n_list, trials, seed = [3, 12], 100, 17
-        eps = lambda n: 0.3 / n ** 0.5
-        gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-        cumw = np.cumsum(nu.weights)
-        cumw[-1] = 1.0
-        want = []
-        for n in n_list:
-            idx = np.searchsorted(cumw, gen.random((trials, n)), side="right")
-            hits = sum(ep.fm_distance(ep.FiniteMeasure(nu.space, np.bincount(row, minlength=m) / n),
-                                      nu) <= eps(n) for row in idx)
-            want.append({"n": n, "epsilon": eps(n), "prob": hits / trials})
-        rows = ep.marginal_schedule_check(nu, "fm", eps, n_list, trials=trials, seed=seed)
-        assert rows == want
-        assert all(0 < row["prob"] < 1 for row in rows)
 
     def test_rejects_unknown_metric(self):
         nu = ep.FiniteMeasure.uniform(line_space(4))

@@ -414,11 +414,9 @@ class TestMonteCarlo:
     @settings(max_examples=200, deadline=None)
     def test_sampler_matches_searchsorted_bincount(self, data, n, trials, k, seed,
                                                    rows, overshoot):
-        # m = 1, both sides of the comparison/search crossover, zero weights
-        # (tied thresholds), and partial sums that round to 1.0 or above
-        # before the last letter
-        cross = gibbs._SEARCH_LETTERS
-        m = data.draw(st.sampled_from([1, 2, 3, cross - 1, cross, cross + 3]))
+        # m = 1, small and large alphabets, zero weights (tied thresholds),
+        # and partial sums that round to 1.0 or above before the last letter
+        m = data.draw(st.sampled_from([1, 2, 3, 8, 16, 40]))
         raw = np.array(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)
                                  .filter(any)), dtype=float)
         w = raw / raw.sum()
