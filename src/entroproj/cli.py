@@ -208,22 +208,13 @@ def _gibbs(p):
 
     def compute(seed):
         sol = iproj.solve_dual(problem)
-        schedule = schedule_of(sol)
+        estimate = gibbs.exact_conditional if mode == "exact" else functools.partial(
+            gibbs.run_conditional_mc, trials=trials, seed=seed)
+        curve = gibbs.conditional_tv_curve(problem.alpha, sol, schedule_of(sol), n_list, k,
+                                           estimate)
         columns = ["n", "epsilon", "p_event", "log_p_over_n", "tv_k", "acceptance_rate"]
-        rows = []
-        if mode == "exact":
-            for r in gibbs.conditional_tv_curve(problem.alpha, sol, schedule, n_list, k):
-                rows.append([r["n"], r["epsilon"], r["p_event"], r["log_p_over_n"],
-                             r["tv_k"], r["p_event"]])
-        else:
-            ref = gibbs.product_law(sol.alpha_star, k)
-            for n in n_list:
-                eps = schedule.epsilon(n)
-                event = gibbs.moment_band(problem.F, problem.target.x0, eps, norm="euclidean")
-                est = gibbs.run_conditional_mc(problem.alpha, n, event, k, trials, seed)
-                q = est.acceptance_rate
-                tv = measures.tv_distance(est.law, ref)
-                rows.append([n, eps, q, est.log_acceptance / n, tv, q])
+        rows = [[r["n"], r["epsilon"], r["p_event"], r["log_p_over_n"], r["tv_k"], r["p_event"]]
+                for r in curve]
         return {"curve": (columns, rows)}
     return compute
 

@@ -400,13 +400,16 @@ def csiszar_bound_check(alpha: FiniteMeasure, n: int, event, k: int,
     return lhs, rhs, bool(lhs <= rhs + 1e-9)
 
 
-def conditional_tv_curve(alpha: FiniteMeasure, solution, schedule, n_list, k: int):
+def conditional_tv_curve(alpha: FiniteMeasure, solution, schedule, n_list, k: int,
+                         estimate=None):
     """Rows (n, epsilon_n, p_event, tv to the tilted product law).
 
     The event at size n is the moment band of radius schedule.epsilon(n)
-    around the solved target; the conditional law is computed by exact
-    enumeration.
+    around the solved target; ``estimate(alpha, n, event, k)`` gives the
+    conditional law, by default ``exact_conditional`` (looked up when
+    called, so a rebinding of the module name is seen).
     """
+    estimate = estimate or exact_conditional
     problem = solution.problem
     if hasattr(problem.target, "x0"):
         center = problem.target.x0
@@ -417,7 +420,7 @@ def conditional_tv_curve(alpha: FiniteMeasure, solution, schedule, n_list, k: in
     for n in n_list:
         eps = schedule.epsilon(n)
         event = moment_band(problem.F, center, eps, norm="euclidean")
-        est = exact_conditional(alpha, n, event, k)
+        est = estimate(alpha, n, event, k)
         rows.append({
             "n": n,
             "epsilon": eps,

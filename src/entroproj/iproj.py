@@ -2,9 +2,9 @@
 
 The minimizer of relative entropy over {nu : int F dnu in K} is an
 exponential tilt of the base measure. This module computes it through the
-convex dual: Newton iterations on the log partition function for point
-targets, and for box targets (zero-width coordinates included) proximal
-Newton on the same function plus a weighted l1 term. It also provides the
+convex dual: one proximal-Newton loop on the log partition function plus
+a weighted l1 term of the box half-widths. A point target is a zero-width
+box, so its l1 term vanishes. It also provides the
 quantitative enlargement schedules (sqrt(n) and 1/n radii), two tail lower
 bounds, and a simplex-grid brute-force projection used as an oracle in
 tests, driven by the same blocked enumerator of integer compositions that
@@ -155,7 +155,7 @@ class ScheduleParams:
             raise ValueError("schedule constant must be positive")
 
     def epsilon(self, n: int) -> float:
-        if n < 1:
+        if not n >= 1:
             raise ValueError("n must be a positive integer")
         if self.kind == "sqrt_n":
             return (1.0 + 1e-6) * self.c / math.sqrt(n)
@@ -300,48 +300,6 @@ def _descend(evaluate, lam, obj, step, decrease):
     return None
 
 
-def _newton_point(problem, x0):
-    """Newton with backtracking on Lambda(lam) - <lam, x0>."""
-    def evaluate(lam):
-        value, grad, hess = log_laplace(problem, lam)
-        return value - float(np.dot(lam, x0)), grad - x0, hess
-
-    lam = np.zeros(problem.dim)
-    obj, r, hess = evaluate(lam)
-    for _ in range(_NEWTON_CAP):
-        if np.linalg.norm(r) <= _NEWTON_TOL:
-            return lam, True
-        try:
-            step = np.linalg.solve(hess, r)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(hess, r, rcond=None)
-        slope = float(np.dot(r, step))
-        if slope <= 0:
-            step, slope = r, float(np.dot(r, r))
-        accepted = _descend(evaluate, lam, obj, -step, -slope)
-        if accepted is None:
-            return lam, False
-        lam, (obj, r, hess) = accepted
-    return lam, np.linalg.norm(r) <= _NEWTON_TOL
-
-
-def _solve_point(problem: MomentProblem) -> TiltedSolution:
-    x0 = problem.target.x0
-    cert = _hull_certificate(problem, x0, x0)
-    if cert is not None:
-        raise InfeasibleTargetError(
-            "point target lies outside the convex hull of the moment map",
-            direction=cert,
-        )
-    lam, ok = _newton_point(problem, x0)
-    if not ok:
-        raise SolverError(
-            "Newton iteration did not reach the gradient tolerance; the "
-            "target may sit on the boundary of the moment range"
-        )
-    return _finalize(problem, lam)
-
-
 def _model_minimizer(hess, g, lam, w, frozen):
     """Minimizer over mu of <g, mu - lam> + (mu - lam).hess.(mu - lam)/2
     + sum_j w_j |mu_j|, the frozen coordinates held at lam, by a primal
@@ -375,16 +333,25 @@ def _model_minimizer(hess, g, lam, w, frozen):
     return mu
 
 
-def _solve_box(problem: MomentProblem) -> TiltedSolution:
-    """Proximal Newton (Lee, Sun & Saunders, SIAM J. Optim. 24, 2014) on the
-    box dual: min_{y in [lo, hi]} <lam, y> = <lam, c> - sum_j w_j |lam_j|
-    with c = (lo + hi)/2 and w = (hi - lo)/2, so the dual is the point dual
-    at c plus a weighted l1 term."""
+def solve_dual(problem: MomentProblem) -> TiltedSolution:
+    """I-projection of the base measure onto {nu : int F dnu in target}.
+
+    One proximal-Newton loop (Lee, Sun & Saunders, SIAM J. Optim. 24, 2014)
+    serves both kinds of target; a point x0 is the zero-width box [x0, x0].
+    The box dual uses min_{y in [lo, hi]} <lam, y> = <lam, c> - sum_j w_j
+    |lam_j| with c = (lo + hi)/2 and w = (hi - lo)/2, so it is the point
+    dual at c plus a weighted l1 term, which vanishes for a point. The loop
+    runs until the minimum-norm subgradient is 1e-10: the moment is then in
+    [lo, hi], at lo where lambda_j > 0 and at hi where lambda_j < 0. Raises
+    InfeasibleTargetError (with a separating direction) when the target
+    misses the convex hull of the moment values, and SolverError on
+    non-convergence.
+    """
     lo, hi = problem.target.lo, problem.target.hi
     cert = _hull_certificate(problem, lo, hi)
     if cert is not None:
         raise InfeasibleTargetError(
-            "box target does not meet the convex hull of the moment map",
+            "target does not meet the convex hull of the moment map",
             direction=cert,
         )
     c, w = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -413,26 +380,9 @@ def _solve_box(problem: MomentProblem) -> TiltedSolution:
         decrease = float(np.dot(g, step) + np.dot(w, np.abs(lam + step) - np.abs(lam)))
         accepted = _descend(evaluate, lam, obj, step, decrease)
         if accepted is None:
-            raise SolverError("box dual line search failed")
+            raise SolverError("dual line search failed")
         lam, (obj, g, hess) = accepted
-    raise SolverError("box dual did not reach the subgradient tolerance")
-
-
-def solve_dual(problem: MomentProblem) -> TiltedSolution:
-    """I-projection of the base measure onto {nu : int F dnu in target}.
-
-    Point targets run damped Newton until the tilted moment matches x0 to
-    1e-10. Box targets (lo == hi allowed) run proximal Newton on the point
-    dual at the box centre plus the l1 term of the half-widths, until the
-    minimum-norm subgradient is 1e-10: the moment is then in [lo, hi], at lo
-    where lambda_j > 0 and at hi where lambda_j < 0. Raises
-    InfeasibleTargetError (with a separating direction) when the target
-    misses the convex hull of the moment values, and SolverError on
-    non-convergence.
-    """
-    if isinstance(problem.target, Point):
-        return _solve_point(problem)
-    return _solve_box(problem)
+    raise SolverError("dual did not reach the subgradient tolerance")
 
 
 def composition_blocks(total, parts):
@@ -473,7 +423,7 @@ def brute_force_projection(problem: MomentProblem, grid_step: float):
     n = len(problem.alpha.space)
     if n > 4:
         raise ValueError("brute-force projection is limited to 4 support points")
-    if grid_step < 1e-3:
+    if not grid_step >= 1e-3:
         raise ValueError("grid_step below 1e-3 is not supported")
     M = max(1, round(1.0 / grid_step))
     alpha_w = problem.alpha.weights
@@ -521,9 +471,9 @@ def enlargement_sqrt(solution: TiltedSolution, a: float = 1.0, n: int = 1) -> fl
     """Radius (1+1e-6) sqrt(a Var) / sqrt(n), strictly above the critical
     constant as the sqrt(n) regime requires. ``a`` is the type-2 constant of
     the ambient norm (1 for Euclidean)."""
-    if n < 1:
+    if not n >= 1:
         raise ValueError("n must be a positive integer")
-    if a <= 0:
+    if not a > 0:
         raise ValueError("type-2 constant must be positive")
     return (1.0 + 1e-6) * math.sqrt(a * solution.variance) / math.sqrt(n)
 
@@ -534,8 +484,10 @@ def enlargement_berry_esseen(solution: TiltedSolution, n: int, margin: float = 1
     Only defined for one-dimensional moment maps with positive variance;
     margin > 1 keeps the constant strictly above the critical value.
     """
-    if n < 1:
+    if not n >= 1:
         raise ValueError("n must be a positive integer")
+    if not margin > 0:
+        raise ValueError("margin must be positive")
     if solution.third_abs_moment is None:
         raise ValueError("the 1/n schedule needs a one-dimensional moment map")
     sigma = math.sqrt(solution.variance)
@@ -547,8 +499,10 @@ def enlargement_berry_esseen(solution: TiltedSolution, n: int, margin: float = 1
 
 def yurinskii_tail(b: float, M: float, n: int, t: float) -> float:
     """Bernstein-type tail exp(-(1/8) n t^2 / (b^2 + t M))."""
-    if b <= 0 or M <= 0 or t <= 0:
+    if not (b > 0 and M > 0 and t > 0):
         raise ValueError("b, M and t must be positive")
+    if not n >= 1:
+        raise ValueError("n must be a positive integer")
     return math.exp(-0.125 * n * t * t / (b * b + t * M))
 
 
@@ -564,9 +518,9 @@ def centering_lower_bound(solution: TiltedSolution, epsilon: float,
     """
     if not 0 < p_ball <= 1:
         raise ValueError("p_ball must lie in (0, 1]")
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be nonnegative")
-    if n < 1:
+    if not n >= 1:
         raise ValueError("n must be a positive integer")
     lam_norm = float(np.linalg.norm(solution.lambda_star))
     return math.log(p_ball) / n - lam_norm * epsilon
@@ -578,9 +532,11 @@ def dst_lower_bound(entropy: float, p_in: float, n: int) -> float:
 
     p must lie strictly inside (0, 1): at the endpoints the formula
     degenerates (division by zero on one side, log 0 on the other)."""
+    if not entropy >= 0:
+        raise ValueError("entropy must be nonnegative")
     if not 0 < p_in < 1:
         raise ValueError("p_in must lie strictly between 0 and 1")
-    if n < 1:
+    if not n >= 1:
         raise ValueError("n must be a positive integer")
     return (-entropy * (1.0 - p_in) / p_in
             + math.log(p_in) / n

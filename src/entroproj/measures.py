@@ -590,7 +590,7 @@ def epsilon_schedule_metric(covering_fn, n: int) -> float:
     nonincreasing. When no grid point satisfies the criterion the grid
     floor is returned with a warning.
     """
-    if n < 1:
+    if not n >= 1:
         raise ValueError("n must be a positive integer")
     root_n = math.sqrt(n)
     satisfying = []

@@ -540,6 +540,36 @@ class TestCsiszarBound:
 
 
 class TestConditionalTvCurve:
+    def test_criterion_02_documented_values(self):
+        # the values acceptance criterion 02 fails with by design; they pin
+        # the enumeration engine and the solved tilt
+        alpha = bernoulli(0.5)
+        sol = ep.solve_dual(ep.MomentProblem(alpha, np.array([[0.0], [1.0]]),
+                                             ep.Point(np.array([0.7]))))
+        sched = ep.schedule_from_solution(sol, "sqrt_n", a=1.0)
+        rows = ep.conditional_tv_curve(alpha, sol, sched, [8, 32], k=1)
+        assert [round(row["tv_k"], 4) for row in rows] == [0.0667, 0.0975]
+
+    def test_estimator_is_an_argument(self, monkeypatch):
+        alpha = bernoulli(0.5)
+        sol = ep.solve_dual(ep.MomentProblem(alpha, np.array([[0.0], [1.0]]),
+                                             ep.Point(np.array([0.7]))))
+        sched = ep.ScheduleParams(kind="sqrt_n", c=1.0)
+        calls, real = [], gibbs.exact_conditional
+        # the default is read from the module when called
+        monkeypatch.setattr(gibbs, "exact_conditional",
+                            lambda *a: calls.append(a[1]) or real(*a))
+        exact = ep.conditional_tv_curve(alpha, sol, sched, [8, 16], k=1)
+        assert calls == [8, 16]
+        mc = ep.conditional_tv_curve(
+            alpha, sol, sched, [8, 16], k=1,
+            estimate=lambda *a: ep.run_conditional_mc(*a, trials=4000, seed=3))
+        assert calls == [8, 16]
+        for row_mc, row_exact, n in zip(mc, exact, (8, 16)):
+            est = ep.run_conditional_mc(alpha, n, mean_band(0.7, sched.epsilon(n)), 1, 4000, 3)
+            assert row_mc["p_event"] == est.acceptance_rate
+            assert row_mc["tv_k"] == pytest.approx(row_exact["tv_k"], abs=0.05)
+
     def test_symmetric_target_gives_zero_tv(self):
         # conditioning a fair coin on a symmetric mean band leaves the
         # one-coordinate law unchanged

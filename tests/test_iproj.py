@@ -161,6 +161,38 @@ class TestSolveDualPoint:
         vals = F @ direction
         assert direction @ np.array([1.5]) > vals.max() - 1e-9
 
+    def test_collinear_columns_are_solved(self):
+        # the second column is the first plus 1, so the dual is flat along
+        # (1, -1) and its Hessian singular; the target sits near the top face
+        col = np.array([1.2, 1.5, -1.5])
+        alpha = ep.FiniteMeasure(line_space(3), np.array([0.4, 0.25, 0.35]))
+        sol = ep.solve_dual(ep.MomentProblem(alpha, np.column_stack([col, col + 1.0]),
+                                             ep.Point([1.49, 2.49])))
+        np.testing.assert_allclose(sol.moment, [1.49, 2.49], rtol=0, atol=1e-8)
+        # the redundant column changes nothing: the one-column projection
+        single = ep.solve_dual(ep.MomentProblem(alpha, col, ep.Point([1.49])))
+        assert sol.entropy == pytest.approx(single.entropy, abs=1e-10)
+        np.testing.assert_allclose(sol.alpha_star.weights, single.alpha_star.weights, atol=1e-10)
+
+    def test_seeded_sweep_solves_every_feasible_point(self, rng):
+        solved = collinear = 0
+        for problem in _point_cases(rng, 200):
+            x0 = problem.target.x0
+            if iproj._hull_certificate(problem, x0, x0) is not None:
+                continue
+            sol = ep.solve_dual(problem)
+            np.testing.assert_allclose(sol.moment, x0, rtol=0, atol=1e-8)
+            # a point is the zero-width box, so both run the same iterations
+            box = ep.solve_dual(ep.MomentProblem(problem.alpha, problem.F, ep.Box(x0, x0)))
+            assert box.entropy == sol.entropy
+            np.testing.assert_array_equal(box.lambda_star, sol.lambda_star)
+            np.testing.assert_array_equal(box.alpha_star.weights, sol.alpha_star.weights)
+            solved += 1
+            if problem.dim > 1 and np.array_equal(problem.F[:, 1], problem.F[:, 0] + 1.0):
+                collinear += 1
+        # 136 feasible, 70 of them collinear
+        assert solved >= 120 and collinear >= 50
+
 
 @pytest.mark.parametrize("target", [ep.Point([1.5]), ep.Box([1.5], [1.8])])
 def test_zero_weight_atoms_do_not_widen_the_hull(target):
@@ -171,6 +203,30 @@ def test_zero_weight_atoms_do_not_widen_the_hull(target):
         ep.solve_dual(ep.MomentProblem(alpha, F, target))
     direction = exc.value.direction
     assert direction @ target.lo > (F[:2] @ direction).max()
+
+
+def _point_cases(rng, count):
+    """Point problems with d <= 4 and 3 to 8 atoms, some without mass; in
+    every other one the second column is the first plus 1. Targets are
+    F^T Dirichlet(0.5) over all atoms, often near a face, or a normal draw,
+    so some miss the hull."""
+    for i in range(count):
+        collinear = i % 2 == 1
+        d = int(rng.integers(2 if collinear else 1, 5))
+        m = int(rng.integers(3, 9))
+        F = rng.normal(size=(m, d))
+        if collinear:
+            F[:, 1] = F[:, 0] + 1.0
+        weights = rng.dirichlet(np.ones(m))
+        weights[rng.random(m) < 0.15] = 0.0
+        if weights.sum() == 0.0:
+            weights[0] = 1.0
+        alpha = ep.FiniteMeasure(line_space(m), weights / weights.sum())
+        if rng.random() < 0.8:
+            x0 = rng.dirichlet(np.full(m, 0.5)) @ F
+        else:
+            x0 = rng.normal(size=d)
+        yield ep.MomentProblem(alpha, F, ep.Point(x0))
 
 
 class TestSolveDualBox:
@@ -208,8 +264,9 @@ class TestSolveDualBox:
     def test_zero_width_box_matches_point(self, x):
         box = ep.MomentProblem(bernoulli(0.5), np.array([[0.0], [1.0]]), ep.Box([x], [x]))
         sol_box, sol_pt = ep.solve_dual(box), ep.solve_dual(bern_problem(x))
-        assert sol_box.entropy == pytest.approx(sol_pt.entropy, abs=1e-12)
-        np.testing.assert_allclose(sol_box.lambda_star, sol_pt.lambda_star, atol=1e-8)
+        assert sol_box.entropy == sol_pt.entropy
+        np.testing.assert_array_equal(sol_box.lambda_star, sol_pt.lambda_star)
+        np.testing.assert_array_equal(sol_box.alpha_star.weights, sol_pt.alpha_star.weights)
 
     def test_benchmark_box_needs_few_dual_evaluations(self, monkeypatch):
         # the benchmark's `box` op; its layer trace counts the calls through
@@ -481,3 +538,28 @@ class TestTailBounds:
             ep.dst_lower_bound(0.1, 0.0, 10)
         with pytest.raises(ValueError):
             ep.dst_lower_bound(0.1, 1.0, 10)
+        with pytest.raises(ValueError):
+            ep.dst_lower_bound(0.1, math.nan, 10)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda sol: ep.yurinskii_tail(math.nan, 1.0, 10, 1.0), "must be positive"),
+        (lambda sol: ep.yurinskii_tail(1.0, math.nan, 10, 1.0), "must be positive"),
+        (lambda sol: ep.yurinskii_tail(1.0, 1.0, 10, math.nan), "must be positive"),
+        (lambda sol: ep.yurinskii_tail(1.0, 1.0, math.nan, 1.0), "positive integer"),
+        (lambda sol: ep.yurinskii_tail(1.0, 1.0, -100, 1.0), "positive integer"),
+        (lambda sol: ep.centering_lower_bound(sol, 0.1, 0.9, math.nan), "positive integer"),
+        (lambda sol: ep.enlargement_sqrt(sol, n=math.nan), "positive integer"),
+        (lambda sol: ep.ScheduleParams(kind="inv_n", c=1.0).epsilon(math.nan), "positive integer"),
+        (lambda sol: ep.epsilon_schedule_metric(lambda r: 1.0, math.nan), "positive integer"),
+        (lambda sol: ep.centering_lower_bound(sol, math.nan, 0.9, 10), "epsilon"),
+        (lambda sol: ep.enlargement_sqrt(sol, a=math.nan), "type-2 constant"),
+        (lambda sol: ep.enlargement_berry_esseen(sol, 1, margin=math.nan), "margin"),
+        (lambda sol: ep.enlargement_berry_esseen(sol, 1, margin=0.0), "margin"),
+        (lambda sol: ep.dst_lower_bound(math.nan, 0.9, 10), "entropy"),
+        (lambda sol: ep.dst_lower_bound(-0.1, 0.9, 10), "entropy"),
+        (lambda sol: ep.brute_force_projection(sol.problem, grid_step=math.nan), "grid_step"),
+    ])
+    def test_bound_helpers_reject_nan(self, call, message):
+        sol = ep.solve_dual(bern_problem())
+        with pytest.raises(ValueError, match=message):
+            call(sol)
