@@ -25,7 +25,6 @@ from .iproj import (
     Box,
     InfeasibleTargetError,
     MomentProblem,
-    Point,
     ScheduleParams,
     SolverError,
     TiltedSolution,

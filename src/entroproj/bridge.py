@@ -11,7 +11,7 @@ on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,9 +43,6 @@ class BridgeProblem:
     p: np.ndarray
     nu0: FiniteMeasure
     nu1: FiniteMeasure
-    _joint_space: MetricSpacePoints | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float).copy()
@@ -80,11 +77,8 @@ class BridgeProblem:
         return self.p * np.outer(self.mu0.weights, self.mu1.weights)
 
     def joint_space(self) -> MetricSpacePoints:
-        """Product support with the max metric, built once on demand."""
-        if self._joint_space is None:
-            space = MetricSpacePoints.product([self.mu0.space, self.mu1.space])
-            object.__setattr__(self, "_joint_space", space)
-        return self._joint_space
+        """Product support with the max metric; it holds only its two factors."""
+        return MetricSpacePoints.product([self.mu0.space, self.mu1.space])
 
 
 @dataclass(frozen=True)

@@ -162,7 +162,7 @@ def _problem(p, target):
 def _target(value, path):
     doc = _Doc(value, path)
     if doc.get("kind", _kind("point", "box")) == "point":
-        return iproj.Point(doc.get("x0", _numbers))
+        return iproj.Box.point(doc.get("x0", _numbers))
     return _build(path, iproj.Box, doc.get("lo", _numbers), doc.get("hi", _numbers))
 
 
@@ -199,7 +199,7 @@ def _iproj(p):
 
 
 def _gibbs(p):
-    problem = _problem(p, iproj.Point(p.get("x0", _numbers)))
+    problem = _problem(p, iproj.Box.point(p.get("x0", _numbers)))
     schedule_of = p.get("schedule", _schedule, {})
     n_list = p.get("n_list", _items(_integer))
     k = p.get("k", _integer, 1)
@@ -337,7 +337,7 @@ def _covering(p):
 
 
 def _schedules(p):
-    problem = _problem(p, iproj.Point(p.get("x0", _numbers)))
+    problem = _problem(p, iproj.Box.point(p.get("x0", _numbers)))
     n_list = p.get("n_list", _items(_integer))
     kinds = p.get("kinds", _items(_kind("sqrt_n", "inv_n")), ["sqrt_n"])
     a, margin = p.get("a", _positive, 1.0), p.get("margin", _positive, 1.1)

@@ -11,6 +11,7 @@ probabilities, and total-variation curves along enlargement schedules.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from math import comb
 
@@ -59,7 +60,6 @@ class MomentBand:
     center: np.ndarray
     radius: float
     norm: str = "sup"
-    kind: str = "moment_band"
 
     def __post_init__(self):
         F = np.asarray(self.F, dtype=float)
@@ -95,7 +95,6 @@ class MetricBall:
     target: FiniteMeasure
     metric: str
     radius: float
-    kind: str = "metric_ball"
 
     def __post_init__(self):
         if self.metric not in ("fm", "prohorov"):
@@ -175,6 +174,20 @@ def _check_budget(n, m):
         )
 
 
+def _check_window(n, k, m):
+    """Require a positive integer block length n, an integer window k with
+    0 <= k <= n, and at most _PATTERN_BUDGET patterns of length k on m
+    letters."""
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError("block length n must be a positive integer")
+    if not (isinstance(k, numbers.Integral) and k >= 0):
+        raise ValueError("window k must be a nonnegative integer")
+    if k > n:
+        raise ValueError("window k cannot exceed the block length n")
+    if m ** k > _PATTERN_BUDGET:
+        raise ValueError("pattern alphabet too large for the window size")
+
+
 def _accepts(event, counts, n, space):
     """Event membership of the empirical measure of each row of counts.
 
@@ -206,9 +219,11 @@ def _type_class_sums(alpha: FiniteMeasure, n: int, event, k: int):
     replacement, so a pattern with letter counts r has probability
     prod_s (c_s)_(r_s) / (n)_k in falling factorials; it is computed once
     per distinct r. Classes are visited in blocks, so memory stays bounded.
+    The window and the enumeration budget are checked first.
     """
     w = alpha.weights
     m = len(w)
+    _check_window(n, k, m)
     _check_budget(n, m)
     zero = w == 0
     log_w = np.log(np.where(zero, 1.0, w))
@@ -243,10 +258,6 @@ def exact_conditional(alpha: FiniteMeasure, n: int, event, k: int) -> Conditiona
     class probability. Raises ZeroAcceptanceError when the event has
     probability zero, which is the thin-set situation.
     """
-    if k > n:
-        raise ValueError("window k cannot exceed the block length n")
-    if len(alpha.space) ** k > _PATTERN_BUDGET:
-        raise ValueError("pattern alphabet too large for the window size")
     log_p, log_law, n_classes = _type_class_sums(alpha, n, event, k)
     if log_p == -math.inf:
         raise ZeroAcceptanceError(
@@ -328,11 +339,8 @@ def run_conditional_mc(alpha: FiniteMeasure, n: int, event, k: int,
     are bit-identical for a fixed seed on any host. Zero acceptances raise
     ZeroAcceptanceError carrying the rule-of-three bound 3/trials.
     """
-    if k > n:
-        raise ValueError("window k cannot exceed the block length n")
     m = len(alpha.space)
-    if m ** k > _PATTERN_BUDGET:
-        raise ValueError("pattern alphabet too large for the window size")
+    _check_window(n, k, m)
     counts, heads = _sample_types(mc_stream(seed), alpha.weights, n, trials, k)
     ok = _accepts(event, counts, n, alpha.space)
     accepted = int(ok.sum())
@@ -405,16 +413,15 @@ def conditional_tv_curve(alpha: FiniteMeasure, solution, schedule, n_list, k: in
     """Rows (n, epsilon_n, p_event, tv to the tilted product law).
 
     The event at size n is the moment band of radius schedule.epsilon(n)
-    around the solved target; ``estimate(alpha, n, event, k)`` gives the
-    conditional law, by default ``exact_conditional`` (looked up when
-    called, so a rebinding of the module name is seen).
+    around the solved moment, pinned to the target on its thin coordinates
+    (lo == hi); ``estimate(alpha, n, event, k)`` gives the conditional law,
+    by default ``exact_conditional`` (looked up when called, so a rebinding
+    of the module name is seen).
     """
     estimate = estimate or exact_conditional
     problem = solution.problem
-    if hasattr(problem.target, "x0"):
-        center = problem.target.x0
-    else:
-        center = solution.moment
+    lo, hi = problem.target.lo, problem.target.hi
+    center = np.where(lo == hi, lo, solution.moment)
     ref = product_law(solution.alpha_star, k)
     rows = []
     for n in n_list:

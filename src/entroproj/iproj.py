@@ -48,29 +48,9 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Point:
-    """Point target: the moment must equal x0 exactly."""
-
-    x0: np.ndarray
-
-    def __post_init__(self):
-        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        if not np.all(np.isfinite(x0)):
-            raise ValueError("target must be finite")
-        object.__setattr__(self, "x0", x0)
-
-    @property
-    def lo(self):
-        return self.x0
-
-    @property
-    def hi(self):
-        return self.x0
-
-
-@dataclass(frozen=True)
 class Box:
-    """Box target: the moment must land in [lo, hi] componentwise."""
+    """Box target: the moment must land in [lo, hi] componentwise. A
+    coordinate with lo == hi is thin: the moment must equal it exactly."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -86,6 +66,11 @@ class Box:
             raise ValueError("box target needs lo <= hi componentwise")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+
+    @classmethod
+    def point(cls, x0) -> "Box":
+        """The thin target {x0}: the zero-width box [x0, x0]."""
+        return cls(x0, x0)
 
 
 @dataclass(frozen=True)
@@ -107,8 +92,8 @@ class MomentProblem:
         F = F.copy()
         F.setflags(write=False)
         object.__setattr__(self, "F", F)
-        if not isinstance(self.target, (Point, Box)):
-            raise TypeError("target must be a Point or a Box")
+        if not isinstance(self.target, Box):
+            raise TypeError("target must be a Box")
         if self.target.lo.shape != (F.shape[1],):
             raise ValueError("target dimension does not match the moment map")
 
@@ -145,8 +130,6 @@ class ScheduleParams:
 
     kind: str
     c: float
-    a: Optional[float] = None
-    margin: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in ("sqrt_n", "inv_n"):
@@ -416,9 +399,9 @@ def brute_force_projection(problem: MomentProblem, grid_step: float):
 
     The oracle for the dual solver: scans every grid measure (resolution
     grid_step) on supports of at most 4 points and returns the feasible one
-    with minimal relative entropy. Point targets accept a moment within
-    grid_step in the sup norm (an exact hit is generally impossible on a
-    grid). Cost grows like (1/grid_step)^(support-1).
+    with minimal relative entropy. A thin coordinate (lo == hi) accepts a
+    moment within grid_step of it (an exact hit is generally impossible on
+    a grid). Cost grows like (1/grid_step)^(support-1).
     """
     n = len(problem.alpha.space)
     if n > 4:
@@ -429,7 +412,7 @@ def brute_force_projection(problem: MomentProblem, grid_step: float):
     alpha_w = problem.alpha.weights
     lo = problem.target.lo
     hi = problem.target.hi
-    tol = grid_step if isinstance(problem.target, Point) else 1e-12
+    tol = np.where(lo == hi, grid_step, 1e-12)
 
     log_alpha = np.where(alpha_w > 0, np.log(np.where(alpha_w > 0, alpha_w, 1.0)), 0.0)
     best_entropy = math.inf
@@ -457,44 +440,42 @@ def brute_force_projection(problem: MomentProblem, grid_step: float):
 
 def schedule_from_solution(solution: TiltedSolution, kind: str,
                            a: float = 1.0, margin: float = 1.1) -> ScheduleParams:
-    """Build the enlargement schedule whose constant matches the solution."""
+    """The enlargement schedule whose constant matches the solution.
+
+    'sqrt_n': c = sqrt(a Var), where ``a`` is the type-2 constant of the
+    ambient norm (1 for Euclidean); the radius (1+1e-6) c/sqrt(n) stays
+    strictly above the critical constant, as the sqrt(n) regime requires.
+    'inv_n': c = margin * 10 sqrt(2 pi) kappa / sigma^3, only defined for
+    one-dimensional moment maps; margin > 1 keeps it strictly above the
+    critical value. Both need positive variance.
+    """
     if kind == "sqrt_n":
-        c = math.sqrt(a * solution.variance)
-        return ScheduleParams(kind="sqrt_n", c=c, a=a)
+        if not a > 0:
+            raise ValueError("type-2 constant must be positive")
+        if not solution.variance > 0:
+            raise ValueError("the sqrt(n) schedule needs positive variance")
+        return ScheduleParams(kind="sqrt_n", c=math.sqrt(a * solution.variance))
     if kind == "inv_n":
-        c = enlargement_berry_esseen(solution, 1, margin=margin)
-        return ScheduleParams(kind="inv_n", c=c, margin=margin)
+        if not margin > 0:
+            raise ValueError("margin must be positive")
+        if solution.third_abs_moment is None:
+            raise ValueError("the 1/n schedule needs a one-dimensional moment map")
+        if not solution.variance > 0:
+            raise ValueError("the 1/n schedule needs positive variance")
+        sigma = math.sqrt(solution.variance)
+        c = margin * 10.0 * math.sqrt(2.0 * math.pi) * solution.third_abs_moment / sigma ** 3
+        return ScheduleParams(kind="inv_n", c=c)
     raise ValueError(f"unknown schedule kind {kind!r}")
 
 
 def enlargement_sqrt(solution: TiltedSolution, a: float = 1.0, n: int = 1) -> float:
-    """Radius (1+1e-6) sqrt(a Var) / sqrt(n), strictly above the critical
-    constant as the sqrt(n) regime requires. ``a`` is the type-2 constant of
-    the ambient norm (1 for Euclidean)."""
-    if not n >= 1:
-        raise ValueError("n must be a positive integer")
-    if not a > 0:
-        raise ValueError("type-2 constant must be positive")
-    return (1.0 + 1e-6) * math.sqrt(a * solution.variance) / math.sqrt(n)
+    """Radius (1+1e-6) sqrt(a Var) / sqrt(n) of the 'sqrt_n' schedule."""
+    return schedule_from_solution(solution, "sqrt_n", a=a).epsilon(n)
 
 
 def enlargement_berry_esseen(solution: TiltedSolution, n: int, margin: float = 1.1) -> float:
-    """Radius c/n with c = margin * 10 sqrt(2 pi) kappa / sigma^3.
-
-    Only defined for one-dimensional moment maps with positive variance;
-    margin > 1 keeps the constant strictly above the critical value.
-    """
-    if not n >= 1:
-        raise ValueError("n must be a positive integer")
-    if not margin > 0:
-        raise ValueError("margin must be positive")
-    if solution.third_abs_moment is None:
-        raise ValueError("the 1/n schedule needs a one-dimensional moment map")
-    sigma = math.sqrt(solution.variance)
-    if sigma <= 0:
-        raise ValueError("the 1/n schedule needs positive variance")
-    c = margin * 10.0 * math.sqrt(2.0 * math.pi) * solution.third_abs_moment / sigma ** 3
-    return c / n
+    """Radius c/n of the 'inv_n' schedule, c = margin * 10 sqrt(2 pi) kappa / sigma^3."""
+    return schedule_from_solution(solution, "inv_n", margin=margin).epsilon(n)
 
 
 def yurinskii_tail(b: float, M: float, n: int, t: float) -> float:

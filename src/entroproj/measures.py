@@ -118,9 +118,10 @@ class MetricSpacePoints:
     the O(N^3) triangle scan included. ``from_coordinates`` (Euclidean) and
     ``product`` (max over the factors) are metrics by construction: they keep
     their coordinates or factors and build the table when ``dist`` is first
-    read. Spaces are equal when identical, or with equal points and the same
-    distance source (equal tables, coordinates or factors); no table is built
-    to decide it.
+    read. A product also builds its ``points`` on first read; its length and
+    equality come from the factors. Spaces are equal when identical, or with
+    the same distance source (equal tables, coordinates or factors) and, for
+    a table or coordinates, equal points; no table is built to decide it.
     """
 
     def __init__(self, points, dist):
@@ -147,12 +148,20 @@ class MetricSpacePoints:
             raise ValueError("triangle inequality violated")
 
     @classmethod
-    def _by_formula(cls, points, kind, source):
+    def _by_formula(cls, kind, source, points=None):
         space = cls.__new__(cls)
-        space.points = tuple(points)
         space._kind = kind
         space._source = source
+        if points is not None:
+            space.points = points
         return space
+
+    @cached_property
+    def points(self) -> tuple:
+        """A product's point tuples, built on first read, in the order of
+        np.indices over the factor sizes (itertools.product order); the
+        other spaces store their points on construction."""
+        return tuple(itertools.product(*(f.points for f in self._source)))
 
     @cached_property
     def dist(self) -> np.ndarray:
@@ -170,14 +179,15 @@ class MetricSpacePoints:
     def __eq__(self, other):
         if self is other:
             return True
-        if not isinstance(other, MetricSpacePoints) or self._kind != other._kind \
-                or self.points != other.points:
+        if not isinstance(other, MetricSpacePoints) or self._kind != other._kind:
             return False
         if self._kind == "product":
             return self._source == other._source
-        return np.array_equal(self._source, other._source)
+        return self.points == other.points and np.array_equal(self._source, other._source)
 
     def __len__(self):
+        if self._kind == "product":
+            return math.prod(len(f) for f in self._source)
         return len(self.points)
 
     def index_of(self, point):
@@ -194,14 +204,12 @@ class MetricSpacePoints:
             if arr.ndim != 2 or arr.size == 0 or not np.isfinite(np.linalg.norm(np.ptp(arr, axis=0))):
                 raise ValueError("coordinates must be a nonempty 1-D or 2-D array at finite distances")
         points = tuple(float(x) for x in arr[:, 0]) if arr.shape[1] == 1 else tuple(map(tuple, arr))
-        return cls._by_formula(points, "euclidean", _as_readonly(arr))
+        return cls._by_formula("euclidean", _as_readonly(arr), points)
 
     @classmethod
     def product(cls, factors):
         """Product of the factor spaces with the max metric, in itertools.product order."""
-        factors = tuple(factors)
-        points = itertools.product(*(f.points for f in factors))
-        return cls._by_formula(points, "product", factors)
+        return cls._by_formula("product", tuple(factors))
 
 
 @dataclass(frozen=True)

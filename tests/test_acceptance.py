@@ -36,7 +36,7 @@ def bern_problem(target):
 
 
 def point_solution():
-    return ep.solve_dual(bern_problem(ep.Point(np.array([0.7]))))
+    return ep.solve_dual(bern_problem(ep.Box.point(np.array([0.7]))))
 
 
 def gaussian_weights(x, center, var):
@@ -69,7 +69,7 @@ def random_surface(rng, spec):
 
 def test_criterion_01_projection_matches_closed_form():
     start = time.monotonic()
-    problem = bern_problem(ep.Point(np.array([0.7])))
+    problem = bern_problem(ep.Box.point(np.array([0.7])))
     sol = ep.solve_dual(problem)
     _, bf_entropy = ep.brute_force_projection(problem, grid_step=1e-3)
     elapsed = time.monotonic() - start

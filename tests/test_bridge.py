@@ -68,6 +68,20 @@ class TestBridgeProblem:
         j = js.index_of((1.0, 0.0))
         assert js.dist[i, j] == pytest.approx(1.0)
 
+    def test_joint_space_holds_only_its_factors(self):
+        # 10**6 point pairs of the 1000-point grid would take about 60 MiB
+        x = np.linspace(-2.0, 2.0, 1000)
+        prob = ep.gaussian_reference(x, 0.5)
+        tracemalloc.start()
+        try:
+            first, second = prob.joint_space(), prob.joint_space()
+            assert len(first) == 10 ** 6
+            assert first == second
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_bridge_measure_builds_no_joint_table(self):
         # two Kronecker tables of 3600^2 entries would take about 415 MB
         prob = criterion_problem(60)

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -19,8 +20,8 @@ import entroproj
 from entroproj import __version__, tritree
 from entroproj.cli import main, run, validate_config
 from entroproj.iproj import (
+    Box,
     MomentProblem,
-    Point,
     ScheduleParams,
     schedule_from_solution,
     solve_dual,
@@ -330,7 +331,7 @@ class TestRunGibbs:
         space = MetricSpacePoints.from_coordinates(np.arange(2, dtype=float))
         measure = FiniteMeasure(space, np.array([0.5, 0.5]))
         sol = solve_dual(MomentProblem(measure, np.array([[0.0], [1.0]]),
-                                       Point(np.array([0.7]))))
+                                       Box.point(np.array([0.7]))))
         schedule = ScheduleParams(kind="sqrt_n", c=0.5)
         want = conditional_tv_curve(measure, sol, schedule, [4, 8], 1)
         assert len(rows) == len(want)
@@ -564,7 +565,7 @@ class TestRunSchedules:
         space = MetricSpacePoints.from_coordinates(np.arange(2, dtype=float))
         measure = FiniteMeasure(space, np.array([0.5, 0.5]))
         sol = solve_dual(MomentProblem(measure, np.array([[0.0], [1.0]]),
-                                       Point(np.array([0.7]))))
+                                       Box.point(np.array([0.7]))))
         schedules = {
             kind: schedule_from_solution(sol, kind, a=1.0, margin=1.1)
             for kind in ("sqrt_n", "inv_n")
@@ -698,3 +699,19 @@ def test_experiment_runs_load_no_scipy(tmp_path):
     # event, run last, does load scipy.optimize, so the probe sees imports
     loaded = [line for line in probe.stdout.splitlines() if line.endswith(("True", "False"))]
     assert loaded == ["scipy False"] * len(runs) + ["scipy.optimize True"]
+
+
+def test_benchmark_trace_names_resolve():
+    # the benchmark's layer trace wraps these names; a rename that misses
+    # its table would silently break `perfbench/run.py --trace 1`
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "layertrace.py")
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    for layer, module_name, attr, _ in layertrace.LAYERS:
+        target = getattr(entroproj, module_name)
+        for name in attr.split("."):
+            assert hasattr(target, name), layer
+            target = getattr(target, name)
+        assert callable(target), layer

@@ -212,6 +212,32 @@ class TestExactConditional:
             ep.exact_event_log_probability(delta, 10, band)
 
 
+@pytest.mark.parametrize("estimate", [
+    ep.exact_conditional,
+    lambda alpha, n, event, k: ep.run_conditional_mc(alpha, n, event, k, trials=100, seed=0),
+], ids=["exact", "mc"])
+@pytest.mark.parametrize("n, k, message", [
+    (0, 0, "block length n must be a positive integer"),
+    (4.0, 1, "block length n must be a positive integer"),
+    (4, -1, "window k must be a nonnegative integer"),
+    (4, 1.5, "window k must be a nonnegative integer"),
+    (4, 5, "window k cannot exceed the block length n"),
+    (10, 7, "pattern alphabet too large for the window size"),
+])
+def test_estimators_check_the_window(estimate, n, k, message):
+    # 8 letters, so a window of 7 asks for 8**7 > 10**6 patterns
+    alpha = ep.FiniteMeasure.uniform(line_space(8))
+    band = ep.moment_band(np.arange(8.0), np.array([3.5]), 1.0)
+    with pytest.raises(ValueError, match=message):
+        estimate(alpha, n, band, k)
+
+
+def test_event_probability_needs_a_positive_block_length():
+    # the empirical measure of an empty block is undefined, not a miss
+    with pytest.raises(ValueError, match="block length n must be a positive integer"):
+        ep.exact_event_log_probability(bernoulli(0.5), 0, whole_simplex_band())
+
+
 class TestEngineAgainstReference:
     @given(
         st.integers(1, 4).flatmap(lambda m: st.tuples(
@@ -305,7 +331,7 @@ class TestLogProbabilityBelowDoubleRange:
             log_p_over_n, rel=1e-9)
         np.testing.assert_allclose(est.law.weights.sum(), 1.0, atol=1e-12)
 
-        sol = ep.solve_dual(ep.MomentProblem(alpha, F[:, None], ep.Point(np.array([1.8]))))
+        sol = ep.solve_dual(ep.MomentProblem(alpha, F[:, None], ep.Box.point(np.array([1.8]))))
         (row,) = ep.sanov_sandwich(alpha, sol, lambda _: band, [n])
         assert math.isfinite(row["log_p_over_n"]) and math.isfinite(row["slack"])
         assert row["log_p_over_n"] == pytest.approx(log_p_over_n, rel=1e-9)
@@ -475,7 +501,7 @@ class TestSanovSandwich:
     def test_trivial_event_has_zero_slack(self):
         alpha = bernoulli(0.5)
         prob = ep.MomentProblem(alpha, np.array([[0.0], [1.0]]),
-                                ep.Point(np.array([0.5])))
+                                ep.Box.point(np.array([0.5])))
         sol = ep.solve_dual(prob)
         rows = ep.sanov_sandwich(alpha, sol, lambda n: whole_simplex_band(),
                                  [4, 8])
@@ -487,7 +513,7 @@ class TestSanovSandwich:
     def test_slack_shrinks_along_sqrt_schedule(self):
         alpha = bernoulli(0.5)
         prob = ep.MomentProblem(alpha, np.array([[0.0], [1.0]]),
-                                ep.Point(np.array([0.7])))
+                                ep.Box.point(np.array([0.7])))
         sol = ep.solve_dual(prob)
         sched = ep.schedule_from_solution(sol, "sqrt_n", a=2.0)
         event_fn = lambda n: mean_band(0.7, sched.epsilon(n))
@@ -500,7 +526,7 @@ class TestSanovSandwich:
     def test_lower_bound_column(self):
         alpha = bernoulli(0.5)
         prob = ep.MomentProblem(alpha, np.array([[0.0], [1.0]]),
-                                ep.Point(np.array([0.7])))
+                                ep.Box.point(np.array([0.7])))
         sol = ep.solve_dual(prob)
         sched = ep.schedule_from_solution(sol, "sqrt_n", a=2.0)
         event_fn = lambda n: mean_band(0.7, sched.epsilon(n))
@@ -517,7 +543,7 @@ class TestCsiszarBound:
     def test_holds_across_sizes_and_blocks(self):
         alpha = bernoulli(0.5)
         prob = ep.MomentProblem(alpha, np.array([[0.0], [1.0]]),
-                                ep.Point(np.array([0.7])))
+                                ep.Box.point(np.array([0.7])))
         sol = ep.solve_dual(prob)
         for n in (8, 12, 16):
             for k in (1, 2):
@@ -530,7 +556,7 @@ class TestCsiszarBound:
     def test_trivial_event_collapses_to_zero(self):
         alpha = bernoulli(0.5)
         prob = ep.MomentProblem(alpha, np.array([[0.0], [1.0]]),
-                                ep.Point(np.array([0.5])))
+                                ep.Box.point(np.array([0.5])))
         sol = ep.solve_dual(prob)
         lhs, rhs, ok = ep.csiszar_bound_check(
             alpha, 8, whole_simplex_band(), 2, sol.alpha_star, sol.entropy)
@@ -545,7 +571,7 @@ class TestConditionalTvCurve:
         # the enumeration engine and the solved tilt
         alpha = bernoulli(0.5)
         sol = ep.solve_dual(ep.MomentProblem(alpha, np.array([[0.0], [1.0]]),
-                                             ep.Point(np.array([0.7]))))
+                                             ep.Box.point(np.array([0.7]))))
         sched = ep.schedule_from_solution(sol, "sqrt_n", a=1.0)
         rows = ep.conditional_tv_curve(alpha, sol, sched, [8, 32], k=1)
         assert [round(row["tv_k"], 4) for row in rows] == [0.0667, 0.0975]
@@ -553,7 +579,7 @@ class TestConditionalTvCurve:
     def test_estimator_is_an_argument(self, monkeypatch):
         alpha = bernoulli(0.5)
         sol = ep.solve_dual(ep.MomentProblem(alpha, np.array([[0.0], [1.0]]),
-                                             ep.Point(np.array([0.7]))))
+                                             ep.Box.point(np.array([0.7]))))
         sched = ep.ScheduleParams(kind="sqrt_n", c=1.0)
         calls, real = [], gibbs.exact_conditional
         # the default is read from the module when called
@@ -575,7 +601,7 @@ class TestConditionalTvCurve:
         # one-coordinate law unchanged
         alpha = bernoulli(0.5)
         prob = ep.MomentProblem(alpha, np.array([[0.0], [1.0]]),
-                                ep.Point(np.array([0.5])))
+                                ep.Box.point(np.array([0.5])))
         sol = ep.solve_dual(prob)
         sched = ep.ScheduleParams(kind="sqrt_n", c=1.0)
         rows = ep.conditional_tv_curve(alpha, sol, sched, [8, 16], k=1)
@@ -585,7 +611,7 @@ class TestConditionalTvCurve:
     def test_row_fields_and_probability_consistency(self):
         alpha = bernoulli(0.5)
         prob = ep.MomentProblem(alpha, np.array([[0.0], [1.0]]),
-                                ep.Point(np.array([0.7])))
+                                ep.Box.point(np.array([0.7])))
         sol = ep.solve_dual(prob)
         sched = ep.schedule_from_solution(sol, "sqrt_n", a=2.0)
         rows = ep.conditional_tv_curve(alpha, sol, sched, [8, 16], k=1)

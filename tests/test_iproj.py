@@ -20,7 +20,7 @@ KL_07_05 = 0.08228287850505185
 def bern_problem(x0=0.7):
     alpha = bernoulli(0.5)
     F = np.array([[0.0], [1.0]])
-    return ep.MomentProblem(alpha, F, ep.Point(np.array([x0])))
+    return ep.MomentProblem(alpha, F, ep.Box.point(np.array([x0])))
 
 
 def random_problem(rng, n_points=5, d=1, target="point"):
@@ -33,21 +33,21 @@ def random_problem(rng, n_points=5, d=1, target="point"):
     vertex_mix = rng.dirichlet(np.ones(n_points)) @ F
     x0 = 0.4 * mean + 0.6 * vertex_mix
     if target == "point":
-        return ep.MomentProblem(alpha, F, ep.Point(x0))
+        return ep.MomentProblem(alpha, F, ep.Box.point(x0))
     half = rng.uniform(0.01, 0.2, size=d)
     return ep.MomentProblem(alpha, F, ep.Box(x0 - half, x0 + half))
 
 
 class TestTargets:
     def test_point_exposes_degenerate_box(self):
-        pt = ep.Point(np.array([0.3]))
+        pt = ep.Box.point(np.array([0.3]))
         np.testing.assert_array_equal(pt.lo, pt.hi)
 
     def test_box_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             ep.Box(np.array([1.0]), np.array([0.0]))
 
-    @pytest.mark.parametrize("make", [lambda: ep.Point([math.nan]),
+    @pytest.mark.parametrize("make", [lambda: ep.Box.point([math.nan]),
                                       lambda: ep.Box([math.nan], [1.0]),
                                       lambda: ep.Box([0.5], [math.inf])])
     def test_targets_reject_non_finite_entries(self, make):
@@ -135,7 +135,7 @@ class TestSolveDualPoint:
         for _ in range(10):
             prob = random_problem(rng, d=2)
             sol = ep.solve_dual(prob)
-            np.testing.assert_allclose(sol.moment, prob.target.x0, atol=1e-7)
+            np.testing.assert_allclose(sol.moment, prob.target.lo, atol=1e-7)
 
     def test_matches_brute_force(self, rng):
         for _ in range(5):
@@ -153,7 +153,7 @@ class TestSolveDualPoint:
     def test_infeasible_target_raises_with_direction(self):
         alpha = bernoulli(0.5)
         F = np.array([[0.0], [1.0]])
-        prob = ep.MomentProblem(alpha, F, ep.Point(np.array([1.5])))
+        prob = ep.MomentProblem(alpha, F, ep.Box.point(np.array([1.5])))
         with pytest.raises(ep.InfeasibleTargetError) as exc:
             ep.solve_dual(prob)
         direction = np.asarray(exc.value.direction, dtype=float)
@@ -167,26 +167,21 @@ class TestSolveDualPoint:
         col = np.array([1.2, 1.5, -1.5])
         alpha = ep.FiniteMeasure(line_space(3), np.array([0.4, 0.25, 0.35]))
         sol = ep.solve_dual(ep.MomentProblem(alpha, np.column_stack([col, col + 1.0]),
-                                             ep.Point([1.49, 2.49])))
+                                             ep.Box.point([1.49, 2.49])))
         np.testing.assert_allclose(sol.moment, [1.49, 2.49], rtol=0, atol=1e-8)
         # the redundant column changes nothing: the one-column projection
-        single = ep.solve_dual(ep.MomentProblem(alpha, col, ep.Point([1.49])))
+        single = ep.solve_dual(ep.MomentProblem(alpha, col, ep.Box.point([1.49])))
         assert sol.entropy == pytest.approx(single.entropy, abs=1e-10)
         np.testing.assert_allclose(sol.alpha_star.weights, single.alpha_star.weights, atol=1e-10)
 
     def test_seeded_sweep_solves_every_feasible_point(self, rng):
         solved = collinear = 0
         for problem in _point_cases(rng, 200):
-            x0 = problem.target.x0
+            x0 = problem.target.lo
             if iproj._hull_certificate(problem, x0, x0) is not None:
                 continue
             sol = ep.solve_dual(problem)
             np.testing.assert_allclose(sol.moment, x0, rtol=0, atol=1e-8)
-            # a point is the zero-width box, so both run the same iterations
-            box = ep.solve_dual(ep.MomentProblem(problem.alpha, problem.F, ep.Box(x0, x0)))
-            assert box.entropy == sol.entropy
-            np.testing.assert_array_equal(box.lambda_star, sol.lambda_star)
-            np.testing.assert_array_equal(box.alpha_star.weights, sol.alpha_star.weights)
             solved += 1
             if problem.dim > 1 and np.array_equal(problem.F[:, 1], problem.F[:, 0] + 1.0):
                 collinear += 1
@@ -194,7 +189,7 @@ class TestSolveDualPoint:
         assert solved >= 120 and collinear >= 50
 
 
-@pytest.mark.parametrize("target", [ep.Point([1.5]), ep.Box([1.5], [1.8])])
+@pytest.mark.parametrize("target", [ep.Box.point([1.5]), ep.Box([1.5], [1.8])])
 def test_zero_weight_atoms_do_not_widen_the_hull(target):
     # the atom at F = 2 has no mass, so no measure reaches a moment above 1
     alpha = ep.FiniteMeasure(line_space(3), np.array([0.5, 0.5, 0.0]))
@@ -226,7 +221,7 @@ def _point_cases(rng, count):
             x0 = rng.dirichlet(np.full(m, 0.5)) @ F
         else:
             x0 = rng.normal(size=d)
-        yield ep.MomentProblem(alpha, F, ep.Point(x0))
+        yield ep.MomentProblem(alpha, F, ep.Box.point(x0))
 
 
 class TestSolveDualBox:
@@ -267,6 +262,21 @@ class TestSolveDualBox:
         assert sol_box.entropy == sol_pt.entropy
         np.testing.assert_array_equal(sol_box.lambda_star, sol_pt.lambda_star)
         np.testing.assert_array_equal(sol_box.alpha_star.weights, sol_pt.alpha_star.weights)
+
+    @pytest.mark.parametrize("F, lo, hi", [
+        ([0.13, 1.07, 2.31], [0.9], [0.9]),
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.3141, 0.2718], [0.3141, 0.2718]),
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.3141, 0.2], [0.3141, 0.3]),
+    ])
+    def test_brute_force_reads_thin_coordinates(self, F, lo, hi):
+        # a thin coordinate (lo == hi) gets the grid tolerance, so the oracle
+        # neither misses every grid point nor settles for a far one
+        alpha = ep.FiniteMeasure(line_space(3), np.array([0.5, 0.3, 0.2]))
+        prob = ep.MomentProblem(alpha, np.array(F), ep.Box(lo, hi))
+        sol = ep.solve_dual(prob)
+        _, bf_entropy = ep.brute_force_projection(prob, grid_step=1e-3)
+        slack = (1.0 + np.abs(sol.lambda_star).sum()) * 1e-3
+        assert bf_entropy == pytest.approx(sol.entropy, abs=slack)
 
     def test_benchmark_box_needs_few_dual_evaluations(self, monkeypatch):
         # the benchmark's `box` op; its layer trace counts the calls through
@@ -410,7 +420,7 @@ class TestHullLP:
         # a sorted moment map with the target past its last row: the last
         # row is the nearest, and its basis is already optimal
         alpha = ep.FiniteMeasure.uniform(line_space(1000))
-        problem = ep.MomentProblem(alpha, np.linspace(0.0, 1.0, 1000), ep.Point([1.5]))
+        problem = ep.MomentProblem(alpha, np.linspace(0.0, 1.0, 1000), ep.Box.point([1.5]))
         solves, real = [], np.linalg.solve
         monkeypatch.setattr(iproj.np.linalg, "solve", lambda *a: solves.append(a) or real(*a))
         assert iproj._hull_certificate(problem, problem.target.lo, problem.target.hi) is not None
@@ -451,7 +461,7 @@ class TestPythagoras:
         F = rng.normal(size=(5, 1))
         mean = float(alpha.weights @ F[:, 0])
         x0 = np.array([mean + 0.3 * (F.max() - mean)])
-        prob = ep.MomentProblem(alpha, F, ep.Point(x0))
+        prob = ep.MomentProblem(alpha, F, ep.Box.point(x0))
         sol = ep.solve_dual(prob)
 
         # feasible directions keep total mass and the moment unchanged
@@ -504,6 +514,25 @@ class TestSchedules:
         e1 = ep.enlargement_sqrt(sol, a=1.0, n=1)
         e4 = ep.enlargement_sqrt(sol, a=1.0, n=4)
         assert e4 == pytest.approx(e1 / 2.0)
+
+
+    @pytest.mark.parametrize("a", [-1.0, 0.0])
+    def test_type2_constant_must_be_positive(self, a):
+        sol = ep.solve_dual(bern_problem())
+        with pytest.raises(ValueError, match="type-2 constant must be positive"):
+            ep.schedule_from_solution(sol, "sqrt_n", a=a)
+
+    @pytest.mark.parametrize("make", [
+        lambda sol: ep.schedule_from_solution(sol, "sqrt_n"),
+        lambda sol: ep.enlargement_sqrt(sol),
+    ])
+    def test_sqrt_schedule_needs_positive_variance(self, make):
+        # a constant moment map: the tilted law has no spread to scale by
+        alpha = bernoulli(0.5)
+        sol = ep.solve_dual(ep.MomentProblem(alpha, np.array([0.4, 0.4]), ep.Box.point([0.4])))
+        assert sol.variance == 0.0
+        with pytest.raises(ValueError, match=r"the sqrt\(n\) schedule needs positive variance"):
+            make(sol)
 
 
 class TestTailBounds:
