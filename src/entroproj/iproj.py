@@ -400,8 +400,10 @@ def brute_force_projection(problem: MomentProblem, grid_step: float):
     The oracle for the dual solver: scans every grid measure (resolution
     grid_step) on supports of at most 4 points and returns the feasible one
     with minimal relative entropy. A thin coordinate (lo == hi) accepts a
-    moment within grid_step of it (an exact hit is generally impossible on
-    a grid). Cost grows like (1/grid_step)^(support-1).
+    moment within grid_step times the spread of its column of F, the
+    distance in it between neighbouring grid measures (an exact hit is
+    generally impossible on a grid). Cost grows like
+    (1/grid_step)^(support-1).
     """
     n = len(problem.alpha.space)
     if n > 4:
@@ -412,7 +414,7 @@ def brute_force_projection(problem: MomentProblem, grid_step: float):
     alpha_w = problem.alpha.weights
     lo = problem.target.lo
     hi = problem.target.hi
-    tol = np.where(lo == hi, grid_step, 1e-12)
+    tol = np.where(lo == hi, grid_step * np.ptp(problem.F, axis=0), 0.0) + 1e-12
 
     log_alpha = np.where(alpha_w > 0, np.log(np.where(alpha_w > 0, alpha_w, 1.0)), 0.0)
     best_entropy = math.inf

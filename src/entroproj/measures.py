@@ -191,7 +191,14 @@ class MetricSpacePoints:
         return len(self.points)
 
     def index_of(self, point):
-        return self.points.index(point)
+        """The position of point in points; a product reads it from its
+        factors' positions, without building its points."""
+        if self._kind != "product":
+            return self.points.index(point)
+        if not isinstance(point, tuple) or len(point) != len(self._source):
+            raise ValueError(f"{point!r} is not a point of this product space")
+        return int(np.ravel_multi_index([f.index_of(p) for f, p in zip(self._source, point)],
+                                        [len(f) for f in self._source]))
 
     @classmethod
     def from_coordinates(cls, coords):

@@ -131,11 +131,8 @@ class VolSurface:
 
 
 def _kernel_arrays(y, z, spec):
-    """Vectorized (m, r, d) for arrays of variance and drift values.
-
-    Raises when any weight fails strict positivity, which is the signature
-    of n below the minimal level for these (y, z).
-    """
+    """Vectorized (m, r, d) for arrays of variance and drift values,
+    unchecked; _positive_kernels checks them."""
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     half_var = y ** 2 / (2.0 * spec.alpha_tick ** 2)
@@ -143,15 +140,62 @@ def _kernel_arrays(y, z, spec):
     m = half_var + tilt
     d = half_var - tilt
     r = 1.0 - (m + d)
-    low = np.minimum(np.minimum(m, r), d)
-    if not np.all(low > 0.0):
+    return m, r, d
+
+
+def _positive_kernels(spec, *coefficients):
+    """The kernels (m, r, d) of (y, z) level stacks, level on axis 0.
+
+    One check covers them all. A weight that fails strict positivity, the
+    signature of n below the minimal level for these (y, z), raises naming
+    the worst node of the first level that holds one, the earlier pair first
+    within a level: the node a level-by-level check would name.
+    """
+    kernels = [_kernel_arrays(y, z, spec) for y, z in coefficients]
+    lows = [np.minimum(np.minimum(m, r), d) for m, r, d in kernels]
+    bad = [np.flatnonzero(~np.all(low > 0.0, axis=tuple(range(1, low.ndim)))) for low in lows]
+    if any(levels.size for levels in bad):
+        k, j = min((levels[0], j) for j, levels in enumerate(bad) if levels.size)
+        low = lows[j][k]
         i = np.argmin(low)
-        at = [float(np.broadcast_to(a, low.shape).flat[i]) for a in (m, r, d, y, z)]
+        at = [float(np.broadcast_to(a[k], low.shape).flat[i])
+              for a in (*kernels[j], *coefficients[j])]
         raise ValueError(
             "kernel not strictly positive at n={}: weights ({:.6g}, {:.6g}, {:.6g}) "
             "at (y, z)=({!r}, {!r})".format(spec.n, *at)
         )
-    return m, r, d
+    return kernels
+
+
+def _level_stacks(spec, **levels):
+    """The first n values of each named per-level sequence as one array,
+    level on axis 0 and lattice node on the last, all of one rank so that
+    they broadcast level by level.
+
+    A scalar or a (B, 1) column stacks as it is. A node table (length 2k+1
+    at level k) is edge-padded to the 2n-1 nodes of the widest level, and
+    _window reads level k back out of it.
+    """
+    n = spec.n
+    nodes = np.arange(1 - n, n)
+    stacks = []
+    for name, seq in levels.items():
+        if len(seq) < n:
+            raise ValueError(f"{name} has {len(seq)} levels, spec needs {n}")
+        values = (np.asarray(v, dtype=float) for v in seq[:n])
+        stack = np.array([v[np.clip(nodes + k, 0, 2 * k)] if v.ndim == 1 else v
+                          for k, v in enumerate(values)])
+        stacks.append(stack if stack.ndim > 1 else stack[:, None])
+    rank = max(s.ndim for s in stacks)
+    return [s.reshape(s.shape[:1] + (1,) * (rank - s.ndim) + s.shape[1:]) for s in stacks]
+
+
+def _window(stack, k):
+    """Level k of a level stack: its 2k+1 nodes of a padded node axis, or
+    the whole node axis when that has length 1."""
+    centre = stack.shape[-1] // 2
+    half = min(k, centre)
+    return stack[k, ..., centre - half:centre + half + 1]
 
 
 def kernel(y: float, z: float, spec: LatticeSpec):
@@ -161,8 +205,8 @@ def kernel(y: float, z: float, spec: LatticeSpec):
     three weights sum to 1 exactly. Raises when any weight fails strict
     positivity.
     """
-    m, r, d = _kernel_arrays(y, z, spec)
-    return float(m), float(r), float(d)
+    (m, r, d), = _positive_kernels(spec, ([y], [z]))
+    return float(m[0]), float(r[0]), float(d[0])
 
 
 @dataclass(frozen=True)
@@ -214,9 +258,9 @@ def build_tree(surface: VolSurface, spec: LatticeSpec) -> TrinomialTree:
     level-k coefficients; raises where a kernel is not strictly positive."""
     if surface.levels < spec.n:
         raise ValueError(f"surface has {surface.levels} levels, spec needs {spec.n}")
+    (m, r, d), = _positive_kernels(spec, _level_stacks(spec, sigma=surface.sigma, b=surface.b))
     return TrinomialTree(spec, tuple(
-        np.column_stack(_kernel_arrays(surface.sigma[k], surface.b[k], spec))
-        for k in range(spec.n)
+        np.column_stack([_window(a, k) for a in (m, r, d)]) for k in range(spec.n)
     ))
 
 
@@ -235,8 +279,8 @@ def _kl(p, p0):
 def local_entropy(sigma_val: float, b_val: float, sigma0_val: float, b0_val: float,
                   spec: LatticeSpec) -> float:
     """KL divergence of the (sigma, b) kernel from the (sigma0, b0) kernel."""
-    return float(_kl(_kernel_arrays(sigma_val, b_val, spec),
-                     _kernel_arrays(sigma0_val, b0_val, spec)))
+    step, ref = _positive_kernels(spec, ([sigma_val], [b_val]), ([sigma0_val], [b0_val]))
+    return float(_kl(step, ref)[0])
 
 
 def tree_entropy_chain(surface: VolSurface, surface0: VolSurface, spec: LatticeSpec) -> float:
@@ -355,29 +399,31 @@ def _chain_walk(sigma, b, sigma0, b0, spec: LatticeSpec):
     by level, against the (sigma0, b0) kernels.
 
     Each argument is a per-level sequence whose level-k value broadcasts
-    against the 2k+1 level-k nodes: a scalar is constant in space, and a
-    (B, 1) column walks B chains at once. Returns, per chain, the terminal
+    against the 2k+1 level-k nodes: a scalar is constant in space, a node
+    table gives one value per node, and a (B, 1) column walks B chains at
+    once. The kernels, their KL and q are evaluated once, on level stacks,
+    so the level loop only sums and pushes. Returns, per chain, the terminal
     law, the chain-rule entropy, the mean of the rate q over the levels
     (I_rate at N = n) and the worst gap between the two over visited nodes.
     """
-    for name, levels in (("sigma", sigma), ("b", b), ("sigma0", sigma0), ("b0", b0)):
-        if len(levels) < spec.n:
-            raise ValueError(f"{name} has {len(levels)} levels, spec needs {spec.n}")
-    a2 = spec.alpha_tick ** 2
+    sigma, b, sigma0, b0 = _level_stacks(spec, sigma=sigma, b=b, sigma0=sigma0, b0=b0)
+    step, ref = _positive_kernels(spec, (sigma, b), (sigma0, b0))
+    h = _kl(step, ref)
+    q = _q(np.square(sigma), np.square(sigma0), spec.alpha_tick ** 2)
+    # the loop reads only the step kernel, h and q
+    del sigma, b, sigma0, b0, ref
     prob = np.ones(1)
     entropy = rate = worst = 0.0
     for k in range(spec.n):
-        step = _kernel_arrays(sigma[k], b[k], spec)
-        h = _kl(step, _kernel_arrays(sigma0[k], b0[k], spec))
-        q = _q(np.square(sigma[k]), np.square(sigma0[k]), a2)
-        shape = np.broadcast_shapes(prob.shape, np.shape(h), np.shape(q))
+        hk, qk = _window(h, k), _window(q, k)
+        shape = np.broadcast_shapes(prob.shape, hk.shape, qk.shape)
         prob = np.broadcast_to(prob, shape)
         # materialized, since np.vecdot sums stride-0 views in another order
-        h, q = np.full(shape, h), np.full(shape, q)
-        entropy = entropy + np.vecdot(prob, h)
-        rate = rate + np.vecdot(prob, q)
-        worst = np.maximum(worst, np.where(prob > 0, np.abs(h - q), 0.0).max(axis=-1))
-        prob = _push(prob, *step)
+        hk, qk = np.full(shape, hk), np.full(shape, qk)
+        entropy = entropy + np.vecdot(prob, hk)
+        rate = rate + np.vecdot(prob, qk)
+        worst = np.maximum(worst, np.where(prob > 0, np.abs(hk - qk), 0.0).max(axis=-1))
+        prob = _push(prob, *(_window(a, k) for a in step))
     return prob, entropy, rate / spec.n, worst
 
 
@@ -533,7 +579,8 @@ def _golden_min(fn, lo, hi, tol):
 
 def _feasible_segments(gap_fn, lo, hi, epsilon, n_scan):
     """Maximal subintervals of [lo, hi] where |gap| <= epsilon, endpoints
-    refined; gap_fn maps an array of points to their gaps."""
+    refined by at most 60 bisection steps, fewer once every end has stalled;
+    gap_fn maps an array of points to their gaps."""
     grid = np.linspace(lo, hi, n_scan)
     gaps = np.abs(gap_fn(grid))
     feasible = gaps <= epsilon
@@ -550,6 +597,10 @@ def _feasible_segments(gap_fn, lo, hi, epsilon, n_scan):
                                     np.minimum(last + 1, n_scan - 1)])]
     for _ in range(60):
         mid = 0.5 * (t_feas + t_infeas)
+        # once every midpoint is one of its own ends, no later step can
+        # move an end: each would only re-test a point already classified
+        if np.all((mid == t_feas) | (mid == t_infeas)):
+            break
         ok = np.abs(gap_fn(mid)) <= epsilon
         t_feas, t_infeas = np.where(ok, mid, t_feas), np.where(ok, t_infeas, mid)
     return list(zip(*np.split(t_feas, 2))), float(gaps.min())

@@ -142,9 +142,10 @@ class TestSolveDualPoint:
             prob = random_problem(rng, n_points=3)
             sol = ep.solve_dual(prob)
             bf_measure, bf_entropy = ep.brute_force_projection(prob, grid_step=1e-3)
-            # the scan accepts moments within grid_step of the target, so it
-            # may undercut the exact optimum by about |lambda| * grid_step
-            slack = (1.0 + np.abs(sol.lambda_star).sum()) * 1e-3
+            # the scan accepts moments within grid_step * spread(F) of the
+            # target, so it may undercut the exact optimum by about
+            # |lambda| * grid_step * spread(F)
+            slack = (1.0 + np.abs(sol.lambda_star) @ np.ptp(prob.F, axis=0)) * 1e-3
             assert sol.entropy == pytest.approx(bf_entropy, abs=slack)
             np.testing.assert_allclose(
                 sol.alpha_star.weights, bf_measure.weights, atol=5e-2
@@ -276,6 +277,18 @@ class TestSolveDualBox:
         sol = ep.solve_dual(prob)
         _, bf_entropy = ep.brute_force_projection(prob, grid_step=1e-3)
         slack = (1.0 + np.abs(sol.lambda_star).sum()) * 1e-3
+        assert bf_entropy == pytest.approx(sol.entropy, abs=slack)
+
+    def test_brute_force_thin_tolerance_follows_the_spread_of_F(self):
+        # neighbouring grid measures lie grid_step * |F_i - F_j| apart, up
+        # to 0.005 * 3.94 here, so a tolerance of one grid_step missed them all
+        alpha = ep.FiniteMeasure(line_space(3), np.array([0.5, 0.3, 0.2]))
+        F = np.array([[-1.55, 0.17], [-0.46, 1.23], [0.96, -2.71]])
+        prob = ep.MomentProblem(alpha, F, ep.Box.point([-0.27, -0.7]))
+        sol = ep.solve_dual(prob)
+        assert sol.entropy == pytest.approx(0.105979, abs=1e-6)
+        _, bf_entropy = ep.brute_force_projection(prob, grid_step=0.005)
+        slack = np.abs(sol.lambda_star) @ (0.005 * np.ptp(F, axis=0))
         assert bf_entropy == pytest.approx(sol.entropy, abs=slack)
 
     def test_benchmark_box_needs_few_dual_evaluations(self, monkeypatch):

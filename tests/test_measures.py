@@ -69,6 +69,16 @@ class TestMetricSpacePoints:
         space = line_space(4)
         assert space.index_of(space.points[2]) == 2
 
+    def test_product_index_of_reads_the_factors(self, rng):
+        a, b = line_space(3), random_space(rng, 4)
+        points = tuple(itertools.product(a.points, b.points))
+        prod = ep.MetricSpacePoints.product([a, b])
+        assert [prod.index_of(p) for p in points] == list(range(12))
+        assert "points" not in vars(prod)
+        assert [prod.index_of(p) for p in points] == [prod.points.index(p) for p in points]
+        with pytest.raises(ValueError, match="not a point of this product space"):
+            prod.index_of(points[0][:1])
+
     def test_equal_coordinates_give_equal_spaces(self):
         coords = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
         a = ep.MetricSpacePoints.from_coordinates(coords)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from entroproj import tritree
 from entroproj.tritree import (
     CalibProblem,
     CalibrationInfeasible,
@@ -503,6 +504,76 @@ class TestChainWalk:
         with pytest.raises(ValueError, match="sigma0 has 10 levels, spec needs 40"):
             calibrate(problem, spec, 0.01)
 
+    @pytest.mark.parametrize("case", ["tables", "columns", "scalars"])
+    def test_matches_the_level_by_level_walk_bit_for_bit(self, rng, case):
+        def reference(sigma, b, sigma0, b0, spec):
+            # kernels, KL and q evaluated one level at a time
+            prob = np.ones(1)
+            entropy = rate = worst = 0.0
+            for k in range(spec.n):
+                step = tritree._kernel_arrays(sigma[k], b[k], spec)
+                h = tritree._kl(step, tritree._kernel_arrays(sigma0[k], b0[k], spec))
+                q = tritree._q(np.square(sigma[k]), np.square(sigma0[k]), spec.alpha_tick ** 2)
+                shape = np.broadcast_shapes(prob.shape, np.shape(h), np.shape(q))
+                prob = np.broadcast_to(prob, shape)
+                h, q = np.full(shape, h), np.full(shape, q)
+                entropy = entropy + np.vecdot(prob, h)
+                rate = rate + np.vecdot(prob, q)
+                worst = np.maximum(worst, np.where(prob > 0, np.abs(h - q), 0.0).max(axis=-1))
+                prob = tritree._push(prob, *step)
+            return prob, entropy, rate / spec.n, worst
+
+        spec = wide_spec(23)
+        surf, surf0 = random_surface(rng, spec), random_surface(rng, spec)
+        args = {
+            "tables": (surf.sigma, surf.b, surf0.sigma, surf0.b),
+            "columns": ([rng.uniform(0.7, 1.3, (6, 1)) for _ in range(23)], [spec.b0] * 23,
+                        surf0.sigma, surf0.b),
+            "scalars": (list(rng.uniform(0.7, 1.3, 23)), [spec.b0] * 23, [1.2] * 23,
+                        list(rng.uniform(0.13, 0.17, 23))),
+        }[case]
+        for got, want in zip(_chain_walk(*args, spec), reference(*args, spec)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [8, 40, 300])
+    def test_evaluates_each_kernel_once_per_walk(self, monkeypatch, rng, n):
+        calls = []
+        real = tritree._kernel_arrays
+        monkeypatch.setattr(tritree, "_kernel_arrays",
+                            lambda *args: calls.append(args) or real(*args))
+        spec = wide_spec(n)
+        surf, surf0 = random_surface(rng, spec), random_surface(rng, spec)
+        columns = [rng.uniform(0.7, 1.3, (4, 1)) for _ in range(n)]
+        for args in (([1.1] * n, [spec.b0] * n, [1.3] * n, [spec.b0] * n),
+                     (columns, [spec.b0] * n, [1.2] * n, [spec.b0] * n),
+                     (surf.sigma, surf.b, surf0.sigma, surf0.b)):
+            calls.clear()
+            _chain_walk(*args, spec)
+            assert len(calls) == 2
+
+    def test_positivity_names_the_first_failing_level(self):
+        # the reference fails at level 2, worst at 0.3; the step kernel fails
+        # at level 5 with the smaller 0.29, which a level-by-level walk never
+        # reaches. Within one level the step kernel is checked first.
+        spec = wide_spec(8)
+        sig = [np.full(2 * k + 1, 1.1) for k in range(8)]
+        sig0 = [np.full(2 * k + 1, 1.2) for k in range(8)]
+        sig0[2] = np.array([1.2, 0.32, 1.2, 0.3, 1.2])
+        sig[5] = np.full(11, 0.29)
+        drift = tuple(np.full(2 * k + 1, spec.b0) for k in range(8))
+        with pytest.raises(ValueError) as failed:
+            walk(VolSurface(sigma=tuple(sig), b=drift), VolSurface(sigma=tuple(sig0), b=drift),
+                 spec)
+        assert str(failed.value) == ("kernel not strictly positive at n=8: weights "
+                                     "(0.0245083, 0.9775, -0.00200825) at (y, z)=(0.3, 0.15)")
+        sig[2] = np.array([1.1, 1.1, 1.1, 0.31, 1.1])
+        with pytest.raises(ValueError) as failed:
+            walk(VolSurface(sigma=tuple(sig), b=drift), VolSurface(sigma=tuple(sig0), b=drift),
+                 spec)
+        assert str(failed.value) == ("kernel not strictly positive at n=8: weights "
+                                     "(0.0252708, 0.975975, -0.00124575) at (y, z)=(0.31, 0.15)")
+
 
 class TestIRate:
     def test_needs_no_positive_reference_kernel(self):
@@ -653,6 +724,34 @@ class TestFeasibleSegments:
     def test_no_feasible_point(self):
         assert _feasible_segments(lambda t: t + 1.0, 0.0, 1.0, 0.5, 5) == ([], 1.0)
 
+    def test_stalled_bisection_stops_with_the_full_loops_ends(self):
+        # a reference that always takes 60 steps, as the loop did before it
+        # stopped at the first step that leaves every end where it was
+        def reference(gap_fn, lo, hi, epsilon, n_scan):
+            grid = np.linspace(lo, hi, n_scan)
+            feasible = np.abs(gap_fn(grid)) <= epsilon
+            steps = np.diff(np.concatenate([[0], feasible.astype(int), [0]]))
+            first, last = np.flatnonzero(steps == 1), np.flatnonzero(steps == -1) - 1
+            t_feas = grid[np.concatenate([first, last])]
+            t_infeas = grid[np.concatenate([np.maximum(first - 1, 0),
+                                            np.minimum(last + 1, n_scan - 1)])]
+            for _ in range(60):
+                mid = 0.5 * (t_feas + t_infeas)
+                ok = np.abs(gap_fn(mid)) <= epsilon
+                t_feas, t_infeas = np.where(ok, mid, t_feas), np.where(ok, t_infeas, mid)
+            return list(zip(*np.split(t_feas, 2)))
+
+        calls = []
+
+        def gap(t):
+            calls.append(len(t))
+            return np.cos(7.0 * t) + 0.2 * t
+
+        segments, _ = _feasible_segments(gap, -1.0, 2.0, 0.3, 50)
+        assert len(calls) < 61
+        assert len(segments) == 6
+        assert segments == reference(gap, -1.0, 2.0, 0.3, 50)
+
 
 class TestGoldenMin:
     def test_intervals_of_different_widths_in_lockstep(self):
@@ -721,6 +820,17 @@ class TestCalibrate:
         result = calibrate(CalibProblem(sigma0=1.2, payoff=payoff, n_pieces=2), spec, 0.01)
         assert built == [VolSurface]
         assert result.sigma_star.levels == 40
+
+    @pytest.mark.parametrize("pieces, walks", [(1, 67), (2, 207)])
+    def test_walk_count_at_the_benchmark_size(self, monkeypatch, pieces, walks):
+        calls = []
+        real = tritree._chain_walk
+        monkeypatch.setattr(tritree, "_chain_walk",
+                            lambda *args: calls.append(args) or real(*args))
+        spec = wide_spec(40)
+        payoff = normalized_square_payoff(spec, 1.1)
+        calibrate(CalibProblem(sigma0=1.2, payoff=payoff, n_pieces=pieces), spec, 0.01)
+        assert len(calls) == walks
 
     def test_unreachable_band_rejected(self):
         spec = wide_spec(20)
