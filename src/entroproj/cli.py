@@ -3,7 +3,7 @@
 Each run is described by a JSON document naming an experiment, a mandatory
 seed, experiment parameters, and an output target. Tables are written
 atomically (temp file + rename) with repr-exact floats, so re-running an
-identical config reproduces the output bytes on any host.
+identical config reproduces the output bytes with the same numpy and libm.
 A manifest with the config echo, row counts, and wall time lands next to
 the tables.
 

@@ -34,10 +34,6 @@ _PATTERN_BUDGET = 1_000_000
 # Cells of one slab of the (classes, pattern count vectors, letters) array
 # of falling factorials, so that wide windows stay within a few megabytes.
 _LAW_CELLS = 1 << 18
-# Uniforms in one block of Monte Carlo draws. A block holds its (rows, n)
-# float64 uniforms (eight megabytes), one reused (rows, n) boolean mask and
-# its (rows, m) counts, whatever the trial count.
-_MC_CELLS = 1 << 20
 
 
 class ZeroAcceptanceError(RuntimeError):
@@ -296,48 +292,40 @@ def _sample_types(gen, weights, n, trials, k):
     """Letter counts of ``trials`` i.i.d.(weights) n-blocks, as a (trials, m)
     matrix, and the first k letters of every block, as (trials, k).
 
-    A uniform u is letter j when cumw[j-1] <= u < cumw[j]. The stream is read
-    in blocks of about _MC_CELLS uniforms, and each block is counted in
-    m - 1 comparison passes: the number of draws per row below cumw[j] is
-    the number of draws of letters 0..j, and the differences of these are
-    the counts. A block holds its uniforms, one boolean mask and its counts;
-    only the first k columns are mapped to letters. The passes grow linearly
-    in m, so from about 12 letters on rows of 10 draws, and about 32 on rows
-    of 200, they cost more than a binary search per draw would. Philox fills
-    draws in order, so the result equals that of one (trials, n) draw.
+    Only what the estimators read is drawn. The head letters of all trials
+    come first, from uniforms: u is letter j when cumw[j-1] <= u < cumw[j].
+    Then one multinomial draw per trial gives the counts of its other n - k
+    letters, with the probabilities those thresholds give, and the heads are
+    added to them. The partial sums are clipped at 1, so weights whose sum
+    overshoots 1 by rounding draw as their thresholds do. A trial costs
+    O(k + m) time and memory, whatever n.
+
+    The draws are bit-identical for a fixed seed and numpy version. The
+    uniforms are exact on any host, but the binomial draws inside the
+    multinomial call libm's log and exp, so a libm that rounds differently
+    can change the counts.
     """
     if trials < 1:
         raise ValueError("trials must be a positive integer")
-    m = len(weights)
-    cumw = np.cumsum(weights)
+    cumw = np.minimum(np.cumsum(weights), 1.0)
     cumw[-1] = 1.0
-    rows = max(1, _MC_CELLS // n)
-    mask = np.empty((min(rows, trials), n), dtype=bool)
-    counts, heads = [], []
-    for lo in range(0, trials, rows):
-        t = min(rows, trials - lo)
-        u = gen.random((t, n))
-        c = np.empty((t, m), dtype=np.intp)
-        below = 0
-        for j in range(m - 1):
-            np.less(u, cumw[j], out=mask[:t])
-            # with an integer dtype einsum counts the mask instead of or-ing it
-            upto = np.einsum("ij->i", mask[:t], dtype=np.intp)
-            c[:, j] = upto - below
-            below = upto
-        c[:, m - 1] = n - below
-        counts.append(c)
-        heads.append(np.searchsorted(cumw, u[:, :k], side="right"))
-    return np.concatenate(counts), np.concatenate(heads)
+    heads = np.searchsorted(cumw, gen.random((trials, k)), side="right")
+    counts = gen.multinomial(n - k, np.diff(cumw, prepend=0.0), size=trials)
+    np.add.at(counts, (np.arange(trials)[:, None], heads), 1)
+    return counts, heads
 
 
 def run_conditional_mc(alpha: FiniteMeasure, n: int, event, k: int,
                        trials: int, seed: int) -> ConditionalEstimate:
     """Monte Carlo rejection estimate of the conditional k-coordinate law.
 
-    All trials read one counter-based stream keyed by (seed, 0), so results
-    are bit-identical for a fixed seed on any host. Zero acceptances raise
-    ZeroAcceptanceError carrying the rule-of-three bound 3/trials.
+    All trials read one counter-based stream keyed by (seed, 0), and each
+    trial draws only its head letters and its letter counts. Results are
+    bit-identical for a fixed seed and numpy version. Across hosts they also
+    rest on libm's log and exp, which the binomial draws call; the pinned
+    benchmark table in the tests flags a host where they round differently.
+    Zero acceptances raise ZeroAcceptanceError carrying the rule-of-three
+    bound 3/trials.
     """
     m = len(alpha.space)
     _check_window(n, k, m)

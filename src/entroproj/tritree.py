@@ -23,6 +23,11 @@ _THETA_SCAN = 400
 _AUDIT_POINTS = 200
 _GOLDEN_TOL = 1e-6
 _COND_TOL = 1e-9
+# Broadcast elements of one block of level stacks in a lattice walk. A
+# scalar walk is one block to n = 65536 and a (B, 1) walk to n = 65536 / B
+# (163 levels for calibrate's 400-point scan); node tables at n = 1000 walk
+# 32 levels per block.
+_WALK_CELLS = 1 << 16
 
 
 class CalibrationInfeasible(ValueError):
@@ -167,10 +172,10 @@ def _positive_kernels(spec, *coefficients):
     return kernels
 
 
-def _level_stacks(spec, **levels):
-    """The first n values of each named per-level sequence as one array,
-    level on axis 0 and lattice node on the last, all of one rank so that
-    they broadcast level by level.
+def _level_stacks(spec, rows, **levels):
+    """Levels ``rows`` (a range) of each named per-level sequence as one
+    array, level on axis 0 and lattice node on the last, all of one rank so
+    that they broadcast level by level.
 
     A scalar or a (B, 1) column stacks as it is. A node table (length 2k+1
     at level k) is edge-padded to the 2n-1 nodes of the widest level, and
@@ -179,23 +184,36 @@ def _level_stacks(spec, **levels):
     n = spec.n
     nodes = np.arange(1 - n, n)
     stacks = []
-    for name, seq in levels.items():
-        if len(seq) < n:
-            raise ValueError(f"{name} has {len(seq)} levels, spec needs {n}")
-        values = (np.asarray(v, dtype=float) for v in seq[:n])
+    for seq in levels.values():
+        values = (np.asarray(seq[k], dtype=float) for k in rows)
         stack = np.array([v[np.clip(nodes + k, 0, 2 * k)] if v.ndim == 1 else v
-                          for k, v in enumerate(values)])
+                          for k, v in zip(rows, values)])
         stacks.append(stack if stack.ndim > 1 else stack[:, None])
     rank = max(s.ndim for s in stacks)
     return [s.reshape(s.shape[:1] + (1,) * (rank - s.ndim) + s.shape[1:]) for s in stacks]
 
 
-def _window(stack, k):
-    """Level k of a level stack: its 2k+1 nodes of a padded node axis, or
-    the whole node axis when that has length 1."""
+def _level_blocks(spec, **levels):
+    """The level stacks of consecutive blocks of levels, as (first level,
+    stacks), each block about _WALK_CELLS broadcast elements long as the
+    widest (last) level counts them."""
+    n = spec.n
+    for name, seq in levels.items():
+        if len(seq) < n:
+            raise ValueError(f"{name} has {len(seq)} levels, spec needs {n}")
+    widest = np.broadcast_shapes(*(np.shape(seq[n - 1]) for seq in levels.values()))
+    rows = max(1, _WALK_CELLS // math.prod(widest))
+    for first in range(0, n, rows):
+        yield first, _level_stacks(spec, range(first, min(first + rows, n)), **levels)
+
+
+def _window(stack, k, first=0):
+    """Level k of a level stack whose axis 0 starts at level ``first``: its
+    2k+1 nodes of a padded node axis, or the whole node axis when that has
+    length 1."""
     centre = stack.shape[-1] // 2
     half = min(k, centre)
-    return stack[k, ..., centre - half:centre + half + 1]
+    return stack[k - first, ..., centre - half:centre + half + 1]
 
 
 def kernel(y: float, z: float, spec: LatticeSpec):
@@ -258,7 +276,8 @@ def build_tree(surface: VolSurface, spec: LatticeSpec) -> TrinomialTree:
     level-k coefficients; raises where a kernel is not strictly positive."""
     if surface.levels < spec.n:
         raise ValueError(f"surface has {surface.levels} levels, spec needs {spec.n}")
-    (m, r, d), = _positive_kernels(spec, _level_stacks(spec, sigma=surface.sigma, b=surface.b))
+    (m, r, d), = _positive_kernels(
+        spec, _level_stacks(spec, range(spec.n), sigma=surface.sigma, b=surface.b))
     return TrinomialTree(spec, tuple(
         np.column_stack([_window(a, k) for a in (m, r, d)]) for k in range(spec.n)
     ))
@@ -401,29 +420,31 @@ def _chain_walk(sigma, b, sigma0, b0, spec: LatticeSpec):
     Each argument is a per-level sequence whose level-k value broadcasts
     against the 2k+1 level-k nodes: a scalar is constant in space, a node
     table gives one value per node, and a (B, 1) column walks B chains at
-    once. The kernels, their KL and q are evaluated once, on level stacks,
-    so the level loop only sums and pushes. Returns, per chain, the terminal
-    law, the chain-rule entropy, the mean of the rate q over the levels
-    (I_rate at N = n) and the worst gap between the two over visited nodes.
+    once. The kernels, their KL and q are evaluated on level stacks, one
+    block of levels at a time (_level_blocks), so the level loop only sums
+    and pushes. Returns, per chain, the terminal law, the chain-rule
+    entropy, the mean of the rate q over the levels (I_rate at N = n) and
+    the worst gap between the two over visited nodes.
     """
-    sigma, b, sigma0, b0 = _level_stacks(spec, sigma=sigma, b=b, sigma0=sigma0, b0=b0)
-    step, ref = _positive_kernels(spec, (sigma, b), (sigma0, b0))
-    h = _kl(step, ref)
-    q = _q(np.square(sigma), np.square(sigma0), spec.alpha_tick ** 2)
-    # the loop reads only the step kernel, h and q
-    del sigma, b, sigma0, b0, ref
     prob = np.ones(1)
     entropy = rate = worst = 0.0
-    for k in range(spec.n):
-        hk, qk = _window(h, k), _window(q, k)
-        shape = np.broadcast_shapes(prob.shape, hk.shape, qk.shape)
-        prob = np.broadcast_to(prob, shape)
-        # materialized, since np.vecdot sums stride-0 views in another order
-        hk, qk = np.full(shape, hk), np.full(shape, qk)
-        entropy = entropy + np.vecdot(prob, hk)
-        rate = rate + np.vecdot(prob, qk)
-        worst = np.maximum(worst, np.where(prob > 0, np.abs(hk - qk), 0.0).max(axis=-1))
-        prob = _push(prob, *(_window(a, k) for a in step))
+    blocks = _level_blocks(spec, sigma=sigma, b=b, sigma0=sigma0, b0=b0)
+    for first, (sigma, b, sigma0, b0) in blocks:
+        step, ref = _positive_kernels(spec, (sigma, b), (sigma0, b0))
+        h = _kl(step, ref)
+        q = _q(np.square(sigma), np.square(sigma0), spec.alpha_tick ** 2)
+        # the level loop reads only the step kernel, h and q
+        del sigma, b, sigma0, b0, ref
+        for k in range(first, first + len(h)):
+            hk, qk = _window(h, k, first), _window(q, k, first)
+            shape = np.broadcast_shapes(prob.shape, hk.shape, qk.shape)
+            prob = np.broadcast_to(prob, shape)
+            # materialized, since np.vecdot sums stride-0 views in another order
+            hk, qk = np.full(shape, hk), np.full(shape, qk)
+            entropy = entropy + np.vecdot(prob, hk)
+            rate = rate + np.vecdot(prob, qk)
+            worst = np.maximum(worst, np.where(prob > 0, np.abs(hk - qk), 0.0).max(axis=-1))
+            prob = _push(prob, *(_window(a, k, first) for a in step))
     return prob, entropy, rate / spec.n, worst
 
 

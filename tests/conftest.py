@@ -35,3 +35,18 @@ def random_measure(rng, space, floor=0.0):
 def random_space(rng, n, dim=2, scale=1.0):
     coords = rng.uniform(-scale, scale, size=(n, dim))
     return MetricSpacePoints.from_coordinates(coords)
+
+
+def per_trial_types(gen, weights, n, trials, k):
+    """Reference for the Monte Carlo sampler, one trial at a time over the
+    same stream: the k head letters of every trial from uniforms on the
+    cumulative thresholds (clipped at 1), then per trial one multinomial
+    draw of its other n - k letters, with the thresholds' probabilities,
+    plus its heads."""
+    cumw = np.minimum(np.cumsum(weights), 1.0)
+    cumw[-1] = 1.0
+    p = np.diff(cumw, prepend=0.0)
+    heads = np.searchsorted(cumw, gen.random((trials, k)), side="right")
+    counts = np.array([gen.multinomial(n - k, p) + np.bincount(row, minlength=len(p))
+                       for row in heads])
+    return counts, heads

@@ -8,7 +8,7 @@ import pytest
 import entroproj as ep
 from entroproj import gibbs
 
-from conftest import line_space
+from conftest import line_space, per_trial_types
 
 
 def gaussian_weights(x, center, var):
@@ -323,12 +323,9 @@ class TestMarginalScheduleCheck:
         real = getattr(gibbs, f"{metric}_distance")
         # per-trial loop over the same stream
         gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-        cumw = np.cumsum(nu.weights)
-        cumw[-1] = 1.0
         want, n_types = [], 0
         for n in n_list:
-            idx = np.searchsorted(cumw, gen.random((trials, n)), side="right")
-            counts = np.array([np.bincount(row, minlength=m) for row in idx])
+            counts, _ = per_trial_types(gen, nu.weights, n, trials, 0)
             n_types += len(np.unique(counts, axis=0))
             hits = sum(real(ep.FiniteMeasure(nu.space, row / n), nu) <= eps(n)
                        for row in counts)

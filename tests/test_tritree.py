@@ -1,6 +1,7 @@
 """Lattice chain construction, entropy evaluation, and calibration checks."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from itertools import product as iter_product
 
@@ -550,7 +551,39 @@ class TestChainWalk:
                      (surf.sigma, surf.b, surf0.sigma, surf0.b)):
             calls.clear()
             _chain_walk(*args, spec)
-            assert len(calls) == 2
+            # both kernels of every level once; scalars and columns in one
+            # block, node tables in blocks of _WALK_CELLS elements
+            assert sum(len(y) for y, _, _ in calls) == 2 * n
+            rows = n if args[0] is not surf.sigma else tritree._WALK_CELLS // (2 * n - 1)
+            assert len(calls) == 2 * math.ceil(n / rows)
+
+    @pytest.mark.parametrize("cells", [1, 45 * 4, 45 * 7])
+    def test_level_blocks_match_one_block_bit_for_bit(self, monkeypatch, rng, cells):
+        # 23 levels of 45 padded nodes in blocks of 1, 4 and 7 levels (the
+        # last one ragged), against the whole walk as one block
+        spec = wide_spec(23)
+        surf, surf0 = random_surface(rng, spec), random_surface(rng, spec)
+        columns = [rng.uniform(0.7, 1.3, (3, 1)) for _ in range(23)]
+        cases = [(surf.sigma, surf.b, surf0.sigma, surf0.b),
+                 (columns, [spec.b0] * 23, surf0.sigma, surf0.b)]
+        whole = [_chain_walk(*args, spec) for args in cases]
+        monkeypatch.setattr(tritree, "_WALK_CELLS", cells)
+        for args, want in zip(cases, whole):
+            for got, ref in zip(_chain_walk(*args, spec), want):
+                assert got.shape == ref.shape and np.array_equal(got, ref)
+
+    def test_node_table_walk_memory_is_bounded(self, rng):
+        # the padded level stacks of all 1000 levels would take about 15 MiB
+        # each; a block of levels keeps the walk far below that
+        spec = wide_spec(1000)
+        surf, surf0 = random_surface(rng, spec), random_surface(rng, spec)
+        tracemalloc.start()
+        try:
+            tree_entropy_chain(surf, surf0, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 << 20
 
     def test_positivity_names_the_first_failing_level(self):
         # the reference fails at level 2, worst at 0.3; the step kernel fails
