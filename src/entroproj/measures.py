@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -255,10 +256,11 @@ class FiniteMeasure:
 class CoveringReport:
     """Result of a covering-number computation.
 
-    ``method`` is "exact" when produced by exhaustive minimal set cover and
-    "greedy" when produced by the farthest-point heuristic (an upper bound).
-    Centers are point identifiers; every point lies strictly within epsilon
-    of some center (open balls).
+    ``method`` is "exact" when produced by the branch-and-bound minimal set
+    cover and "greedy" when produced by the farthest-point heuristic (an
+    upper bound). Centers are point identifiers, one per ball; every point
+    lies strictly within epsilon of some center (open balls). With method
+    "exact", the centers are one of possibly several minimal sets.
     """
 
     epsilon: float
@@ -526,8 +528,9 @@ def covering_number(space: MetricSpacePoints, epsilon: float) -> CoveringReport:
     """Minimal number of open epsilon-balls (centered at support points)
     covering the space.
 
-    Exact minimal set cover by exhaustive search for at most 20 points;
-    greedy farthest-point cover (an upper bound, flagged) beyond that.
+    Exact for at most 20 points: a branch-and-bound minimal set cover that
+    branches on the lowest uncovered point (see ``_min_cover``). Beyond
+    that, a greedy farthest-point cover (an upper bound, flagged).
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -546,20 +549,9 @@ def covering_number(space: MetricSpacePoints, epsilon: float) -> CoveringReport:
         for m, x in masks.items():
             if not any(other != m and (m | other) == other for other in masks):
                 keep[m] = x
-        full = (1 << n) - 1
-        mask_items = sorted(keep.items(), key=lambda kv: -bin(kv[0]).count("1"))
-        for r in range(1, len(mask_items) + 1):
-            for combo in itertools.combinations(mask_items, r):
-                acc = 0
-                for m, _ in combo:
-                    acc |= m
-                    if acc == full:
-                        break
-                if acc == full:
-                    centers = tuple(space.points[x] for _, x in combo)
-                    return CoveringReport(epsilon=epsilon, count=r,
-                                          method="exact", centers=centers)
-        raise RuntimeError("set cover search failed")  # unreachable: r=n covers
+        centers = _min_cover(keep, n)
+        return CoveringReport(epsilon=epsilon, count=len(centers), method="exact",
+                              centers=tuple(space.points[x] for x in centers))
 
     # farthest-point greedy
     centers_idx = [0]
@@ -578,12 +570,49 @@ def covering_number(space: MetricSpacePoints, epsilon: float) -> CoveringReport:
     )
 
 
+def _min_cover(balls, n):
+    """Centers of a smallest cover of points 0..n-1 by ``balls``, a dict
+    from ball bitmask to center index, with every point in some ball.
+
+    Iterative deepening on the depth r = 1, 2, ...: every cover contains a
+    ball through the lowest uncovered point, so branch over those balls,
+    widest first, and prune a branch once its uncovered points outnumber
+    the depth left times the widest ball. The first depth that succeeds is
+    the minimum. The branching rule is that of Knuth's Algorithm X
+    ("Dancing links", 2000).
+    """
+    widest_first = sorted(balls.items(), key=lambda mx: -mx[0].bit_count())
+    widest = widest_first[0][0].bit_count()
+    through = [[(m, x) for m, x in widest_first if m >> p & 1] for p in range(n)]
+    full = (1 << n) - 1
+    chosen = []
+
+    def search(covered, depth):
+        uncovered = full & ~covered
+        if not uncovered:
+            return True
+        if uncovered.bit_count() > depth * widest:
+            return False
+        for m, x in through[(uncovered & -uncovered).bit_length() - 1]:
+            chosen.append(x)
+            if search(covered | m, depth - 1):
+                return True
+            chosen.pop()
+        return False
+
+    depth = 1
+    while not search(0, depth):
+        depth += 1
+    return chosen
+
+
 def covering_bound_measures(n_cover: int, epsilon: float, metric_kind: str) -> float:
     """Covering bound on the measure level: (2e/eps)^N for the Prohorov
     metric and (4e/eps)^N for Fortet-Mourier; the caller supplies the
-    covering count N appropriate for the chosen metric.
+    covering count N appropriate for the chosen metric. A bound beyond the
+    float range is returned as inf, which still bounds.
     """
-    if n_cover < 0:
+    if isinstance(n_cover, bool) or not isinstance(n_cover, numbers.Integral) or n_cover < 0:
         raise ValueError("n_cover must be a nonnegative integer")
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
@@ -593,7 +622,10 @@ def covering_bound_measures(n_cover: int, epsilon: float, metric_kind: str) -> f
         base = 4.0 * math.e / epsilon
     else:
         raise ValueError(f"unknown metric kind {metric_kind!r}")
-    return base ** n_cover
+    try:
+        return base ** int(n_cover)
+    except OverflowError:
+        return math.inf
 
 
 def epsilon_schedule_metric(covering_fn, n: int) -> float:

@@ -395,6 +395,39 @@ class TestLuxemburgNorm:
         )
 
 
+def subset_scan_covering(space, epsilon):
+    """Reference for the exact covering path: the same kept ball masks,
+    then every subset of them by size until one covers."""
+    n = len(space)
+    balls = space.dist < epsilon
+    masks = {}
+    for x in range(n):
+        m = int(np.sum(1 << np.nonzero(balls[x])[0].astype(np.int64)))
+        if m not in masks:
+            masks[m] = x
+    keep = {m: x for m, x in masks.items()
+            if not any(other != m and (m | other) == other for other in masks)}
+    full = (1 << n) - 1
+    mask_items = sorted(keep.items(), key=lambda kv: -bin(kv[0]).count("1"))
+    for r in range(1, len(mask_items) + 1):
+        for combo in itertools.combinations(mask_items, r):
+            acc = 0
+            for m, _ in combo:
+                acc |= m
+            if acc == full:
+                return ep.CoveringReport(epsilon=epsilon, count=r, method="exact",
+                                         centers=tuple(space.points[x] for _, x in combo))
+    raise AssertionError("no subset covers")
+
+
+def assert_open_cover(space, report):
+    """The report's centers are distinct, as many as its count, and every
+    point lies strictly within epsilon of one of them."""
+    centers_idx = [space.index_of(c) for c in report.centers]
+    assert len(centers_idx) == report.count == len(set(centers_idx))
+    assert np.all(space.dist[:, centers_idx].min(axis=1) < report.epsilon)
+
+
 class TestCoveringNumber:
     def grid11(self):
         return line_space(11)  # 0.0, 0.1, ..., 1.0
@@ -412,19 +445,30 @@ class TestCoveringNumber:
     def test_centers_cover(self, rng):
         space = random_space(rng, 15)
         eps = 0.8
-        report = ep.covering_number(space, eps)
-        centers_idx = [space.index_of(c) for c in report.centers]
-        d = space.dist
-        for j in range(len(space)):
-            assert min(d[j, i] for i in centers_idx) <= eps + 1e-12
+        assert_open_cover(space, ep.covering_number(space, eps))
 
     def test_greedy_beyond_scan_limit(self, rng):
         space = random_space(rng, EXACT_SCAN_LIMIT + 10)
         report = ep.covering_number(space, 0.9)
         assert report.method == "greedy"
-        centers_idx = [space.index_of(c) for c in report.centers]
-        for j in range(len(space)):
-            assert min(space.dist[j, i] for i in centers_idx) <= 0.9 + 1e-12
+        assert_open_cover(space, report)
+
+    def test_matches_subset_scan_on_random_spaces(self, rng):
+        for _ in range(60):
+            space = random_space(rng, int(rng.integers(1, 17)), dim=int(rng.integers(1, 4)))
+            for eps in (0.05, 0.3, 0.6, 1.0, 2.0):
+                report = ep.covering_number(space, eps)
+                scan = subset_scan_covering(space, eps)
+                assert (report.count, report.method) == (scan.count, scan.method)
+                assert_open_cover(space, report)
+
+    @pytest.mark.parametrize("eps, count", [(0.3, 2), (0.15, 4), (0.1, 6), (0.05, 18)])
+    def test_matches_subset_scan_on_benchmark_grid(self, eps, count):
+        space = line_space(18)
+        report = ep.covering_number(space, eps)
+        scan = subset_scan_covering(space, eps)
+        assert (report.count, report.method) == (scan.count, scan.method) == (count, "exact")
+        assert_open_cover(space, report)
 
     def test_rejects_nonpositive_epsilon(self):
         for epsilon in (0.0, math.nan):
@@ -453,6 +497,19 @@ class TestCoveringBoundMeasures:
             ep.covering_bound_measures(2, 1.5, "prohorov")
         with pytest.raises(ValueError):
             ep.covering_bound_measures(2, 0.5, "wasserstein")
+
+    @pytest.mark.parametrize("n_cover", [2.5, 2.0, True, False, "2"])
+    def test_rejects_counts_that_are_not_integers(self, n_cover):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            ep.covering_bound_measures(n_cover, 0.5, "prohorov")
+
+    def test_takes_numpy_integers(self):
+        assert ep.covering_bound_measures(np.int64(2), 1.0, "prohorov") == (
+            ep.covering_bound_measures(2, 1.0, "prohorov"))
+
+    def test_bound_beyond_float_range_is_inf(self):
+        assert ep.covering_bound_measures(200, 0.01, "prohorov") == math.inf
+        assert ep.covering_bound_measures(200, 0.01, "fortet_mourier") == math.inf
 
 
 class TestEpsilonScheduleMetric:
