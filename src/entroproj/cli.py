@@ -285,8 +285,10 @@ def _calibrate(p):
     def compute(seed):
         value = target_value
         if sigma_target is not None:
-            surf = tritree.VolSurface.constant(spec, sigma_target, spec.b0)
-            value = tritree.expectation(tritree.build_tree(surf, spec), lambda x: x * x, spec.n)
+            # E[X^2] at the terminal level of the constant chain, walked as scalars
+            law = tritree._chain_walk(*([v] * spec.n for v in (
+                sigma_target, spec.b0, sigma_target, spec.b0)), spec)[0]
+            value = float(law @ np.square(spec.positions(spec.n)))
 
         def payoff(x):
             return x * x / value
@@ -299,7 +301,7 @@ def _calibrate(p):
             ["moment", res.moment],
             ["slack", res.slack],
             ["target_value", value],
-            ["epsilon0", tritree.epsilon0(res.sigma_star, spec, payoff)],
+            ["epsilon0", tritree.epsilon0(res, spec)],
         ]
         return {"report": (["field", "value"], rows)}
     return compute

@@ -66,7 +66,7 @@ class MomentBand:
         object.__setattr__(self, "F", F)
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
         object.__setattr__(self, "center", c)
-        if self.radius < 0:
+        if not self.radius >= 0:  # NaN fails this too
             raise ValueError("radius must be nonnegative")
         if self.norm not in ("sup", "euclidean"):
             raise ValueError(f"unknown norm {self.norm!r}")
@@ -95,7 +95,7 @@ class MetricBall:
     def __post_init__(self):
         if self.metric not in ("fm", "prohorov"):
             raise ValueError(f"unknown metric {self.metric!r}")
-        if self.radius < 0:
+        if not self.radius >= 0:  # NaN fails this too
             raise ValueError("radius must be nonnegative")
 
     def contains(self, nu: FiniteMeasure) -> bool:

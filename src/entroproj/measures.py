@@ -6,9 +6,10 @@ Luxemburg norms for the exponential Orlicz function, and covering-number
 machinery with the epsilon schedule built from it.
 
 Everything here is exact finite-dimensional computation: the Fortet-Mourier
-distance is a linear program over function values, the Prohorov distance is
-an exhaustive subset scan (up to 20 support points), covering numbers are
-minimal set covers. All types are immutable and all operations are pure.
+distance is a linear program over function values, the Prohorov distance
+takes its worst-set deficiencies from maximum flows over couplings, and
+covering numbers are minimal set covers (up to 20 support points). All
+types are immutable and all operations are pure.
 """
 from __future__ import annotations
 
@@ -351,63 +352,31 @@ def fm_distance(nu1: FiniteMeasure, nu2: FiniteMeasure) -> float:
     return max(0.0, -float(res.fun))  # a tie keeps +0.0, never -0.0
 
 
-def _subset_weights(weights):
-    """Measure of every subset of an N-point support, indexed by bitmask."""
-    n = len(weights)
-    out = np.zeros(1 << n)
-    idx = np.arange(1 << n)
-    for b in range(n):
-        out += weights[b] * ((idx >> b) & 1)
-    return out
-
-
-def _fattened_masks(ball_masks):
-    """For every subset A (bitmask), the bitmask of the union of balls over A.
-
-    Processes masks grouped by lowest set bit so each batch is a vectorized
-    copy of already-computed values.
-    """
-    n = len(ball_masks)
-    out = np.zeros(1 << n, dtype=np.int64)
-    for b in range(n - 1, -1, -1):
-        high = np.arange(1 << (n - 1 - b), dtype=np.int64) << (b + 1)
-        out[high | (1 << b)] = out[high] | int(ball_masks[b])
-    return out
-
-
 def prohorov_distance(nu1: FiniteMeasure, nu2: FiniteMeasure) -> float:
     """Prohorov distance: inf over a > 0 of the a-fattening domination test.
 
     Uses A^a = {x : d(x, A) <= a} and requires nu1(A) <= nu2(A^a) + a and
-    the same with the measures swapped, for every subset A. Exact via an
-    exhaustive subset scan when the support has at most 20 points; larger
-    supports get a greedy worst-set estimate and a warning.
+    the same with the measures swapped, for every subset A. Exact for every
+    support size: by Strassen's theorem (Ann. Math. Statist. 36, 1965) the
+    worst-set deficiency max_A nu1(A) - nu2(A^t), on either side, is the
+    mass that no coupling can put on pairs at distance at most t, which a
+    maximum flow finds (``_unmatched_mass``).
 
-    The scan exploits two monotonicities: within an interval between
+    The search exploits two monotonicities: within an interval between
     consecutive distinct distances the fattening operator is constant, and
     the worst-set deficiency is nonincreasing as the fattening grows. The
     first interval whose deficiency fits below its upper edge yields the
     infimum max(deficiency, interval left edge).
     """
     _require_same_support(nu1, nu2)
-    n = len(nu1.space)
     d = nu1.space.dist
-    if n <= EXACT_SCAN_LIMIT:
-        deficiency = _exact_deficiency(nu1.weights, nu2.weights, d)
-    else:
-        warnings.warn(
-            f"prohorov_distance: {n} support points exceeds the exact scan limit "
-            f"({EXACT_SCAN_LIMIT}); returning a greedy worst-set estimate",
-            stacklevel=2,
-        )
-        deficiency = _greedy_deficiency(nu1.weights, nu2.weights, d)
     thresholds = np.unique(d)  # starts at 0
     upper = np.append(thresholds[1:], math.inf)
     cache = {}
 
     def defic(k):
         if k not in cache:
-            cache[k] = deficiency(thresholds[k])
+            cache[k] = _unmatched_mass(nu1.weights, nu2.weights, d <= thresholds[k])
         return cache[k]
 
     # binary search for the first interval k with deficiency(k) <= upper edge
@@ -421,52 +390,61 @@ def prohorov_distance(nu1: FiniteMeasure, nu2: FiniteMeasure) -> float:
     return max(defic(lo), float(thresholds[lo]))
 
 
-def _exact_deficiency(w1, w2, d):
-    """The worst-set deficiency as a function of the fattening t, by a scan
-    over every subset."""
-    n = len(w1)
-    sub1 = _subset_weights(w1)
-    sub2 = _subset_weights(w2)
+def _unmatched_mass(w1, w2, allowed):
+    """The worst-set deficiency, on either side, at the fattening whose
+    pairs (i, j) within reach are those with allowed[i, j]: the mass of w1
+    that a maximum flow from w1 to w2 along allowed pairs leaves unsent, or
+    the room it leaves free in w2 where that is larger (the two differ only
+    as the weight sums do).
 
-    def deficiency(t):
-        ball_masks = [int(np.sum(1 << np.nonzero(d[x] <= t)[0].astype(np.int64)))
-                      for x in range(n)]
-        fat = _fattened_masks(np.array(ball_masks, dtype=np.int64))
-        s12 = float(np.max(sub1 - sub2[fat]))
-        s21 = float(np.max(sub2 - sub1[fat]))
-        return max(s12, s21, 0.0)
-    return deficiency
-
-
-def _greedy_deficiency(w1, w2, d):
-    """A greedy lower estimate of the worst-set deficiency, as a function of
-    the fattening t."""
-    n = len(w1)
-
-    def one_side(t, wa, wb):
-        fat_rows = d <= t  # fat_rows[x] = ball of x
-        chosen = np.zeros(n, dtype=bool)
-        covered = np.zeros(n, dtype=bool)
-        total = 0.0
-        while True:
-            # marginal gain of adding x: its own wa mass minus the wb mass
-            # newly swallowed by the fattening
-            best_x, best_gain = -1, 0.0
-            for x in np.nonzero(~chosen)[0]:
-                new_cover = fat_rows[x] & ~covered
-                g = wa[x] - float(wb[new_cover].sum())
-                if g > best_gain + 1e-15:
-                    best_gain, best_x = g, x
-            if best_x < 0:
+    Shortest augmenting paths (Edmonds and Karp, J. ACM 19, 1972): each
+    round grows a breadth-first frontier from the points of w1 with mass
+    left, alternating forward along allowed pairs and back along pairs that
+    carry flow, until it reaches a point of w2 with room left, and pushes
+    the path's bottleneck. The bottleneck capacity drops to exactly zero,
+    so the rounds are bounded as in exact arithmetic.
+    """
+    # every point is at distance 0 from itself: start from the diagonal
+    # coupling, with the mass still to send and the room still free
+    flow = np.diag(np.minimum(w1, w2))
+    left, right = w1 - flow.diagonal(), w2 - flow.diagonal()
+    while True:
+        # via_pair[j] is the point of w1 whose pair reached point j of w2;
+        # via_flow[i] the point of w2 whose flow reached point i of w1, or
+        # len(w2) where i starts a path with mass left
+        via_pair = np.full(len(right), -1)
+        via_flow = np.where(left > 0, len(right), -1)
+        frontier = np.flatnonzero(left > 0)
+        while frontier.size:
+            reach = allowed[frontier]
+            new = np.flatnonzero(reach.any(axis=0) & (via_pair < 0))
+            via_pair[new] = frontier[np.argmax(reach[:, new], axis=0)]
+            free = new[right[new] > 0]
+            if free.size:
                 break
-            chosen[best_x] = True
-            covered |= fat_rows[best_x]
-            total += best_gain
-        return total
-
-    def deficiency(t):
-        return max(one_side(t, w1, w2), one_side(t, w2, w1), 0.0)
-    return deficiency
+            back = flow[:, new] > 0
+            frontier = np.flatnonzero(back.any(axis=1) & (via_flow < 0))
+            if frontier.size:
+                via_flow[frontier] = new[np.argmax(back[frontier], axis=1)]
+        else:
+            return max(float(left.sum()), float(right.sum()))
+        end = free[0]
+        # walk the path back from its end: pairs pushed forward, pairs undone
+        forward, undone, j = [], [], end
+        while True:
+            i = via_pair[j]
+            forward.append((i, j))
+            if via_flow[i] == len(right):
+                break
+            j = via_flow[i]
+            undone.append((i, j))
+        push = min(left[i], right[end], *(flow[p] for p in undone))
+        left[i] -= push
+        right[end] -= push
+        for p in forward:
+            flow[p] += push
+        for p in undone:
+            flow[p] -= push
 
 
 def weighted_tv_ratio(f, nu1: FiniteMeasure, nu2: FiniteMeasure, delta: float):

@@ -709,12 +709,10 @@ def calibrate(problem: CalibProblem, spec: LatticeSpec, epsilon: float) -> Calib
     )
 
 
-def epsilon0(sigma_star_surface: VolSurface, spec: LatticeSpec, payoff) -> float:
-    """Attainable band radius at this level: the constraint slack of the
-    calibrated surface plus the 1/n resolution term, clipped at s."""
-    tree = build_tree(sigma_star_surface, spec)
-    slack = abs(expectation(tree, payoff, spec.n) - 1.0)
-    return min(slack + 1.0 / spec.n, spec.s)
+def epsilon0(result: CalibrationResult, spec: LatticeSpec) -> float:
+    """Attainable band radius at this level: the calibrated constraint
+    slack plus the 1/n resolution term, clipped at s."""
+    return min(result.slack + 1.0 / spec.n, spec.s)
 
 
 def _sample_paths(tree: TrinomialTree, m: int, gen):

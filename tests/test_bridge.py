@@ -1,5 +1,6 @@
 """Tests for two-marginal entropic fitting on discrete grids."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -346,9 +347,10 @@ class TestMarginalScheduleCheck:
 
     def test_rejects_negative_epsilon(self):
         nu = ep.FiniteMeasure.uniform(line_space(4))
-        with pytest.raises(ValueError, match="radius must be nonnegative"):
-            ep.marginal_schedule_check(nu, "fm", lambda n: -0.1, [8],
-                                       trials=5, seed=0)
+        for epsilon in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="radius must be nonnegative"):
+                ep.marginal_schedule_check(nu, "fm", lambda n: epsilon, [8],
+                                           trials=5, seed=0)
 
     def test_rejects_nonpositive_trials(self):
         nu = ep.FiniteMeasure.uniform(line_space(4))

@@ -499,6 +499,22 @@ class TestRunCalibrate:
         expected.update(target_value=1.2319375000000026, epsilon0=0.03)
         assert field_map(rows) == pytest.approx(expected, rel=1e-12)
 
+    def test_builds_no_tree_and_only_the_result_surface(self, monkeypatch, tmp_path):
+        # the sigma_target normalisation walks the constant chain as scalars,
+        # and epsilon0 reads the slack calibrate returns
+        built = []
+        monkeypatch.setattr(tritree, "build_tree", lambda *args: built.append(args))
+        for cls in (tritree.TrinomialTree, tritree.VolSurface):
+            real = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, real=real: built.append(type(self)) or real(self))
+        run({"experiment": "calibrate", "seed": 31, "output": {"path": "report.csv"},
+             "params": {"alpha_tick": 2.0, "sigma_min": 0.6, "sigma_max": 1.4, "b0": 0.15,
+                        "s": 0.03, "n": 16, "sigma0": 1.2, "epsilon": 0.01,
+                        "payoff": {"kind": "square", "sigma_target": 1.1}}},
+            out_dir=str(tmp_path))
+        assert built == [tritree.VolSurface]
+
 
 class TestRunGamma:
     def test_sweep_internal_consistency(self, runner, tmp_path):

@@ -96,8 +96,9 @@ class TestEvents:
         assert not band.contains(bernoulli(0.5))
 
     def test_moment_band_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            mean_band(0.5, -0.1)
+        for radius in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="radius must be nonnegative"):
+                mean_band(0.5, radius)
 
     def test_metric_ball_contains(self):
         # fm between Bernoulli(p) and Bernoulli(q) on unit-separated atoms
@@ -280,10 +281,11 @@ class TestEngineAgainstReference:
         assert est.log_acceptance == pytest.approx(math.log(p), rel=1e-12, abs=1e-13)
         np.testing.assert_allclose(est.law.weights, law, rtol=1e-12, atol=0.0)
 
-    def test_metric_ball_matches_loop_engine(self):
+    @pytest.mark.parametrize("metric", ["fm", "prohorov"])
+    def test_metric_ball_matches_loop_engine(self, metric):
         space = line_space(3)
         alpha = ep.FiniteMeasure(space, np.array([0.5, 0.3, 0.2]))
-        event = ep.metric_ball(ep.FiniteMeasure.uniform(space), "fm", 0.12)
+        event = ep.metric_ball(ep.FiniteMeasure.uniform(space), metric, 0.12)
         law, p, n_classes = reference_conditional(alpha, 9, event, 2)
         est = ep.exact_conditional(alpha, 9, event, 2)
         assert est.n_trials == n_classes

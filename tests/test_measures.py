@@ -1,5 +1,6 @@
 """Tests for metric supports, finite measures, divergences, and coverings."""
 
+import bisect
 import itertools
 import math
 import tracemalloc
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
 
 import entroproj as ep
 from entroproj.measures import EXACT_SCAN_LIMIT, log_factorials, logsumexp
@@ -273,6 +276,57 @@ class TestFortetMourier:
             assert repr(ep.fm_distance(nu, nu)) == "0.0"
 
 
+def sparse_measure(rng, space, p_zero):
+    """A random measure whose weights are zero, each with probability
+    p_zero, except for at least one."""
+    w = rng.dirichlet(np.ones(len(space)))
+    w[rng.random(len(w)) < p_zero] = 0.0
+    if not w.any():
+        w[rng.integers(len(w))] = 1.0
+    return ep.FiniteMeasure(space, w / w.sum())
+
+
+def subset_scan_prohorov(nu1, nu2):
+    """Reference for prohorov_distance by brute force: the worst-set
+    deficiency max_A nu(A) - nu'(A^t), both ways, over all 2^N subsets A
+    at every distinct distance t, and then min over t of max(deficiency, t),
+    with no bisection."""
+    n, d = len(nu1.space), nu1.space.dist
+    # row A of `members` is the indicator of the subset with bitmask A
+    members = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    m1, m2 = members @ nu1.weights, members @ nu2.weights
+    best = math.inf
+    for t in np.unique(d):
+        fattened = ((members @ (d <= t)) > 0) @ (1 << np.arange(n))
+        deficiency = max(np.max(m1 - m2[fattened]), np.max(m2 - m1[fattened]), 0.0)
+        best = min(best, max(deficiency, t))
+    return best
+
+
+def transport_lp_prohorov(nu1, nu2):
+    """Reference for prohorov_distance by linear programming: at a distance
+    t, 1 minus the largest mass a coupling puts on pairs within t, from
+    scipy's HiGHS on the transport polytope; bisected for the first
+    distance whose deficiency is at most itself."""
+    d, w = nu1.space.dist, np.concatenate([nu1.weights, nu2.weights])
+    thresholds, n = np.unique(d), len(d)
+
+    def deficiency(k):
+        i, j = np.nonzero(d <= thresholds[k])
+        rows = np.concatenate([i, n + j])
+        a = csr_matrix((np.ones(len(rows)), (rows, np.tile(np.arange(len(i)), 2))),
+                       shape=(2 * n, len(i)))
+        res = linprog(-np.ones(len(i)), A_ub=a, b_ub=w, method="highs")
+        assert res.status == 0
+        return max(1.0 + res.fun, 0.0)
+
+    # deficiency falls and t grows: below k the infimum is a deficiency,
+    # from k on it is t itself
+    k = bisect.bisect_left(range(len(thresholds)), True,
+                           key=lambda k: deficiency(k) <= thresholds[k])
+    return thresholds[k] if k == 0 else min(thresholds[k], deficiency(k - 1))
+
+
 class TestProhorov:
     def test_unit_separated_point_masses(self):
         space = two_point_space()
@@ -305,13 +359,25 @@ class TestProhorov:
             assert phi <= fm + 1e-9
             assert fm <= 2.0 * dp + 1e-9
 
-    def test_large_support_warns_and_estimates(self, rng):
-        space = random_space(rng, EXACT_SCAN_LIMIT + 5)
-        nu1 = random_measure(rng, space)
-        nu2 = random_measure(rng, space)
-        with pytest.warns(UserWarning, match="greedy"):
-            est = ep.prohorov_distance(nu1, nu2)
-        assert 0.0 <= est <= 1.0 + 1e-12
+    def test_matches_subset_scan_with_ties_and_zero_weights(self, rng):
+        for trial in range(300):
+            n = int(rng.integers(1, 13))
+            # points on a 3 x 3 grid tie many distances and may coincide
+            coords = rng.integers(0, 3, (n, 2)) if trial % 2 else rng.uniform(-1, 1, (n, 2))
+            space = ep.MetricSpacePoints.from_coordinates(coords)
+            nu1, nu2 = (sparse_measure(rng, space, 0.4 if trial % 3 else 0.0) for _ in range(2))
+            assert ep.prohorov_distance(nu1, nu2) == pytest.approx(
+                subset_scan_prohorov(nu1, nu2), rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [25, 60])
+    def test_large_support_matches_transport_lp(self, rng, n):
+        space = random_space(rng, n)
+        for _ in range(3):
+            nu1, nu2 = random_measure(rng, space), random_measure(rng, space)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                dp = ep.prohorov_distance(nu1, nu2)
+            assert dp == pytest.approx(transport_lp_prohorov(nu1, nu2), rel=0.0, abs=1e-9)
 
 
 class TestWeightedTvRatio:

@@ -888,17 +888,23 @@ class TestCalibrate:
 
 class TestEpsilonZero:
     def test_slack_plus_resolution(self):
-        # constant payoff 1.02 has slack 0.02 exactly, and 1/n adds 0.01
-        spec = wide_spec(100)
-        surf = VolSurface.constant(spec, 1.0, spec.b0)
-        assert epsilon0(surf, spec, lambda x: 1.02) == pytest.approx(
-            0.03, abs=1e-10
-        )
+        # the calibrated slack is the tree's |E[payoff] - 1| bit for bit,
+        # so epsilon0 needs no tree of its own
+        for n, pieces in [(16, 1), (40, 2), (57, 3)]:
+            spec = replace(wide_spec(n), s=0.1)
+            payoff = normalized_square_payoff(spec, 1.1)
+            result = calibrate(CalibProblem(sigma0=1.2, payoff=payoff, n_pieces=pieces),
+                               spec, 0.01)
+            tree = build_tree(result.sigma_star, spec)
+            assert result.slack == abs(expectation(tree, payoff, n) - 1.0)
+            assert epsilon0(result, spec) == result.slack + 1.0 / n
 
     def test_clipped_at_the_drift_halfwidth(self):
-        spec = replace(wide_spec(100), s=0.01)
-        surf = VolSurface.constant(spec, 1.0, spec.b0)
-        assert epsilon0(surf, spec, lambda x: 1.02) == 0.01
+        spec = replace(wide_spec(40), s=0.01)
+        result = calibrate(CalibProblem(sigma0=1.2, payoff=normalized_square_payoff(spec, 1.1)),
+                           spec, 0.01)
+        assert result.slack + 1.0 / 40 > 0.01
+        assert epsilon0(result, spec) == 0.01
 
 
 class TestGibbsTreeMc:
