@@ -275,9 +275,9 @@ def _calibrate(p):
     spec = _lattice(p, p.get("n", _integer))
     payoff_doc = p.get("payoff", _Doc, {})
     payoff_doc.get("kind", _kind("square"), "square")
-    sigma_target = payoff_doc.get("sigma_target", _number, None)
+    sigma_target = payoff_doc.get("sigma_target", _positive, None)
     target_value = payoff_doc.get("target_value", _positive, 1.0)
-    sigma0, n_pieces = p.get("sigma0", _number), p.get("n_pieces", _integer, 1)
+    sigma0, n_pieces = p.get("sigma0", _positive), p.get("n_pieces", _integer, 1)
     epsilon = p.get("epsilon", _positive)
     if epsilon > spec.s:
         raise ConfigError(f"params.epsilon {epsilon} exceeds the drift band half-width s={spec.s}")
@@ -309,7 +309,7 @@ def _calibrate(p):
 
 def _gamma(p):
     specs = [_lattice(p, n) for n in p.get("n_list", _items(_integer))]
-    sigma, sigma0 = p.get("sigma", _number), p.get("sigma0", _number)
+    sigma, sigma0 = p.get("sigma", _positive), p.get("sigma0", _positive)
 
     def compute(seed):
         rows = []

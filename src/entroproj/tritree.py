@@ -20,6 +20,12 @@ from .gibbs import mc_stream
 from .measures import FiniteMeasure, MetricSpacePoints, fm_distance
 
 _THETA_SCAN = 400
+# Steps of calibrate's line searches scored per walk: a bisection round scores
+# the 2**4 - 1 dyadic points its next four steps can test (4 divides the
+# 60-step cap), a golden-section round the at most 7 points of its next three.
+_BISECT_AHEAD = 4
+_GOLDEN_AHEAD = 3
+_GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 _AUDIT_POINTS = 200
 _GOLDEN_TOL = 1e-6
 _COND_TOL = 1e-9
@@ -577,31 +583,92 @@ class CalibrationResult:
     slack: float
 
 
+def _keys(points):
+    """Each point's bit pattern, so that a table tells -0.0 from 0.0."""
+    return np.ascontiguousarray(points, dtype=float).view(np.int64).tolist()
+
+
+def _looked_up(fn, table, points, ahead):
+    """fn's values at points, read from table, a dict keyed by _keys. When
+    one is missing, fn first scores, in one call, every new point among them
+    and ahead(), the points that the next steps of a search can ask for, so
+    that those steps read the table. fn must score each point as it would
+    alone."""
+    keys = _keys(points)
+    if not all(key in table for key in keys):
+        batch = np.concatenate([points, ahead()])
+        new = {key: t for key, t in zip(_keys(batch), batch.tolist()) if key not in table}
+        table.update(zip(new, fn(np.array(list(new.values()))).tolist()))
+    return np.array([table[key] for key in keys])
+
+
+def _golden_step(geometry, live, left):
+    """One golden-section step of the intervals where ``live``: each keeps
+    [lo, d] where ``left`` and gets a new c, else keeps [c, hi] and gets a
+    new d. Returns the new (lo, hi, c, d) and the live intervals' new points."""
+    lo, hi, c, d = geometry
+    lo_new, hi_new = np.where(left, lo, c), np.where(left, d, hi)
+    c_new = np.where(left, hi_new - _GOLDEN_RATIO * (hi_new - lo_new), d)
+    d_new = np.where(left, c, lo_new + _GOLDEN_RATIO * (hi_new - lo_new))
+    moved = (lo_new, hi_new, c_new, d_new)
+    return ([np.where(live, new, old) for new, old in zip(moved, geometry)],
+            np.where(left, c_new, d_new)[live])
+
+
+def _golden_paths(geometry, tol):
+    """The points of every decision path of the next _GOLDEN_AHEAD - 1
+    golden-section steps from ``geometry``, each path taking both sides, by
+    the step loop's own step and liveness test."""
+    scored = []
+    for _ in range(_GOLDEN_AHEAD - 1):
+        geometry = [np.concatenate([g, g]) for g in geometry]
+        lo, hi = geometry[:2]
+        geometry, points = _golden_step(geometry, hi - lo > tol, np.arange(lo.size) < lo.size // 2)
+        scored.append(points)
+    return np.concatenate(scored)
+
+
 def _golden_min(fn, lo, hi, tol):
     """Golden-section minima of fn on the intervals [lo[i], hi[i]] in
-    lockstep. fn maps an array of points to their values; each step
-    evaluates, in one call, one new point per interval still wider than
-    tol. Returns the minimizers and their values."""
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    lockstep. fn maps an array of points to their values. Each step takes
+    one new point per interval still wider than tol, from a table; a step
+    that misses scores, in one call, every point that any decision path of
+    it and the next _GOLDEN_AHEAD - 1 steps can take (at most 7 per
+    interval), so the table makes the same decisions as one call per step.
+    Returns the minimizers and their values."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    c = hi - gr * (hi - lo)
-    d = lo + gr * (hi - lo)
-    fc, fd = np.split(fn(np.concatenate([c, d])), 2)
-    while np.any(live := hi - lo > tol):
+    geometry = [lo, hi, hi - _GOLDEN_RATIO * (hi - lo), lo + _GOLDEN_RATIO * (hi - lo)]
+    fc, fd = np.split(fn(np.concatenate(geometry[2:])), 2)
+    table = {}
+    while np.any(live := geometry[1] - geometry[0] > tol):
         left, right = live & (fc < fd), live & ~(fc < fd)
-        hi[left], d[left], fd[left] = d[left], c[left], fc[left]
-        c[left] = hi[left] - gr * (hi[left] - lo[left])
-        lo[right], c[right], fc[right] = c[right], d[right], fd[right]
-        d[right] = lo[right] + gr * (hi[right] - lo[right])
-        f = fn(np.where(left, c, d)[live])
+        fd[left], fc[right] = fc[left], fd[right]
+        geometry, points = _golden_step(geometry, live, left)
+        f = _looked_up(fn, table, points, lambda: _golden_paths(geometry, tol))
         fc[left], fd[right] = f[left[live]], f[right[live]]
+    c, d = geometry[2:]
     return np.where(fc <= fd, c, d), np.where(fc <= fd, fc, fd)
+
+
+def _dyadic_points(t_feas, t_infeas):
+    """The 2**_BISECT_AHEAD - 1 points between each end pair that its next
+    _BISECT_AHEAD bisection steps can test, by the loop's own halving: each
+    level halves every adjacent pair of the last, and 0.5 * (a + b) does not
+    depend on which of a, b is feasible."""
+    level = np.stack([t_feas, t_infeas])
+    for _ in range(_BISECT_AHEAD):
+        level = np.insert(level, np.arange(1, len(level)), 0.5 * (level[:-1] + level[1:]), axis=0)
+    # the inner rows, ends excluded
+    return level[1:-1].ravel()
 
 
 def _feasible_segments(gap_fn, lo, hi, epsilon, n_scan):
     """Maximal subintervals of [lo, hi] where |gap| <= epsilon, endpoints
     refined by at most 60 bisection steps, fewer once every end has stalled;
-    gap_fn maps an array of points to their gaps."""
+    gap_fn maps an array of points to their gaps. The steps read the gaps
+    from a table; a step that misses scores, in one call, the dyadic points
+    of its and the next _BISECT_AHEAD - 1 steps between every end pair, so
+    the ends move as with one call per step."""
     grid = np.linspace(lo, hi, n_scan)
     gaps = np.abs(gap_fn(grid))
     feasible = gaps <= epsilon
@@ -611,18 +678,22 @@ def _feasible_segments(gap_fn, lo, hi, epsilon, n_scan):
     # up and ends just before it steps down
     steps = np.diff(np.concatenate([[0], feasible.astype(int), [0]]))
     first, last = np.flatnonzero(steps == 1), np.flatnonzero(steps == -1) - 1
-    # every run end bisects against its infeasible neighbour, all ends in
-    # one call per step; an end on the grid's edge bisects against itself
+    # every run end bisects against its infeasible neighbour, all ends at
+    # once; an end on the grid's edge bisects against itself
     t_feas = grid[np.concatenate([first, last])]
     t_infeas = grid[np.concatenate([np.maximum(first - 1, 0),
                                     np.minimum(last + 1, n_scan - 1)])]
+    # with the scan's gaps in it, the table holds every end, so a stalled
+    # end's midpoint, which is one of its ends, is never walked again
+    table = dict(zip(_keys(grid), gaps.tolist()))
     for _ in range(60):
         mid = 0.5 * (t_feas + t_infeas)
         # once every midpoint is one of its own ends, no later step can
         # move an end: each would only re-test a point already classified
         if np.all((mid == t_feas) | (mid == t_infeas)):
             break
-        ok = np.abs(gap_fn(mid)) <= epsilon
+        ok = _looked_up(lambda t: np.abs(gap_fn(t)), table, mid,
+                        lambda: _dyadic_points(t_feas, t_infeas)) <= epsilon
         t_feas, t_infeas = np.where(ok, mid, t_feas), np.where(ok, t_infeas, mid)
     return list(zip(*np.split(t_feas, 2))), float(gaps.min())
 
@@ -634,7 +705,11 @@ def calibrate(problem: CalibProblem, spec: LatticeSpec, epsilon: float) -> Calib
     the feasible segments where |E[payoff] - target| <= epsilon by
     bisection, and golden-section the chain entropy inside each. Several
     parameters add coordinate descent, seeded at the best feasible
-    constant. Each step walks all its candidates in one batch.
+    constant. The scan walks all its points in one batch. The bisection and
+    the golden section each walk one batch per few steps: every point their
+    next _BISECT_AHEAD or _GOLDEN_AHEAD steps can ask for. Each column of a
+    batch walks as it would alone, so every decision is the one a walk per
+    step would make.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")

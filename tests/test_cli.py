@@ -210,6 +210,31 @@ class TestValidate:
         assert result.exit_code == 2, result.output
         assert any(key in d for d in json.loads(result.output)["diagnostics"])
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("value", [0, -1.2])
+    @pytest.mark.parametrize("experiment, path", [
+        ("calibrate", ("sigma0",)),
+        ("calibrate", ("payoff", "sigma_target")),
+        ("gamma", ("sigma",)),
+        ("gamma", ("sigma0",)),
+    ], ids=["calibrate_sigma0", "calibrate_sigma_target", "gamma_sigma", "gamma_sigma0"])
+    def test_volatilities_must_be_positive(self, runner, tmp_path, command, experiment, path,
+                                           value):
+        # the walk squares a volatility, so a negative one would run as its
+        # absolute value and exit 0
+        params = copy.deepcopy(SMALL_PARAMS[experiment])
+        parent = params
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        doc = {"experiment": experiment, "seed": 1, "params": params,
+               "output": {"path": "x.csv"}}
+        out = ["--out", str(tmp_path)] if command == "run" else []
+        result = runner.invoke(main, [command, "--config", write_config(tmp_path, doc), *out])
+        assert result.exit_code == 2, result.output
+        key = "params." + ".".join(path)
+        assert f"{key} must be positive" in json.loads(result.output)["diagnostics"]
+
     def test_bridge_grid_builds_no_distance_table(self):
         # a 3000 x 3000 Euclidean table and its temporaries would take about 360 MB
         doc = {

@@ -474,6 +474,26 @@ class TestChainWalk:
             assert np.array_equal(law[row], one[0])
             assert (entropy[row], rate[row], gap[row]) == one[1:]
 
+    @pytest.mark.parametrize("reference", ["scalar", "surface"])
+    @pytest.mark.parametrize("width", [1, 2, 7, 30, 64])
+    def test_every_column_walks_as_it_would_alone(self, rng, width, reference):
+        # calibrate's line searches score points in batches of any width and
+        # reuse each value wherever the search asks for that point again
+        spec = wide_spec(40)
+        columns = [rng.uniform(0.7, 1.3, (width, 1)) for _ in range(spec.n)]
+        if reference == "scalar":
+            sigma0, b0 = [1.2] * spec.n, [spec.b0] * spec.n
+        else:
+            surf0 = random_surface(rng, spec, b_lo=spec.b0, b_hi=spec.b0)
+            sigma0, b0 = surf0.sigma, surf0.b
+        law, entropy, rate, gap = _chain_walk(columns, [spec.b0] * spec.n, sigma0, b0, spec)
+        assert law.shape == (width, 2 * spec.n + 1)
+        for row in range(width):
+            one = _chain_walk([c[row:row + 1] for c in columns], [spec.b0] * spec.n,
+                              sigma0, b0, spec)
+            assert np.array_equal(law[row], one[0][0])
+            assert (entropy[row], rate[row], gap[row]) == (one[1][0], one[2][0], one[3][0])
+
     @pytest.mark.parametrize("n", [8, 64, 300])
     def test_scalar_levels_match_constant_surfaces_bit_for_bit(self, n):
         spec = wide_spec(n)
@@ -744,6 +764,66 @@ def normalized_square_payoff(spec, sigma_value):
     return lambda x: x * x / c
 
 
+def sequential_segments(gap_fn, lo, hi, epsilon, n_scan):
+    """_feasible_segments as one gap_fn call per bisection step, for all 60
+    steps, as the loop ran before it stopped at the first step that leaves
+    every end where it was and before it scored steps ahead; and the number
+    of steps before that first step."""
+    grid = np.linspace(lo, hi, n_scan)
+    feasible = np.abs(gap_fn(grid)) <= epsilon
+    steps = np.diff(np.concatenate([[0], feasible.astype(int), [0]]))
+    first, last = np.flatnonzero(steps == 1), np.flatnonzero(steps == -1) - 1
+    t_feas = grid[np.concatenate([first, last])]
+    t_infeas = grid[np.concatenate([np.maximum(first - 1, 0),
+                                    np.minimum(last + 1, n_scan - 1)])]
+    moving = 60
+    for step in range(60):
+        mid = 0.5 * (t_feas + t_infeas)
+        if np.all((mid == t_feas) | (mid == t_infeas)):
+            moving = min(moving, step)
+        ok = np.abs(gap_fn(mid)) <= epsilon
+        t_feas, t_infeas = np.where(ok, mid, t_feas), np.where(ok, t_infeas, mid)
+    return list(zip(*np.split(t_feas, 2))), moving
+
+
+def sequential_golden_min(fn, lo, hi, tol):
+    """_golden_min as one fn call per golden-section step."""
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    c = hi - gr * (hi - lo)
+    d = lo + gr * (hi - lo)
+    fc, fd = np.split(fn(np.concatenate([c, d])), 2)
+    while np.any(live := hi - lo > tol):
+        left, right = live & (fc < fd), live & ~(fc < fd)
+        hi[left], d[left], fd[left] = d[left], c[left], fc[left]
+        c[left] = hi[left] - gr * (hi[left] - lo[left])
+        lo[right], c[right], fc[right] = c[right], d[right], fd[right]
+        d[right] = lo[right] + gr * (hi[right] - lo[right])
+        f = fn(np.where(left, c, d)[live])
+        fc[left], fd[right] = f[left[live]], f[right[live]]
+    return np.where(fc <= fd, c, d), np.where(fc <= fd, fc, fd)
+
+
+def counted(fn):
+    """fn, recording the number of points of every call in .calls."""
+    def wrapped(t):
+        wrapped.calls.append(len(t))
+        return fn(t)
+    wrapped.calls = []
+    return wrapped
+
+
+def seeded_gap(seed):
+    """A gap on [-1, 2] with several feasible runs; at even seeds a whole
+    number of half-periods spans the interval, so runs touch both edges."""
+    g = np.random.default_rng(seed)
+    freq = math.pi * int(g.integers(3, 9)) / 3.0
+    phase = 0.0 if seed % 2 == 0 else g.uniform(0.0, math.pi)
+    wobble, shift = g.uniform(1.0, 9.0), g.uniform(0.0, math.pi)
+    return (lambda t: np.sin(freq * (t + 1.0) + phase) * (1.0 + 0.5 * np.cos(wobble * t + shift)),
+            float(g.uniform(0.05, 0.5)), int(g.integers(20, 80)))
+
+
 class TestFeasibleSegments:
     def test_runs_at_both_ends_and_inside(self):
         def gap(t):
@@ -758,49 +838,83 @@ class TestFeasibleSegments:
         assert _feasible_segments(lambda t: t + 1.0, 0.0, 1.0, 0.5, 5) == ([], 1.0)
 
     def test_stalled_bisection_stops_with_the_full_loops_ends(self):
-        # a reference that always takes 60 steps, as the loop did before it
-        # stopped at the first step that leaves every end where it was
-        def reference(gap_fn, lo, hi, epsilon, n_scan):
-            grid = np.linspace(lo, hi, n_scan)
-            feasible = np.abs(gap_fn(grid)) <= epsilon
-            steps = np.diff(np.concatenate([[0], feasible.astype(int), [0]]))
-            first, last = np.flatnonzero(steps == 1), np.flatnonzero(steps == -1) - 1
-            t_feas = grid[np.concatenate([first, last])]
-            t_infeas = grid[np.concatenate([np.maximum(first - 1, 0),
-                                            np.minimum(last + 1, n_scan - 1)])]
-            for _ in range(60):
-                mid = 0.5 * (t_feas + t_infeas)
-                ok = np.abs(gap_fn(mid)) <= epsilon
-                t_feas, t_infeas = np.where(ok, mid, t_feas), np.where(ok, t_infeas, mid)
-            return list(zip(*np.split(t_feas, 2)))
-
-        calls = []
-
-        def gap(t):
-            calls.append(len(t))
+        def fn(t):
             return np.cos(7.0 * t) + 0.2 * t
 
+        gap = counted(fn)
         segments, _ = _feasible_segments(gap, -1.0, 2.0, 0.3, 50)
-        assert len(calls) < 61
+        want, steps = sequential_segments(fn, -1.0, 2.0, 0.3, 50)
         assert len(segments) == 6
-        assert segments == reference(gap, -1.0, 2.0, 0.3, 50)
+        assert segments == want
+        # every end stalls before the cap, and no call follows
+        assert steps < 60 and len(gap.calls) == 1 + math.ceil(steps / 4)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_look_ahead_moves_the_ends_as_one_call_per_step(self, seed):
+        fn, epsilon, n_scan = seeded_gap(seed)
+        gap = counted(fn)
+        segments, _ = _feasible_segments(gap, -1.0, 2.0, epsilon, n_scan)
+        want, steps = sequential_segments(fn, -1.0, 2.0, epsilon, n_scan)
+        assert len(segments) >= 2
+        if seed % 2 == 0:
+            assert segments[0][0] == -1.0 and segments[-1][1] == 2.0
+        assert segments == want
+        # the scan, then one call per four steps, each of at most 15 dyadic
+        # points per end
+        assert len(gap.calls) == 1 + math.ceil(steps / 4)
+        assert max(gap.calls[1:]) <= 15 * 2 * len(segments)
+
+    @pytest.mark.parametrize("fn, segment", [
+        (lambda t: t, (0.0, 0.0)),
+        # the feasible end moves at every step, down to 2**-60
+        (lambda t: np.minimum(t - 2e-200, 0.0), (2.0 ** -60, 1.0)),
+    ], ids=["still_feasible_end", "moving_feasible_end"])
+    def test_the_60_step_cap_binds(self, fn, segment):
+        # with epsilon = 1e-200 no end stalls within 60 halvings of [-1, 1]
+        gap = counted(fn)
+        segments, _ = _feasible_segments(gap, -1.0, 1.0, 1e-200, 3)
+        assert segments == [segment]
+        assert sequential_segments(fn, -1.0, 1.0, 1e-200, 3) == (segments, 60)
+        assert len(gap.calls) == 1 + 60 // 4
 
 
 class TestGoldenMin:
     def test_intervals_of_different_widths_in_lockstep(self):
         # the minimum of (t - 0.3)^2 lies inside, at the left end and at the
         # right end of the three intervals, which need different step counts
-        calls = []
-
-        def fn(t):
-            calls.append(len(t))
-            return (t - 0.3) ** 2
-
-        points, values = _golden_min(fn, np.array([0.0, 0.5, -1.0]),
-                                     np.array([1.0, 0.9, 0.1]), 1e-8)
+        fn = counted(lambda t: (t - 0.3) ** 2)
+        lo, hi = np.array([0.0, 0.5, -1.0]), np.array([1.0, 0.9, 0.1])
+        points, values = _golden_min(fn, lo, hi, 1e-8)
         assert points == pytest.approx([0.3, 0.5, 0.1], abs=1e-7)
         assert np.array_equal(values, (points - 0.3) ** 2)
-        assert calls[0] == 6 and max(calls[1:]) == 3 and min(calls[1:]) < 3
+        reference = counted(lambda t: (t - 0.3) ** 2)
+        for got, want in zip((points, values), sequential_golden_min(reference, lo, hi, 1e-8)):
+            assert np.array_equal(got, want)
+        # the first two points, then one call per three steps of at most 7
+        # points per interval
+        steps = len(reference.calls) - 1
+        assert len(fn.calls) == 1 + math.ceil(steps / 3)
+        assert max(fn.calls[1:]) <= 7 * 3
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_multimodal_functions_decide_as_one_call_per_step(self, seed):
+        # several local minima, so decision paths go both ways; one interval
+        # is a single point, which takes no step
+        g = np.random.default_rng(seed)
+        a, b, c = g.uniform(3.0, 12.0), g.uniform(0.0, 3.0), g.uniform(0.0, 0.5)
+
+        def f(t):
+            return np.sin(a * t + b) + c * t * t
+
+        lo = np.sort(g.uniform(-2.0, 2.0, (5, 2)), axis=1)
+        lo[0, 1] = lo[0, 0]
+        fn, reference = counted(f), counted(f)
+        got = _golden_min(fn, lo[:, 0], lo[:, 1], 1e-9)
+        want = sequential_golden_min(reference, lo[:, 0], lo[:, 1], 1e-9)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+        assert len(fn.calls) == 1 + math.ceil((len(reference.calls) - 1) / 3)
+        assert max(fn.calls[1:]) <= 7 * 4
 
 
 class TestCalibrate:
@@ -854,7 +968,7 @@ class TestCalibrate:
         assert built == [VolSurface]
         assert result.sigma_star.levels == 40
 
-    @pytest.mark.parametrize("pieces, walks", [(1, 67), (2, 207)])
+    @pytest.mark.parametrize("pieces, walks", [(1, 22), (2, 68)])
     def test_walk_count_at_the_benchmark_size(self, monkeypatch, pieces, walks):
         calls = []
         real = tritree._chain_walk
