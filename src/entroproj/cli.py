@@ -314,8 +314,8 @@ def _gamma(p):
     def compute(seed):
         rows = []
         for spec in specs:
-            # constant coefficients walk as scalars: no tables, no tree
-            _, h, rate, gap = tritree._chain_walk(
+            # constant coefficients walk as scalars: level sums, no law, no tree
+            h, rate, gap = tritree._chain_sums(
                 *([v] * spec.n for v in (sigma, spec.b0, sigma0, spec.b0)), spec)
             rows.append([spec.n, h / spec.n, rate, gap, spec.n * gap])
         return {"sweep": (["n", "H_over_n", "I_rate", "gap", "n_times_gap"], rows)}

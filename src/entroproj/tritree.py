@@ -26,13 +26,12 @@ _THETA_SCAN = 400
 _BISECT_AHEAD = 4
 _GOLDEN_AHEAD = 3
 _GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
-_AUDIT_POINTS = 200
 _GOLDEN_TOL = 1e-6
 _COND_TOL = 1e-9
-# Broadcast elements of one block of level stacks in a lattice walk. A
-# scalar walk is one block to n = 65536 and a (B, 1) walk to n = 65536 / B
-# (163 levels for calibrate's 400-point scan); node tables at n = 1000 walk
-# 32 levels per block.
+# Elements of one block of a lattice walk's work. The push walks node tables
+# in blocks of levels (32 levels of 2n - 1 nodes at n = 1000). Scalars and
+# (B, 1) columns walk in blocks of columns of all n levels (163 columns at
+# n = 400), and their closed-form laws in blocks of trinomial cells.
 _WALK_CELLS = 1 << 16
 
 
@@ -58,11 +57,20 @@ class LatticeSpec:
     s: float
 
     def __post_init__(self):
+        ranges = dict(alpha_tick=self.alpha_tick, sigma_min=self.sigma_min,
+                      sigma_max=self.sigma_max, b0=self.b0, s=self.s)
+        named = ", ".join(f"{key}={value!r}" for key, value in ranges.items())
+        if not all(math.isfinite(value) for value in ranges.values()):
+            raise ValueError(f"ranges must be finite: {named}")
         if not (0 < self.sigma_min <= self.sigma_max < self.alpha_tick):
             raise ValueError("need 0 < sigma_min <= sigma_max < alpha_tick")
         if not (0 <= self.s < self.b0):
             raise ValueError("need 0 <= s < b0")
-        n0 = min_level_n0(self)
+        try:
+            n0 = min_level_n0(self)
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(f"the minimal level (alpha_tick (b0 + s) / sigma_min^2)^2 "
+                             f"is out of range for {named}") from None
         if self.n < n0:
             raise ValueError(
                 f"n={self.n} is below the minimal level {n0} for these ranges"
@@ -204,9 +212,6 @@ def _level_blocks(spec, **levels):
     stacks), each block about _WALK_CELLS broadcast elements long as the
     widest (last) level counts them."""
     n = spec.n
-    for name, seq in levels.items():
-        if len(seq) < n:
-            raise ValueError(f"{name} has {len(seq)} levels, spec needs {n}")
     widest = np.broadcast_shapes(*(np.shape(seq[n - 1]) for seq in levels.values()))
     rows = max(1, _WALK_CELLS // math.prod(widest))
     for first in range(0, n, rows):
@@ -314,7 +319,7 @@ def tree_entropy_chain(surface: VolSurface, surface0: VolSurface, spec: LatticeS
     Sums, over levels, the (sigma, b)-chain expectation of the nodewise
     kernel KL. Linear work per node, usable to n in the thousands.
     """
-    return float(_chain_walk(surface.sigma, surface.b, surface0.sigma, surface0.b, spec)[1])
+    return float(_chain_sums(surface.sigma, surface.b, surface0.sigma, surface0.b, spec)[0])
 
 
 def _paths(level: int, transitions=None):
@@ -415,23 +420,181 @@ def dl_gap(surface: VolSurface, surface0: VolSurface, spec: LatticeSpec):
     the (sigma, b) chain; the scaled value staying bounded across an
     n-sweep is the O(1/n) certificate.
     """
-    worst = float(_chain_walk(surface.sigma, surface.b, surface0.sigma, surface0.b, spec)[3])
+    worst = float(_chain_sums(surface.sigma, surface.b, surface0.sigma, surface0.b, spec)[2])
     return worst, spec.n * worst
 
 
 def _chain_walk(sigma, b, sigma0, b0, spec: LatticeSpec):
-    """Push the (sigma, b) chain's node law forward from the origin, level
-    by level, against the (sigma0, b0) kernels.
+    """Walk the (sigma, b) chain from the origin against the (sigma0, b0)
+    kernels.
 
     Each argument is a per-level sequence whose level-k value broadcasts
     against the 2k+1 level-k nodes: a scalar is constant in space, a node
     table gives one value per node, and a (B, 1) column walks B chains at
-    once. The kernels, their KL and q are evaluated on level stacks, one
-    block of levels at a time (_level_blocks), so the level loop only sums
-    and pushes. Returns, per chain, the terminal law, the chain-rule
-    entropy, the mean of the rate q over the levels (I_rate at N = n) and
-    the worst gap between the two over visited nodes.
+    once. Returns, per chain, the terminal law, the chain-rule entropy, the
+    mean of the rate q over the levels (I_rate at N = n) and the worst gap
+    between the two over visited nodes.
+
+    The route follows the input. When some value has a node axis (anything
+    but a scalar or a last axis of length 1), the node law is pushed level
+    by level (_push_walk). When none has, every node of a level shares its
+    kernel, KL h_k and rate q_k, so the three numbers are level sums and
+    the terminal law is trinomial in closed form on each run of equal
+    kernels (_runs_law).
     """
+    return _walk(spec, (sigma, b, sigma0, b0), with_law=True)
+
+
+def _chain_sums(sigma, b, sigma0, b0, spec: LatticeSpec):
+    """_chain_walk's entropy, rate and worst gap, for callers that read no
+    law: with no node axis, no law is computed."""
+    return _walk(spec, (sigma, b, sigma0, b0), with_law=False)[1:]
+
+
+def _walk(spec, levels, with_law):
+    """_chain_walk, with the law None when with_law is false and no value
+    has a node axis.
+
+    Without a node axis, the chains walk in blocks of columns of about
+    _WALK_CELLS level values, and a kernel that is not strictly positive is
+    named from the first block that holds one. Each column's sums run over
+    its own contiguous row of levels, so they do not depend on the batch
+    width.
+    """
+    n = spec.n
+    for name, seq in zip(("sigma", "b", "sigma0", "b0"), levels):
+        if len(seq) < n:
+            raise ValueError(f"{name} has {len(seq)} levels, spec needs {n}")
+    levels = [[np.asarray(seq[k], dtype=float) for k in range(n)] for seq in levels]
+    if any(v.shape[-1:] not in ((), (1,)) for seq in levels for v in seq):
+        return _push_walk(spec, *levels)
+    stacks = [np.array(seq) for seq in levels]
+    # a column's node axis has length 1
+    stacks = [s[..., 0] if s.ndim > 1 else s for s in stacks]
+    batch = np.broadcast_shapes(*(s.shape[1:] for s in stacks))
+    width = math.prod(batch)
+    # as (n, columns); a sequence constant over the chains keeps one column
+    stacks = [s.reshape(n, 1) if s.size == n else np.broadcast_to(
+        s.reshape((n,) + (1,) * (len(batch) + 1 - s.ndim) + s.shape[1:]),
+        (n,) + batch).reshape(n, width) for s in stacks]
+    sums, laws = np.empty((3, width)), []
+    cols = max(1, _WALK_CELLS // n)
+    for first in range(0, width, cols):
+        sigma, b, sigma0, b0 = (s[:, first:first + cols] if s.shape[1] > 1 else s
+                                for s in stacks)
+        step, ref = _positive_kernels(spec, (sigma, b), (sigma0, b0))
+        shape = (n, min(cols, width - first))
+        if with_law:
+            laws.append(_runs_law(*(np.broadcast_to(a, shape) for a in step)))
+        h, q = (np.ascontiguousarray(np.broadcast_to(a, shape).T) for a in (
+            _kl(step, ref), _q(np.square(sigma), np.square(sigma0), spec.alpha_tick ** 2)))
+        sums[:, first:first + cols] = h.sum(axis=-1), q.sum(axis=-1) / n, np.abs(h - q).max(axis=-1)
+    entropy, rate, worst = (a.reshape(batch)[()] for a in sums)
+    if not with_law:
+        return None, entropy, rate, worst
+    law = laws[0] if len(laws) == 1 else np.concatenate(laws)
+    return law.reshape(batch + (2 * n + 1,)), entropy, rate, worst
+
+
+def _runs_law(m, r, d):
+    """Terminal laws of chains given by (levels, B) stacks of their kernels.
+
+    Each column's levels split into runs of equal kernels; the law of a run
+    is trinomial (_trinomial_law), and the runs' laws are convolved in
+    level order. Columns are grouped by where their runs start, so that
+    each column's law is the one it would have alone.
+    """
+    n, width = m.shape
+    starts = ((m[1:] != m[:-1]) | (r[1:] != r[:-1]) | (d[1:] != d[:-1])).T
+    if np.all(starts == starts[:1]):
+        # one pattern, the usual case, needs no sort
+        patterns, group = starts[:1], np.zeros(width, dtype=int)
+    else:
+        patterns, group = np.unique(starts, axis=0, return_inverse=True)
+    law = np.empty((width, 2 * n + 1)) if len(patterns) > 1 else None
+    for g, pattern in enumerate(patterns):
+        cols = np.flatnonzero(group == g)
+        firsts = np.flatnonzero(np.concatenate([[True], pattern]))
+        out = None
+        for first, s in zip(firsts, np.diff(np.append(firsts, n))):
+            part = _trinomial_law(int(s), *(a[first, cols] for a in (m, r, d)))
+            out = part if out is None else _convolve(out, part)
+        if law is None:
+            return out
+        law[cols] = out
+    return law
+
+
+def _convolve(a, b):
+    """Full convolution of two batches of laws, row by row."""
+    if a.shape[-1] < b.shape[-1]:
+        a, b = b, a
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + b.shape[-1] - 1,))
+    for i in range(b.shape[-1]):
+        out[..., i:i + a.shape[-1]] += a * b[..., i:i + 1]
+    return out
+
+
+def _compensated_cumsum(x):
+    """Running sums of x along axis 0, to within about one rounding each:
+    the rounding error of every addition of np.cumsum, exact by Knuth's
+    two-sum, is summed separately and added back."""
+    sums = np.cumsum(x, axis=0)
+    before, step, after = sums[:-1], x[1:], sums[1:]
+    taken = after - before
+    after += np.cumsum((before - (after - taken)) + (step - taken), axis=0)
+    return sums
+
+
+def _trinomial_law(s, m, r, d):
+    """Law of the offset after s steps of the kernel (m, r, d), for arrays
+    of kernels: shape (len(m), 2s + 1), offsets -s..s.
+
+    Offset j sums, over the move counts u - v = j, u + v + w = s, the terms
+    exp(log s!/(u! v! w!) + u log m + v log d + w log r). A cell (t, j) has
+    u = t + max(j, 0), v = t + max(-j, 0) and w = s - |j| - 2t; its exponent
+    is the column-free log multinomial plus
+    s log r + max(j, 0) log(m/r) + max(-j, 0) log(d/r) + t log(md/r^2).
+    The log multinomials are compensated running sums of the logs of the
+    ratios of neighbouring cells, along t from log C(s, |j|), itself such a
+    sum from log C(s, 0) = 0: log k! is about 6e3 at s = 1000, and its
+    rounding alone would move the law by 3e-14. Work goes in blocks of about
+    _WALK_CELLS cells, first of offsets, then of columns; each offset's terms
+    are summed in the order of t, whatever the block.
+    """
+    i = np.arange(s)
+    binom = _compensated_cumsum(np.concatenate([[0.0], np.log((s - i) / (i + 1.0))]))
+    stay, up, down = s * np.log(r), np.log(m / r), np.log(d / r)
+    slope = up + down
+    offsets = np.arange(-s, s + 1)
+    t = np.arange(s // 2 + 1)[:, None]
+    law = np.empty((len(m), 2 * s + 1))
+    rows = max(1, _WALK_CELLS // len(t))
+    for j0 in range(0, 2 * s + 1, rows):
+        j = offsets[j0:j0 + rows]
+        # the block's offset nearest 0 has the most cells
+        tj = t[:(s - np.abs(j).min()) // 2 + 1]
+        u, v, w = tj + np.maximum(j, 0), tj + np.maximum(-j, 0), s - np.abs(j) - 2 * tj
+        # the step out of an offset's last cell (w < 2) is a finite placeholder
+        ratios = np.log(np.maximum(w * (w - 1.0), 1.0) / ((u + 1.0) * (v + 1.0)))
+        coef = _compensated_cumsum(np.concatenate([binom[np.abs(j)][None], ratios[:-1]]))
+        coef[w < 0] = -np.inf
+        cols = max(1, _WALK_CELLS // coef.size)
+        block = np.empty((min(cols, len(m)),) + coef.shape)
+        for c0 in range(0, len(m), cols):
+            c = slice(c0, c0 + cols)
+            row = stay[c, None] + np.maximum(j, 0) * up[c, None] + np.maximum(-j, 0) * down[c, None]
+            terms = np.add(coef, row[:, None, :], out=block[:len(row)])
+            terms += tj * slope[c, None, None]
+            law[c, j0:j0 + rows] = np.exp(terms, out=terms).sum(axis=1)
+    return law
+
+
+def _push_walk(spec, sigma, b, sigma0, b0):
+    """_chain_walk for any coefficients: push the node law forward level by
+    level. The kernels, their KL and q are evaluated on level stacks, one
+    block of levels at a time (_level_blocks), so the level loop only sums
+    and pushes."""
     prob = np.ones(1)
     entropy = rate = worst = 0.0
     blocks = _level_blocks(spec, sigma=sigma, b=b, sigma0=sigma0, b0=b0)
@@ -458,22 +621,18 @@ def I_rate(surface: VolSurface, surface0: VolSurface, spec: LatticeSpec,
            N: int | None = None) -> float:
     """Discretized entropy rate: mean of q along the (sigma, b) tree.
 
-    Builds the level-N tree (N defaults to spec.n) and averages
-    q(sigma^2, sigma0^2) over time and lattice position.
+    The rate of the walk of the first N levels (N defaults to spec.n): it
+    averages q(sigma^2, sigma0^2) over time and lattice position. q does not
+    read the reference drift, so the reference walks driftless, where its
+    kernel is positive wherever q is defined (sigma0 < alpha_tick).
     """
     if N is None:
         N = spec.n
     if not min_level_n0(spec) <= N <= spec.n:
         raise ValueError("N must lie between the minimal level and spec.n")
-    if surface0.levels < N:
-        raise ValueError(f"surface0 has {surface0.levels} levels, N needs {N}")
-    # build_tree reads only the levels below N, so neither surface is truncated
-    tree = build_tree(surface, replace(spec, n=N))
-    a2 = spec.alpha_tick ** 2
-    total = 0.0
-    for k in range(N):
-        total += float(tree.node_prob[k] @ _q(surface.sigma[k] ** 2, surface0.sigma[k] ** 2, a2))
-    return total / N
+    # the walk reads only the levels below N, so neither surface is truncated
+    return float(_chain_sums(surface.sigma, surface.b, surface0.sigma, [0.0] * N,
+                             replace(spec, n=N))[1])
 
 
 def tree_two_time_marginals(tree: TrinomialTree):
@@ -630,15 +789,17 @@ def _golden_paths(geometry, tol):
 
 def _golden_min(fn, lo, hi, tol):
     """Golden-section minima of fn on the intervals [lo[i], hi[i]] in
-    lockstep. fn maps an array of points to their values. Each step takes
-    one new point per interval still wider than tol, from a table; a step
-    that misses scores, in one call, every point that any decision path of
-    it and the next _GOLDEN_AHEAD - 1 steps can take (at most 7 per
+    lockstep. fn maps an array of points to their values. The first call
+    scores the two inner points and both ends of every interval. Each step
+    takes one new point per interval still wider than tol, from a table; a
+    step that misses scores, in one call, every point that any decision
+    path of it and the next _GOLDEN_AHEAD - 1 steps can take (at most 7 per
     interval), so the table makes the same decisions as one call per step.
-    Returns the minimizers and their values."""
+    Returns the minimizers and their values, an end where it is lower than
+    the golden-section point."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     geometry = [lo, hi, hi - _GOLDEN_RATIO * (hi - lo), lo + _GOLDEN_RATIO * (hi - lo)]
-    fc, fd = np.split(fn(np.concatenate(geometry[2:])), 2)
+    fc, fd, f_lo, f_hi = np.split(fn(np.concatenate(geometry[2:] + [lo, hi])), 4)
     table = {}
     while np.any(live := geometry[1] - geometry[0] > tol):
         left, right = live & (fc < fd), live & ~(fc < fd)
@@ -647,7 +808,11 @@ def _golden_min(fn, lo, hi, tol):
         f = _looked_up(fn, table, points, lambda: _golden_paths(geometry, tol))
         fc[left], fd[right] = f[left[live]], f[right[live]]
     c, d = geometry[2:]
-    return np.where(fc <= fd, c, d), np.where(fc <= fd, fc, fd)
+    # the golden-section point first, so that it wins a tie with an end
+    points = np.stack([np.where(fc <= fd, c, d), lo, hi])
+    values = np.stack([np.where(fc <= fd, fc, fd), f_lo, f_hi])
+    best = np.argmin(values, axis=0)
+    return np.choose(best, points), np.choose(best, values)
 
 
 def _dyadic_points(t_feas, t_infeas):
@@ -703,13 +868,18 @@ def calibrate(problem: CalibProblem, spec: LatticeSpec, epsilon: float) -> Calib
 
     One search serves every line through parameter space: scan it, refine
     the feasible segments where |E[payoff] - target| <= epsilon by
-    bisection, and golden-section the chain entropy inside each. Several
-    parameters add coordinate descent, seeded at the best feasible
-    constant. The scan walks all its points in one batch. The bisection and
-    the golden section each walk one batch per few steps: every point their
-    next _BISECT_AHEAD or _GOLDEN_AHEAD steps can ask for. Each column of a
-    batch walks as it would alone, so every decision is the one a walk per
-    step would make.
+    bisection, and golden-section the chain entropy inside each, the
+    segment ends included. Several parameters add coordinate descent,
+    seeded at the best feasible constant. The scan walks all its points in
+    one batch. The bisection and the golden section each walk one batch per
+    few steps: every point their next _BISECT_AHEAD or _GOLDEN_AHEAD steps
+    can ask for. Each column of a batch walks as it would alone, so every
+    decision is the one a walk per step would make. The scan and the
+    bisection read terminal laws; the golden section reads entropies only,
+    which a constant sigma0 gives as level sums with no law. The result's
+    entropy is the one the search found; one last walk of theta gives its
+    moment. At n = 40 that is 21 walks for one piece, 13 of them with a
+    law, and 65 for two, 39 with a law.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -725,32 +895,34 @@ def calibrate(problem: CalibProblem, spec: LatticeSpec, epsilon: float) -> Calib
     hi = spec.sigma_max - 1e-9 * span
     tol = _GOLDEN_TOL * span
 
-    def walk(thetas):
-        """Terminal moment and chain entropy of each row of parameters."""
-        law, entropy, _, _ = _chain_walk(
-            [thetas[:, [i]] for i in block], [spec.b0] * n, sigma0, b0, spec)
-        return np.vecdot(law, payoff), entropy
+    def chains(thetas):
+        """The walk's coefficients for each row of parameters."""
+        pieces = [thetas[:, [i]] for i in range(p)]
+        return [pieces[i] for i in block], [spec.b0] * n, sigma0, b0
+
+    def moments(thetas):
+        return np.vecdot(_chain_walk(*chains(thetas), spec)[0], payoff)
 
     def search(axis, n_scan):
         """The entropy-minimal feasible point t of the line that sets the
-        parameters on the axis mask to t and keeps the others at theta (None
-        when no scan point is feasible), and the smallest |gap| on the scan."""
+        parameters on the axis mask to t and keeps the others at theta, and
+        its entropy (None, None when no scan point is feasible), and the
+        smallest |gap| on the scan."""
         def line(t):
             return np.where(axis, t[:, None], theta)
 
         segments, best_gap = _feasible_segments(
-            lambda t: walk(line(t))[0] - problem.target, lo, hi, epsilon, n_scan)
+            lambda t: moments(line(t)) - problem.target, lo, hi, epsilon, n_scan)
         if not segments:
-            return None, best_gap
-        a, b = np.array(segments).T
-        points, values = _golden_min(lambda t: walk(line(t))[1], a, b, tol)
-        points = np.concatenate([points, a, b])
-        values = np.concatenate([values, walk(line(np.concatenate([a, b])))[1]])
-        return points[np.argmin(values)], best_gap
+            return None, None, best_gap
+        points, values = _golden_min(lambda t: _chain_sums(*chains(line(t)), spec)[0],
+                                     *np.array(segments).T, tol)
+        best = np.argmin(values)
+        return points[best], float(values[best]), best_gap
 
     # the constant line first, then coordinate descent along each axis
     theta = np.zeros(p)
-    t, best_gap = search(np.ones(p, dtype=bool), _THETA_SCAN)
+    t, entropy, best_gap = search(np.ones(p, dtype=bool), _THETA_SCAN)
     if t is None:
         raise CalibrationInfeasible(
             f"no constant parameter meets the band; smallest |gap| is {best_gap:.3e}"
@@ -759,14 +931,14 @@ def calibrate(problem: CalibProblem, spec: LatticeSpec, epsilon: float) -> Calib
     for _ in range(30 if p > 1 else 0):
         moved = 0.0
         for i in range(p):
-            t, _ = search(np.arange(p) == i, 100)
+            t, value, _ = search(np.arange(p) == i, 100)
             if t is not None:
                 moved = max(moved, abs(t - theta[i]))
-                theta[i] = t
+                theta[i], entropy = t, value
         if moved < tol:
             break
 
-    moment, entropy = (float(v[0]) for v in walk(theta[None, :]))
+    moment = float(moments(theta[None, :])[0])
     if abs(moment - problem.target) > epsilon + 1e-9:
         raise CalibrationInfeasible(
             f"search ended outside the band (|gap| = {abs(moment - problem.target):.3e})"
@@ -873,10 +1045,10 @@ def trinomial_weak_convergence_probe(sigma_sequence, spec_sequence,
     ref_mean, ref_var = reference_sde_moments
     rows = []
     for sigma_value, spec in zip(sigma_sequence, spec_sequence):
-        surf = VolSurface.constant(spec, float(sigma_value), spec.b0)
-        tree = build_tree(surf, spec)
-        mean = expectation(tree, lambda x: x, spec.n)
-        second = expectation(tree, lambda x: x * x, spec.n)
+        law = _chain_walk(*([v] * spec.n for v in (
+            float(sigma_value), spec.b0, float(sigma_value), spec.b0)), spec)[0]
+        xs = spec.positions(spec.n)
+        mean, second = float(law @ xs), float(law @ (xs * xs))
         rows.append({
             "n": spec.n,
             "mean_gap": abs(mean - ref_mean),

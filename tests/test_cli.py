@@ -137,6 +137,26 @@ class TestValidate:
         diags = validate_config(doc)
         assert any("below the minimal level 37" in d for d in diags)
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_lattice_out_of_range_names_its_values(self, runner, tmp_path, command):
+        # the minimal level's square overflows a float
+        doc = {
+            "experiment": "calibrate",
+            "seed": 1,
+            "params": {
+                "n": 40, "alpha_tick": 1e300, "sigma_min": 0.6, "sigma_max": 1.4,
+                "b0": 0.15, "s": 0.03, "sigma0": 1.2, "epsilon": 0.01,
+            },
+            "output": {"path": "report.csv"},
+        }
+        cfg = write_config(tmp_path, doc)
+        out = ["--out", str(tmp_path)] if command == "run" else []
+        result = runner.invoke(main, [command, "--config", cfg, *out])
+        assert result.exit_code == 2, result.output
+        assert json.loads(result.output)["diagnostics"] == [
+            "params: the minimal level (alpha_tick (b0 + s) / sigma_min^2)^2 is out of range "
+            "for alpha_tick=1e+300, sigma_min=0.6, sigma_max=1.4, b0=0.15, s=0.03"]
+
     def test_band_wider_than_the_drift_halfwidth(self):
         doc = {
             "experiment": "calibrate",
@@ -568,9 +588,12 @@ class TestRunGamma:
             assert n_gap == pytest.approx(n * gap, rel=1e-12)
 
     def test_walks_once_per_n_and_builds_no_tree(self, monkeypatch, tmp_path):
-        sizes, built, real_walk = [], [], tritree._chain_walk
-        monkeypatch.setattr(tritree, "_chain_walk",
-                            lambda *args: sizes.append(args[-1].n) or real_walk(*args))
+        # constant coefficients give level sums: no law, no table, no tree
+        sizes, built, real_sums = [], [], tritree._chain_sums
+        monkeypatch.setattr(tritree, "_chain_sums",
+                            lambda *args: sizes.append(args[-1].n) or real_sums(*args))
+        for name in ("_chain_walk", "_runs_law", "_push_walk"):
+            monkeypatch.setattr(tritree, name, lambda *args: built.append(args))
         monkeypatch.setattr(tritree, "build_tree", lambda *args: built.append(args))
         for cls in (tritree.TrinomialTree, tritree.VolSurface):
             monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))

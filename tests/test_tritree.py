@@ -100,6 +100,30 @@ class TestLatticeSpec:
             LatticeSpec(n=100, alpha_tick=2.0, sigma_min=0.5, sigma_max=1.5,
                         b0=0.5, s=-0.1)
 
+    @pytest.mark.parametrize("key, value", [
+        ("alpha_tick", math.inf), ("sigma_max", math.nan), ("b0", math.inf), ("s", math.nan),
+    ])
+    def test_nonfinite_ranges_rejected(self, key, value):
+        ranges = dict(alpha_tick=2.0, sigma_min=0.5, sigma_max=1.5, b0=0.5, s=0.25)
+        ranges[key] = value
+        with pytest.raises(ValueError, match=f"^ranges must be finite: .*{key}={value!r}"):
+            LatticeSpec(n=100, **ranges)
+
+    @pytest.mark.parametrize("ranges", [
+        # (alpha_tick (b0 + s) / sigma_min^2)^2 overflows a float
+        dict(alpha_tick=1e300, sigma_min=0.6, sigma_max=1.4, b0=0.15, s=0.03),
+        # sigma_min^2 underflows to 0
+        dict(alpha_tick=2.0, sigma_min=1e-200, sigma_max=1.4, b0=0.15, s=0.03),
+        # the ratio itself is infinite
+        dict(alpha_tick=1e308, sigma_min=0.6, sigma_max=1.4, b0=10.0, s=0.03),
+    ], ids=["squared_ratio", "sigma_min_squared", "ratio"])
+    def test_minimal_level_out_of_range_rejected(self, ranges):
+        named = ", ".join(f"{key}={value!r}" for key, value in ranges.items())
+        with pytest.raises(ValueError) as failed:
+            LatticeSpec(n=40, **ranges)
+        assert str(failed.value) == ("the minimal level (alpha_tick (b0 + s) / sigma_min^2)^2 "
+                                     f"is out of range for {named}")
+
     def test_tick_and_positions(self):
         spec = tick_spec(100)
         assert spec.dx == pytest.approx(0.2, abs=1e-15)
@@ -444,6 +468,16 @@ def walk(surface, surface0, spec):
     return _chain_walk(surface.sigma, surface.b, surface0.sigma, surface0.b, spec)
 
 
+def assert_walks_agree(got, want):
+    """The closed-form route against the push: laws within 2e-14, entropy,
+    rate and worst gap within 1e-13 relative, shapes equal."""
+    for x, y in zip(got, want):
+        assert np.shape(x) == np.shape(y)
+    assert np.max(np.abs(got[0] - want[0])) <= 2e-14
+    for x, y in zip(got[1:], want[1:]):
+        assert_allclose(x, y, rtol=1e-13, atol=0)
+
+
 class TestChainWalk:
     def test_gives_chain_rate_and_gap(self, rng):
         spec = wide_spec(9)
@@ -496,14 +530,82 @@ class TestChainWalk:
 
     @pytest.mark.parametrize("n", [8, 64, 300])
     def test_scalar_levels_match_constant_surfaces_bit_for_bit(self, n):
+        # scalars take the closed form and constant surfaces the push, so
+        # they agree to the closed form's tolerances; the worst gap, a max
+        # of the same level values, is still equal bit for bit
         spec = wide_spec(n)
         surf = VolSurface.constant(spec, 1.1, spec.b0)
         surf0 = VolSurface.constant(spec, 1.3, spec.b0)
-        law, *numbers = _chain_walk(*([v] * n for v in (1.1, spec.b0, 1.3, spec.b0)), spec)
-        full_law, *full_numbers = walk(surf, surf0, spec)
-        assert np.array_equal(law, full_law)
-        assert numbers == full_numbers
-        assert numbers[1] == I_rate(surf, surf0, spec)
+        got = _chain_walk(*([v] * n for v in (1.1, spec.b0, 1.3, spec.b0)), spec)
+        want = walk(surf, surf0, spec)
+        assert_walks_agree(got, want)
+        assert got[3] == want[3]
+        assert got[2] == pytest.approx(I_rate(surf, surf0, spec), rel=1e-13)
+
+    @pytest.mark.parametrize("shape", ["scalars", "columns"])
+    @pytest.mark.parametrize("runs", [1, 2, 3])
+    @pytest.mark.parametrize("n", [16, 40, 57, 100, 1000])
+    def test_closed_form_matches_the_push(self, rng, n, runs, shape):
+        # runs of equal kernels in the step chain and, offset by a third,
+        # in the reference
+        spec = wide_spec(n)
+        width = 3 if n == 1000 else 8
+        piece = [min(k * runs // n, runs - 1) for k in range(n)]
+        shifted = [min((k + n // 3) % n * runs // n, runs - 1) for k in range(n)]
+        sig = rng.uniform(0.7, 1.3, (width, runs))
+        if shape == "scalars":
+            sig = sig[0]
+            sigma = [sig[i] for i in piece]
+        else:
+            sigma = [sig[:, [i]] for i in piece]
+        drift, drift0 = rng.uniform(0.13, 0.17, (2, runs))
+        sig0 = rng.uniform(0.9, 1.3, runs)
+        args = (sigma, [drift[i] for i in piece], [sig0[i] for i in shifted],
+                [drift0[i] for i in shifted])
+        # the push walks any input, so it is the closed form's oracle
+        assert_walks_agree(_chain_walk(*args, spec), tritree._push_walk(spec, *args))
+
+    @pytest.mark.parametrize("width", [1, 2, 9])
+    def test_columns_of_different_runs_walk_as_they_would_alone(self, rng, width):
+        # some columns repeat a value across the pieces (one run), others
+        # do not: each takes its own runs, whatever its neighbours take
+        spec = wide_spec(57)
+        pieces = rng.uniform(0.7, 1.3, (width, 3))
+        pieces[::2, 1] = pieces[::2, 0]
+        pieces[::3, 2] = pieces[::3, 1]
+        piece = [min(k * 3 // 57, 2) for k in range(57)]
+        rest = ([spec.b0] * 57, [1.2] * 57, [spec.b0] * 57)
+        law, *numbers = _chain_walk([pieces[:, [i]] for i in piece], *rest, spec)
+        for row in range(width):
+            one = _chain_walk([pieces[row:row + 1, [i]] for i in piece], *rest, spec)
+            assert np.array_equal(law[row], one[0][0])
+            assert [x[row] for x in numbers] == [x[0] for x in one[1:]]
+
+    def test_sums_compute_no_law_without_a_node_axis(self, monkeypatch, rng):
+        spec = wide_spec(40)
+        columns = [rng.uniform(0.7, 1.3, (5, 1)) for _ in range(40)]
+        args = (columns, [spec.b0] * 40, [1.2] * 40, [spec.b0] * 40)
+        want = _chain_walk(*args, spec)[1:]
+        for name in ("_runs_law", "_push_walk"):
+            monkeypatch.setattr(tritree, name, lambda *a: pytest.fail("a law was computed"))
+        for got, ref in zip(tritree._chain_sums(*args, spec), want):
+            assert np.array_equal(got, ref)
+
+    def test_closed_form_law_memory_is_bounded(self, rng):
+        # 400 columns of one run of 1000 levels: 4e8 trinomial cells and a
+        # 6 MiB law. Blocks of _WALK_CELLS cells, and of columns for the
+        # kernels, keep the walk to a few times the law.
+        spec = wide_spec(1000)
+        columns = [rng.uniform(0.7, 1.3, (400, 1))] * 1000
+        tracemalloc.start()
+        try:
+            law = _chain_walk(columns, [spec.b0] * 1000, [1.2] * 1000, [spec.b0] * 1000,
+                              spec)[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert law.shape == (400, 2001)
+        assert peak < 32 << 20
 
     @pytest.mark.parametrize("short", ["sigma", "b", "sigma0", "b0"])
     def test_every_sequence_needs_n_levels(self, short):
@@ -553,9 +655,13 @@ class TestChainWalk:
             "scalars": (list(rng.uniform(0.7, 1.3, 23)), [spec.b0] * 23, [1.2] * 23,
                         list(rng.uniform(0.13, 0.17, 23))),
         }[case]
-        for got, want in zip(_chain_walk(*args, spec), reference(*args, spec)):
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
+        got, want = _chain_walk(*args, spec), reference(*args, spec)
+        if case == "scalars":
+            # no node axis: level sums and the closed-form law
+            assert_walks_agree(got, want)
+        else:
+            for x, y in zip(got, want):
+                assert x.shape == y.shape and np.array_equal(x, y)
 
     @pytest.mark.parametrize("n", [8, 40, 300])
     def test_evaluates_each_kernel_once_per_walk(self, monkeypatch, rng, n):
@@ -764,6 +870,25 @@ def normalized_square_payoff(spec, sigma_value):
     return lambda x: x * x / c
 
 
+# theta* and the moment that calibrate found when every walk pushed the node
+# law level by level, as (n, pieces, theta, moment); payoff as in
+# normalized_square_payoff(spec, 1.1), sigma0 = 1.2, epsilon = 0.01
+PUSH_WALK_PINS = [
+    (16, 1, [1.1055817190511064], 1.0099999999999978),
+    (16, 2, [1.1055817190511084, 1.105581719051106], 1.0099999999999991),
+    (16, 3, [1.105581719051109, 1.1055817190511055, 1.105581719051106], 1.0099999999999993),
+    (40, 1, [1.1055855349089916], 1.009999999999999),
+    (40, 2, [1.1055855349089925, 1.1055855349089945], 1.0099999999999998),
+    (40, 3, [1.105585534908994, 1.1055855349089925, 1.1055855349089925], 1.0099999999999993),
+    (57, 1, [1.10558629361601], 1.0099999999999993),
+    (57, 2, [1.10558629361601, 1.10558629361601], 1.0099999999999993),
+    (57, 3, [1.10558629361601, 1.10558629361601, 1.10558629361601], 1.0099999999999993),
+    (100, 1, [1.1055870612484604], 1.0099999999999945),
+    (100, 2, [1.1055870612484648, 1.1055870612484604], 1.0099999999999985),
+    (100, 3, [1.105587061248466, 1.1055870612484604, 1.1055870612484604], 1.0099999999999998),
+]
+
+
 def sequential_segments(gap_fn, lo, hi, epsilon, n_scan):
     """_feasible_segments as one gap_fn call per bisection step, for all 60
     steps, as the loop ran before it stopped at the first step that leaves
@@ -787,12 +912,15 @@ def sequential_segments(gap_fn, lo, hi, epsilon, n_scan):
 
 
 def sequential_golden_min(fn, lo, hi, tol):
-    """_golden_min as one fn call per golden-section step."""
+    """_golden_min as one fn call per golden-section step: the first call
+    scores the inner points and the ends, and an end lower than the
+    golden-section point is the minimizer."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    ends = np.concatenate([lo, hi])
     c = hi - gr * (hi - lo)
     d = lo + gr * (hi - lo)
-    fc, fd = np.split(fn(np.concatenate([c, d])), 2)
+    fc, fd, f_ends = np.split(fn(np.concatenate([c, d, ends])), [len(lo), 2 * len(lo)])
     while np.any(live := hi - lo > tol):
         left, right = live & (fc < fd), live & ~(fc < fd)
         hi[left], d[left], fd[left] = d[left], c[left], fc[left]
@@ -801,7 +929,11 @@ def sequential_golden_min(fn, lo, hi, tol):
         d[right] = lo[right] + gr * (hi[right] - lo[right])
         f = fn(np.where(left, c, d)[live])
         fc[left], fd[right] = f[left[live]], f[right[live]]
-    return np.where(fc <= fd, c, d), np.where(fc <= fd, fc, fd)
+    points, values = np.where(fc <= fd, c, d), np.where(fc <= fd, fc, fd)
+    for end, f_end in zip(np.split(ends, 2), np.split(f_ends, 2)):
+        lower = f_end < values
+        points, values = np.where(lower, end, points), np.where(lower, f_end, values)
+    return points, values
 
 
 def counted(fn):
@@ -890,9 +1022,10 @@ class TestGoldenMin:
         reference = counted(lambda t: (t - 0.3) ** 2)
         for got, want in zip((points, values), sequential_golden_min(reference, lo, hi, 1e-8)):
             assert np.array_equal(got, want)
-        # the first two points, then one call per three steps of at most 7
-        # points per interval
+        # the inner points and the ends, then one call per three steps of
+        # at most 7 points per interval
         steps = len(reference.calls) - 1
+        assert fn.calls[0] == 4 * 3
         assert len(fn.calls) == 1 + math.ceil(steps / 3)
         assert max(fn.calls[1:]) <= 7 * 3
 
@@ -968,16 +1101,35 @@ class TestCalibrate:
         assert built == [VolSurface]
         assert result.sigma_star.levels == 40
 
-    @pytest.mark.parametrize("pieces, walks", [(1, 22), (2, 68)])
-    def test_walk_count_at_the_benchmark_size(self, monkeypatch, pieces, walks):
+    @pytest.mark.parametrize("pieces, walks, laws", [(1, 21, 13), (2, 65, 39)])
+    def test_walk_count_at_the_benchmark_size(self, monkeypatch, pieces, walks, laws):
+        # the golden section reads level sums only; the scan, the bisection
+        # and the last walk of theta read laws
         calls = []
-        real = tritree._chain_walk
-        monkeypatch.setattr(tritree, "_chain_walk",
-                            lambda *args: calls.append(args) or real(*args))
+        for name in ("_chain_walk", "_chain_sums", "_runs_law"):
+            real = getattr(tritree, name)
+            monkeypatch.setattr(tritree, name,
+                                lambda *args, name=name, real=real: calls.append(name) or real(*args))
         spec = wide_spec(40)
         payoff = normalized_square_payoff(spec, 1.1)
         calibrate(CalibProblem(sigma0=1.2, payoff=payoff, n_pieces=pieces), spec, 0.01)
-        assert len(calls) == walks
+        assert len(calls) - calls.count("_runs_law") == walks
+        assert calls.count("_chain_walk") == calls.count("_runs_law") == laws
+
+    @pytest.mark.parametrize("n, pieces, theta, moment", PUSH_WALK_PINS,
+                             ids=[f"{n}-{pieces}" for n, pieces, *_ in PUSH_WALK_PINS])
+    def test_matches_the_push_walks_pins(self, n, pieces, theta, moment):
+        spec = wide_spec(n)
+        payoff = normalized_square_payoff(spec, 1.1)
+        result = calibrate(CalibProblem(sigma0=1.2, payoff=payoff, n_pieces=pieces), spec, 0.01)
+        assert_allclose(result.theta_star, theta, rtol=0, atol=1e-12)
+        assert result.moment == pytest.approx(moment, rel=0, abs=1e-12)
+        # the entropy the search found is the level sums of theta* itself
+        columns = [result.theta_star[None, [i]] for i in range(pieces)]
+        block = [min(k * pieces // n, pieces - 1) for k in range(n)]
+        sums = tritree._chain_sums([columns[i] for i in block], [spec.b0] * n,
+                                   [1.2] * n, [spec.b0] * n, spec)
+        assert result.entropy == sums[0][0]
 
     def test_unreachable_band_rejected(self):
         spec = wide_spec(20)
@@ -1002,15 +1154,17 @@ class TestCalibrate:
 
 class TestEpsilonZero:
     def test_slack_plus_resolution(self):
-        # the calibrated slack is the tree's |E[payoff] - 1| bit for bit,
-        # so epsilon0 needs no tree of its own
+        # the calibrated slack is the tree's |E[payoff] - 1|, so epsilon0
+        # needs no tree of its own
         for n, pieces in [(16, 1), (40, 2), (57, 3)]:
             spec = replace(wide_spec(n), s=0.1)
             payoff = normalized_square_payoff(spec, 1.1)
             result = calibrate(CalibProblem(sigma0=1.2, payoff=payoff, n_pieces=pieces),
                                spec, 0.01)
             tree = build_tree(result.sigma_star, spec)
-            assert result.slack == abs(expectation(tree, payoff, n) - 1.0)
+            # the closed-form law against the tree's push
+            assert result.slack == pytest.approx(abs(expectation(tree, payoff, n) - 1.0),
+                                                 rel=0, abs=1e-12)
             assert epsilon0(result, spec) == result.slack + 1.0 / n
 
     def test_clipped_at_the_drift_halfwidth(self):
