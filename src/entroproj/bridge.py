@@ -19,6 +19,15 @@ from .gibbs import _accepts, _sample_types, mc_stream, metric_ball
 from .measures import FiniteMeasure, MetricSpacePoints
 
 _MARGINAL_TOL = 1e-10
+# Over-relaxation: the plain sweeps' rate is read once three successive
+# residual ratios agree to _RATE_AGREEMENT, after at least _RELAX_AFTER
+# sweeps; relaxed sweeps that set no new least residual in _RELAX_PATIENCE
+# sweeps give way to plain ones.
+_RELAX_AFTER = 8
+_RATE_AGREEMENT = 0.01
+_RELAX_PATIENCE = 50
+# cells of the reference joint summed at a time by bridge_entropy
+_ENTROPY_CELLS = 1 << 16
 
 
 def _density_ratio(target: FiniteMeasure, reference: FiniteMeasure) -> np.ndarray:
@@ -45,7 +54,11 @@ class BridgeProblem:
     nu1: FiniteMeasure
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float).copy()
+        p = self.p
+        # a p frozen by an earlier problem is shared, not copied again
+        if not (isinstance(p, np.ndarray) and p.dtype == np.float64
+                and p.flags.owndata and not p.flags.writeable):
+            p = np.array(p, dtype=float)
         if p.shape != (len(self.mu0.space), len(self.mu1.space)):
             raise ValueError("p must be a (|grid_u|, |grid_v|) table")
         if np.any(p < 0):
@@ -86,24 +99,45 @@ class BridgePotentials:
     """Potential pair with the final marginal residual and its history.
 
     The pair is gauge-fixed so that the nu0-mean of log f equals the
-    nu1-mean of log g; the product f(u)g(v) is what matters.
+    nu1-mean of log g; the product f(u)g(v) is what matters. omega is the
+    relaxation factor of the last sweep and relaxed_at the first relaxed
+    sweep (None when every sweep was plain); relaxed_at with omega 1.0
+    means the relaxed sweeps stalled and plain ones finished the run.
     """
 
     f: np.ndarray
     g: np.ndarray
     residual: float
     history: tuple
+    omega: float = 1.0
+    relaxed_at: int | None = None
 
 
 def sinkhorn(problem: BridgeProblem, tol: float = 1e-12, max_iter: int = 500) -> BridgePotentials:
-    """Alternating marginal fitting for the potential system.
+    """Over-relaxed alternating marginal fitting for the potential system.
 
-    Starts from g identically 1 and updates f first. The residual recorded
-    after each sweep is the larger of the two total-variation deviations of
-    the coupled marginals from their targets; iteration stops at residual
-    <= tol or max_iter, and the last iterate is returned either way with the
-    full residual history, so a non-converged run is visible rather than
-    fatal.
+    Starts from g identically 1 and updates f first. Each update replaces
+    a potential by old^(1 - omega) fit^omega, where fit is the plain
+    marginal fit, and keeps it 0 off the target support. The first sweeps
+    are plain (omega = 1). Once at least _RELAX_AFTER sweeps have run and
+    three successive residual ratios agree within _RATE_AGREEMENT, the last
+    ratio eta < 1 is read as the plain iteration's linear rate and omega
+    becomes 2 / (1 + sqrt(1 - eta)), the optimal factor of Lehmann, von
+    Renesse, Sambale and Uschmajew, "A note on overrelaxation in the
+    Sinkhorn algorithm", Optim. Lett. 16 (2022); the relaxed iteration is
+    that of Thibault, Chizat, Dossal and Papadakis, "Overrelaxed
+    Sinkhorn-Knopp algorithm for regularized optimal transport" (2017).
+    After the switch the residual can rise for a few sweeps before it
+    falls. If the relaxed sweeps set no new least residual for
+    _RELAX_PATIENCE sweeps, the run goes on with plain sweeps.
+
+    The residual recorded after each sweep is the larger of the two
+    total-variation deviations of the current pair's coupled marginals from
+    their targets; iteration stops at residual <= tol or max_iter, and the
+    last iterate is returned either way with the full residual history, so
+    a non-converged run is visible rather than fatal. Potentials that stop
+    being finite raise ValueError: the reference kernel has underflowed
+    too far for the scalings to compensate in floating point.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -116,24 +150,43 @@ def sinkhorn(problem: BridgeProblem, tol: float = 1e-12, max_iter: int = 500) ->
     g = np.ones(len(w1))
     f = np.zeros(len(w0))
     history = []
+    omega, relaxed_at, best_at = 1.0, None, 0
     den_f = p @ (g * w1)
-    for _ in range(max_iter):
-        if np.any((den_f <= 0) & (a0 > 0)):
-            raise ValueError("reference density vanishes where the first target is charged")
-        f = np.divide(a0, den_f, out=np.zeros_like(a0), where=den_f > 0)
-        den_g = p.T @ (f * w0)
-        if np.any((den_g <= 0) & (a1 > 0)):
-            raise ValueError("reference density vanishes where the second target is charged")
-        g = np.divide(a1, den_g, out=np.zeros_like(a1), where=den_g > 0)
-        # the next sweep's den_f; with den_g it gives both coupled marginals
-        den_f = p @ (g * w1)
-        residual = float(max(
-            np.sum(np.abs(f * w0 * den_f - problem.nu0.weights)),
-            np.sum(np.abs(g * w1 * den_g - problem.nu1.weights)),
-        ))
-        history.append(residual)
-        if residual <= tol:
-            break
+    # overflow and 0 ** negative surface below as non-finite potentials
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for sweep in range(1, max_iter + 1):
+            # history[k - 1] is the residual after sweep k
+            if relaxed_at is None:
+                eta = _steady_rate(history)
+                if eta is not None:
+                    omega, relaxed_at = 2.0 / (1.0 + math.sqrt(1.0 - eta)), sweep
+                    best_at = sweep - 1
+            elif omega != 1.0:
+                if history[-1] < history[best_at - 1]:
+                    best_at = sweep - 1
+                elif sweep - 1 - best_at >= _RELAX_PATIENCE:
+                    omega = 1.0
+            if np.any((den_f <= 0) & (a0 > 0)):
+                raise ValueError("reference density vanishes where the first target is charged")
+            f = _fit(f, a0, den_f, omega)
+            den_g = p.T @ (f * w0)
+            if np.any((den_g <= 0) & (a1 > 0)):
+                raise ValueError("reference density vanishes where the second target is charged")
+            g = _fit(g, a1, den_g, omega)
+            if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+                raise ValueError(
+                    f"potentials stopped being finite at sweep {sweep}: the reference "
+                    "kernel underflows too far for the scalings to compensate (increase t)"
+                )
+            # the next sweep's den_f; with den_g it gives both coupled marginals
+            den_f = p @ (g * w1)
+            residual = float(max(
+                np.sum(np.abs(f * w0 * den_f - problem.nu0.weights)),
+                np.sum(np.abs(g * w1 * den_g - problem.nu1.weights)),
+            ))
+            history.append(residual)
+            if residual <= tol:
+                break
     s0 = problem.nu0.weights > 0
     s1 = problem.nu1.weights > 0
     balance = 0.5 * (
@@ -142,12 +195,46 @@ def sinkhorn(problem: BridgeProblem, tol: float = 1e-12, max_iter: int = 500) ->
     )
     f = f * math.exp(-balance)
     g = g * math.exp(balance)
-    return BridgePotentials(f=f, g=g, residual=history[-1], history=tuple(history))
+    return BridgePotentials(f=f, g=g, residual=history[-1], history=tuple(history),
+                            omega=omega, relaxed_at=relaxed_at)
+
+
+def _fit(old: np.ndarray, a: np.ndarray, den: np.ndarray, omega: float) -> np.ndarray:
+    """The marginal fit a / den, 0 off the support of a, relaxed to
+    old^(1 - omega) fit^omega on it."""
+    fit = np.divide(a, den, out=np.zeros_like(a), where=den > 0)
+    if omega != 1.0:
+        on = a > 0
+        fit[on] = old[on] ** (1.0 - omega) * fit[on] ** omega
+    return fit
+
+
+def _steady_rate(history) -> float | None:
+    """The last residual ratio once the plain sweeps contract steadily:
+    after _RELAX_AFTER sweeps, when three successive ratios agree within
+    _RATE_AGREEMENT of it and it is below 1; else None."""
+    if len(history) < _RELAX_AFTER:
+        return None
+    last = history[-4:]
+    ratios = [b / a for a, b in zip(last, last[1:])]
+    eta = ratios[-1]
+    if eta < 1.0 and all(abs(r - eta) <= _RATE_AGREEMENT * eta for r in ratios):
+        return eta
+    return None
+
+
+def _finite_potentials(potentials: BridgePotentials):
+    """(f, g), or ValueError when either holds a NaN or an infinity."""
+    f, g = potentials.f, potentials.g
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+        raise ValueError("potentials are not finite")
+    return f, g
 
 
 def bridge_measure(problem: BridgeProblem, potentials: BridgePotentials) -> FiniteMeasure:
     """The tilted joint law f(u)g(v) dmu01 as a measure on the product grid."""
-    w = potentials.f[:, None] * potentials.g[None, :] * problem.reference_joint()
+    f, g = _finite_potentials(potentials)
+    w = f[:, None] * g[None, :] * problem.reference_joint()
     total = w.sum()
     if not np.isfinite(total) or total <= 0:
         raise ValueError("potentials produce a degenerate joint law")
@@ -159,17 +246,29 @@ def bridge_entropy(problem: BridgeProblem, potentials: BridgePotentials):
 
     H_direct sums pi log(pi / reference) over the table; H_potentials is
     the marginal form, nu0-mean of log f plus nu1-mean of log g. At a
-    converged fixed point the two agree within a few residuals.
+    converged fixed point the two agree within a few residuals. The table
+    is summed in blocks of rows of about _ENTROPY_CELLS cells, unnormalized:
+    with Z the total of pi, the sum of (pi/Z) log(pi/(Z ref)) is
+    (sum of pi log(pi/ref)) / Z - log Z.
     """
-    ref = problem.reference_joint()
-    pi = potentials.f[:, None] * potentials.g[None, :] * ref
-    pi = pi / pi.sum()
-    mask = pi > 0
-    h_direct = float(np.sum(pi[mask] * np.log(pi[mask] / ref[mask])))
+    f, g = _finite_potentials(potentials)
+    w0, w1 = problem.mu0.weights, problem.mu1.weights
+    rows = max(1, _ENTROPY_CELLS // len(w1))
+    total = weighted_log = 0.0
+    for i in range(0, len(w0), rows):
+        block = slice(i, i + rows)
+        ref = problem.p[block] * np.outer(w0[block], w1)
+        pi = f[block, None] * g[None, :] * ref
+        mask = pi > 0
+        total += float(pi.sum())
+        weighted_log += float(np.sum(pi[mask] * np.log(pi[mask] / ref[mask])))
+    if not np.isfinite(total) or total <= 0:
+        raise ValueError("potentials produce a degenerate joint law")
+    h_direct = weighted_log / total - math.log(total)
     s0 = problem.nu0.weights > 0
     s1 = problem.nu1.weights > 0
-    h_pot = float(problem.nu0.weights[s0] @ np.log(potentials.f[s0])) + float(
-        problem.nu1.weights[s1] @ np.log(potentials.g[s1])
+    h_pot = float(problem.nu0.weights[s0] @ np.log(f[s0])) + float(
+        problem.nu1.weights[s1] @ np.log(g[s1])
     )
     return h_direct, h_pot
 
@@ -202,11 +301,16 @@ def gaussian_reference(grid, t: float, mu0: FiniteMeasure | None = None,
         mu0 = FiniteMeasure.uniform(space)
     elif mu0.space != space:
         raise ValueError("mu0 must live on the supplied grid")
-    k = np.exp(-((x[None, :] - x[:, None]) ** 2) / (2.0 * t))
-    T = k / k.sum(axis=1, keepdims=True)
-    w1 = T.T @ mu0.weights
+    # one table, turned in place from squared distances into k, T and p
+    p = x[None, :] - x[:, None]
+    np.square(p, out=p)
+    p /= -2.0 * t
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    w1 = p.T @ mu0.weights
     mu1 = FiniteMeasure(mu0.space, w1 / w1.sum())
-    p = T / mu1.weights[None, :]
+    p /= mu1.weights[None, :]
+    p.setflags(write=False)
     if nu0 is None:
         nu0 = mu0
     if nu1 is None:

@@ -257,6 +257,7 @@ def _bridge(p):
             ["H_potentials", h_pot],
             ["residual", pots.residual],
             ["iterations", len(pots.history)],
+            ["omega", pots.omega],
         ]
         return {
             "history": (["iteration", "residual"], history_rows),

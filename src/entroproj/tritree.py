@@ -988,14 +988,17 @@ def gibbs_tree_mc(spec: LatticeSpec, sigma0: float, payoff, n: int, epsilon: flo
     structure only in the limit) and the empirical terminal moment lies in
     the band. Accepted terminal distributions are averaged and compared,
     in the bounded-Lipschitz distance, against the terminal law of the
-    entropy-calibrated tree. Zero acceptances are reported with the
-    rule-of-three bound rather than raised.
+    entropy-calibrated chain, which _chain_walk gives with no tree. Zero
+    acceptances are reported with the rule-of-three bound rather than
+    raised.
     """
     spec_n = replace(spec, n=n)
     surf0 = VolSurface.constant(spec_n, float(sigma0), spec_n.b0)
     tree0 = build_tree(surf0, spec_n)
     calib = calibrate(CalibProblem(sigma0=sigma0, payoff=payoff), spec_n, epsilon)
-    star_terminal = build_tree(calib.sigma_star, spec_n).node_prob[n]
+    star = calib.sigma_star
+    star_terminal = _chain_walk(star.sigma, star.b, [float(sigma0)] * n, [spec_n.b0] * n,
+                                spec_n)[0]
 
     accepted = 0
     terminal_sum = np.zeros(2 * n + 1)

@@ -2,12 +2,13 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import entroproj as ep
-from entroproj import gibbs
+from entroproj import bridge, gibbs
 
 from conftest import line_space, per_trial_types
 
@@ -26,6 +27,53 @@ def criterion_problem(n=50):
     nu0 = ep.FiniteMeasure(space, gaussian_weights(x, 0.3, 0.36))
     nu1 = ep.FiniteMeasure(space, gaussian_weights(x, -0.2, 0.49))
     return ep.with_targets(base, nu0, nu1)
+
+
+def benchmark_problem(t, n=200):
+    """The benchmark bridge's reference and targets on an n-point grid."""
+    x = np.linspace(-2.0, 2.0, n)
+    space = ep.MetricSpacePoints.from_coordinates(x)
+    mu0 = ep.FiniteMeasure(space, gaussian_weights(x, 0.0, 1.0))
+    base = ep.gaussian_reference(x, t, mu0=mu0)
+    nu0 = ep.FiniteMeasure(space, gaussian_weights(x, 0.3, 0.36))
+    nu1 = ep.FiniteMeasure(space, gaussian_weights(x, -0.2, 0.49))
+    return ep.with_targets(base, nu0, nu1)
+
+
+def plain_sinkhorn(problem, tol, max_iter):
+    """Unrelaxed alternating marginal fitting, gauge-fixed as sinkhorn is:
+    (f, g, history)."""
+    w0, w1 = problem.mu0.weights, problem.mu1.weights
+    a0 = np.divide(problem.nu0.weights, w0, out=np.zeros_like(w0), where=w0 > 0)
+    a1 = np.divide(problem.nu1.weights, w1, out=np.zeros_like(w1), where=w1 > 0)
+    g = np.ones(len(w1))
+    history = []
+    den_f = problem.p @ (g * w1)
+    for _ in range(max_iter):
+        f = np.divide(a0, den_f, out=np.zeros_like(a0), where=den_f > 0)
+        den_g = problem.p.T @ (f * w0)
+        g = np.divide(a1, den_g, out=np.zeros_like(a1), where=den_g > 0)
+        den_f = problem.p @ (g * w1)
+        history.append(float(max(
+            np.sum(np.abs(f * w0 * den_f - problem.nu0.weights)),
+            np.sum(np.abs(g * w1 * den_g - problem.nu1.weights)),
+        )))
+        if history[-1] <= tol:
+            break
+    s0, s1 = problem.nu0.weights > 0, problem.nu1.weights > 0
+    balance = 0.5 * (float(problem.nu0.weights[s0] @ np.log(f[s0]))
+                     - float(problem.nu1.weights[s1] @ np.log(g[s1])))
+    return f * math.exp(-balance), g * math.exp(balance), history
+
+
+# H_direct of benchmark_problem(t) from unrelaxed sweeps run to tol 1e-12
+# (222 sweeps at t = 0.05, 1106 at t = 0.01)
+PLAIN_H_DIRECT = {
+    0.1: 1.3904500018141175,
+    0.05: 2.6114340356161794,
+    0.02: 6.305862188967087,
+    0.01: 12.474293986593398,
+}
 
 
 def two_by_two_problem(nu0_w, nu1_w):
@@ -96,6 +144,33 @@ class TestBridgeProblem:
         assert len(pi.space) == 3600
         assert peak < 16 * 2 ** 20
 
+    def test_bridge_entropy_builds_no_joint_table(self):
+        # one 1000^2 table is 7.6 MiB; the unblocked sum held seven
+        prob = benchmark_problem(0.5, n=1000)
+        pots = ep.sinkhorn(prob)
+        tracemalloc.start()
+        try:
+            h_direct, h_pot = ep.bridge_entropy(prob, pots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(h_direct - h_pot) <= 10.0 * pots.residual
+        assert peak < 4 * 2 ** 20
+
+    def test_new_targets_share_the_frozen_reference(self):
+        base = ep.gaussian_reference(np.linspace(-1.0, 1.0, 30), 0.3)
+        assert not base.p.flags.writeable
+        swapped = ep.with_targets(base, base.nu1, base.nu0)
+        assert swapped.p is base.p
+
+    def test_caller_table_is_copied(self):
+        prob = two_by_two_problem([0.3, 0.7], [0.6, 0.4])
+        p = np.ones((2, 2))
+        copy = ep.BridgeProblem(mu0=prob.mu0, mu1=prob.mu1, p=p, nu0=prob.nu0, nu1=prob.nu1)
+        p[0, 0] = 5.0
+        assert copy.p[0, 0] == 1.0
+        assert p.flags.writeable
+
 
 class TestSinkhorn:
     def test_trivial_targets_converge_immediately(self):
@@ -145,6 +220,57 @@ class TestSinkhorn:
         with pytest.raises(ValueError, match="max_iter"):
             ep.sinkhorn(criterion_problem(5), max_iter=0)
 
+    @pytest.mark.parametrize("t", sorted(PLAIN_H_DIRECT, reverse=True))
+    def test_relaxed_sweeps_converge_on_the_benchmark_grid(self, t):
+        # unrelaxed, t = 0.01 needs 1106 sweeps and stops at max_iter = 500
+        prob = benchmark_problem(t)
+        pots = ep.sinkhorn(prob, tol=1e-12, max_iter=500)
+        assert pots.residual <= 1e-12
+        assert len(pots.history) < 500
+        assert pots.relaxed_at == 9
+        assert 1.0 < pots.omega < 2.0
+        h_direct, h_pot = ep.bridge_entropy(prob, pots)
+        assert abs(h_direct - h_pot) <= 10.0 * pots.residual
+        assert h_direct == pytest.approx(PLAIN_H_DIRECT[t], rel=1e-10, abs=0.0)
+
+    def test_unrelaxed_run_is_the_plain_iteration(self, monkeypatch):
+        prob = benchmark_problem(0.05)
+        monkeypatch.setattr(bridge, "_steady_rate", lambda history: None)
+        pots = ep.sinkhorn(prob, tol=1e-12, max_iter=500)
+        f, g, history = plain_sinkhorn(prob, tol=1e-12, max_iter=500)
+        assert pots.history == tuple(history)
+        assert len(history) == 222
+        np.testing.assert_array_equal(pots.f, f)
+        np.testing.assert_array_equal(pots.g, g)
+        assert pots.omega == 1.0 and pots.relaxed_at is None
+
+    def test_sweeps_before_the_switch_are_plain(self):
+        prob = benchmark_problem(0.05)
+        pots = ep.sinkhorn(prob, tol=1e-12, max_iter=8)
+        f, g, history = plain_sinkhorn(prob, tol=1e-12, max_iter=8)
+        assert pots.history == tuple(history)
+        np.testing.assert_array_equal(pots.f, f)
+        assert pots.omega == 1.0 and pots.relaxed_at is None
+
+    def test_stalled_relaxation_falls_back_to_plain_sweeps(self, monkeypatch):
+        # a rate just below 1 gives omega near 2, where the sweeps oscillate
+        prob = benchmark_problem(0.05)
+        expect = ep.sinkhorn(prob, tol=1e-12)
+        monkeypatch.setattr(bridge, "_steady_rate",
+                            lambda history: 1.0 - 1e-12 if len(history) >= 8 else None)
+        pots = ep.sinkhorn(prob, tol=1e-12, max_iter=500)
+        assert pots.relaxed_at == 9
+        assert pots.omega == 1.0
+        assert pots.residual <= 1e-12
+        assert len(pots.history) < 500
+        np.testing.assert_allclose(np.outer(pots.f, pots.g), np.outer(expect.f, expect.g),
+                                   rtol=1e-9)
+
+    def test_kernel_underflow_raises_typed(self):
+        # at t = 2e-3 the far kernel entries are 0 and the scalings overflow
+        with pytest.raises(ValueError, match="kernel underflows"):
+            ep.sinkhorn(benchmark_problem(2e-3), max_iter=500)
+
 
 class TestBridgeMeasure:
     def test_marginals_match_targets_within_residual(self):
@@ -174,6 +300,18 @@ class TestBridgeEntropy:
         h_direct, h_pot = ep.bridge_entropy(prob, pots)
         assert h_direct >= 0.0
         assert abs(h_direct - h_pot) <= 10.0 * pots.residual
+
+    @pytest.mark.parametrize("side", ["f", "g"])
+    def test_nonfinite_potentials_refused(self, side):
+        prob = criterion_problem(10)
+        pots = ep.sinkhorn(prob)
+        bad = pots.f.copy() if side == "f" else pots.g.copy()
+        bad[3] = np.nan
+        broken = replace(pots, **{side: bad})
+        with pytest.raises(ValueError, match="not finite"):
+            ep.bridge_entropy(prob, broken)
+        with pytest.raises(ValueError, match="not finite"):
+            ep.bridge_measure(prob, broken)
 
     def test_decoupled_entropy_is_additive(self):
         prob = two_by_two_problem([0.3, 0.7], [0.6, 0.4])

@@ -467,6 +467,41 @@ class TestRunBridge:
         assert manifest["row_counts"]["potentials"] == 50
         assert manifest["row_counts"]["history"] == summary["iterations"]
 
+    @staticmethod
+    def _doc(**params):
+        return {
+            "experiment": "bridge",
+            "seed": 3,
+            "params": {
+                "grid": {"start": -2.0, "stop": 2.0, "num": 200},
+                "mu0": {"kind": "gaussian", "mean": 0.0, "std": 1.0},
+                "nu0": {"kind": "gaussian", "mean": 0.3, "std": 0.6},
+                "nu1": {"kind": "gaussian", "mean": -0.2, "std": 0.7},
+                **params,
+            },
+            "output": {"path": "bridge.csv"},
+        }
+
+    @pytest.mark.parametrize("max_iter, relaxed", [(500, True), (8, False)])
+    def test_summary_reports_omega(self, runner, tmp_path, max_iter, relaxed):
+        cfg = write_config(tmp_path, self._doc(t=0.05, max_iter=max_iter))
+        result = runner.invoke(main, ["run", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        _, summary_rows = read_table(tmp_path / "bridge.summary.csv")
+        summary = field_map(summary_rows)
+        assert (1.0 < summary["omega"] < 2.0) if relaxed else summary["omega"] == 1.0
+        assert summary["iterations"] == (49 if relaxed else 8)
+
+    def test_kernel_underflow_exits_numeric(self, runner, tmp_path):
+        # unrelaxed sweeps ended here with NaN in the coupling and H_direct 0.0
+        cfg = write_config(tmp_path, self._doc(t=2e-3))
+        result = runner.invoke(main, ["run", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 3
+        payload = json.loads(result.output)
+        assert payload["error"] == "numeric"
+        assert "kernel underflows" in payload["message"]
+        assert not (tmp_path / "bridge.summary.csv").exists()
+
 
 class TestRunCovering:
     def test_json_counts_on_the_unit_grid(self, runner, tmp_path):
