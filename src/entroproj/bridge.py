@@ -19,10 +19,7 @@ from .gibbs import _accepts, _sample_types, mc_stream, metric_ball
 from .measures import FiniteMeasure, MetricSpacePoints
 
 _MARGINAL_TOL = 1e-10
-# Over-relaxation: the plain sweeps' rate is read once three successive
-# residual ratios agree to _RATE_AGREEMENT, after at least _RELAX_AFTER
-# sweeps; relaxed sweeps that set no new least residual in _RELAX_PATIENCE
-# sweeps give way to plain ones.
+# sinkhorn's over-relaxation schedule, described in its docstring
 _RELAX_AFTER = 8
 _RATE_AGREEMENT = 0.01
 _RELAX_PATIENCE = 50
@@ -176,7 +173,7 @@ def sinkhorn(problem: BridgeProblem, tol: float = 1e-12, max_iter: int = 500) ->
             if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
                 raise ValueError(
                     f"potentials stopped being finite at sweep {sweep}: the reference "
-                    "kernel underflows too far for the scalings to compensate (increase t)"
+                    "kernel underflows too far for the scalings to compensate"
                 )
             # the next sweep's den_f; with den_g it gives both coupled marginals
             den_f = p @ (g * w1)
