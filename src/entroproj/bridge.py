@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gibbs import _accepts, _sample_types, mc_stream, metric_ball
 from .measures import FiniteMeasure, MetricSpacePoints
 
 _MARGINAL_TOL = 1e-10
@@ -99,7 +98,8 @@ class BridgePotentials:
     nu1-mean of log g; the product f(u)g(v) is what matters. omega is the
     relaxation factor of the last sweep and relaxed_at the first relaxed
     sweep (None when every sweep was plain); relaxed_at with omega 1.0
-    means the relaxed sweeps stalled and plain ones finished the run.
+    means the relaxed sweeps stalled or lagged the plain rate, and plain
+    ones finished the run.
     """
 
     f: np.ndarray
@@ -125,8 +125,12 @@ def sinkhorn(problem: BridgeProblem, tol: float = 1e-12, max_iter: int = 500) ->
     that of Thibault, Chizat, Dossal and Papadakis, "Overrelaxed
     Sinkhorn-Knopp algorithm for regularized optimal transport" (2017).
     After the switch the residual can rise for a few sweeps before it
-    falls. If the relaxed sweeps set no new least residual for
-    _RELAX_PATIENCE sweeps, the run goes on with plain sweeps.
+    falls. From _RELAX_PATIENCE relaxed sweeps on, the run goes on with
+    plain sweeps if the relaxed ones set no new least residual in the last
+    _RELAX_PATIENCE sweeps, or if their least residual is above r rho^k,
+    where plain sweeps would be: r and rho are the residual and the residual
+    ratio of the last plain sweep, read from the history, and k counts the
+    relaxed sweeps.
 
     The residual recorded after each sweep is the larger of the two
     total-variation deviations of the current pair's coupled marginals from
@@ -158,10 +162,14 @@ def sinkhorn(problem: BridgeProblem, tol: float = 1e-12, max_iter: int = 500) ->
                 if eta is not None:
                     omega, relaxed_at = 2.0 / (1.0 + math.sqrt(1.0 - eta)), sweep
                     best_at = sweep - 1
+                    rho = history[-1] / history[-2]
             elif omega != 1.0:
                 if history[-1] < history[best_at - 1]:
                     best_at = sweep - 1
-                elif sweep - 1 - best_at >= _RELAX_PATIENCE:
+                relaxed = sweep - relaxed_at
+                if relaxed >= _RELAX_PATIENCE and (
+                        sweep - 1 - best_at >= _RELAX_PATIENCE
+                        or history[best_at - 1] > history[relaxed_at - 2] * rho ** relaxed):
                     omega = 1.0
             if np.any((den_f <= 0) & (a0 > 0)):
                 raise ValueError("reference density vanishes where the first target is charged")
@@ -328,6 +336,8 @@ def marginal_schedule_check(nu: FiniteMeasure, metric: str, epsilon_fn, n_list,
     convergence of conditioned bridges asks for this probability to reach 1
     along the sequence; a too-fast schedule shows up as a stalled column.
     """
+    from .gibbs import _accepts, _sample_types, mc_stream, metric_ball
+
     gen = mc_stream(seed)
     rows = []
     for n in n_list:

@@ -9,7 +9,9 @@ the tables.
 
 Each experiment has a parser, which checks every parameter key and returns
 the experiment's compute step: a function of the seed that reads only the
-parsed values. `validate` runs the same parsers as `run`.
+parsed values. `validate` runs the same parsers as `run`. A parser imports
+the library modules its experiment computes with, and no others, so a
+process loads only those, and before the timed compute step starts.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 zero-acceptance
 conditioning.
@@ -28,7 +30,7 @@ import time
 import click
 import numpy as np
 
-from . import __version__, bridge, gibbs, iproj, measures, tritree
+from . import __version__
 
 _REQUIRED = object()
 
@@ -152,6 +154,7 @@ def _build(path, make, *args):
 
 def _problem(p, target):
     """Moment problem of alpha_weights (on points), F and the target."""
+    from . import iproj, measures
     weights = p.get("alpha_weights", _numbers)
     coords = p.get("points", _numbers, list(range(len(weights))))
     space = _build("params.points", measures.MetricSpacePoints.from_coordinates, coords)
@@ -160,6 +163,7 @@ def _problem(p, target):
 
 
 def _target(value, path):
+    from . import iproj
     doc = _Doc(value, path)
     if doc.get("kind", _kind("point", "box")) == "point":
         return iproj.Box.point(doc.get("x0", _numbers))
@@ -168,6 +172,7 @@ def _target(value, path):
 
 def _schedule(value, path):
     """The enlargement schedule, as a function of the solved projection."""
+    from . import iproj
     doc = _Doc(value, path)
     kind = doc.get("kind", _kind("sqrt_n", "inv_n"), "sqrt_n")
     c = doc.get("c", _positive, None)
@@ -180,6 +185,7 @@ def _schedule(value, path):
 
 
 def _iproj(p):
+    from . import iproj
     problem = _problem(p, p.get("target", _target))
 
     def compute(seed):
@@ -199,6 +205,7 @@ def _iproj(p):
 
 
 def _gibbs(p):
+    from . import gibbs, iproj
     problem = _problem(p, iproj.Box.point(p.get("x0", _numbers)))
     schedule_of = p.get("schedule", _schedule, {})
     n_list = p.get("n_list", _items(_integer))
@@ -220,6 +227,7 @@ def _gibbs(p):
 
 
 def _grid_weights(value, path, space, x):
+    from . import measures
     doc = _Doc(value, path)
     kind = doc.get("kind", _kind("uniform", "gaussian", "explicit"), "uniform")
     if kind == "uniform":
@@ -235,6 +243,7 @@ def _grid_weights(value, path, space, x):
 
 
 def _bridge(p):
+    from . import bridge, measures
     x = _build("params.grid", bridge.increasing_grid, p.get("grid", _grid))
     space = _build("params.grid", measures.MetricSpacePoints.from_coordinates, x)
     weights = functools.partial(_grid_weights, space=space, x=x)
@@ -267,12 +276,15 @@ def _bridge(p):
     return compute
 
 
-def _lattice(p, n) -> tritree.LatticeSpec:
+def _lattice(p, n):
+    """The LatticeSpec of a calibrate or gamma config at n levels."""
+    from . import tritree
     ranges = [p.get(key, _number) for key in ("alpha_tick", "sigma_min", "sigma_max", "b0", "s")]
     return _build("params", tritree.LatticeSpec, n, *ranges)
 
 
 def _calibrate(p):
+    from . import tritree
     spec = _lattice(p, p.get("n", _integer))
     payoff_doc = p.get("payoff", _Doc, {})
     payoff_doc.get("kind", _kind("square"), "square")
@@ -309,6 +321,7 @@ def _calibrate(p):
 
 
 def _gamma(p):
+    from . import tritree
     specs = [_lattice(p, n) for n in p.get("n_list", _items(_integer))]
     sigma, sigma0 = p.get("sigma", _positive), p.get("sigma0", _positive)
 
@@ -324,6 +337,7 @@ def _gamma(p):
 
 
 def _covering(p):
+    from . import measures
     coords = p.get("points", _numbers, None)
     if coords is None:
         coords = p.get("grid", _grid)
@@ -340,6 +354,7 @@ def _covering(p):
 
 
 def _schedules(p):
+    from . import iproj
     problem = _problem(p, iproj.Box.point(p.get("x0", _numbers)))
     n_list = p.get("n_list", _items(_integer))
     kinds = p.get("kinds", _items(_kind("sqrt_n", "inv_n")), ["sqrt_n"])
@@ -485,10 +500,12 @@ def run_cmd(config_path, workers, out_dir):
         manifest = run(_load_config(config_path), workers=workers, out_dir=out_dir)
     except ConfigError as exc:
         _fail(2, error="config", message="; ".join(exc.args), diagnostics=list(exc.args))
-    except gibbs.ZeroAcceptanceError as exc:
-        _fail(4, error="zero_acceptance", message=str(exc), upper_bound=exc.upper_bound)
     except Exception as exc:
-        _fail(3, error="numeric", message=f"{type(exc).__name__}: {exc}")
+        # only a loaded gibbs module can have raised its error
+        gibbs = sys.modules.get(f"{__package__}.gibbs")
+        if gibbs is None or not isinstance(exc, gibbs.ZeroAcceptanceError):
+            _fail(3, error="numeric", message=f"{type(exc).__name__}: {exc}")
+        _fail(4, error="zero_acceptance", message=str(exc), upper_bound=exc.upper_bound)
     click.echo(json.dumps(manifest, sort_keys=True))
 
 

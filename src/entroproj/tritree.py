@@ -16,8 +16,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gibbs import mc_stream
-from .measures import FiniteMeasure, MetricSpacePoints, fm_distance
 
 _THETA_SCAN = 400
 # Steps of calibrate's line searches scored per walk: a bisection round scores
@@ -992,6 +990,9 @@ def gibbs_tree_mc(spec: LatticeSpec, sigma0: float, payoff, n: int, epsilon: flo
     acceptances are reported with the rule-of-three bound rather than
     raised.
     """
+    from .gibbs import mc_stream
+    from .measures import FiniteMeasure, MetricSpacePoints, fm_distance
+
     spec_n = replace(spec, n=n)
     surf0 = VolSurface.constant(spec_n, float(sigma0), spec_n.b0)
     tree0 = build_tree(surf0, spec_n)

@@ -266,6 +266,21 @@ class TestSinkhorn:
         np.testing.assert_allclose(np.outer(pots.f, pots.g), np.outer(expect.f, expect.g),
                                    rtol=1e-9)
 
+    def test_lagging_relaxation_falls_back_to_plain_sweeps(self, monkeypatch):
+        # omega = 1.98 keeps setting new least residuals, but more slowly
+        # than the plain rate; without the fallback this run took 899 sweeps
+        prob = criterion_problem(50)
+        plain = ep.sinkhorn(prob, tol=1e-12)
+        monkeypatch.setattr(bridge, "_steady_rate",
+                            lambda history: 0.9999 if len(history) >= 8 else None)
+        pots = ep.sinkhorn(prob, tol=1e-12, max_iter=1000)
+        assert pots.relaxed_at == 9
+        assert pots.omega == 1.0
+        assert pots.residual <= 1e-12
+        assert len(pots.history) < 100
+        np.testing.assert_allclose(np.outer(pots.f, pots.g), np.outer(plain.f, plain.g),
+                                   rtol=1e-9)
+
     def test_kernel_underflow_raises_typed(self):
         # at t = 2e-3 the far kernel entries are 0 and the scalings overflow
         with pytest.raises(ValueError, match="kernel underflows"):

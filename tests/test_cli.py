@@ -779,6 +779,15 @@ print("scipy.optimize", loaded("scipy.optimize"))
 """
 
 
+def fresh_python(*args):
+    """Run ``python *args`` in a fresh interpreter that imports entroproj
+    from this checkout."""
+    src = os.path.dirname(os.path.dirname(entroproj.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 def test_experiment_runs_load_no_scipy(tmp_path):
     box = {**SMALL_PARAMS["iproj"], "target": {"kind": "box", "lo": [0.6], "hi": [0.8]}}
     mc = {**SMALL_PARAMS["gibbs"], "mode": "mc"}
@@ -788,16 +797,75 @@ def test_experiment_runs_load_no_scipy(tmp_path):
     cfgs = [write_config(tmp_path, {"experiment": name, "seed": 3, "params": params,
                                     "output": {"path": f"{name}{i}.csv"}}, name=f"{name}{i}.json")
             for i, (name, params) in enumerate(runs)]
-    src = os.path.dirname(os.path.dirname(entroproj.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), *cfgs],
-                           env=env, capture_output=True, text=True, timeout=120)
+    probe = fresh_python("-c", _SCIPY_PROBE, str(tmp_path), *cfgs)
     assert probe.returncode == 0, probe.stderr
     assert all(any(tmp_path.glob(f"{name}{i}*.csv")) for i, (name, _) in enumerate(runs))
     # no run loads any scipy module; the Fortet-Mourier LP of a metric-ball
     # event, run last, does load scipy.optimize, so the probe sees imports
     loaded = [line for line in probe.stdout.splitlines() if line.endswith(("True", "False"))]
     assert loaded == ["scipy False"] * len(runs) + ["scipy.optimize True"]
+
+
+# prints, in this fresh interpreter, the entroproj submodules loaded by a
+# bare import, then after validating and after running one config
+_MODULE_PROBE = """
+import sys
+def loaded():
+    print("modules:", *sorted(m for m in sys.modules if m.startswith("entroproj.")))
+import entroproj
+loaded()
+from entroproj.cli import main
+main(["validate", "--config", sys.argv[2]], standalone_mode=False)
+loaded()
+main(["run", "--config", sys.argv[2], "--out", sys.argv[1]], standalone_mode=False)
+loaded()
+"""
+
+EXPERIMENT_MODULES = {
+    "covering": ["measures"],
+    "iproj": ["iproj", "measures"],
+    "schedules": ["iproj", "measures"],
+    "gibbs": ["gibbs", "iproj", "measures"],
+    "bridge": ["bridge", "measures"],
+    "calibrate": ["tritree"],
+    "gamma": ["tritree"],
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENT_MODULES))
+def test_experiment_loads_only_its_modules(tmp_path, experiment):
+    cfg = write_config(tmp_path, {"experiment": experiment, "seed": 3,
+                                  "params": SMALL_PARAMS[experiment],
+                                  "output": {"path": f"{experiment}.csv"}})
+    probe = fresh_python("-c", _MODULE_PROBE, str(tmp_path), cfg)
+    assert probe.returncode == 0, probe.stderr
+    assert any(tmp_path.glob(f"{experiment}*.csv"))
+    # the parser imports the modules, so validate loads what run computes with
+    modules = " ".join(["modules:", *(f"entroproj.{m}" for m in
+                                      sorted(["cli", *EXPERIMENT_MODULES[experiment]]))])
+    loaded = [line for line in probe.stdout.splitlines() if line.startswith("modules:")]
+    assert loaded == ["modules:", modules, modules]
+
+
+@pytest.mark.parametrize("experiment, params, code, error", [
+    ("gibbs", {**SMALL_PARAMS["gibbs"], "mode": "mc", "trials": 300, "n_list": [7],
+               "schedule": {"kind": "sqrt_n", "c": 1e-9}}, 4, "zero_acceptance"),
+    ("calibrate", {**SMALL_PARAMS["calibrate"], "payoff": {"kind": "square",
+                                                           "target_value": 50.0}},
+     3, "numeric"),
+    ("bridge", {"grid": {"start": -2.0, "stop": 2.0, "num": 200}, "t": 2e-3,
+                "nu1": {"kind": "gaussian", "mean": -0.2, "std": 0.7}}, 3, "numeric"),
+], ids=["gibbs_zero_acceptance", "calibrate_infeasible", "bridge_underflow"])
+def test_failure_exit_codes_in_a_fresh_interpreter(tmp_path, experiment, params, code, error):
+    # in process, other tests have loaded gibbs already, which would hide a
+    # handler that needs it; -v lists every module the run imports
+    cfg = write_config(tmp_path, {"experiment": experiment, "seed": 3, "params": params,
+                                  "output": {"path": "t.csv"}})
+    ran = fresh_python("-v", "-m", "entroproj.cli", "run", "--config", cfg,
+                       "--out", str(tmp_path))
+    assert ran.returncode == code, ran.stdout
+    assert json.loads(ran.stdout)["error"] == error
+    assert ("import 'entroproj.gibbs'" in ran.stderr) == (experiment == "gibbs")
 
 
 def test_benchmark_trace_names_resolve():
