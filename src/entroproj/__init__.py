@@ -39,11 +39,9 @@ _EXPORTS = {
     "tritree": (
         "CalibProblem", "CalibrationInfeasible", "CalibrationResult", "LatticeSpec",
         "TrinomialTree", "VolSurface", "I_rate", "build_tree", "calibrate", "dl_gap",
-        "entropy_decomposition_check", "epsilon0", "expectation", "gibbs_tree_mc",
-        "kernel", "local_entropy", "min_level_n0", "path_marginal", "q_rate",
-        "recover_coefficients", "tilde_t_membership", "tree_entropy_chain",
-        "tree_entropy_paths", "tree_two_time_marginals",
-        "trinomial_weak_convergence_probe",
+        "entropy_decomposition_check", "epsilon0", "expectation", "kernel",
+        "local_entropy", "min_level_n0", "path_marginal", "q_rate", "tree_entropy_chain",
+        "tree_entropy_paths", "trinomial_weak_convergence_probe",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -294,6 +294,9 @@ def _calibrate(p):
     epsilon = p.get("epsilon", _positive)
     if epsilon > spec.s:
         raise ConfigError(f"params.epsilon {epsilon} exceeds the drift band half-width s={spec.s}")
+    if n_pieces > spec.n:
+        raise ConfigError(f"params.n_pieces {n_pieces} exceeds params.n={spec.n}; "
+                          "a piece would own no level")
 
     def compute(seed):
         value = target_value
@@ -329,8 +332,8 @@ def _gamma(p):
         rows = []
         for spec in specs:
             # constant coefficients walk as scalars: level sums, no law, no tree
-            h, rate, gap = tritree._chain_sums(
-                *([v] * spec.n for v in (sigma, spec.b0, sigma0, spec.b0)), spec)
+            _, h, rate, gap = tritree._chain_walk(
+                *([v] * spec.n for v in (sigma, spec.b0, sigma0, spec.b0)), spec, law=False)
             rows.append([spec.n, h / spec.n, rate, gap, spec.n * gap])
         return {"sweep": (["n", "H_over_n", "I_rate", "gap", "n_times_gap"], rows)}
     return compute
@@ -386,12 +389,13 @@ EXPERIMENTS = tuple(_PARSERS)
 def _seed(doc):
     if "seed" not in doc:
         raise ConfigError("seed is required; runs never draw entropy from the clock")
-    seed = doc["seed"]
-    try:
-        value = int(str(seed), 10)
-    except ValueError:
-        value = -1
-    if isinstance(seed, bool) or not 0 <= value < 2 ** 64:
+    seed = value = doc["seed"]
+    # int() alone would also read "1_0", " 7 ", "+7" and non-ASCII digits, and
+    # raises past about 4300 digits; past 20 significant ones it is out of range
+    if isinstance(seed, str) and seed.isascii() and seed.isdigit() \
+            and len(seed.lstrip("0")) <= 20:
+        value = int(seed)
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2 ** 64:
         raise ConfigError(f"seed {seed!r} does not parse as an unsigned 64-bit integer")
     return value
 

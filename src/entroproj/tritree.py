@@ -5,9 +5,8 @@ with transition weights determined by a local variance y = sigma(t, x) and
 drift z = b(t, x). The module builds such chains, evaluates relative
 entropy between them by the chain rule (with a brute-force path oracle for
 cross-checking), exposes the pointwise rate q and its O(1/n) gap bound,
-recovers coefficients from two-time marginals, and calibrates a variance
-parameter to a normalized terminal moment constraint by entropy
-minimization.
+and calibrates a variance parameter to a normalized terminal moment
+constraint by entropy minimization.
 """
 from __future__ import annotations
 
@@ -97,8 +96,7 @@ class VolSurface:
 
     sigma[k][j + k] and b[k][j + k] give the coefficients at level k,
     offset j, for 0 <= k < n. The holder itself does not police range
-    membership; kernel positivity is enforced where trees are built and
-    band membership by the dedicated membership checks.
+    membership; kernel positivity is enforced where trees are built.
     """
 
     sigma: tuple
@@ -317,7 +315,8 @@ def tree_entropy_chain(surface: VolSurface, surface0: VolSurface, spec: LatticeS
     Sums, over levels, the (sigma, b)-chain expectation of the nodewise
     kernel KL. Linear work per node, usable to n in the thousands.
     """
-    return float(_chain_sums(surface.sigma, surface.b, surface0.sigma, surface0.b, spec)[0])
+    return float(_chain_walk(surface.sigma, surface.b, surface0.sigma, surface0.b, spec,
+                             law=False)[1])
 
 
 def _paths(level: int, transitions=None):
@@ -418,54 +417,42 @@ def dl_gap(surface: VolSurface, surface0: VolSurface, spec: LatticeSpec):
     the (sigma, b) chain; the scaled value staying bounded across an
     n-sweep is the O(1/n) certificate.
     """
-    worst = float(_chain_sums(surface.sigma, surface.b, surface0.sigma, surface0.b, spec)[2])
+    worst = float(_chain_walk(surface.sigma, surface.b, surface0.sigma, surface0.b, spec,
+                              law=False)[3])
     return worst, spec.n * worst
 
 
-def _chain_walk(sigma, b, sigma0, b0, spec: LatticeSpec):
+def _chain_walk(sigma, b, sigma0, b0, spec: LatticeSpec, law=True):
     """Walk the (sigma, b) chain from the origin against the (sigma0, b0)
     kernels.
 
     Each argument is a per-level sequence whose level-k value broadcasts
     against the 2k+1 level-k nodes: a scalar is constant in space, a node
     table gives one value per node, and a (B, 1) column walks B chains at
-    once. Returns, per chain, the terminal law, the chain-rule entropy, the
-    mean of the rate q over the levels (I_rate at N = n) and the worst gap
-    between the two over visited nodes.
+    once. Returns, per chain, the terminal law (None when law is false),
+    the chain-rule entropy, the mean of the rate q over the levels (I_rate
+    at N = n) and the worst gap between the two over visited nodes.
 
     The route follows the input. When some value has a node axis (anything
     but a scalar or a last axis of length 1), the node law is pushed level
     by level (_push_walk). When none has, every node of a level shares its
     kernel, KL h_k and rate q_k, so the three numbers are level sums and
-    the terminal law is trinomial in closed form on each run of equal
-    kernels (_runs_law).
-    """
-    return _walk(spec, (sigma, b, sigma0, b0), with_law=True)
-
-
-def _chain_sums(sigma, b, sigma0, b0, spec: LatticeSpec):
-    """_chain_walk's entropy, rate and worst gap, for callers that read no
-    law: with no node axis, no law is computed."""
-    return _walk(spec, (sigma, b, sigma0, b0), with_law=False)[1:]
-
-
-def _walk(spec, levels, with_law):
-    """_chain_walk, with the law None when with_law is false and no value
-    has a node axis.
-
-    Without a node axis, the chains walk in blocks of columns of about
-    _WALK_CELLS level values, and a kernel that is not strictly positive is
-    named from the first block that holds one. Each column's sums run over
-    its own contiguous row of levels, so they do not depend on the batch
-    width.
+    the terminal law, computed only when law is true, is trinomial in
+    closed form on each run of equal kernels (_runs_law). These chains walk
+    in blocks of columns of about _WALK_CELLS level values, and a kernel
+    that is not strictly positive is named from the first block that holds
+    one. Each column's sums run over its own contiguous row of levels, so
+    they do not depend on the batch width.
     """
     n = spec.n
+    levels = (sigma, b, sigma0, b0)
     for name, seq in zip(("sigma", "b", "sigma0", "b0"), levels):
         if len(seq) < n:
             raise ValueError(f"{name} has {len(seq)} levels, spec needs {n}")
     levels = [[np.asarray(seq[k], dtype=float) for k in range(n)] for seq in levels]
     if any(v.shape[-1:] not in ((), (1,)) for seq in levels for v in seq):
-        return _push_walk(spec, *levels)
+        walked = _push_walk(spec, *levels)
+        return (walked[0] if law else None, *walked[1:])
     stacks = [np.array(seq) for seq in levels]
     # a column's node axis has length 1
     stacks = [s[..., 0] if s.ndim > 1 else s for s in stacks]
@@ -482,13 +469,13 @@ def _walk(spec, levels, with_law):
                                 for s in stacks)
         step, ref = _positive_kernels(spec, (sigma, b), (sigma0, b0))
         shape = (n, min(cols, width - first))
-        if with_law:
+        if law:
             laws.append(_runs_law(*(np.broadcast_to(a, shape) for a in step)))
         h, q = (np.ascontiguousarray(np.broadcast_to(a, shape).T) for a in (
             _kl(step, ref), _q(np.square(sigma), np.square(sigma0), spec.alpha_tick ** 2)))
         sums[:, first:first + cols] = h.sum(axis=-1), q.sum(axis=-1) / n, np.abs(h - q).max(axis=-1)
     entropy, rate, worst = (a.reshape(batch)[()] for a in sums)
-    if not with_law:
+    if not law:
         return None, entropy, rate, worst
     law = laws[0] if len(laws) == 1 else np.concatenate(laws)
     return law.reshape(batch + (2 * n + 1,)), entropy, rate, worst
@@ -589,10 +576,10 @@ def _trinomial_law(s, m, r, d):
 
 
 def _push_walk(spec, sigma, b, sigma0, b0):
-    """_chain_walk for any coefficients: push the node law forward level by
-    level. The kernels, their KL and q are evaluated on level stacks, one
-    block of levels at a time (_level_blocks), so the level loop only sums
-    and pushes."""
+    """_chain_walk for any coefficients, law included: push the node law
+    forward level by level. The kernels, their KL and q are evaluated on
+    level stacks, one block of levels at a time (_level_blocks), so the
+    level loop only sums and pushes."""
     prob = np.ones(1)
     entropy = rate = worst = 0.0
     blocks = _level_blocks(spec, sigma=sigma, b=b, sigma0=sigma0, b0=b0)
@@ -629,83 +616,8 @@ def I_rate(surface: VolSurface, surface0: VolSurface, spec: LatticeSpec,
     if not min_level_n0(spec) <= N <= spec.n:
         raise ValueError("N must lie between the minimal level and spec.n")
     # the walk reads only the levels below N, so neither surface is truncated
-    return float(_chain_sums(surface.sigma, surface.b, surface0.sigma, [0.0] * N,
-                             replace(spec, n=N))[1])
-
-
-def tree_two_time_marginals(tree: TrinomialTree):
-    """Joint laws P(X_k = j dx, move) per level, as (2k+1, 3) tables."""
-    return [
-        tree.node_prob[k][:, None] * tree.transitions[k]
-        for k in range(tree.spec.n)
-    ]
-
-
-def recover_coefficients(two_time_marginals, spec: LatticeSpec, strict: bool = True):
-    """Invert two-time marginals to the implied drift and variance tables.
-
-    F = alpha sqrt(n) (up - down) / mass and G = alpha^2 (up + down) / mass
-    per node. With strict=True a zero-mass node raises; otherwise it
-    yields NaN so membership scans can skip unvisited nodes.
-    """
-    scale_f = spec.alpha_tick * math.sqrt(spec.n)
-    scale_g = spec.alpha_tick ** 2
-    F_tables, G_tables = [], []
-    for k, joint in enumerate(two_time_marginals):
-        joint = np.asarray(joint, dtype=float)
-        if joint.shape != (2 * k + 1, 3):
-            raise ValueError(f"level {k} joint must be ({2 * k + 1}, 3)")
-        mass = joint.sum(axis=1)
-        if strict and np.any(mass <= 0):
-            i = int(np.argmin(mass))
-            raise ValueError(f"zero node mass at level {k}, offset {i - k}")
-        with np.errstate(invalid="ignore", divide="ignore"):
-            F = scale_f * (joint[:, 0] - joint[:, 2]) / mass
-            G = scale_g * (joint[:, 0] + joint[:, 2]) / mass
-        F_tables.append(np.where(mass > 0, F, np.nan))
-        G_tables.append(np.where(mass > 0, G, np.nan))
-    return F_tables, G_tables
-
-
-def tilde_t_membership(two_time_marginals, spec: LatticeSpec, epsilon: float,
-                       modulus=None, slack: float = 0.0):
-    """Range and modulus checks on the coefficients implied by a path law.
-
-    Verifies, at every visited node, that the implied variance lies in
-    [sigma_min^2, sigma_max^2] and the implied drift within epsilon of b0,
-    and, when a modulus callable is supplied, that sqrt(G) satisfies
-    |sqrt(G)(k,j) - sqrt(G)(p,q)| <= 2 modulus(|k-p|/n + alpha |j-q|/sqrt(n))
-    across visited node pairs. Every inequality is relaxed additively by
-    slack. Returns (ok, violations).
-    """
-    F_tables, G_tables = recover_coefficients(two_time_marginals, spec, strict=False)
-    violations = []
-    lo = spec.sigma_min ** 2 - slack
-    hi = spec.sigma_max ** 2 + slack
-    nodes = []
-    for k, (F, G) in enumerate(zip(F_tables, G_tables)):
-        for i in range(len(G)):
-            if not np.isfinite(G[i]):
-                continue
-            j = i - k
-            nodes.append((k, j, G[i]))
-            if not lo <= G[i] <= hi:
-                violations.append(f"variance {G[i]:.6g} out of range at ({k}, {j})")
-            if abs(F[i] - spec.b0) > epsilon + slack:
-                violations.append(f"drift {F[i]:.6g} outside the band at ({k}, {j})")
-    if modulus is not None:
-        root_n = math.sqrt(spec.n)
-        for a in range(len(nodes)):
-            k, j, Ga = nodes[a]
-            for b in range(a + 1, len(nodes)):
-                p, q, Gb = nodes[b]
-                dist = abs(k - p) / spec.n + spec.alpha_tick * abs(j - q) / root_n
-                bound = 2.0 * float(modulus(dist)) + slack
-                if abs(math.sqrt(max(Ga, 0.0)) - math.sqrt(max(Gb, 0.0))) > bound:
-                    violations.append(
-                        f"modulus violated between ({k}, {j}) and ({p}, {q})"
-                    )
-    return len(violations) == 0, violations
+    return float(_chain_walk(surface.sigma, surface.b, surface0.sigma, [0.0] * N,
+                             replace(spec, n=N), law=False)[2])
 
 
 @dataclass(frozen=True)
@@ -882,6 +794,8 @@ def calibrate(problem: CalibProblem, spec: LatticeSpec, epsilon: float) -> Calib
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     n, p = spec.n, problem.n_pieces
+    if p > n:
+        raise ValueError(f"n_pieces={p} exceeds n={n}: a piece would own no level")
     if isinstance(problem.sigma0, VolSurface):
         sigma0, b0 = problem.sigma0.sigma, problem.sigma0.b
     else:
@@ -913,8 +827,9 @@ def calibrate(problem: CalibProblem, spec: LatticeSpec, epsilon: float) -> Calib
             lambda t: moments(line(t)) - problem.target, lo, hi, epsilon, n_scan)
         if not segments:
             return None, None, best_gap
-        points, values = _golden_min(lambda t: _chain_sums(*chains(line(t)), spec)[0],
-                                     *np.array(segments).T, tol)
+        points, values = _golden_min(
+            lambda t: _chain_walk(*chains(line(t)), spec, law=False)[1],
+            *np.array(segments).T, tol)
         best = np.argmin(values)
         return points[best], float(values[best]), best_gap
 
@@ -958,84 +873,6 @@ def epsilon0(result: CalibrationResult, spec: LatticeSpec) -> float:
     """Attainable band radius at this level: the calibrated constraint
     slack plus the 1/n resolution term, clipped at s."""
     return min(result.slack + 1.0 / spec.n, spec.s)
-
-
-def _sample_paths(tree: TrinomialTree, m: int, gen):
-    """Draw m paths; returns (two-time count tables, terminal offsets)."""
-    n = tree.spec.n
-    counts = [np.zeros((2 * k + 1, 3)) for k in range(n)]
-    j = np.zeros(m, dtype=int)
-    for k in range(n):
-        rows = tree.transitions[k][j + k]
-        u = gen.random(m)
-        move = (u > rows[:, 0]).astype(int) + (u > rows[:, 0] + rows[:, 1]).astype(int)
-        np.add.at(counts[k], (j + k, move), 1.0)
-        j += 1 - move
-    return counts, j
-
-
-def gibbs_tree_mc(spec: LatticeSpec, sigma0: float, payoff, n: int, epsilon: float,
-                  m: int, trials: int, seed: int,
-                  delta_rel: float = 0.05, modulus=None) -> dict:
-    """Conditioned-ensemble experiment on the lattice at fixed small n.
-
-    Each trial draws m paths from the (sigma0, b0) tree, forms the
-    empirical path statistics, and accepts the trial when the implied
-    coefficients pass the membership check (inequalities relaxed by
-    delta_rel, since an m-path empirical law meets the exact conditional
-    structure only in the limit) and the empirical terminal moment lies in
-    the band. Accepted terminal distributions are averaged and compared,
-    in the bounded-Lipschitz distance, against the terminal law of the
-    entropy-calibrated chain, which _chain_walk gives with no tree. Zero
-    acceptances are reported with the rule-of-three bound rather than
-    raised.
-    """
-    from .gibbs import mc_stream
-    from .measures import FiniteMeasure, MetricSpacePoints, fm_distance
-
-    spec_n = replace(spec, n=n)
-    surf0 = VolSurface.constant(spec_n, float(sigma0), spec_n.b0)
-    tree0 = build_tree(surf0, spec_n)
-    calib = calibrate(CalibProblem(sigma0=sigma0, payoff=payoff), spec_n, epsilon)
-    star = calib.sigma_star
-    star_terminal = _chain_walk(star.sigma, star.b, [float(sigma0)] * n, [spec_n.b0] * n,
-                                spec_n)[0]
-
-    accepted = 0
-    terminal_sum = np.zeros(2 * n + 1)
-    gen = mc_stream(seed)
-    for _ in range(trials):
-        counts, j_final = _sample_paths(tree0, m, gen)
-        marg = [c / m for c in counts]
-        ok, _ = tilde_t_membership(marg, spec_n, epsilon, modulus=modulus,
-                                   slack=delta_rel)
-        xs = j_final * spec_n.dx
-        emp_moment = float(np.mean([payoff(x) for x in xs]))
-        if ok and abs(emp_moment - 1.0) <= epsilon + delta_rel:
-            accepted += 1
-            terminal_sum += np.bincount(j_final + n, minlength=2 * n + 1) / m
-
-    report = {
-        "n": n,
-        "m": m,
-        "trials": trials,
-        "accepted": accepted,
-        "acceptance_rate": accepted / trials,
-        "theta_star": float(calib.theta_star[0]),
-        "calibration_entropy": calib.entropy,
-        "d_fm": None,
-        "p_upper_rule_of_three": None,
-    }
-    if accepted == 0:
-        report["p_upper_rule_of_three"] = 3.0 / trials
-        return report
-    space = MetricSpacePoints.from_coordinates(spec_n.positions(n)[:, None])
-    r_weights = terminal_sum / accepted
-    r_weights = r_weights / r_weights.sum()
-    report["d_fm"] = fm_distance(
-        FiniteMeasure(space, r_weights), FiniteMeasure(space, star_terminal)
-    )
-    return report
 
 
 def trinomial_weak_convergence_probe(sigma_sequence, spec_sequence,

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entroproj
-from entroproj import __version__, tritree
+from entroproj import __version__, cli, tritree
 from entroproj.cli import main, run, validate_config
 from entroproj.iproj import (
     Box,
@@ -99,9 +99,12 @@ class TestValidate:
         assert json.loads(result.output) == {"diagnostics": []}
 
     def test_string_seed_parses(self, runner, tmp_path):
-        cfg = write_config(tmp_path, iproj_config(seed="17"))
-        result = runner.invoke(main, ["validate", "--config", cfg])
-        assert result.exit_code == 0
+        for seed, value in [("17", 17), ("007", 7), ("18446744073709551615", 2 ** 64 - 1),
+                            ("0" * 30 + "5", 5)]:
+            cfg = write_config(tmp_path, iproj_config(seed=seed))
+            result = runner.invoke(main, ["validate", "--config", cfg])
+            assert result.exit_code == 0
+            assert cli._seed({"seed": seed}) == value
 
     @pytest.mark.parametrize("mutate, needle", [
         ({"experiment": "frobnicate"}, "unknown experiment"),
@@ -111,6 +114,13 @@ class TestValidate:
         ({"output": {"path": "x.csv", "format": "xml"}}, "not csv or json"),
         ({"output": {}}, "output.path is required"),
         ({"params": None}, "params must be an object"),
+        # int() would read these four as 10, 7, 7 and 7
+        ({"seed": "1_0"}, "unsigned 64-bit"),
+        ({"seed": " 7 "}, "unsigned 64-bit"),
+        ({"seed": "+7"}, "unsigned 64-bit"),
+        ({"seed": "\u0667"}, "unsigned 64-bit"),
+        ({"seed": "18446744073709551616"}, "unsigned 64-bit"),
+        ({"seed": "9" * 5000}, "unsigned 64-bit"),
     ])
     def test_envelope_diagnostics(self, runner, tmp_path, mutate, needle):
         doc = iproj_config()
@@ -220,8 +230,13 @@ class TestValidate:
           "params": {"grid": {"start": 0, "stop": 1}, "epsilon_list": [0.5]}}, "params.grid.num"),
         ({"experiment": "schedules",
           "params": {**gibbs_config()["params"], "kinds": ["cubic"]}}, "params.kinds"),
+        # a piece beyond the n levels would own none and report the scan's end
+        ({"experiment": "calibrate",
+          "params": {"n": 16, "alpha_tick": 2.0, "sigma_min": 0.6, "sigma_max": 1.4, "b0": 0.15,
+                     "s": 0.03, "sigma0": 1.2, "epsilon": 0.01, "n_pieces": 20}},
+         "params.n_pieces 20 exceeds params.n=16"),
     ], ids=["mc_trials", "weights_sum", "scalar_F", "k_string", "target_kind",
-            "bridge_grid_num", "covering_grid_num", "schedule_kind"])
+            "bridge_grid_num", "covering_grid_num", "schedule_kind", "calibrate_n_pieces"])
     def test_configs_that_used_to_fail_in_run_exit_config(self, runner, tmp_path, command,
                                                           doc, key):
         cfg = write_config(tmp_path, {"seed": 1, "output": {"path": "x.csv"}, **doc})
@@ -624,10 +639,10 @@ class TestRunGamma:
 
     def test_walks_once_per_n_and_builds_no_tree(self, monkeypatch, tmp_path):
         # constant coefficients give level sums: no law, no table, no tree
-        sizes, built, real_sums = [], [], tritree._chain_sums
-        monkeypatch.setattr(tritree, "_chain_sums",
-                            lambda *args: sizes.append(args[-1].n) or real_sums(*args))
-        for name in ("_chain_walk", "_runs_law", "_push_walk"):
+        walks, built, real_walk = [], [], tritree._chain_walk
+        monkeypatch.setattr(tritree, "_chain_walk", lambda *args, law=True:
+                            walks.append((args[-1].n, law)) or real_walk(*args, law=law))
+        for name in ("_runs_law", "_push_walk"):
             monkeypatch.setattr(tritree, name, lambda *args: built.append(args))
         monkeypatch.setattr(tritree, "build_tree", lambda *args: built.append(args))
         for cls in (tritree.TrinomialTree, tritree.VolSurface):
@@ -636,7 +651,7 @@ class TestRunGamma:
         run({"experiment": "gamma", "seed": 2, "output": {"path": "sweep.csv"},
              "params": {**lattice, "sigma": 1.1, "sigma0": 1.3, "n_list": [8, 16]}},
             out_dir=str(tmp_path))
-        assert sizes == [8, 16]
+        assert walks == [(8, False), (16, False)]
         assert built == []
 
 

@@ -17,13 +17,12 @@ PUBLIC_NAMES = [
     "csiszar_bound_check", "dl_gap", "dst_lower_bound", "enlargement_berry_esseen",
     "enlargement_sqrt", "entropy_decomposition_check", "epsilon0", "epsilon_schedule_metric",
     "exact_conditional", "exact_event_log_probability", "exact_event_probability",
-    "expectation", "fm_distance", "gaussian_reference", "gibbs_tree_mc", "kernel",
-    "local_entropy", "log_laplace", "luxemburg_norm", "marginal_schedule_check",
-    "metric_ball", "min_level_n0", "moment_band", "path_marginal", "product_law",
-    "product_space", "prohorov_distance", "q_rate", "recover_coefficients",
-    "relative_entropy", "run_conditional_mc", "sanov_sandwich", "schedule_from_solution",
-    "sinkhorn", "solve_dual", "tilde_t_membership", "tilt", "tree_entropy_chain",
-    "tree_entropy_paths", "tree_two_time_marginals", "trinomial_weak_convergence_probe",
+    "expectation", "fm_distance", "gaussian_reference", "kernel", "local_entropy",
+    "log_laplace", "luxemburg_norm", "marginal_schedule_check", "metric_ball",
+    "min_level_n0", "moment_band", "path_marginal", "product_law", "product_space",
+    "prohorov_distance", "q_rate", "relative_entropy", "run_conditional_mc",
+    "sanov_sandwich", "schedule_from_solution", "sinkhorn", "solve_dual", "tilt",
+    "tree_entropy_chain", "tree_entropy_paths", "trinomial_weak_convergence_probe",
     "tv_distance", "variational_entropy_lower", "weighted_tv_ratio", "with_targets",
     "yurinskii_tail",
 ]
@@ -31,7 +30,7 @@ SUBMODULES = ["bridge", "gibbs", "iproj", "measures", "tritree"]
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC_NAMES) == 78
+    assert len(PUBLIC_NAMES) == 74
     assert sorted(entroproj.__all__) == PUBLIC_NAMES
     assert set(PUBLIC_NAMES) | set(SUBMODULES) <= set(dir(entroproj))
 

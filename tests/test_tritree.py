@@ -25,18 +25,14 @@ from entroproj.tritree import (
     entropy_decomposition_check,
     epsilon0,
     expectation,
-    gibbs_tree_mc,
     I_rate,
     kernel,
     local_entropy,
     min_level_n0,
     path_marginal,
     q_rate,
-    recover_coefficients,
-    tilde_t_membership,
     tree_entropy_chain,
     tree_entropy_paths,
-    tree_two_time_marginals,
     trinomial_weak_convergence_probe,
 )
 
@@ -153,6 +149,9 @@ class TestKernel:
             m, r, d = kernel(y, z, spec)
             assert min(m, r, d) > 0
             assert m + r + d == pytest.approx(1.0, abs=1e-15)
+            # the two moment identities: drift from the tilt, variance from the spread
+            assert spec.alpha_tick * math.sqrt(spec.n) * (m - d) == pytest.approx(z, rel=1e-9)
+            assert spec.alpha_tick ** 2 * (m + d) == pytest.approx(y ** 2, rel=1e-9)
 
     def test_nonpositive_weight_rejected(self):
         # down weight 0.5^2/8 - 2/40 = -0.01875 at these arguments
@@ -588,7 +587,9 @@ class TestChainWalk:
         want = _chain_walk(*args, spec)[1:]
         for name in ("_runs_law", "_push_walk"):
             monkeypatch.setattr(tritree, name, lambda *a: pytest.fail("a law was computed"))
-        for got, ref in zip(tritree._chain_sums(*args, spec), want):
+        law, *sums = _chain_walk(*args, spec, law=False)
+        assert law is None
+        for got, ref in zip(sums, want):
             assert np.array_equal(got, ref)
 
     def test_closed_form_law_memory_is_bounded(self, rng):
@@ -773,94 +774,6 @@ class TestIRate:
         with pytest.raises(ValueError):
             I_rate(surf, short, spec)
         assert I_rate(surf, short, spec, N=8) == I_rate(surf.truncated(8), short, wide_spec(8))
-
-
-class TestTwoTimeAndRecovery:
-    def test_tables_carry_unit_mass(self, rng):
-        spec = wide_spec(6)
-        tree = build_tree(random_surface(rng, spec), spec)
-        joints = tree_two_time_marginals(tree)
-        assert len(joints) == 6
-        for k, joint in enumerate(joints):
-            assert joint.shape == (2 * k + 1, 3)
-            assert joint.sum() == pytest.approx(1.0, abs=1e-12)
-            assert_allclose(joint.sum(axis=1), tree.node_prob[k], atol=1e-15)
-
-    def test_recovery_inverts_construction(self, rng):
-        spec = wide_spec(6)
-        surf = random_surface(rng, spec)
-        tree = build_tree(surf, spec)
-        F_tables, G_tables = recover_coefficients(
-            tree_two_time_marginals(tree), spec
-        )
-        for k in range(6):
-            assert_allclose(F_tables[k], surf.b[k], rtol=1e-9, atol=1e-12)
-            assert_allclose(G_tables[k], surf.sigma[k] ** 2, rtol=1e-9)
-
-    def test_zero_mass_handling(self):
-        spec = wide_spec(2)
-        joint0 = np.array([[0.2, 0.5, 0.3]])
-        joint1 = np.array([[0.0, 0.0, 0.0], [0.2, 0.5, 0.3], [0.0, 0.0, 0.0]])
-        with pytest.raises(ValueError, match="zero node mass"):
-            recover_coefficients([joint0, joint1], spec)
-        F_tables, G_tables = recover_coefficients([joint0, joint1], spec,
-                                                  strict=False)
-        assert np.isfinite(F_tables[1][1])
-        assert np.isnan(G_tables[1][0]) and np.isnan(G_tables[1][2])
-
-    def test_shape_validation(self):
-        spec = wide_spec(2)
-        with pytest.raises(ValueError, match="must be"):
-            recover_coefficients([np.ones((2, 3))], spec)
-
-
-class TestMembership:
-    def test_in_range_tree_passes(self):
-        spec = wide_spec(6)
-        tree = build_tree(VolSurface.constant(spec, 1.0, spec.b0), spec)
-        ok, violations = tilde_t_membership(tree_two_time_marginals(tree),
-                                            spec, 0.01)
-        assert ok and violations == []
-
-    def test_variance_out_of_range_reported(self):
-        spec = wide_spec(6)
-        tree = build_tree(VolSurface.constant(spec, 1.6, spec.b0), spec)
-        ok, violations = tilde_t_membership(tree_two_time_marginals(tree),
-                                            spec, 0.01)
-        assert not ok
-        assert any("variance" in v and "out of range" in v for v in violations)
-
-    def test_slack_relaxes_the_range(self):
-        # implied variance 2.56 against the ceiling 1.96 + 0.7
-        spec = wide_spec(6)
-        tree = build_tree(VolSurface.constant(spec, 1.6, spec.b0), spec)
-        ok, violations = tilde_t_membership(tree_two_time_marginals(tree),
-                                            spec, 0.01, slack=0.7)
-        assert ok and violations == []
-
-    def test_drift_band_reported(self):
-        spec = wide_spec(6)
-        tree = build_tree(VolSurface.constant(spec, 1.0, 0.18), spec)
-        ok, violations = tilde_t_membership(tree_two_time_marginals(tree),
-                                            spec, 0.01)
-        assert not ok
-        assert any("drift" in v and "outside the band" in v for v in violations)
-
-    def test_modulus_clause(self):
-        spec = wide_spec(6)
-        surf = VolSurface(
-            sigma=tuple(np.full(2 * k + 1, 0.7 if k == 0 else 1.3)
-                        for k in range(6)),
-            b=tuple(np.full(2 * k + 1, spec.b0) for k in range(6)),
-        )
-        joints = tree_two_time_marginals(build_tree(surf, spec))
-        ok, violations = tilde_t_membership(joints, spec, 0.01,
-                                            modulus=lambda d: 0.0)
-        assert not ok
-        assert any("modulus violated" in v for v in violations)
-        ok2, violations2 = tilde_t_membership(joints, spec, 0.01,
-                                              modulus=lambda d: 10.0)
-        assert ok2 and violations2 == []
 
 
 def normalized_square_payoff(spec, sigma_value):
@@ -1105,16 +1018,16 @@ class TestCalibrate:
     def test_walk_count_at_the_benchmark_size(self, monkeypatch, pieces, walks, laws):
         # the golden section reads level sums only; the scan, the bisection
         # and the last walk of theta read laws
-        calls = []
-        for name in ("_chain_walk", "_chain_sums", "_runs_law"):
-            real = getattr(tritree, name)
-            monkeypatch.setattr(tritree, name,
-                                lambda *args, name=name, real=real: calls.append(name) or real(*args))
+        read_law, computed, real_walk, real_law = [], [], tritree._chain_walk, tritree._runs_law
+        monkeypatch.setattr(tritree, "_chain_walk", lambda *args, law=True:
+                            read_law.append(law) or real_walk(*args, law=law))
+        monkeypatch.setattr(tritree, "_runs_law",
+                            lambda *args: computed.append(args) or real_law(*args))
         spec = wide_spec(40)
         payoff = normalized_square_payoff(spec, 1.1)
         calibrate(CalibProblem(sigma0=1.2, payoff=payoff, n_pieces=pieces), spec, 0.01)
-        assert len(calls) - calls.count("_runs_law") == walks
-        assert calls.count("_chain_walk") == calls.count("_runs_law") == laws
+        assert len(read_law) == walks
+        assert read_law.count(True) == len(computed) == laws
 
     @pytest.mark.parametrize("n, pieces, theta, moment", PUSH_WALK_PINS,
                              ids=[f"{n}-{pieces}" for n, pieces, *_ in PUSH_WALK_PINS])
@@ -1127,9 +1040,9 @@ class TestCalibrate:
         # the entropy the search found is the level sums of theta* itself
         columns = [result.theta_star[None, [i]] for i in range(pieces)]
         block = [min(k * pieces // n, pieces - 1) for k in range(n)]
-        sums = tritree._chain_sums([columns[i] for i in block], [spec.b0] * n,
-                                   [1.2] * n, [spec.b0] * n, spec)
-        assert result.entropy == sums[0][0]
+        walked = _chain_walk([columns[i] for i in block], [spec.b0] * n,
+                             [1.2] * n, [spec.b0] * n, spec, law=False)
+        assert result.entropy == walked[1][0]
 
     def test_unreachable_band_rejected(self):
         spec = wide_spec(20)
@@ -1148,6 +1061,9 @@ class TestCalibrate:
             calibrate(CalibProblem(sigma0=1.0, payoff=lambda x: x), spec, 0.0)
         with pytest.raises(ValueError, match="n_pieces"):
             CalibProblem(sigma0=1.0, payoff=lambda x: x, n_pieces=0)
+        # a piece beyond the n levels would own none and report the scan's end
+        with pytest.raises(ValueError, match="n_pieces=21 exceeds n=20"):
+            calibrate(CalibProblem(sigma0=1.0, payoff=lambda x: x, n_pieces=21), spec, 0.01)
         with pytest.raises(ValueError, match="payoff must be callable"):
             CalibProblem(sigma0=1.0, payoff=3.0)
 
@@ -1173,53 +1089,6 @@ class TestEpsilonZero:
                            spec, 0.01)
         assert result.slack + 1.0 / 40 > 0.01
         assert epsilon0(result, spec) == 0.01
-
-
-class TestGibbsTreeMc:
-    @staticmethod
-    def _run(**overrides):
-        spec = wide_spec(8)
-        payoff = normalized_square_payoff(wide_spec(2), 1.0)
-        args = dict(spec=spec, sigma0=1.0, payoff=payoff, n=2, epsilon=0.3,
-                    m=400, trials=40, seed=77, delta_rel=0.4)
-        args.update(overrides)
-        return gibbs_tree_mc(**args)
-
-    def test_generous_bands_accept_everything(self):
-        report = self._run()
-        assert report["n"] == 2 and report["m"] == 400
-        assert report["accepted"] == report["trials"] == 40
-        assert report["acceptance_rate"] == 1.0
-        assert report["theta_star"] == pytest.approx(1.0, abs=1e-3)
-        assert report["calibration_entropy"] <= 1e-9
-        assert report["p_upper_rule_of_three"] is None
-        assert 0.0 <= report["d_fm"] < 0.05
-
-    def test_tighter_band_accepts_no_more_trials(self):
-        wide = self._run()
-        narrow = self._run(epsilon=0.05)
-        assert narrow["accepted"] <= wide["accepted"]
-
-    def test_more_paths_tighten_the_distance(self):
-        coarse = self._run(m=100)
-        fine = self._run(m=1600)
-        assert fine["d_fm"] < coarse["d_fm"]
-
-    def test_zero_acceptance_is_reported_not_raised(self):
-        report = self._run(epsilon=0.002, m=50, trials=30, delta_rel=0.0)
-        assert report["accepted"] == 0
-        assert report["acceptance_rate"] == 0.0
-        assert report["d_fm"] is None
-        assert report["p_upper_rule_of_three"] == pytest.approx(0.1)
-
-    def test_deterministic_per_configuration(self):
-        first = self._run()
-        second = self._run()
-        assert first == second
-        assert second["accepted"] == 40
-
-    def test_seed_changes_the_draws(self):
-        assert self._run()["d_fm"] != self._run(seed=78)["d_fm"]
 
 
 class TestWeakConvergenceProbe:
