@@ -13,10 +13,21 @@ parsed values. `validate` runs the same parsers as `run`. A parser imports
 the library modules its experiment computes with, and no others, so a
 process loads only those, and before the timed compute step starts.
 
+A process started as `python -m entroproj.cli` or `entroproj` freezes its
+start-up heap for the cyclic collector, and again before it exits (see
+`entry`); importing this module changes no collector state.
+
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 zero-acceptance
-conditioning.
+conditioning, 5 an output that cannot be written.
 """
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":
+    # no collections while click, numpy and this module load; entry() freezes
+    # what they leave and turns the collector back on
+    gc.disable()
 
 import csv
 import functools
@@ -46,9 +57,7 @@ def _render(fmt, columns, rows) -> str:
 
 
 def _write_atomic(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
@@ -61,6 +70,15 @@ def _write_atomic(path: str, text: str):
 
 class ConfigError(ValueError):
     """A config that cannot run; each argument is a diagnostic naming a key."""
+
+
+class OutputError(RuntimeError):
+    """An output file or its directory that cannot be written; ``path``
+    names it."""
+
+    def __init__(self, path, exc):
+        super().__init__(f"cannot write {path}: {type(exc).__name__}: {exc}")
+        self.path = path
 
 
 class _Doc:
@@ -439,18 +457,26 @@ def validate_config(doc) -> list:
 def run(doc, workers=1, out_dir=None):
     """Parse and execute a config; returns the manifest dictionary.
 
-    Raises ConfigError, before any work, on a config `validate` rejects.
-    ``workers`` is only recorded in the manifest: no table depends on it."""
+    Raises ConfigError, before any work, on a config `validate` rejects, and
+    OutputError on an output that cannot be written: before the compute
+    step when its directory cannot be made. ``workers`` is only recorded in
+    the manifest: no table depends on it."""
     diags, parsed = _parse(doc)
     if diags:
         raise ConfigError(*diags)
     seed, (path, fmt), compute = parsed
+    if out_dir and not os.path.isabs(path):
+        path = os.path.join(out_dir, path)
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(directory, exc) from None
+
     start = time.monotonic()
     tables = compute(seed)
     wall = time.monotonic() - start
 
-    if out_dir and not os.path.isabs(path):
-        path = os.path.join(out_dir, path)
     stem, ext = os.path.splitext(path)
     if not ext:
         ext = "." + fmt
@@ -459,9 +485,6 @@ def run(doc, workers=1, out_dir=None):
         outputs = {name: stem + ext}
     else:
         outputs = {name: f"{stem}.{name}{ext}" for name in tables}
-    for name, (columns, rows) in tables.items():
-        _write_atomic(outputs[name], _render(fmt, columns, rows))
-
     manifest = {
         "artifact_version": __version__,
         "config": doc,
@@ -470,7 +493,13 @@ def run(doc, workers=1, out_dir=None):
         "wall_time_s": wall,
         "worker_count": workers,
     }
-    _write_atomic(stem + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    texts = {outputs[name]: _render(fmt, columns, rows) for name, (columns, rows) in tables.items()}
+    texts[stem + ".manifest.json"] = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    for target, text in texts.items():
+        try:
+            _write_atomic(target, text)
+        except OSError as exc:
+            raise OutputError(target, exc) from None
     return manifest
 
 
@@ -504,6 +533,8 @@ def run_cmd(config_path, workers, out_dir):
         manifest = run(_load_config(config_path), workers=workers, out_dir=out_dir)
     except ConfigError as exc:
         _fail(2, error="config", message="; ".join(exc.args), diagnostics=list(exc.args))
+    except OutputError as exc:
+        _fail(5, error="output", message=str(exc), path=exc.path)
     except Exception as exc:
         # only a loaded gibbs module can have raised its error
         gibbs = sys.modules.get(f"{__package__}.gibbs")
@@ -526,5 +557,27 @@ def validate_cmd(config_path):
         sys.exit(2)
 
 
+def entry():
+    """Run `main` as a whole process: the console script's entry point, and
+    what `python -m entroproj.cli` runs.
+
+    Every object alive at the call, mostly the modules of click, numpy and
+    this package, which live until exit, is frozen out of the cyclic
+    collector, which is then enabled; whatever is still alive when `main`
+    returns or exits is frozen too, so the interpreter's exit collections
+    skip it. Refcounting, `atexit` handlers and the stdio flushes all run;
+    only the `__del__` of objects caught in reference cycles at exit is
+    skipped, which Python never promises. Under `python -m` the collector is
+    also off while this module's imports run; the console script imports
+    them before calling here, with the collector on.
+    """
+    gc.freeze()
+    gc.enable()
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    entry()

@@ -325,7 +325,9 @@ def solve_dual(problem: MomentProblem) -> TiltedSolution:
     |lam_j| with c = (lo + hi)/2 and w = (hi - lo)/2, so it is the point
     dual at c plus a weighted l1 term, which vanishes for a point. The loop
     runs until the minimum-norm subgradient is 1e-10: the moment is then in
-    [lo, hi], at lo where lambda_j > 0 and at hi where lambda_j < 0. Raises
+    [lo, hi], at lo where lambda_j > 0 and at hi where lambda_j < 0. It also
+    needs the Newton decrement sqrt(g' H^-1 g) on the free coordinates to
+    reach 1e-10 (Boyd & Vandenberghe 2004, 9.5.1), or to stop falling. Raises
     InfeasibleTargetError (with a separating direction) when the target
     misses the convex hull of the moment values, and SolverError on
     non-convergence.
@@ -352,14 +354,27 @@ def solve_dual(problem: MomentProblem) -> TiltedSolution:
 
     lam = np.zeros(problem.dim)
     obj, g, hess = evaluate(lam)
+    last = math.inf
     for _ in range(_NEWTON_CAP):
         # the minimum-norm subgradient; at lam_j = 0 it soft-thresholds g_j
         shrunk = np.sign(g) * np.maximum(np.abs(g) - w, 0.0)
         subgradient = np.where(lam != 0, g + w * np.sign(lam), shrunk)
-        if np.linalg.norm(subgradient) <= _NEWTON_TOL:
-            return _finalize(problem, lam)
         frozen = (np.diag(hess) <= noise) & (np.abs(subgradient) <= _NEWTON_TOL)
-        step = _model_minimizer(hess + np.diag(noise), g, lam, w, frozen) - lam
+        curvature = hess + np.diag(noise)
+        if np.linalg.norm(subgradient) > _NEWTON_TOL:
+            last = math.inf
+        else:
+            # the squared Newton decrement on the free coordinates. Near a
+            # vertex the variance is tiny, and a small subgradient can still
+            # leave lambda far off; once the decrement stops falling, the
+            # moment's rounding sets its floor
+            S = np.flatnonzero(~frozen & ((w == 0) | (lam != 0)))
+            decrement = float(subgradient[S] @ np.linalg.solve(curvature[np.ix_(S, S)],
+                                                               subgradient[S]))
+            if decrement <= _NEWTON_TOL ** 2 or decrement >= last:
+                return _finalize(problem, lam)
+            last = decrement
+        step = _model_minimizer(curvature, g, lam, w, frozen) - lam
         decrease = float(np.dot(g, step) + np.dot(w, np.abs(lam + step) - np.abs(lam)))
         accepted = _descend(evaluate, lam, obj, step, decrease)
         if accepted is None:

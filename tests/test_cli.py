@@ -870,7 +870,8 @@ def test_experiment_loads_only_its_modules(tmp_path, experiment):
      3, "numeric"),
     ("bridge", {"grid": {"start": -2.0, "stop": 2.0, "num": 200}, "t": 2e-3,
                 "nu1": {"kind": "gaussian", "mean": -0.2, "std": 0.7}}, 3, "numeric"),
-], ids=["gibbs_zero_acceptance", "calibrate_infeasible", "bridge_underflow"])
+    ("covering", {**SMALL_PARAMS["covering"], "epsilon_list": []}, 2, "config"),
+], ids=["gibbs_zero_acceptance", "calibrate_infeasible", "bridge_underflow", "covering_config"])
 def test_failure_exit_codes_in_a_fresh_interpreter(tmp_path, experiment, params, code, error):
     # in process, other tests have loaded gibbs already, which would hide a
     # handler that needs it; -v lists every module the run imports
@@ -897,3 +898,75 @@ def test_benchmark_trace_names_resolve():
             assert hasattr(target, name), layer
             target = getattr(target, name)
         assert callable(target), layer
+
+
+@pytest.mark.parametrize("experiment", sorted(SMALL_PARAMS))
+def test_module_run_matches_the_in_process_run(tmp_path, experiment):
+    cfg = write_config(tmp_path, {"experiment": experiment, "seed": 3,
+                                  "params": SMALL_PARAMS[experiment],
+                                  "output": {"path": "t.csv"}})
+    ran = fresh_python("-m", "entroproj.cli", "run", "--config", cfg,
+                       "--out", str(tmp_path / "module"))
+    assert ran.returncode == 0, ran.stderr
+    in_process = CliRunner().invoke(main, ["run", "--config", cfg, "--out", str(tmp_path / "cli")])
+    assert in_process.exit_code == 0, in_process.output
+    tables = sorted(p.name for p in (tmp_path / "cli").glob("t*.csv"))
+    assert tables and tables == sorted(p.name for p in (tmp_path / "module").glob("t*.csv"))
+    for name in tables:
+        assert (tmp_path / "module" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
+
+
+def test_module_run_exits_output_before_the_compute(tmp_path):
+    # --out names a directory below a regular file, so it cannot be made
+    (tmp_path / "blocker").write_text("")
+    cfg = write_config(tmp_path, {"experiment": "iproj", "seed": 3,
+                                  "params": SMALL_PARAMS["iproj"], "output": {"path": "t.csv"}})
+    out = tmp_path / "blocker" / "sub"
+    ran = fresh_python("-v", "-m", "entroproj.cli", "run", "--config", cfg, "--out", str(out))
+    assert ran.returncode == 5, ran.stdout
+    failure = json.loads(ran.stdout)
+    assert failure["error"] == "output" and failure["path"] == str(out)
+    assert "NotADirectoryError" in failure["message"]
+    # the parser ran (it imports the solver), but nothing was written
+    assert "import 'entroproj.iproj'" in ran.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
+
+
+def test_unwritable_table_exits_output(runner, tmp_path):
+    # the table's path is a directory, so the rename onto it fails after the
+    # compute; no temp file is left behind
+    (tmp_path / "t.csv").mkdir()
+    cfg = write_config(tmp_path, {"experiment": "iproj", "seed": 3,
+                                  "params": SMALL_PARAMS["iproj"], "output": {"path": "t.csv"}})
+    result = runner.invoke(main, ["run", "--config", cfg, "--out", str(tmp_path)])
+    assert result.exit_code == 5, result.output
+    failure = json.loads(result.output)
+    assert failure["error"] == "output" and failure["path"] == str(tmp_path / "t.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "t.csv"]
+    with pytest.raises(cli.OutputError) as exc:
+        run(json.loads((tmp_path / "config.json").read_text()), out_dir=str(tmp_path))
+    assert exc.value.path == str(tmp_path / "t.csv")
+
+
+def test_importing_the_cli_leaves_the_collector_alone():
+    probe = fresh_python("-c", "import gc, entroproj.cli; "
+                               "print(gc.isenabled(), gc.get_freeze_count())")
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split() == ["True", "0"]
+
+
+_ENTRY_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("at exit", gc.isenabled(), gc.get_freeze_count() > 0))
+from entroproj.cli import entry
+sys.argv = ["entroproj", "validate", "--config", sys.argv[1]]
+entry()
+"""
+
+
+def test_entry_runs_main_and_freezes_the_heap(tmp_path):
+    cfg = write_config(tmp_path, {"experiment": "covering", "seed": 3,
+                                  "params": SMALL_PARAMS["covering"], "output": {"path": "t.csv"}})
+    probe = fresh_python("-c", _ENTRY_PROBE, cfg)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.splitlines() == ['{"diagnostics": []}', "at exit True True"]

@@ -123,6 +123,19 @@ class TestSolveDualPoint:
             0.7 * 0.3 ** 3 + 0.3 * 0.7 ** 3, abs=1e-8
         )
 
+    @pytest.mark.parametrize("target, rel", [
+        (ep.Box.point([1 - 1e-9]), 1e-6), (ep.Box.point([1e-9]), 1e-6),
+        (ep.Box([1 - 1e-9], [1.0]), 1e-6),
+        # the gradient's rounding (about 2e-15 here) over the variance 1e-12
+        # bounds what any stopping rule can reach; the decrement stalls there
+        (ep.Box.point([1 - 1e-12]), 1e-3)])
+    def test_near_vertex_multiplier(self, target, rel):
+        # at 1e-9 from a vertex the variance is about 1e-9, so a subgradient
+        # of 1e-10 alone leaves lambda three digits short of log(x0 / (1 - x0))
+        x0 = target.lo[0]
+        sol = ep.solve_dual(ep.MomentProblem(bernoulli(0.5), np.array([0.0, 1.0]), target))
+        assert sol.lambda_star[0] == pytest.approx(math.log(x0 / (1 - x0)), rel=rel)
+
     def test_entropy_equals_primal_divergence(self, rng):
         for _ in range(10):
             prob = random_problem(rng)
