@@ -293,10 +293,10 @@ def gaussian_reference(grid, t: float, mu0: FiniteMeasure | None = None,
     """Bridge problem skeleton with heat-kernel transitions on a 1-D grid.
 
     The transition table T(u, v) is proportional to exp(-(v-u)^2 / 2t) and
-    row-normalized; mu1 is the push of mu0 through T and p = T / mu1, which
-    satisfies both conditional-density identities by construction. Targets
-    default to the reference marginals themselves, giving the trivial
-    bridge; callers swap in their own nu0, nu1.
+    row-normalized; mu1 is the push of mu0 through T and p = T / mu1 (0
+    where mu1 is), which satisfies both conditional-density identities by
+    construction. Targets default to the reference marginals themselves,
+    giving the trivial bridge; callers swap in their own nu0, nu1.
     """
     x = increasing_grid(grid)
     if t <= 0:
@@ -314,7 +314,7 @@ def gaussian_reference(grid, t: float, mu0: FiniteMeasure | None = None,
     p /= p.sum(axis=1, keepdims=True)
     w1 = p.T @ mu0.weights
     mu1 = FiniteMeasure(mu0.space, w1 / w1.sum())
-    p /= mu1.weights[None, :]
+    p /= np.where(mu1.weights > 0, mu1.weights, np.inf)
     p.setflags(write=False)
     if nu0 is None:
         nu0 = mu0
@@ -336,13 +336,12 @@ def marginal_schedule_check(nu: FiniteMeasure, metric: str, epsilon_fn, n_list,
     convergence of conditioned bridges asks for this probability to reach 1
     along the sequence; a too-fast schedule shows up as a stalled column.
     """
-    from .gibbs import _accepts, _sample_types, mc_stream, metric_ball
+    from .gibbs import _accepted_patterns, mc_stream, metric_ball
 
     gen = mc_stream(seed)
     rows = []
     for n in n_list:
         ball = metric_ball(nu, metric, float(epsilon_fn(n)))
-        counts, _ = _sample_types(gen, nu.weights, n, trials, 0)
-        hits = int(np.count_nonzero(_accepts(ball, counts, n, nu.space)))
+        hits = int(_accepted_patterns(gen, nu, n, ball, 0, trials)[0])
         rows.append({"n": n, "epsilon": ball.radius, "prob": hits / trials})
     return rows

@@ -309,6 +309,10 @@ def _calibrate(p):
     sigma_target = payoff_doc.get("sigma_target", _positive, None)
     target_value = payoff_doc.get("target_value", _positive, 1.0)
     sigma0, n_pieces = p.get("sigma0", _positive), p.get("n_pieces", _integer, 1)
+    # the lattice ranges make the kernel positive for sigma in [sigma_min, sigma_max] only
+    for key, sigma in (("payoff.sigma_target", sigma_target), ("sigma0", sigma0)):
+        if sigma is not None:
+            _build(f"params.{key}", tritree.kernel, sigma, spec.b0, spec)
     epsilon = p.get("epsilon", _positive)
     if epsilon > spec.s:
         raise ConfigError(f"params.epsilon {epsilon} exceeds the drift band half-width s={spec.s}")
@@ -345,6 +349,9 @@ def _gamma(p):
     from . import tritree
     specs = [_lattice(p, n) for n in p.get("n_list", _items(_integer))]
     sigma, sigma0 = p.get("sigma", _positive), p.get("sigma0", _positive)
+    for spec in specs:
+        _build("params.sigma", tritree.kernel, sigma, spec.b0, spec)
+        _build("params.sigma0", tritree.kernel, sigma0, spec.b0, spec)
 
     def compute(seed):
         rows = []

@@ -3,10 +3,10 @@
 Two engines drive everything: exact enumeration over type classes
 (multinomial count vectors), vectorized over blocks of classes and summed in
 log space so that events far below the double range keep a finite log
-probability, and Monte Carlo rejection on one counter-based stream per call.
-On top of them sit the quantitative checks: the Csiszar information
-inequality for conditional block laws, the Sanov sandwich for event
-probabilities, and total-variation curves along enlargement schedules.
+probability, and Monte Carlo rejection on one counter-based stream per call,
+in blocks of trials. On top of them sit the quantitative checks: the Csiszar
+information inequality for conditional block laws, the Sanov sandwich for
+event probabilities, and total-variation curves along enlargement schedules.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .iproj import composition_blocks
+from . import iproj
 from .measures import (
     FiniteMeasure,
     MetricSpacePoints,
@@ -184,17 +184,19 @@ def _check_window(n, k, m):
         raise ValueError("pattern alphabet too large for the window size")
 
 
-def _accepts(event, counts, n, space):
+def _accepts(event, counts, n, space, memo):
     """Event membership of the empirical measure of each row of counts.
 
-    Metric balls cost one distance per distinct row, however many rows
-    repeat it.
+    Metric balls cost one distance per distinct row not yet answered in
+    ``memo``, a dict keyed by the row's bytes that collects the answers.
     """
     if isinstance(event, MomentBand):
         return event.contains_weights(counts / n)
     types, inverse = np.unique(counts, axis=0, return_inverse=True)
-    ok = np.array([event.contains(FiniteMeasure(space, row / n)) for row in types], dtype=bool)
-    return ok[inverse.reshape(-1)]
+    for row in types:
+        if row.tobytes() not in memo:
+            memo[row.tobytes()] = event.contains(FiniteMeasure(space, row / n))
+    return np.array([memo[row.tobytes()] for row in types], dtype=bool)[inverse.reshape(-1)]
 
 
 def _pattern_types(m, k):
@@ -229,10 +231,10 @@ def _type_class_sums(alpha: FiniteMeasure, n: int, event, k: int):
     log_p_event = -math.inf
     log_law = np.full(len(r_types), -math.inf)
     n_classes = 0
-    for counts in composition_blocks(n, m):
+    for counts in iproj.composition_blocks(n, m):
         counts = counts[~np.any(counts[:, zero] > 0, axis=1)]
         n_classes += len(counts)
-        counts = counts[_accepts(event, counts, n, alpha.space)]
+        counts = counts[_accepts(event, counts, n, alpha.space, {})]
         log_c = log_fact[counts]
         log_p = log_fact[n] - log_c.sum(axis=1) + counts @ log_w
         log_p_event = np.logaddexp(log_p_event, logsumexp(log_p))
@@ -289,61 +291,74 @@ def mc_stream(seed):
 
 
 def _sample_types(gen, weights, n, trials, k):
-    """Letter counts of ``trials`` i.i.d.(weights) n-blocks, as a (trials, m)
-    matrix, and the first k letters of every block, as (trials, k).
+    """Yield, per block of at most iproj.COMPOSITION_BLOCK_ROWS trials, the
+    (rows, m) letter counts of i.i.d.(weights) n-blocks and the id of each
+    one's first k letters (their pattern's row in itertools.product order).
 
     Only what the estimators read is drawn. The head letters of all trials
-    come first, from uniforms: u is letter j when cumw[j-1] <= u < cumw[j].
-    Then one multinomial draw per trial gives the counts of its other n - k
-    letters, with the probabilities those thresholds give, and the heads are
-    added to them. The partial sums are clipped at 1, so weights whose sum
-    overshoots 1 by rounding draw as their thresholds do. A trial costs
-    O(k + m) time and memory, whatever n.
-
-    The draws are bit-identical for a fixed seed and numpy version. The
-    uniforms are exact on any host, but the binomial draws inside the
-    multinomial call libm's log and exp, so a libm that rounds differently
-    can change the counts.
+    come first, from uniforms: u is letter j when cumw[j-1] <= u < cumw[j],
+    on partial sums clipped at 1, so weights whose sum overshoots 1 by
+    rounding draw as their thresholds do. They are kept as one pattern id
+    per trial, of the smallest unsigned type that holds m**k - 1. Then one
+    multinomial draw per trial gives the counts of its other n - k letters,
+    and the heads are added. numpy fills both draws trial by trial, so the
+    blocks read the stream as one call over all trials does. A trial costs
+    O(k + m) time, whatever n. The uniforms are exact on any host, but the
+    binomial draws call libm's log and exp, which another libm may round
+    differently.
     """
     if trials < 1:
         raise ValueError("trials must be a positive integer")
-    cumw = np.minimum(np.cumsum(weights), 1.0)
-    cumw[-1] = 1.0
-    heads = np.searchsorted(cumw, gen.random((trials, k)), side="right")
-    counts = gen.multinomial(n - k, np.diff(cumw, prepend=0.0), size=trials)
-    np.add.at(counts, (np.arange(trials)[:, None], heads), 1)
-    return counts, heads
+    m, rows = len(weights), iproj.COMPOSITION_BLOCK_ROWS
+    cumw = np.append(np.minimum(np.cumsum(weights[:-1]), 1.0), 1.0)
+    place = m ** np.arange(k - 1, -1, -1)
+    pids = np.empty(trials, dtype=np.min_scalar_type(m ** k - 1))
+    blocks = [pids[lo:lo + rows] for lo in range(0, trials, rows)]
+    for block in blocks:
+        block[:] = np.searchsorted(cumw, gen.random((len(block), k)), side="right") @ place
+    for block in blocks:
+        counts = gen.multinomial(n - k, np.diff(cumw, prepend=0.0), size=len(block))
+        for j in range(k):
+            counts[np.arange(len(block)), block // place[j] % m] += 1
+        yield counts, block
+
+
+def _accepted_patterns(gen, alpha: FiniteMeasure, n: int, event, k: int, trials: int):
+    """Monte Carlo rejection over the blocks of _sample_types, each tested
+    and dropped, once the window is checked: the accepted trials per pattern
+    of the first k letters, as an m**k vector. A metric ball's answers carry
+    over from block to block, so the call costs one distance per distinct
+    sampled type."""
+    _check_window(n, k, len(alpha.space))
+    hits, memo = np.zeros(len(alpha.space) ** k, dtype=np.int64), {}
+    for counts, pids in _sample_types(gen, alpha.weights, n, trials, k):
+        np.add.at(hits, pids[_accepts(event, counts, n, alpha.space, memo)], 1)
+    return hits
 
 
 def run_conditional_mc(alpha: FiniteMeasure, n: int, event, k: int,
                        trials: int, seed: int) -> ConditionalEstimate:
     """Monte Carlo rejection estimate of the conditional k-coordinate law.
 
-    All trials read one counter-based stream keyed by (seed, 0), and each
-    trial draws only its head letters and its letter counts. Results are
-    bit-identical for a fixed seed and numpy version. Across hosts they also
-    rest on libm's log and exp, which the binomial draws call; the pinned
-    benchmark table in the tests flags a host where they round differently.
-    Zero acceptances raise ZeroAcceptanceError carrying the rule-of-three
-    bound 3/trials.
+    All trials read one counter-based stream keyed by (seed, 0); each draws
+    only its head letters and letter counts, in blocks that leave one small
+    integer per trial in memory. Results are bit-identical for a fixed seed
+    and numpy version. Across hosts they also rest on libm's log and exp,
+    which the binomial draws call; the pinned benchmark table in the tests
+    flags a host where they round differently. Zero acceptances raise
+    ZeroAcceptanceError carrying the rule-of-three bound 3/trials.
     """
-    m = len(alpha.space)
-    _check_window(n, k, m)
-    counts, heads = _sample_types(mc_stream(seed), alpha.weights, n, trials, k)
-    ok = _accepts(event, counts, n, alpha.space)
-    accepted = int(ok.sum())
+    hits = _accepted_patterns(mc_stream(seed), alpha, n, event, k, trials)
+    accepted = int(hits.sum())
     if accepted == 0:
         raise ZeroAcceptanceError(
             f"no acceptances in {trials} trials; event probability is below "
             f"3/trials = {3.0 / trials:.3g} with 95% confidence",
             upper_bound=3.0 / trials,
         )
-    pids = heads[ok] @ (m ** np.arange(k - 1, -1, -1))
-    law = FiniteMeasure(product_space(alpha.space, k),
-                        np.bincount(pids, minlength=m ** k) / accepted)
     return ConditionalEstimate(
         k=k,
-        law=law,
+        law=FiniteMeasure(product_space(alpha.space, k), hits / accepted),
         acceptance_rate=accepted / trials,
         log_acceptance=math.log(accepted / trials),
         n_trials=trials,

@@ -396,6 +396,20 @@ class TestGaussianReference:
         np.testing.assert_allclose(prob.p @ w1, 1.0, atol=1e-12)
         np.testing.assert_allclose(prob.p.T @ w0, 1.0, atol=1e-12)
 
+    def test_uncharged_second_marginal_leaves_a_zero_column(self):
+        # the kernel underflows between the points, so mu1 puts no mass at
+        # 50; dividing by it raised RuntimeWarnings and left NaN and inf in p
+        x = np.array([-2.0, 50.0])
+        mu0 = ep.FiniteMeasure(ep.MetricSpacePoints.from_coordinates(x), np.array([1.0, 0.0]))
+        prob = ep.gaussian_reference(x, 0.05, mu0=mu0)
+        np.testing.assert_array_equal(prob.mu1.weights, [1.0, 0.0])
+        np.testing.assert_array_equal(prob.p, [[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="absolutely continuous"):
+            ep.with_targets(prob, prob.nu0, ep.FiniteMeasure(prob.mu1.space, [0.5, 0.5]))
+        pots = ep.sinkhorn(prob)
+        assert pots.residual == 0.0
+        assert ep.bridge_entropy(prob, pots) == (0.0, 0.0)
+
     def test_symmetric_grid_gives_symmetric_density(self):
         prob = ep.gaussian_reference(np.linspace(-1, 1, 11), 0.3)
         np.testing.assert_allclose(prob.p, prob.p[::-1, ::-1], atol=1e-10)
@@ -491,6 +505,13 @@ class TestMarginalScheduleCheck:
         rows = ep.marginal_schedule_check(nu, metric, eps, n_list, trials=trials, seed=seed)
         assert 0 < len(calls) <= n_types
         assert rows == want
+
+    @pytest.mark.parametrize("n", [0, 2.5, -1])
+    def test_rejects_a_block_length_that_is_not_a_positive_integer(self, n):
+        # n = 0 divided 0/0, and n = 2.5 failed on weights summing to 0.8
+        nu = ep.FiniteMeasure.uniform(line_space(3))
+        with pytest.raises(ValueError, match="block length n must be a positive integer"):
+            ep.marginal_schedule_check(nu, "fm", lambda n: 0.3, [4, n], trials=5, seed=0)
 
     def test_rejects_unknown_metric(self):
         nu = ep.FiniteMeasure.uniform(line_space(4))

@@ -270,6 +270,29 @@ class TestValidate:
         key = "params." + ".".join(path)
         assert f"{key} must be positive" in json.loads(result.output)["diagnostics"]
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("experiment, params, key", [
+        ("calibrate", {"n": 10, "sigma0": 0.5, "epsilon": 0.01,
+                       "payoff": {"sigma_target": 0.2}}, "params.payoff.sigma_target"),
+        ("calibrate", {"n": 10, "sigma0": 1.9, "epsilon": 0.01}, "params.sigma0"),
+        ("gamma", {"n_list": [10], "sigma0": 0.5, "sigma": 1.9}, "params.sigma"),
+        ("gamma", {"n_list": [40, 10], "sigma0": 0.2, "sigma": 0.5}, "params.sigma0"),
+    ], ids=["calibrate_sigma_target", "calibrate_sigma0", "gamma_sigma", "gamma_sigma0"])
+    def test_coefficients_the_walk_rejects_exit_config(self, runner, tmp_path, command,
+                                                       experiment, params, key):
+        # within the lattice's ranges but off [sigma_min, sigma_max], where
+        # the kernel at (sigma, b0) has a negative weight: run exited 3 here
+        # after validate passed
+        lattice = {"alpha_tick": 1.5, "sigma_min": 0.3, "sigma_max": 1.2, "b0": 0.15, "s": 0.03}
+        doc = {"experiment": experiment, "seed": 1, "params": {**lattice, **params},
+               "output": {"path": "x.csv"}}
+        out = ["--out", str(tmp_path)] if command == "run" else []
+        result = runner.invoke(main, [command, "--config", write_config(tmp_path, doc), *out])
+        assert result.exit_code == 2, result.output
+        diags = json.loads(result.output)["diagnostics"]
+        assert len(diags) == 1 and diags[0].startswith(f"{key}: kernel not strictly positive")
+        assert not list(tmp_path.glob("x*.csv"))
+
     def test_bridge_grid_builds_no_distance_table(self):
         # a 3000 x 3000 Euclidean table and its temporaries would take about 360 MB
         doc = {
@@ -506,6 +529,20 @@ class TestRunBridge:
         summary = field_map(summary_rows)
         assert (1.0 < summary["omega"] < 2.0) if relaxed else summary["omega"] == 1.0
         assert summary["iterations"] == (49 if relaxed else 8)
+
+    def test_uncharged_reference_column_runs_without_warnings(self, runner, tmp_path):
+        # the heat kernel underflows between the two points, so mu1 has no
+        # mass at 50; p's column there was 0/0 and 1/0, four RuntimeWarnings
+        # (errors under this suite) and then an exit 3
+        doc = {"experiment": "bridge", "seed": 1,
+               "params": {"grid": [-2.0, 50.0], "t": 0.05,
+                          "mu0": {"kind": "explicit", "weights": [1.0, 0.0]}},
+               "output": {"path": "bridge.csv"}}
+        result = runner.invoke(main, ["run", "--config", write_config(tmp_path, doc),
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        summary = field_map(read_table(tmp_path / "bridge.summary.csv")[1])
+        assert summary["H_direct"] == summary["H_potentials"] == summary["residual"] == 0.0
 
     def test_kernel_underflow_exits_numeric(self, runner, tmp_path):
         # unrelaxed sweeps ended here with NaN in the coupling and H_direct 0.0

@@ -21,6 +21,13 @@ from conftest import bernoulli, line_space, per_trial_types, two_point_space
 KL_07_05 = 0.08228287850505185
 
 
+def stacked(blocks):
+    """The (counts, pattern ids) blocks of gibbs._sample_types, each stacked
+    over all trials."""
+    counts, pids = zip(*blocks)
+    return np.concatenate(counts), np.concatenate(pids)
+
+
 # Reference engine: one type class at a time, in linear space. The
 # vectorized log-space engine must reproduce it wherever it does not
 # underflow.
@@ -427,12 +434,13 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(est.law.weights, np.array(heads) / accepted)
 
     @given(st.data(), st.integers(1, 24), st.integers(1, 40), st.integers(0, 3),
-           st.integers(0, 2 ** 32), st.booleans())
+           st.integers(0, 2 ** 32), st.booleans(), st.sampled_from([1, 3, 7, 8192]))
     @settings(max_examples=200, deadline=None)
-    def test_sampler_matches_per_trial_multinomial(self, data, n, trials, k, seed, overshoot):
+    def test_sampler_matches_per_trial_multinomial(self, data, n, trials, k, seed, overshoot,
+                                                   rows):
         # m = 1, small and large alphabets, zero weights (tied thresholds),
         # partial sums that round to 1.0 or above before the last letter,
-        # and k = 0 up to k = n
+        # k = 0 up to k = n, and blocks from one trial to all of them
         m = data.draw(st.sampled_from([1, 2, 3, 8, 16, 40]))
         raw = np.array(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)
                                  .filter(any)), dtype=float)
@@ -441,11 +449,17 @@ class TestMonteCarlo:
             w = np.append(w * (1.0 + 8 * np.finfo(float).eps), 0.0)
             assert np.cumsum(w)[-2] >= 1.0
         k = min(k, n)
-        counts, heads = gibbs._sample_types(gibbs.mc_stream(seed), w, n, trials, k)
+        with patch.object(iproj, "COMPOSITION_BLOCK_ROWS", rows):
+            blocks = list(gibbs._sample_types(gibbs.mc_stream(seed), w, n, trials, k))
+        assert [len(c) for c, _ in blocks] == [len(p) for _, p in blocks]
+        assert all(1 <= len(c) <= rows for c, _ in blocks)
+        counts, pids = stacked(blocks)
         want, want_heads = per_trial_types(gibbs.mc_stream(seed), w, n, trials, k)
-        assert counts.dtype == want.dtype and heads.dtype == want_heads.dtype
+        assert counts.dtype == want.dtype
         assert counts.tobytes() == want.tobytes() and counts.shape == (trials, len(w))
-        assert heads.tobytes() == want_heads.tobytes() and heads.shape == (trials, k)
+        # one unsigned integer per trial, as small as the m**k patterns allow
+        assert pids.dtype == np.min_scalar_type(len(w) ** k - 1)
+        np.testing.assert_array_equal(pids, want_heads @ len(w) ** np.arange(k - 1, -1, -1))
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_sampler_draws_the_exact_law(self, k):
@@ -453,9 +467,9 @@ class TestMonteCarlo:
         # w_a Mult(n - 1; c - e_a), and of Mult(n; c) for the counts alone
         w = np.array([0.5, 0.3, 0.2])
         n, trials = 5, 200_000
-        counts, heads = gibbs._sample_types(gibbs.mc_stream(3), w, n, trials, k)
+        counts, pids = stacked(gibbs._sample_types(gibbs.mc_stream(3), w, n, trials, k))
         assert np.all(counts.sum(axis=1) == n)
-        keys = counts @ (n + 1) ** np.arange(3) + (heads[:, 0] * (n + 1) ** 3 if k else 0)
+        keys = counts @ (n + 1) ** np.arange(3) + pids.astype(np.int64) * (n + 1) ** 3
         seen = dict(zip(*np.unique(keys, return_counts=True)))
 
         def multinomial_pmf(c):
@@ -488,7 +502,7 @@ class TestMonteCarlo:
         alpha = ep.FiniteMeasure(line_space(7), w)
         with pytest.raises(ValueError):
             np.random.default_rng(0).multinomial(5, alpha.weights)
-        counts, heads = gibbs._sample_types(gibbs.mc_stream(1), alpha.weights, 9, 50, 2)
+        counts, _ = stacked(gibbs._sample_types(gibbs.mc_stream(1), alpha.weights, 9, 50, 2))
         assert np.all(counts.sum(axis=1) == 9) and np.all(counts[:, 6] == 0)
         band = ep.moment_band(np.arange(7.0), np.array([3.0]), 100.0)
         est = ep.run_conditional_mc(alpha, 9, band, 1, trials=50, seed=1)
@@ -497,12 +511,54 @@ class TestMonteCarlo:
     def test_sampler_memory_does_not_grow_with_n(self):
         tracemalloc.start()
         try:
-            counts, _ = gibbs._sample_types(gibbs.mc_stream(0), np.full(3, 1 / 3), 10 ** 7, 4, 2)
+            counts, _ = stacked(gibbs._sample_types(gibbs.mc_stream(0), np.full(3, 1 / 3),
+                                                    10 ** 7, 4, 2))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert np.all(counts.sum(axis=1) == 10 ** 7)
         assert peak < 1 << 20
+
+    def test_estimator_memory_does_not_grow_with_trials(self):
+        # a million trials hold one byte of pattern id each plus one block
+        # of draws; their (trials, 3) int64 counts alone would take 24 MB
+        alpha = ep.FiniteMeasure.uniform(line_space(3, 0.0, 2.0))
+        band = ep.moment_band(np.array([0.0, 1.0, 2.0]), np.array([0.85]), 0.05,
+                              norm="euclidean")
+        tracemalloc.start()
+        try:
+            est = ep.run_conditional_mc(alpha, 200, band, 1, trials=10 ** 6, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < est.acceptance_rate < 1
+        assert peak < 16 << 20
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("event", ["band", "ball"])
+    def test_blocked_estimator_matches_per_trial_loop(self, monkeypatch, k, event):
+        # blocks of 7 rows split 50 trials into 8 blocks, the last one short
+        space = line_space(3)
+        alpha = ep.FiniteMeasure(space, np.array([0.5, 0.3, 0.2]))
+        if event == "band":
+            event = ep.moment_band(np.array([0.0, 0.5, 1.0]), np.array([0.4]), 0.1)
+        else:
+            event = ep.metric_ball(ep.FiniteMeasure.uniform(space), "fm", 0.2)
+        n, trials, seed = 6, 50, 5
+        counts, heads = per_trial_types(gibbs.mc_stream(seed), alpha.weights, n, trials, k)
+        ok = np.array([event.contains(ep.FiniteMeasure(space, c / n)) for c in counts])
+        want = np.bincount(heads[ok] @ 3 ** np.arange(k - 1, -1, -1), minlength=3 ** k)
+        monkeypatch.setattr(iproj, "COMPOSITION_BLOCK_ROWS", 7)
+        calls = []
+        real = gibbs.fm_distance
+        monkeypatch.setattr(gibbs, "fm_distance", lambda *a: calls.append(1) or real(*a))
+        est = ep.run_conditional_mc(alpha, n, event, k, trials=trials, seed=seed)
+        # a ball's answers carry over from block to block
+        assert len(calls) == (0 if isinstance(event, ep.MomentBand)
+                              else len(np.unique(counts, axis=0)))
+        assert 0 < ok.sum() < trials
+        assert est.acceptance_rate == ok.sum() / trials
+        assert est.law.weights.tobytes() == (want / ok.sum()).tobytes()
 
     def test_zero_acceptance_reports_rule_of_three(self):
         alpha = bernoulli(0.5)
