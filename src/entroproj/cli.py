@@ -9,9 +9,11 @@ the tables.
 
 Each experiment has a parser, which checks every parameter key and returns
 the experiment's compute step: a function of the seed that reads only the
-parsed values. `validate` runs the same parsers as `run`. A parser imports
-the library modules its experiment computes with, and no others, so a
-process loads only those, and before the timed compute step starts.
+parsed values. A key that no parser reads is a config error, so a typo
+never runs with a default. `validate` runs the same parsers as `run`. A
+parser imports the library modules its experiment computes with, and no
+others, so a process loads only those, and before the timed compute step
+starts.
 
 A process started as `python -m entroproj.cli` or `entroproj` freezes its
 start-up heap for the cyclic collector, and again before it exits (see
@@ -82,18 +84,30 @@ class OutputError(RuntimeError):
 
 
 class _Doc:
-    """One JSON object of a config, read key by key; ``path`` names it."""
+    """One JSON object of a config, read key by key; ``path`` names it. As
+    a context manager it records the keys read, and a block that ends with
+    a key never read fails, naming each such key."""
 
     def __init__(self, value, path):
         if not isinstance(value, dict):
             raise ConfigError(f"{path} must be an object")
-        self.value, self.path = value, path
+        self.value, self.path, self.used = value, path, set()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, failed, *_):
+        unread = [f"{self.path}.{key} is not read: unknown, or unused with the other keys"
+                  for key in self.value if key not in self.used]
+        if unread and failed is None:
+            raise ConfigError(*unread)
 
     def get(self, key, read, default=_REQUIRED):
         """read(value, key path) of the key, or of the default when the key
         is absent; a None default is returned unread."""
         path = f"{self.path}.{key}"
         if key in self.value:
+            self.used.add(key)
             return read(self.value[key], path)
         if default is _REQUIRED:
             raise ConfigError(f"{path} is required")
@@ -156,9 +170,9 @@ def _grid(value, path):
     """Grid coordinates: {start, stop, num} evenly spaced, or a list."""
     if not isinstance(value, dict):
         return _numbers(value, path)
-    doc = _Doc(value, path)
-    return np.linspace(doc.get("start", _number), doc.get("stop", _number),
-                       doc.get("num", _integer))
+    with _Doc(value, path) as doc:
+        return np.linspace(doc.get("start", _number), doc.get("stop", _number),
+                           doc.get("num", _integer))
 
 
 def _build(path, make, *args):
@@ -182,24 +196,24 @@ def _problem(p, target):
 
 def _target(value, path):
     from . import iproj
-    doc = _Doc(value, path)
-    if doc.get("kind", _kind("point", "box")) == "point":
-        return iproj.Box.point(doc.get("x0", _numbers))
-    return _build(path, iproj.Box, doc.get("lo", _numbers), doc.get("hi", _numbers))
+    with _Doc(value, path) as doc:
+        if doc.get("kind", _kind("point", "box")) == "point":
+            return iproj.Box.point(doc.get("x0", _numbers))
+        return _build(path, iproj.Box, doc.get("lo", _numbers), doc.get("hi", _numbers))
 
 
 def _schedule(value, path):
     """The enlargement schedule, as a function of the solved projection."""
     from . import iproj
-    doc = _Doc(value, path)
-    kind = doc.get("kind", _kind("sqrt_n", "inv_n"), "sqrt_n")
-    c = doc.get("c", _positive, None)
-    if c is not None:
-        fixed = iproj.ScheduleParams(kind=kind, c=c)
-        return lambda sol: fixed
-    return functools.partial(iproj.schedule_from_solution, kind=kind,
-                             a=doc.get("a", _positive, 1.0),
-                             margin=doc.get("margin", _positive, 1.1))
+    with _Doc(value, path) as doc:
+        kind = doc.get("kind", _kind("sqrt_n", "inv_n"), "sqrt_n")
+        c = doc.get("c", _positive, None)
+        if c is not None:
+            fixed = iproj.ScheduleParams(kind=kind, c=c)
+            return lambda sol: fixed
+        return functools.partial(iproj.schedule_from_solution, kind=kind,
+                                 a=doc.get("a", _positive, 1.0),
+                                 margin=doc.get("margin", _positive, 1.1))
 
 
 def _iproj(p):
@@ -246,15 +260,15 @@ def _gibbs(p):
 
 def _grid_weights(value, path, space, x):
     from . import measures
-    doc = _Doc(value, path)
-    kind = doc.get("kind", _kind("uniform", "gaussian", "explicit"), "uniform")
-    if kind == "uniform":
-        return measures.FiniteMeasure.uniform(space)
-    if kind == "gaussian":
-        mean, std = doc.get("mean", _number, 0.0), doc.get("std", _positive, 1.0)
-        w = np.exp(-((x - mean) ** 2) / (2.0 * std * std))
-    else:
-        w = doc.get("weights", _numbers)
+    with _Doc(value, path) as doc:
+        kind = doc.get("kind", _kind("uniform", "gaussian", "explicit"), "uniform")
+        if kind == "uniform":
+            return measures.FiniteMeasure.uniform(space)
+        if kind == "gaussian":
+            mean, std = doc.get("mean", _number, 0.0), doc.get("std", _positive, 1.0)
+            w = np.exp(-((x - mean) ** 2) / (2.0 * std * std))
+        else:
+            w = doc.get("weights", _numbers)
     if not w.sum() > 0:
         raise ConfigError(f"{path} weights must have a positive sum")
     return _build(path, measures.FiniteMeasure, space, w / w.sum())
@@ -304,10 +318,11 @@ def _lattice(p, n):
 def _calibrate(p):
     from . import tritree
     spec = _lattice(p, p.get("n", _integer))
-    payoff_doc = p.get("payoff", _Doc, {})
-    payoff_doc.get("kind", _kind("square"), "square")
-    sigma_target = payoff_doc.get("sigma_target", _positive, None)
-    target_value = payoff_doc.get("target_value", _positive, 1.0)
+    with p.get("payoff", _Doc, {}) as payoff:
+        payoff.get("kind", _kind("square"), "square")
+        sigma_target = payoff.get("sigma_target", _positive, None)
+        # read only without sigma_target, so the pair is an unread-key error
+        target_value = payoff.get("target_value", _positive, 1.0) if sigma_target is None else None
     sigma0, n_pieces = p.get("sigma0", _positive), p.get("n_pieces", _integer, 1)
     # the lattice ranges make the kernel positive for sigma in [sigma_min, sigma_max] only
     for key, sigma in (("payoff.sigma_target", sigma_target), ("sigma0", sigma0)):
@@ -324,8 +339,7 @@ def _calibrate(p):
         value = target_value
         if sigma_target is not None:
             # E[X^2] at the terminal level of the constant chain, walked as scalars
-            law = tritree._chain_walk(*([v] * spec.n for v in (
-                sigma_target, spec.b0, sigma_target, spec.b0)), spec)[0]
+            law = tritree._terminal_law([sigma_target] * spec.n, [spec.b0] * spec.n, spec)
             value = float(law @ np.square(spec.positions(spec.n)))
 
         def payoff(x):
@@ -357,8 +371,8 @@ def _gamma(p):
         rows = []
         for spec in specs:
             # constant coefficients walk as scalars: level sums, no law, no tree
-            _, h, rate, gap = tritree._chain_walk(
-                *([v] * spec.n for v in (sigma, spec.b0, sigma0, spec.b0)), spec, law=False)
+            h, rate, gap = tritree._chain_walk(
+                *([v] * spec.n for v in (sigma, spec.b0, sigma0, spec.b0)), spec)
             rows.append([spec.n, h / spec.n, rate, gap, spec.n * gap])
         return {"sweep": (["n", "H_over_n", "I_rate", "gap", "n_times_gap"], rows)}
     return compute
@@ -427,16 +441,19 @@ def _seed(doc):
 
 def _output(doc):
     """(path, format); the format defaults to json for a .json path, else csv."""
-    output = _Doc(doc.get("output"), "output")
-    path = output.get("path", _text)
-    default = "json" if os.path.splitext(path)[1] == ".json" else "csv"
-    return path, output.get("format", _kind("csv", "json"), default)
+    with _Doc(doc.get("output"), "output") as output:
+        path = output.get("path", _text)
+        default = "json" if os.path.splitext(path)[1] == ".json" else "csv"
+        return path, output.get("format", _kind("csv", "json"), default)
 
 
 def _compute_step(doc):
     params = _Doc(doc.get("params"), "params")
     experiment = doc.get("experiment")
-    return _PARSERS[experiment](params) if experiment in EXPERIMENTS else None
+    if experiment not in EXPERIMENTS:
+        return None
+    with params:
+        return _PARSERS[experiment](params)
 
 
 def _parse(doc):

@@ -10,6 +10,7 @@ constraint by entropy minimization.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -30,6 +31,8 @@ _COND_TOL = 1e-9
 # (B, 1) columns walk in blocks of columns of all n levels (163 columns at
 # n = 400), and their closed-form laws in blocks of trinomial cells.
 _WALK_CELLS = 1 << 16
+# exp underflows to exactly 0 below about -745.13
+_EXP_FLOOR = -746.0
 
 
 class CalibrationInfeasible(ValueError):
@@ -315,8 +318,7 @@ def tree_entropy_chain(surface: VolSurface, surface0: VolSurface, spec: LatticeS
     Sums, over levels, the (sigma, b)-chain expectation of the nodewise
     kernel KL. Linear work per node, usable to n in the thousands.
     """
-    return float(_chain_walk(surface.sigma, surface.b, surface0.sigma, surface0.b, spec,
-                             law=False)[1])
+    return float(_chain_walk(surface.sigma, surface.b, surface0.sigma, surface0.b, spec)[0])
 
 
 def _paths(level: int, transitions=None):
@@ -417,68 +419,72 @@ def dl_gap(surface: VolSurface, surface0: VolSurface, spec: LatticeSpec):
     the (sigma, b) chain; the scaled value staying bounded across an
     n-sweep is the O(1/n) certificate.
     """
-    worst = float(_chain_walk(surface.sigma, surface.b, surface0.sigma, surface0.b, spec,
-                              law=False)[3])
+    worst = float(_chain_walk(surface.sigma, surface.b, surface0.sigma, surface0.b, spec)[2])
     return worst, spec.n * worst
 
 
-def _chain_walk(sigma, b, sigma0, b0, spec: LatticeSpec, law=True):
-    """Walk the (sigma, b) chain from the origin against the (sigma0, b0)
-    kernels.
+def _chain_walk(sigma, b, sigma0, b0, spec: LatticeSpec):
+    """The chain-rule entropy of the (sigma, b) chain against the (sigma0,
+    b0) kernels, the mean of the rate q over the levels (I_rate at N = n)
+    and the worst gap between the two over visited nodes, per chain.
 
     Each argument is a per-level sequence whose level-k value broadcasts
     against the 2k+1 level-k nodes: a scalar is constant in space, a node
     table gives one value per node, and a (B, 1) column walks B chains at
-    once. Returns, per chain, the terminal law (None when law is false),
-    the chain-rule entropy, the mean of the rate q over the levels (I_rate
-    at N = n) and the worst gap between the two over visited nodes.
-
-    The route follows the input. When some value has a node axis (anything
-    but a scalar or a last axis of length 1), the node law is pushed level
-    by level (_push_walk). When none has, every node of a level shares its
-    kernel, KL h_k and rate q_k, so the three numbers are level sums and
-    the terminal law, computed only when law is true, is trinomial in
-    closed form on each run of equal kernels (_runs_law). These chains walk
-    in blocks of columns of about _WALK_CELLS level values, and a kernel
-    that is not strictly positive is named from the first block that holds
-    one. Each column's sums run over its own contiguous row of levels, so
-    they do not depend on the batch width.
+    once. When the last level of some value has a node axis, the node law
+    is pushed level by level (_push_walk). When none has, every node of a
+    level shares its kernel, KL h_k and rate q_k, so the three numbers are
+    level sums over each column's own contiguous row of levels, whatever
+    the batch width, in blocks of columns (_column_blocks) and with no law
+    (_terminal_law gives it); a kernel that is not strictly positive is
+    named from the first block that holds one.
     """
     n = spec.n
-    levels = (sigma, b, sigma0, b0)
-    for name, seq in zip(("sigma", "b", "sigma0", "b0"), levels):
-        if len(seq) < n:
-            raise ValueError(f"{name} has {len(seq)} levels, spec needs {n}")
-    levels = [[np.asarray(seq[k], dtype=float) for k in range(n)] for seq in levels]
-    if any(v.shape[-1:] not in ((), (1,)) for seq in levels for v in seq):
-        walked = _push_walk(spec, *levels)
-        return (walked[0] if law else None, *walked[1:])
-    stacks = [np.array(seq) for seq in levels]
-    # a column's node axis has length 1
-    stacks = [s[..., 0] if s.ndim > 1 else s for s in stacks]
-    batch = np.broadcast_shapes(*(s.shape[1:] for s in stacks))
-    width = math.prod(batch)
-    # as (n, columns); a sequence constant over the chains keeps one column
-    stacks = [s.reshape(n, 1) if s.size == n else np.broadcast_to(
-        s.reshape((n,) + (1,) * (len(batch) + 1 - s.ndim) + s.shape[1:]),
-        (n,) + batch).reshape(n, width) for s in stacks]
-    sums, laws = np.empty((3, width)), []
-    cols = max(1, _WALK_CELLS // n)
-    for first in range(0, width, cols):
-        sigma, b, sigma0, b0 = (s[:, first:first + cols] if s.shape[1] > 1 else s
-                                for s in stacks)
+    columns = _column_blocks(spec, sigma=sigma, b=b, sigma0=sigma0, b0=b0)
+    if columns is None:
+        return _push_walk(spec, sigma, b, sigma0, b0)[1:]
+    batch, blocks = columns
+    sums = np.empty((3, math.prod(batch)))
+    for cols, (sigma, b, sigma0, b0) in blocks:
         step, ref = _positive_kernels(spec, (sigma, b), (sigma0, b0))
-        shape = (n, min(cols, width - first))
-        if law:
-            laws.append(_runs_law(*(np.broadcast_to(a, shape) for a in step)))
+        shape = (n, cols.stop - cols.start)
         h, q = (np.ascontiguousarray(np.broadcast_to(a, shape).T) for a in (
             _kl(step, ref), _q(np.square(sigma), np.square(sigma0), spec.alpha_tick ** 2)))
-        sums[:, first:first + cols] = h.sum(axis=-1), q.sum(axis=-1) / n, np.abs(h - q).max(axis=-1)
-    entropy, rate, worst = (a.reshape(batch)[()] for a in sums)
-    if not law:
-        return None, entropy, rate, worst
-    law = laws[0] if len(laws) == 1 else np.concatenate(laws)
-    return law.reshape(batch + (2 * n + 1,)), entropy, rate, worst
+        sums[:, cols] = h.sum(axis=-1), q.sum(axis=-1) / n, np.abs(h - q).max(axis=-1)
+    return tuple(a.reshape(batch)[()] for a in sums)
+
+
+def _terminal_law(sigma, b, spec: LatticeSpec):
+    """The terminal law of chains of scalar or (B, 1) column coefficients,
+    which no reference changes: trinomial on each run of equal kernels
+    (_runs_law), in _chain_walk's blocks of columns."""
+    columns = _column_blocks(spec, sigma=sigma, b=b)
+    if columns is None:
+        raise ValueError("a law walk takes scalars or (B, 1) columns, not node tables")
+    batch, blocks = columns
+    laws = [_runs_law(*_positive_kernels(spec, levels)[0]) for _, levels in blocks]
+    return np.concatenate(laws).reshape(batch + (2 * spec.n + 1,))
+
+
+def _column_blocks(spec, **levels):
+    """(batch shape, blocks) of named per-level sequences of scalars or
+    (B, 1) columns, each block about _WALK_CELLS level values: (a slice of
+    columns, each sequence as an (n, columns) array, or (n, 1) where it is
+    the same for every chain). None when the last level of one has a node
+    axis; raises naming a sequence shorter than n."""
+    n = spec.n
+    for name, seq in levels.items():
+        if len(seq) < n:
+            raise ValueError(f"{name} has {len(seq)} levels, spec needs {n}")
+    if any(np.shape(seq[n - 1])[-1:] not in ((), (1,)) for seq in levels.values()):
+        return None
+    stacks = [np.array(seq[:n], dtype=float) for seq in levels.values()]
+    # a column's node axis has length 1
+    batch = np.broadcast_shapes(*(s.shape[1:-1] for s in stacks if s.ndim > 1))
+    stacks, width = [s.reshape(n, -1) for s in stacks], math.prod(batch)
+    step = max(1, _WALK_CELLS // n)
+    return batch, [(cols, [s[:, cols] if s.shape[1] > 1 else s for s in stacks])
+                   for cols in (slice(c, min(c + step, width)) for c in range(0, width, step))]
 
 
 def _runs_law(m, r, d):
@@ -511,12 +517,29 @@ def _runs_law(m, r, d):
 
 
 def _convolve(a, b):
-    """Full convolution of two batches of laws, row by row."""
+    """Full convolution of two batches of laws, row by row, each entry
+    adding its terms in the order of the shorter laws' entries i: as stacks
+    of layers i, the longer laws shifted right by i times the others'
+    entries i, summed along the leading axis, in blocks of rows whose stack
+    fits in _WALK_CELLS; by one slice per i where one row's does not."""
     if a.shape[-1] < b.shape[-1]:
         a, b = b, a
-    out = np.zeros(a.shape[:-1] + (a.shape[-1] + b.shape[-1] - 1,))
-    for i in range(b.shape[-1]):
-        out[..., i:i + a.shape[-1]] += a * b[..., i:i + 1]
+    (rows, la), lb = a.shape, b.shape[-1]
+    size = la + lb - 1
+    if lb * size > _WALK_CELLS:
+        out = np.zeros((rows, size))
+        for i in range(lb):
+            out[:, i:i + la] += a * b[:, i:i + 1]
+        return out
+    out = np.empty((rows, size))
+    block = _WALK_CELLS // (lb * size)
+    for r0 in range(0, rows, block):
+        a_r, b_r = a[r0:r0 + block], b[r0:r0 + block]
+        k = len(a_r)
+        flat = np.zeros(lb * (k * size + 1))
+        # in layers one entry longer than the stack's, layer i starts i later
+        flat.reshape(lb, -1)[:, :k * size].reshape(lb, k, size)[..., :la] = b_r.T[..., None] * a_r
+        out[r0:r0 + block] = flat[:lb * k * size].reshape(lb, k, size).sum(axis=0)
     return out
 
 
@@ -531,6 +554,28 @@ def _compensated_cumsum(x):
     return sums
 
 
+@functools.lru_cache(maxsize=4)
+def _trinomial_cells(s, first, stop):
+    """_trinomial_law's tables that depend on s alone, for offset indices
+    first..stop-1 (j + s), read-only: max(j, 0), max(-j, 0) and the log
+    multinomials, -inf where w < 0. The last 4 blocks, at most
+    4 * _WALK_CELLS cells, are kept."""
+    i = np.arange(s)
+    binom = _compensated_cumsum(np.concatenate([[0.0], np.log((s - i) / (i + 1.0))]))
+    j = np.arange(first, stop) - s
+    # the block's offset nearest 0 has the most cells
+    t = np.arange((s - np.abs(j).min()) // 2 + 1)[:, None]
+    u, v, w = t + np.maximum(j, 0), t + np.maximum(-j, 0), s - np.abs(j) - 2 * t
+    # the step out of an offset's last cell (w < 2) is a finite placeholder
+    ratios = np.log(np.maximum(w * (w - 1.0), 1.0) / ((u + 1.0) * (v + 1.0)))
+    coef = _compensated_cumsum(np.concatenate([binom[np.abs(j)][None], ratios[:-1]]))
+    coef[w < 0] = -np.inf
+    cells = np.maximum(j, 0), np.maximum(-j, 0), coef
+    for a in cells:
+        a.setflags(write=False)
+    return cells
+
+
 def _trinomial_law(s, m, r, d):
     """Law of the offset after s steps of the kernel (m, r, d), for arrays
     of kernels: shape (len(m), 2s + 1), offsets -s..s.
@@ -540,46 +585,41 @@ def _trinomial_law(s, m, r, d):
     u = t + max(j, 0), v = t + max(-j, 0) and w = s - |j| - 2t; its exponent
     is the column-free log multinomial plus
     s log r + max(j, 0) log(m/r) + max(-j, 0) log(d/r) + t log(md/r^2).
-    The log multinomials are compensated running sums of the logs of the
-    ratios of neighbouring cells, along t from log C(s, |j|), itself such a
-    sum from log C(s, 0) = 0: log k! is about 6e3 at s = 1000, and its
-    rounding alone would move the law by 3e-14. Work goes in blocks of about
-    _WALK_CELLS cells, first of offsets, then of columns; each offset's terms
-    are summed in the order of t, whatever the block.
+    The log multinomials (_trinomial_cells) are compensated running sums of
+    the logs of the ratios of neighbouring cells, along t from log C(s, |j|),
+    itself such a sum from log C(s, 0) = 0: log k! is about 6e3 at s = 1000,
+    and its rounding alone would move the law by 3e-14. Work goes in blocks
+    of about _WALK_CELLS cells, first of offsets, then of columns; each
+    offset's terms are summed in the order of t, whatever the block. Only
+    exponents above _EXP_FLOOR are exponentiated and summed: any other
+    cell's term, w < 0 included, is exactly 0, so every sum keeps its bits.
     """
-    i = np.arange(s)
-    binom = _compensated_cumsum(np.concatenate([[0.0], np.log((s - i) / (i + 1.0))]))
     stay, up, down = s * np.log(r), np.log(m / r), np.log(d / r)
     slope = up + down
-    offsets = np.arange(-s, s + 1)
-    t = np.arange(s // 2 + 1)[:, None]
     law = np.empty((len(m), 2 * s + 1))
-    rows = max(1, _WALK_CELLS // len(t))
+    # two offsets at least: numpy sums a lone offset's terms pairwise, not in order
+    rows = max(2, _WALK_CELLS // (s // 2 + 1))
     for j0 in range(0, 2 * s + 1, rows):
-        j = offsets[j0:j0 + rows]
-        # the block's offset nearest 0 has the most cells
-        tj = t[:(s - np.abs(j).min()) // 2 + 1]
-        u, v, w = tj + np.maximum(j, 0), tj + np.maximum(-j, 0), s - np.abs(j) - 2 * tj
-        # the step out of an offset's last cell (w < 2) is a finite placeholder
-        ratios = np.log(np.maximum(w * (w - 1.0), 1.0) / ((u + 1.0) * (v + 1.0)))
-        coef = _compensated_cumsum(np.concatenate([binom[np.abs(j)][None], ratios[:-1]]))
-        coef[w < 0] = -np.inf
+        jp, jm, coef = _trinomial_cells(s, j0, min(j0 + rows, 2 * s + 1))
+        t = np.arange(len(coef))[:, None]
         cols = max(1, _WALK_CELLS // coef.size)
         block = np.empty((min(cols, len(m)),) + coef.shape)
         for c0 in range(0, len(m), cols):
             c = slice(c0, c0 + cols)
-            row = stay[c, None] + np.maximum(j, 0) * up[c, None] + np.maximum(-j, 0) * down[c, None]
+            row = stay[c, None] + jp * up[c, None] + jm * down[c, None]
             terms = np.add(coef, row[:, None, :], out=block[:len(row)])
-            terms += tj * slope[c, None, None]
-            law[c, j0:j0 + rows] = np.exp(terms, out=terms).sum(axis=1)
+            terms += t * slope[c, None, None]
+            live = terms > _EXP_FLOOR
+            np.exp(terms, out=terms, where=live)
+            law[c, j0:j0 + len(jp)] = np.sum(terms, axis=1, where=live)
     return law
 
 
 def _push_walk(spec, sigma, b, sigma0, b0):
-    """_chain_walk for any coefficients, law included: push the node law
-    forward level by level. The kernels, their KL and q are evaluated on
-    level stacks, one block of levels at a time (_level_blocks), so the
-    level loop only sums and pushes."""
+    """The terminal law and _chain_walk's sums for any coefficients: push
+    the node law forward level by level. The kernels, their KL and q are
+    evaluated on level stacks, one block of levels at a time (_level_blocks),
+    so the level loop only sums and pushes."""
     prob = np.ones(1)
     entropy = rate = worst = 0.0
     blocks = _level_blocks(spec, sigma=sigma, b=b, sigma0=sigma0, b0=b0)
@@ -617,7 +657,7 @@ def I_rate(surface: VolSurface, surface0: VolSurface, spec: LatticeSpec,
         raise ValueError("N must lie between the minimal level and spec.n")
     # the walk reads only the levels below N, so neither surface is truncated
     return float(_chain_walk(surface.sigma, surface.b, surface0.sigma, [0.0] * N,
-                             replace(spec, n=N), law=False)[2])
+                             replace(spec, n=N))[1])
 
 
 @dataclass(frozen=True)
@@ -732,7 +772,9 @@ def _dyadic_points(t_feas, t_infeas):
     depend on which of a, b is feasible."""
     level = np.stack([t_feas, t_infeas])
     for _ in range(_BISECT_AHEAD):
-        level = np.insert(level, np.arange(1, len(level)), 0.5 * (level[:-1] + level[1:]), axis=0)
+        finer = np.empty((2 * len(level) - 1, level.shape[1]))
+        finer[::2], finer[1::2] = level, 0.5 * (level[:-1] + level[1:])
+        level = finer
     # the inner rows, ends excluded
     return level[1:-1].ravel()
 
@@ -785,11 +827,12 @@ def calibrate(problem: CalibProblem, spec: LatticeSpec, epsilon: float) -> Calib
     few steps: every point their next _BISECT_AHEAD or _GOLDEN_AHEAD steps
     can ask for. Each column of a batch walks as it would alone, so every
     decision is the one a walk per step would make. The scan and the
-    bisection read terminal laws; the golden section reads entropies only,
-    which a constant sigma0 gives as level sums with no law. The result's
-    entropy is the one the search found; one last walk of theta gives its
-    moment. At n = 40 that is 21 walks for one piece, 13 of them with a
-    law, and 65 for two, 39 with a law.
+    bisection read terminal laws alone, which walk no reference
+    (_terminal_law); the golden section reads entropies only, which a
+    constant sigma0 gives as level sums with no law. The result's entropy
+    is the one the search found; one last law walk of theta gives its
+    moment. At n = 40 that is 21 walks for one piece, 13 of them law walks,
+    and 65 for two, 39 of them law walks.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -800,6 +843,11 @@ def calibrate(problem: CalibProblem, spec: LatticeSpec, epsilon: float) -> Calib
         sigma0, b0 = problem.sigma0.sigma, problem.sigma0.b
     else:
         sigma0, b0 = [float(problem.sigma0)] * n, [spec.b0] * n
+    if len(sigma0) < n:
+        raise ValueError(f"sigma0 has {len(sigma0)} levels, spec needs {n}")
+    # the law walks take no reference, so its kernels are checked here
+    for _, levels in _level_blocks(spec, sigma=sigma0, b=b0):
+        _positive_kernels(spec, levels)
     block = [min(k * p // n, p - 1) for k in range(n)]
     payoff = np.array([float(problem.payoff(x)) for x in spec.positions(n)])
     span = spec.sigma_max - spec.sigma_min
@@ -813,7 +861,7 @@ def calibrate(problem: CalibProblem, spec: LatticeSpec, epsilon: float) -> Calib
         return [pieces[i] for i in block], [spec.b0] * n, sigma0, b0
 
     def moments(thetas):
-        return np.vecdot(_chain_walk(*chains(thetas), spec)[0], payoff)
+        return np.vecdot(_terminal_law(*chains(thetas)[:2], spec), payoff)
 
     def search(axis, n_scan):
         """The entropy-minimal feasible point t of the line that sets the
@@ -828,7 +876,7 @@ def calibrate(problem: CalibProblem, spec: LatticeSpec, epsilon: float) -> Calib
         if not segments:
             return None, None, best_gap
         points, values = _golden_min(
-            lambda t: _chain_walk(*chains(line(t)), spec, law=False)[1],
+            lambda t: _chain_walk(*chains(line(t)), spec)[0],
             *np.array(segments).T, tol)
         best = np.argmin(values)
         return points[best], float(values[best]), best_gap
@@ -886,8 +934,7 @@ def trinomial_weak_convergence_probe(sigma_sequence, spec_sequence,
     ref_mean, ref_var = reference_sde_moments
     rows = []
     for sigma_value, spec in zip(sigma_sequence, spec_sequence):
-        law = _chain_walk(*([v] * spec.n for v in (
-            float(sigma_value), spec.b0, float(sigma_value), spec.b0)), spec)[0]
+        law = _terminal_law([float(sigma_value)] * spec.n, [spec.b0] * spec.n, spec)
         xs = spec.positions(spec.n)
         mean, second = float(law @ xs), float(law @ (xs * xs))
         rows.append({

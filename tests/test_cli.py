@@ -677,8 +677,8 @@ class TestRunGamma:
     def test_walks_once_per_n_and_builds_no_tree(self, monkeypatch, tmp_path):
         # constant coefficients give level sums: no law, no table, no tree
         walks, built, real_walk = [], [], tritree._chain_walk
-        monkeypatch.setattr(tritree, "_chain_walk", lambda *args, law=True:
-                            walks.append((args[-1].n, law)) or real_walk(*args, law=law))
+        monkeypatch.setattr(tritree, "_chain_walk", lambda *args:
+                            walks.append(args[-1].n) or real_walk(*args))
         for name in ("_runs_law", "_push_walk"):
             monkeypatch.setattr(tritree, name, lambda *args: built.append(args))
         monkeypatch.setattr(tritree, "build_tree", lambda *args: built.append(args))
@@ -688,7 +688,7 @@ class TestRunGamma:
         run({"experiment": "gamma", "seed": 2, "output": {"path": "sweep.csv"},
              "params": {**lattice, "sigma": 1.1, "sigma0": 1.3, "n_list": [8, 16]}},
             out_dir=str(tmp_path))
-        assert walks == [(8, False), (16, False)]
+        assert walks == [8, 16]
         assert built == []
 
 
@@ -778,6 +778,48 @@ MUTATIONS = [
     for path, in_object in _nodes(params)
     for action in (["delete"] if in_object else []) + [("set", v) for v in REPLACEMENTS]
 ]
+
+
+UNREAD = "is not read: unknown, or unused with the other keys"
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("experiment", sorted(SMALL_PARAMS))
+def test_a_key_no_parser_reads_exits_config(runner, tmp_path, command, experiment):
+    doc = {"experiment": experiment, "seed": 1, "output": {"path": "x.csv", "fmt": "csv"},
+           "params": {**SMALL_PARAMS[experiment], "bogus_key": 1}}
+    out = ["--out", str(tmp_path)] if command == "run" else []
+    result = runner.invoke(main, [command, "--config", write_config(tmp_path, doc), *out])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.output)["diagnostics"] == [f"output.fmt {UNREAD}",
+                                                       f"params.bogus_key {UNREAD}"]
+    assert not list(tmp_path.glob("x*"))
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("experiment, params, keys", [
+    # a typo that ran with the default of one piece
+    ("calibrate", {"n_piece": 2}, ["params.n_piece"]),
+    ("covering", {"points": [0.0, 0.5, 1.0]}, ["params.grid"]),
+    ("gibbs", {"schedule": {"kind": "sqrt_n", "c": 0.5, "a": 2.0, "margin": 1.5}},
+     ["params.schedule.a", "params.schedule.margin"]),
+    ("bridge", {"grid": {"start": -1.0, "stop": 1.0, "num": 5, "step": 0.5}},
+     ["params.grid.step"]),
+    ("bridge", {"nu0": {"kind": "uniform", "std": 2.0}}, ["params.nu0.std"]),
+    ("iproj", {"target": {"kind": "point", "x0": [0.7], "hi": [0.8]}}, ["params.target.hi"]),
+    # the target value used to be dropped for the one sigma_target gives
+    ("calibrate", {"payoff": {"kind": "square", "sigma_target": 1.1, "target_value": 5.0}},
+     ["params.payoff.target_value"]),
+], ids=["typo", "covering_points_and_grid", "schedule_c_with_a_and_margin", "grid", "weights",
+        "target", "payoff_sigma_target_and_target_value"])
+def test_keys_the_other_keys_leave_unread_exit_config(runner, tmp_path, command, experiment,
+                                                      params, keys):
+    doc = {"experiment": experiment, "seed": 1, "output": {"path": "x.csv"},
+           "params": {**SMALL_PARAMS[experiment], **params}}
+    out = ["--out", str(tmp_path)] if command == "run" else []
+    result = runner.invoke(main, [command, "--config", write_config(tmp_path, doc), *out])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.output)["diagnostics"] == [f"{key} {UNREAD}" for key in keys]
 
 
 @settings(derandomize=True, deadline=None, max_examples=500)

@@ -2,11 +2,14 @@
 
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 from itertools import product as iter_product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from entroproj import tritree
@@ -463,8 +466,20 @@ class TestDlGap:
         assert raw[-1] < raw[0] / 4
 
 
+def law_and_sums(sigma, b, sigma0, b0, spec):
+    """The terminal law by _chain_walk's route, _push_walk's where some
+    last level has a node axis and _terminal_law's where none has, then
+    _chain_walk's entropy, rate and worst gap."""
+    levels = (sigma, b, sigma0, b0)
+    if any(np.shape(seq[spec.n - 1])[-1:] not in ((), (1,)) for seq in levels):
+        law = tritree._push_walk(spec, *levels)[0]
+    else:
+        law = tritree._terminal_law(sigma, b, spec)
+    return (law, *_chain_walk(*levels, spec))
+
+
 def walk(surface, surface0, spec):
-    return _chain_walk(surface.sigma, surface.b, surface0.sigma, surface0.b, spec)
+    return law_and_sums(surface.sigma, surface.b, surface0.sigma, surface0.b, spec)
 
 
 def assert_walks_agree(got, want):
@@ -497,7 +512,7 @@ class TestChainWalk:
         thetas = rng.uniform(0.7, 1.3, (5, spec.n))
         drifts = rng.uniform(0.13, 0.17, spec.n)
         surf0 = random_surface(rng, spec)
-        law, entropy, rate, gap = _chain_walk(
+        law, entropy, rate, gap = law_and_sums(
             [thetas[:, [k]] for k in range(spec.n)], drifts, surf0.sigma, surf0.b, spec)
         assert law.shape == (5, 2 * spec.n + 1) and entropy.shape == (5,)
         for row, theta in enumerate(thetas):
@@ -519,11 +534,11 @@ class TestChainWalk:
         else:
             surf0 = random_surface(rng, spec, b_lo=spec.b0, b_hi=spec.b0)
             sigma0, b0 = surf0.sigma, surf0.b
-        law, entropy, rate, gap = _chain_walk(columns, [spec.b0] * spec.n, sigma0, b0, spec)
+        law, entropy, rate, gap = law_and_sums(columns, [spec.b0] * spec.n, sigma0, b0, spec)
         assert law.shape == (width, 2 * spec.n + 1)
         for row in range(width):
-            one = _chain_walk([c[row:row + 1] for c in columns], [spec.b0] * spec.n,
-                              sigma0, b0, spec)
+            one = law_and_sums([c[row:row + 1] for c in columns], [spec.b0] * spec.n,
+                               sigma0, b0, spec)
             assert np.array_equal(law[row], one[0][0])
             assert (entropy[row], rate[row], gap[row]) == (one[1][0], one[2][0], one[3][0])
 
@@ -535,7 +550,7 @@ class TestChainWalk:
         spec = wide_spec(n)
         surf = VolSurface.constant(spec, 1.1, spec.b0)
         surf0 = VolSurface.constant(spec, 1.3, spec.b0)
-        got = _chain_walk(*([v] * n for v in (1.1, spec.b0, 1.3, spec.b0)), spec)
+        got = law_and_sums(*([v] * n for v in (1.1, spec.b0, 1.3, spec.b0)), spec)
         want = walk(surf, surf0, spec)
         assert_walks_agree(got, want)
         assert got[3] == want[3]
@@ -562,7 +577,7 @@ class TestChainWalk:
         args = (sigma, [drift[i] for i in piece], [sig0[i] for i in shifted],
                 [drift0[i] for i in shifted])
         # the push walks any input, so it is the closed form's oracle
-        assert_walks_agree(_chain_walk(*args, spec), tritree._push_walk(spec, *args))
+        assert_walks_agree(law_and_sums(*args, spec), tritree._push_walk(spec, *args))
 
     @pytest.mark.parametrize("width", [1, 2, 9])
     def test_columns_of_different_runs_walk_as_they_would_alone(self, rng, width):
@@ -574,9 +589,9 @@ class TestChainWalk:
         pieces[::3, 2] = pieces[::3, 1]
         piece = [min(k * 3 // 57, 2) for k in range(57)]
         rest = ([spec.b0] * 57, [1.2] * 57, [spec.b0] * 57)
-        law, *numbers = _chain_walk([pieces[:, [i]] for i in piece], *rest, spec)
+        law, *numbers = law_and_sums([pieces[:, [i]] for i in piece], *rest, spec)
         for row in range(width):
-            one = _chain_walk([pieces[row:row + 1, [i]] for i in piece], *rest, spec)
+            one = law_and_sums([pieces[row:row + 1, [i]] for i in piece], *rest, spec)
             assert np.array_equal(law[row], one[0][0])
             assert [x[row] for x in numbers] == [x[0] for x in one[1:]]
 
@@ -584,11 +599,11 @@ class TestChainWalk:
         spec = wide_spec(40)
         columns = [rng.uniform(0.7, 1.3, (5, 1)) for _ in range(40)]
         args = (columns, [spec.b0] * 40, [1.2] * 40, [spec.b0] * 40)
-        want = _chain_walk(*args, spec)[1:]
+        want = law_and_sums(*args, spec)[1:]
         for name in ("_runs_law", "_push_walk"):
             monkeypatch.setattr(tritree, name, lambda *a: pytest.fail("a law was computed"))
-        law, *sums = _chain_walk(*args, spec, law=False)
-        assert law is None
+        sums = _chain_walk(*args, spec)
+        assert len(sums) == 3
         for got, ref in zip(sums, want):
             assert np.array_equal(got, ref)
 
@@ -600,13 +615,26 @@ class TestChainWalk:
         columns = [rng.uniform(0.7, 1.3, (400, 1))] * 1000
         tracemalloc.start()
         try:
-            law = _chain_walk(columns, [spec.b0] * 1000, [1.2] * 1000, [spec.b0] * 1000,
-                              spec)[0]
+            law = tritree._terminal_law(columns, [spec.b0] * 1000, spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert law.shape == (400, 2001)
         assert peak < 32 << 20
+
+    def test_two_run_law_memory_is_bounded(self, rng):
+        # two runs of 500 levels: one row's stack of layers for their
+        # convolution would take 16 MB, so it adds slice by slice instead
+        spec = wide_spec(1000)
+        columns = [rng.uniform(0.7, 1.3, (60, 1))] * 500 + [rng.uniform(0.7, 1.3, (60, 1))] * 500
+        tracemalloc.start()
+        try:
+            law = tritree._terminal_law(columns, [spec.b0] * 1000, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert law.shape == (60, 2001)
+        assert peak < 16 << 20
 
     @pytest.mark.parametrize("short", ["sigma", "b", "sigma0", "b0"])
     def test_every_sequence_needs_n_levels(self, short):
@@ -656,7 +684,7 @@ class TestChainWalk:
             "scalars": (list(rng.uniform(0.7, 1.3, 23)), [spec.b0] * 23, [1.2] * 23,
                         list(rng.uniform(0.13, 0.17, 23))),
         }[case]
-        got, want = _chain_walk(*args, spec), reference(*args, spec)
+        got, want = law_and_sums(*args, spec), reference(*args, spec)
         if case == "scalars":
             # no node axis: level sums and the closed-form law
             assert_walks_agree(got, want)
@@ -693,10 +721,10 @@ class TestChainWalk:
         columns = [rng.uniform(0.7, 1.3, (3, 1)) for _ in range(23)]
         cases = [(surf.sigma, surf.b, surf0.sigma, surf0.b),
                  (columns, [spec.b0] * 23, surf0.sigma, surf0.b)]
-        whole = [_chain_walk(*args, spec) for args in cases]
+        whole = [law_and_sums(*args, spec) for args in cases]
         monkeypatch.setattr(tritree, "_WALK_CELLS", cells)
         for args, want in zip(cases, whole):
-            for got, ref in zip(_chain_walk(*args, spec), want):
+            for got, ref in zip(law_and_sums(*args, spec), want):
                 assert got.shape == ref.shape and np.array_equal(got, ref)
 
     def test_node_table_walk_memory_is_bounded(self, rng):
@@ -733,6 +761,120 @@ class TestChainWalk:
                  spec)
         assert str(failed.value) == ("kernel not strictly positive at n=8: weights "
                                      "(0.0252708, 0.975975, -0.00124575) at (y, z)=(0.31, 0.15)")
+
+
+def dense_trinomial_law(s, m, r, d):
+    """_trinomial_law as one dense block: every cell (t, j) of every offset
+    exponentiated, those with w < 0 at -inf, and summed over t in order."""
+    i = np.arange(s)
+    binom = tritree._compensated_cumsum(np.concatenate([[0.0], np.log((s - i) / (i + 1.0))]))
+    j = np.arange(-s, s + 1)
+    t = np.arange(s // 2 + 1)[:, None]
+    u, v, w = t + np.maximum(j, 0), t + np.maximum(-j, 0), s - np.abs(j) - 2 * t
+    ratios = np.log(np.maximum(w * (w - 1.0), 1.0) / ((u + 1.0) * (v + 1.0)))
+    coef = tritree._compensated_cumsum(np.concatenate([binom[np.abs(j)][None], ratios[:-1]]))
+    coef[w < 0] = -np.inf
+    stay, up, down = s * np.log(r), np.log(m / r), np.log(d / r)
+    terms = coef + (stay[:, None] + np.maximum(j, 0) * up[:, None]
+                    + np.maximum(-j, 0) * down[:, None])[:, None, :]
+    terms += t * (up + down)[:, None, None]
+    return np.exp(terms).sum(axis=1)
+
+
+def looped_convolve(a, b):
+    """_convolve as one slice update per entry of the shorter law."""
+    if a.shape[-1] < b.shape[-1]:
+        a, b = b, a
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + b.shape[-1] - 1,))
+    for i in range(b.shape[-1]):
+        out[..., i:i + a.shape[-1]] += a * b[..., i:i + 1]
+    return out
+
+
+def kernels_of(sigmas, spec, b=0.15):
+    return tritree._kernel_arrays(np.asarray(sigmas, dtype=float), np.full(len(sigmas), b), spec)
+
+
+class TestLawKernels:
+    """The closed-form law's kernels against their dense and looped forms,
+    bit for bit."""
+
+    @pytest.mark.parametrize("s", [1, 2, 5, 20, 40, 41, 400])
+    def test_trinomial_law_matches_every_cell_summed_in_order(self, rng, s):
+        # at s = 400 the 0.7 kernel's far offsets underflow to exactly 0,
+        # and the law runs in three blocks of offsets and in blocks of one column
+        spec = wide_spec(400)
+        m, r, d = kernels_of([0.7, 1.39] + list(rng.uniform(0.6, 1.4, 3 if s >= 400 else 30)),
+                             spec)
+        law = tritree._trinomial_law(s, m, r, d)
+        assert np.array_equal(law, dense_trinomial_law(s, m, r, d))
+        assert np.any(law[0] == 0.0) == (s >= 400)
+
+    @pytest.mark.parametrize("cells", [1, 60, 700])
+    def test_trinomial_law_blocks_keep_the_bits(self, monkeypatch, rng, cells):
+        spec = wide_spec(41)
+        m, r, d = kernels_of(rng.uniform(0.6, 1.4, 9), spec)
+        monkeypatch.setattr(tritree, "_WALK_CELLS", cells)
+        assert np.array_equal(tritree._trinomial_law(41, m, r, d),
+                              dense_trinomial_law(41, m, r, d))
+
+    def test_cell_tables_are_read_only_and_few(self):
+        cells = tritree._trinomial_cells(40, 0, 81)
+        assert not any(a.flags.writeable for a in cells)
+        table = weakref.ref(cells[2])
+        del cells
+        # 16 blocks of offsets at s = 1000 go through a cache of 4
+        tritree._trinomial_law(1000, *kernels_of([1.1], wide_spec(1000)))
+        assert tritree._trinomial_cells.cache_info().currsize <= 4
+        assert table() is None
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(1, 60),
+           st.lists(st.tuples(st.floats(0.01, 0.45), st.floats(0.01, 0.45)),
+                    min_size=1, max_size=4))
+    def test_any_kernel_triples_match_the_dense_law(self, s, pairs):
+        m, d = (np.array(x) for x in zip(*pairs))
+        r = 1.0 - (m + d)
+        law = tritree._trinomial_law(s, m, r, d)
+        assert np.array_equal(law, dense_trinomial_law(s, m, r, d))
+        half = law[:, :s + 1]
+        assert np.array_equal(tritree._convolve(law, half), looped_convolve(law, half))
+
+    @pytest.mark.parametrize("sizes", [(41, 41, 30), (81, 3, 5), (1, 7, 2), (201, 101, 4),
+                                       (1, 1, 3)])
+    @pytest.mark.parametrize("cells", [1, 101 * 301, 1 << 16])
+    def test_convolve_matches_the_slice_loop(self, monkeypatch, rng, sizes, cells):
+        la, lb, rows = sizes
+        a, b = rng.random((rows, la)), rng.random((rows, lb))
+        monkeypatch.setattr(tritree, "_WALK_CELLS", cells)
+        for x, y in ((a, b), (b, a)):
+            assert np.array_equal(tritree._convolve(x, y), looped_convolve(x, y))
+
+    @pytest.mark.parametrize("shape", ["scalars", "columns"])
+    @pytest.mark.parametrize("runs", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 40, 57, 300])
+    def test_law_walk_is_the_runs_law_of_its_kernels(self, rng, n, runs, shape):
+        # the blocked walk against _runs_law of every chain's kernels in one
+        # (levels, chains) stack, bit for bit; a surface reference pushes
+        # the same chain's law, equal within the closed form's tolerance
+        spec = wide_spec(n)
+        piece = [min(k * runs // n, runs - 1) for k in range(n)]
+        sig = rng.uniform(0.7, 1.3, (6, runs))
+        sig[::2, -1] = sig[::2, 0]
+        sigma = [sig[0, i] for i in piece] if shape == "scalars" else [sig[:, [i]] for i in piece]
+        b = list(rng.uniform(0.13, 0.17, n))
+        law = tritree._terminal_law(sigma, b, spec)
+        step = tritree._kernel_arrays(np.array(sigma).reshape(n, -1), np.array(b)[:, None], spec)
+        want = tritree._runs_law(*np.broadcast_arrays(*step))
+        assert np.array_equal(law, want if shape == "columns" else want[0])
+        surf0 = random_surface(rng, spec)
+        assert_walks_agree((law,), (tritree._push_walk(spec, sigma, b, surf0.sigma, surf0.b)[0],))
+
+    def test_law_walk_takes_no_node_tables(self, rng):
+        spec = wide_spec(8)
+        surf = random_surface(rng, spec)
+        with pytest.raises(ValueError, match="not node tables"):
+            tritree._terminal_law(surf.sigma, surf.b, spec)
 
 
 class TestIRate:
@@ -1017,17 +1159,19 @@ class TestCalibrate:
     @pytest.mark.parametrize("pieces, walks, laws", [(1, 21, 13), (2, 65, 39)])
     def test_walk_count_at_the_benchmark_size(self, monkeypatch, pieces, walks, laws):
         # the golden section reads level sums only; the scan, the bisection
-        # and the last walk of theta read laws
-        read_law, computed, real_walk, real_law = [], [], tritree._chain_walk, tritree._runs_law
-        monkeypatch.setattr(tritree, "_chain_walk", lambda *args, law=True:
-                            read_law.append(law) or real_walk(*args, law=law))
-        monkeypatch.setattr(tritree, "_runs_law",
-                            lambda *args: computed.append(args) or real_law(*args))
+        # and the last walk of theta read laws alone, and evaluate no KL or
+        # rate q against the reference
+        calls = {name: [] for name in ("_chain_walk", "_terminal_law", "_runs_law", "_kl", "_q")}
+        for name, seen in calls.items():
+            real = getattr(tritree, name)
+            monkeypatch.setattr(tritree, name, lambda *args, real=real, seen=seen, **kwargs:
+                                seen.append(kwargs) or real(*args, **kwargs))
         spec = wide_spec(40)
         payoff = normalized_square_payoff(spec, 1.1)
         calibrate(CalibProblem(sigma0=1.2, payoff=payoff, n_pieces=pieces), spec, 0.01)
-        assert len(read_law) == walks
-        assert read_law.count(True) == len(computed) == laws
+        assert calls["_chain_walk"] == [{}] * (walks - laws)
+        assert len(calls["_terminal_law"]) == len(calls["_runs_law"]) == laws
+        assert len(calls["_kl"]) == len(calls["_q"]) == walks - laws
 
     @pytest.mark.parametrize("n, pieces, theta, moment", PUSH_WALK_PINS,
                              ids=[f"{n}-{pieces}" for n, pieces, *_ in PUSH_WALK_PINS])
@@ -1041,8 +1185,21 @@ class TestCalibrate:
         columns = [result.theta_star[None, [i]] for i in range(pieces)]
         block = [min(k * pieces // n, pieces - 1) for k in range(n)]
         walked = _chain_walk([columns[i] for i in block], [spec.b0] * n,
-                             [1.2] * n, [spec.b0] * n, spec, law=False)
-        assert result.entropy == walked[1][0]
+                             [1.2] * n, [spec.b0] * n, spec)
+        assert result.entropy == walked[0][0]
+
+    @pytest.mark.parametrize("sigma0, message", [
+        ("short", "sigma0 has 10 levels, spec needs 40"),
+        (0.1, "kernel not strictly positive"),
+    ], ids=["short", "not_positive"])
+    def test_checks_the_reference_before_the_search(self, sigma0, message):
+        # the scan walks no reference, and no scan point is feasible here
+        spec = wide_spec(40)
+        if sigma0 == "short":
+            sigma0 = VolSurface.constant(spec, 1.3, spec.b0).truncated(10)
+        problem = CalibProblem(sigma0=sigma0, payoff=lambda x: x * x / 10.0)
+        with pytest.raises(ValueError, match=message):
+            calibrate(problem, spec, 0.01)
 
     def test_unreachable_band_rejected(self):
         spec = wide_spec(20)
