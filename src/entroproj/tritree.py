@@ -26,10 +26,9 @@ _GOLDEN_AHEAD = 3
 _GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-6
 _COND_TOL = 1e-9
-# Elements of one block of a lattice walk's work. The push walks node tables
-# in blocks of levels (32 levels of 2n - 1 nodes at n = 1000). Scalars and
-# (B, 1) columns walk in blocks of columns of all n levels (163 columns at
-# n = 400), and their closed-form laws in blocks of trinomial cells.
+# Elements of one block of a lattice walk's work. Scalars and (B, 1) columns
+# walk in blocks of columns of all n levels (163 columns at n = 400), and
+# their closed-form laws in blocks of trinomial cells.
 _WALK_CELLS = 1 << 16
 # exp underflows to exactly 0 below about -745.13
 _EXP_FLOOR = -746.0
@@ -57,6 +56,8 @@ class LatticeSpec:
     s: float
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"n must be an integer, not {self.n!r}")
         ranges = dict(alpha_tick=self.alpha_tick, sigma_min=self.sigma_min,
                       sigma_max=self.sigma_max, b0=self.b0, s=self.s)
         named = ", ".join(f"{key}={value!r}" for key, value in ranges.items())
@@ -143,6 +144,8 @@ class VolSurface:
         return cls(sigma=tuple(sig), b=tuple(drift))
 
     def truncated(self, levels: int) -> "VolSurface":
+        if levels < 0:
+            raise ValueError("level out of range")
         if levels > self.levels:
             raise ValueError("cannot extend a surface by truncation")
         return VolSurface(sigma=self.sigma[:levels], b=self.b[:levels])
@@ -162,7 +165,8 @@ def _kernel_arrays(y, z, spec):
 
 
 def _positive_kernels(spec, *coefficients):
-    """The kernels (m, r, d) of (y, z) level stacks, level on axis 0.
+    """The kernels (m, r, d) of (y, z) pairs with levels on axis 0: a block
+    of _column_blocks' columns, or one level with an axis of length 1.
 
     One check covers them all. A weight that fails strict positivity, the
     signature of n below the minimal level for these (y, z), raises naming
@@ -183,47 +187,6 @@ def _positive_kernels(spec, *coefficients):
             "at (y, z)=({!r}, {!r})".format(spec.n, *at)
         )
     return kernels
-
-
-def _level_stacks(spec, rows, **levels):
-    """Levels ``rows`` (a range) of each named per-level sequence as one
-    array, level on axis 0 and lattice node on the last, all of one rank so
-    that they broadcast level by level.
-
-    A scalar or a (B, 1) column stacks as it is. A node table (length 2k+1
-    at level k) is edge-padded to the 2n-1 nodes of the widest level, and
-    _window reads level k back out of it.
-    """
-    n = spec.n
-    nodes = np.arange(1 - n, n)
-    stacks = []
-    for seq in levels.values():
-        values = (np.asarray(seq[k], dtype=float) for k in rows)
-        stack = np.array([v[np.clip(nodes + k, 0, 2 * k)] if v.ndim == 1 else v
-                          for k, v in zip(rows, values)])
-        stacks.append(stack if stack.ndim > 1 else stack[:, None])
-    rank = max(s.ndim for s in stacks)
-    return [s.reshape(s.shape[:1] + (1,) * (rank - s.ndim) + s.shape[1:]) for s in stacks]
-
-
-def _level_blocks(spec, **levels):
-    """The level stacks of consecutive blocks of levels, as (first level,
-    stacks), each block about _WALK_CELLS broadcast elements long as the
-    widest (last) level counts them."""
-    n = spec.n
-    widest = np.broadcast_shapes(*(np.shape(seq[n - 1]) for seq in levels.values()))
-    rows = max(1, _WALK_CELLS // math.prod(widest))
-    for first in range(0, n, rows):
-        yield first, _level_stacks(spec, range(first, min(first + rows, n)), **levels)
-
-
-def _window(stack, k, first=0):
-    """Level k of a level stack whose axis 0 starts at level ``first``: its
-    2k+1 nodes of a padded node axis, or the whole node axis when that has
-    length 1."""
-    centre = stack.shape[-1] // 2
-    half = min(k, centre)
-    return stack[k - first, ..., centre - half:centre + half + 1]
 
 
 def kernel(y: float, z: float, spec: LatticeSpec):
@@ -286,15 +249,16 @@ def build_tree(surface: VolSurface, spec: LatticeSpec) -> TrinomialTree:
     level-k coefficients; raises where a kernel is not strictly positive."""
     if surface.levels < spec.n:
         raise ValueError(f"surface has {surface.levels} levels, spec needs {spec.n}")
-    (m, r, d), = _positive_kernels(
-        spec, _level_stacks(spec, range(spec.n), sigma=surface.sigma, b=surface.b))
     return TrinomialTree(spec, tuple(
-        np.column_stack([_window(a, k) for a in (m, r, d)]) for k in range(spec.n)
+        np.stack(_positive_kernels(spec, ([surface.sigma[k]], [surface.b[k]]))[0], axis=-1)[0]
+        for k in range(spec.n)
     ))
 
 
 def expectation(tree: TrinomialTree, payoff, level: int) -> float:
     """Mean of payoff(X) at the given level; payoff maps a real to a real."""
+    if not 0 <= level <= tree.spec.n:
+        raise ValueError("level out of range")
     xs = tree.spec.positions(level)
     values = np.array([float(payoff(x)) for x in xs])
     return float(tree.node_prob[level] @ values)
@@ -431,13 +395,13 @@ def _chain_walk(sigma, b, sigma0, b0, spec: LatticeSpec):
     Each argument is a per-level sequence whose level-k value broadcasts
     against the 2k+1 level-k nodes: a scalar is constant in space, a node
     table gives one value per node, and a (B, 1) column walks B chains at
-    once. When the last level of some value has a node axis, the node law
-    is pushed level by level (_push_walk). When none has, every node of a
-    level shares its kernel, KL h_k and rate q_k, so the three numbers are
-    level sums over each column's own contiguous row of levels, whatever
-    the batch width, in blocks of columns (_column_blocks) and with no law
-    (_terminal_law gives it); a kernel that is not strictly positive is
-    named from the first block that holds one.
+    once. When the last level of some value has a node axis, each level's
+    kernels are evaluated and its node law pushed one level at a time
+    (_push_walk). When none has, every node of a level shares its kernel,
+    KL h_k and rate q_k, so the three numbers are level sums over each
+    column's own contiguous row of levels, whatever the batch width, in
+    blocks of columns (_column_blocks) and with no law (_terminal_law gives
+    it); a kernel not strictly positive is named from the first block with one.
     """
     n = spec.n
     columns = _column_blocks(spec, sigma=sigma, b=b, sigma0=sigma0, b0=b0)
@@ -617,28 +581,23 @@ def _trinomial_law(s, m, r, d):
 
 def _push_walk(spec, sigma, b, sigma0, b0):
     """The terminal law and _chain_walk's sums for any coefficients: push
-    the node law forward level by level. The kernels, their KL and q are
-    evaluated on level stacks, one block of levels at a time (_level_blocks),
-    so the level loop only sums and pushes."""
+    the node law forward level by level. Each level's four values, a scalar,
+    a (B, 1) column or a 2k+1 node table, gain a level axis of length 1 for
+    _positive_kernels and broadcast against each other and the law."""
     prob = np.ones(1)
     entropy = rate = worst = 0.0
-    blocks = _level_blocks(spec, sigma=sigma, b=b, sigma0=sigma0, b0=b0)
-    for first, (sigma, b, sigma0, b0) in blocks:
-        step, ref = _positive_kernels(spec, (sigma, b), (sigma0, b0))
-        h = _kl(step, ref)
-        q = _q(np.square(sigma), np.square(sigma0), spec.alpha_tick ** 2)
-        # the level loop reads only the step kernel, h and q
-        del sigma, b, sigma0, b0, ref
-        for k in range(first, first + len(h)):
-            hk, qk = _window(h, k, first), _window(q, k, first)
-            shape = np.broadcast_shapes(prob.shape, hk.shape, qk.shape)
-            prob = np.broadcast_to(prob, shape)
-            # materialized, since np.vecdot sums stride-0 views in another order
-            hk, qk = np.full(shape, hk), np.full(shape, qk)
-            entropy = entropy + np.vecdot(prob, hk)
-            rate = rate + np.vecdot(prob, qk)
-            worst = np.maximum(worst, np.where(prob > 0, np.abs(hk - qk), 0.0).max(axis=-1))
-            prob = _push(prob, *(_window(a, k, first) for a in step))
+    for k in range(spec.n):
+        y, z, y0, z0 = (np.asarray(seq[k], dtype=float)[None] for seq in (sigma, b, sigma0, b0))
+        step, ref = _positive_kernels(spec, (y, z), (y0, z0))
+        h = _kl(step, ref)[0]
+        q = _q(np.square(y), np.square(y0), spec.alpha_tick ** 2)[0]
+        prob, h, q = np.broadcast_arrays(prob, h, q)
+        # materialized, since np.vecdot sums stride-0 views in another order
+        h, q = h.copy(), q.copy()
+        entropy = entropy + np.vecdot(prob, h)
+        rate = rate + np.vecdot(prob, q)
+        worst = np.maximum(worst, np.where(prob > 0, np.abs(h - q), 0.0).max(axis=-1))
+        prob = _push(prob, *(a[0] for a in step))
     return prob, entropy, rate / spec.n, worst
 
 
@@ -655,9 +614,9 @@ def I_rate(surface: VolSurface, surface0: VolSurface, spec: LatticeSpec,
         N = spec.n
     if not min_level_n0(spec) <= N <= spec.n:
         raise ValueError("N must lie between the minimal level and spec.n")
-    # the walk reads only the levels below N, so neither surface is truncated
-    return float(_chain_walk(surface.sigma, surface.b, surface0.sigma, [0.0] * N,
-                             replace(spec, n=N))[1])
+    # the spec rejects a non-integer N; the walk reads no surface level from N on
+    short = replace(spec, n=N)
+    return float(_chain_walk(surface.sigma, surface.b, surface0.sigma, [0.0] * N, short)[1])
 
 
 @dataclass(frozen=True)
@@ -846,8 +805,8 @@ def calibrate(problem: CalibProblem, spec: LatticeSpec, epsilon: float) -> Calib
     if len(sigma0) < n:
         raise ValueError(f"sigma0 has {len(sigma0)} levels, spec needs {n}")
     # the law walks take no reference, so its kernels are checked here
-    for _, levels in _level_blocks(spec, sigma=sigma0, b=b0):
-        _positive_kernels(spec, levels)
+    for k in range(n):
+        _positive_kernels(spec, ([sigma0[k]], [b0[k]]))
     block = [min(k * p // n, p - 1) for k in range(n)]
     payoff = np.array([float(problem.payoff(x)) for x in spec.positions(n)])
     span = spec.sigma_max - spec.sigma_min

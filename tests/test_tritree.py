@@ -123,6 +123,14 @@ class TestLatticeSpec:
         assert str(failed.value) == ("the minimal level (alpha_tick (b0 + s) / sigma_min^2)^2 "
                                      f"is out of range for {named}")
 
+    @pytest.mark.parametrize("n", [40.5, 40.0, np.float64(40.0), True],
+                             ids=["fraction", "float", "numpy_float", "bool"])
+    def test_n_must_be_an_integer(self, n):
+        # minimal level 1, so that n = True would pass the level check
+        with pytest.raises(ValueError, match="^n must be an integer, not "):
+            LatticeSpec(n, 2.0, 1.0, 1.4, 0.15, 0.03)
+        assert LatticeSpec(np.int64(40), 2.0, 1.0, 1.4, 0.15, 0.03).n == 40
+
     def test_tick_and_positions(self):
         spec = tick_spec(100)
         assert spec.dx == pytest.approx(0.2, abs=1e-15)
@@ -192,6 +200,8 @@ class TestVolSurface:
         assert short.levels == 3
         with pytest.raises(ValueError, match="cannot extend"):
             short.truncated(4)
+        with pytest.raises(ValueError, match="level out of range"):
+            short.truncated(-1)
 
     def test_level_length_validation(self):
         with pytest.raises(ValueError, match="must have length"):
@@ -304,6 +314,13 @@ class TestExpectation:
             assert expectation(tree, lambda x: x * x, k) == pytest.approx(
                 want, rel=1e-12
             )
+
+    @pytest.mark.parametrize("level", [-1, 31])
+    def test_level_out_of_range(self, level):
+        spec = wide_spec(30)
+        tree = build_tree(VolSurface.constant(spec, 1.0, 0.15), spec)
+        with pytest.raises(ValueError, match="level out of range"):
+            expectation(tree, lambda x: x, level)
 
 
 class TestLocalEntropy:
@@ -490,6 +507,66 @@ def assert_walks_agree(got, want):
     assert np.max(np.abs(got[0] - want[0])) <= 2e-14
     for x, y in zip(got[1:], want[1:]):
         assert_allclose(x, y, rtol=1e-13, atol=0)
+
+
+# float.hex of node_table_walks(n). A walk's ops are elementwise over nodes,
+# so no change in how its levels are grouped may move a bit.
+NODE_TABLE_BITS = {
+    23: {
+        "tree": [
+            "0x1.6a489d8fcc55cp-33", "0x1.f7a2c3be582e2p-11", "0x1.3ad46c891741fp-3",
+            "0x1.5052ccda6d111p-9", "0x1.39ed62fc49f56p-28",
+        ],
+        "surfaces": [
+            "0x1.6a489d8fcc55cp-33", "0x1.f7a2c3be582e2p-11", "0x1.3ad46c891741fp-3",
+            "0x1.5052ccda6d111p-9", "0x1.39ed62fc49f56p-28", "0x1.631903383b9adp+0",
+            "0x1.eb4c6f1873ecfp-5", "0x1.1a9cfba023a80p-8",
+        ],
+        "columns": [
+            "0x1.5984125550c90p-37", "0x1.40253a52a04b4p-12", "0x1.5b2cb5d8d87efp-3",
+            "0x1.9e9a40d6caa3cp-9", "0x1.74815b799c5f4p-30", "0x1.0799e686f3801p-33",
+            "0x1.575691d1344f6p-11", "0x1.41d4d3f98a7e8p-3", "0x1.462a4a57ce8c8p-8",
+            "0x1.39c1721036c31p-27", "0x1.06ad514c6b792p+0", "0x1.43cd1c11593f4p+0",
+            "0x1.6b8cb36bd8baep-5", "0x1.c02b33eee4623p-5", "0x1.27dfc8f760080p-8",
+            "0x1.af3e84b2a5080p-9",
+        ],
+    },
+    300: {
+        "tree": [
+            "0x1.2dd6e75ae196ep-367", "0x1.11a793cecead8p-98", "0x1.bb8446c136dfcp-5",
+            "0x1.55ca24f127b6ap-93", "0x1.feb4c262a89ecp-353",
+        ],
+        "surfaces": [
+            "0x1.2dd6e75ae196ep-367", "0x1.11a793cecead8p-98", "0x1.bb8446c136dfcp-5",
+            "0x1.55ca24f127b6ap-93", "0x1.feb4c262a89ecp-353", "0x1.62d235085ebcfp+4",
+            "0x1.2eab78cbf71f0p-4", "0x1.1ceedd8711800p-11",
+        ],
+        "columns": [
+            "0x1.462c71dcc9e8ep-373", "0x1.7c5ea9cadec4ap-99", "0x1.6ea68ee218e3ap-5",
+            "0x1.6757a932fca80p-94", "0x1.92130bdf02572p-363", "0x1.412afd64729b6p-379",
+            "0x1.9180332bad3dap-101", "0x1.72c32ac71e5d9p-5", "0x1.9bc959975f8f1p-96",
+            "0x1.da22356a95477p-369", "0x1.15278d89cb4f8p+4", "0x1.0f94e221af00fp+4",
+            "0x1.d8d5b7f20c8aep-5", "0x1.cf5495908f7bfp-5", "0x1.be745838d0400p-12",
+            "0x1.d42d7b4c74c00p-12",
+        ],
+    },
+}
+
+
+def node_table_walks(n):
+    """build_tree's terminal node law, and _push_walk's law at the same five
+    nodes and its sums, on two random surfaces and on (2, 1) columns of
+    variances against a surface."""
+    spec = wide_spec(n)
+    rng = np.random.default_rng(n)
+    surf, surf0 = random_surface(rng, spec), random_surface(rng, spec)
+    columns = [rng.uniform(0.7, 1.3, (2, 1)) for _ in range(n)]
+    nodes = np.linspace(0, 2 * n, 7).astype(int)[1:-1]
+    law, *sums = tritree._push_walk(spec, surf.sigma, surf.b, surf0.sigma, surf0.b)
+    col_law, *col_sums = tritree._push_walk(spec, columns, [spec.b0] * n, surf0.sigma, surf0.b)
+    return {"tree": build_tree(surf, spec).node_prob[n][nodes],
+            "surfaces": np.hstack([law[nodes], *sums]),
+            "columns": np.hstack([col_law[:, nodes].ravel(), *col_sums])}
 
 
 class TestChainWalk:
@@ -706,30 +783,19 @@ class TestChainWalk:
                      (surf.sigma, surf.b, surf0.sigma, surf0.b)):
             calls.clear()
             _chain_walk(*args, spec)
-            # both kernels of every level once; scalars and columns in one
-            # block, node tables in blocks of _WALK_CELLS elements
+            # both kernels of every level once: scalars and columns in one
+            # block, node tables one level per call
             assert sum(len(y) for y, _, _ in calls) == 2 * n
-            rows = n if args[0] is not surf.sigma else tritree._WALK_CELLS // (2 * n - 1)
-            assert len(calls) == 2 * math.ceil(n / rows)
+            assert len(calls) == (2 if args[0] is not surf.sigma else 2 * n)
 
-    @pytest.mark.parametrize("cells", [1, 45 * 4, 45 * 7])
-    def test_level_blocks_match_one_block_bit_for_bit(self, monkeypatch, rng, cells):
-        # 23 levels of 45 padded nodes in blocks of 1, 4 and 7 levels (the
-        # last one ragged), against the whole walk as one block
-        spec = wide_spec(23)
-        surf, surf0 = random_surface(rng, spec), random_surface(rng, spec)
-        columns = [rng.uniform(0.7, 1.3, (3, 1)) for _ in range(23)]
-        cases = [(surf.sigma, surf.b, surf0.sigma, surf0.b),
-                 (columns, [spec.b0] * 23, surf0.sigma, surf0.b)]
-        whole = [law_and_sums(*args, spec) for args in cases]
-        monkeypatch.setattr(tritree, "_WALK_CELLS", cells)
-        for args, want in zip(cases, whole):
-            for got, ref in zip(law_and_sums(*args, spec), want):
-                assert got.shape == ref.shape and np.array_equal(got, ref)
+    @pytest.mark.parametrize("n", [23, 300])
+    def test_node_table_walks_keep_their_bits(self, n):
+        for name, got in node_table_walks(n).items():
+            want = [float.fromhex(x) for x in NODE_TABLE_BITS[n][name]]
+            assert np.array_equal(got, want), name
 
     def test_node_table_walk_memory_is_bounded(self, rng):
-        # the padded level stacks of all 1000 levels would take about 15 MiB
-        # each; a block of levels keeps the walk far below that
+        # one level of 2n + 1 nodes at a time: about 0.3 MiB at n = 1000
         spec = wide_spec(1000)
         surf, surf0 = random_surface(rng, spec), random_surface(rng, spec)
         tracemalloc.start()
@@ -738,7 +804,7 @@ class TestChainWalk:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 40 << 20
+        assert peak < 4 << 20
 
     def test_positivity_names_the_first_failing_level(self):
         # the reference fails at level 2, worst at 0.3; the step kernel fails
@@ -908,6 +974,15 @@ class TestIRate:
             I_rate(surf, surf, spec, N=36)
         with pytest.raises(ValueError, match="between the minimal level"):
             I_rate(surf, surf, spec, N=101)
+
+    @pytest.mark.parametrize("N", [30.5, 40.0, np.float64(40.0), True],
+                             ids=["fraction", "float", "numpy_float", "bool"])
+    def test_N_must_be_an_integer(self, N):
+        # minimal level 1, so that N = True would pass the range check
+        spec = LatticeSpec(100, 2.0, 1.0, 1.4, 0.15, 0.03)
+        surf = VolSurface.constant(spec, 1.1, spec.b0)
+        with pytest.raises(ValueError, match="must be an integer"):
+            I_rate(surf, surf, spec, N=N)
 
     def test_reference_surface_needs_n_levels(self):
         spec = wide_spec(12)
