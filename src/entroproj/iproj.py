@@ -25,8 +25,8 @@ _NEWTON_CAP = 200
 # Rows per block of type-class (composition) enumeration: bounds the memory
 # of the vectorized engines while keeping the Python loop over blocks short.
 COMPOSITION_BLOCK_ROWS = 8192
-# Pivot cap of the hull LP per column: Bland's rule may step through every
-# support row once, and a run this long means rounding broke its guarantee.
+# Pivot cap of the simplex per column: a run this long means rounding broke
+# the anti-cycling guarantee.
 _PIVOTS_PER_COLUMN = 50
 
 
@@ -186,28 +186,34 @@ def linprog(c, A, b, basis):
     """Minimize c.x subject to A x = b, x >= 0, from the feasible basis
     ``basis`` (one column index per row of A), by the revised simplex method.
 
-    Bland's rule (the lowest-index improving column enters, the lowest-index
-    tied column leaves) keeps degenerate pivots from cycling. Returns the
-    optimal value and the row duals y, which satisfy A^T y <= c and
-    b.y = value. The hull LP calls it through this module binding, which the
-    benchmark's layer trace wraps.
+    The most negative reduced cost enters, except after a zero-length step
+    (within the tie tolerance), where the lowest-index improving column
+    enters; the lowest-index tied column leaves. Every step of a cycle has
+    zero length, so a cycle would take Bland's pivots only, which cannot
+    cycle (Math. Oper. Res. 2, 1977). Returns the optimal value and the row
+    duals y, with A^T y <= c and b.y = value. Callers use this module
+    binding, which the benchmark's layer trace wraps.
     """
     basis = list(basis)
-    scale = 1.0 + float(np.abs(A).max())
+    tol = 1e-12 * (1.0 + float(np.abs(A).max()))
+    step = math.inf  # the length of the last step
     for _ in range(_PIVOTS_PER_COLUMN * A.shape[1]):
         B = A[:, basis]
         x = np.linalg.solve(B, b)
         y = np.linalg.solve(B.T, c[basis])
-        improving = np.flatnonzero(c - A.T @ y < -1e-12 * scale)
+        reduced = c - A.T @ y
+        improving = np.flatnonzero(reduced < -tol)
         if improving.size == 0:
             return float(c[basis] @ x), y
-        column = np.linalg.solve(B, A[:, improving[0]])
+        entering = improving[0] if step <= tol else np.argmin(reduced)
+        column = np.linalg.solve(B, A[:, entering])
         rows = np.flatnonzero(column > 1e-11)
         if rows.size == 0:
             raise RuntimeError("feasibility LP failed: the objective is unbounded below")
         ratios = np.maximum(x[rows], 0.0) / column[rows]
-        tied = rows[ratios <= ratios.min() + 1e-12 * scale]
-        basis[min(tied, key=basis.__getitem__)] = improving[0]
+        step = ratios.min()
+        tied = rows[ratios <= step + tol]
+        basis[min(tied, key=basis.__getitem__)] = entering
     raise RuntimeError("feasibility LP failed: no optimal basis within the pivot cap")
 
 

@@ -6,10 +6,11 @@ Luxemburg norms for the exponential Orlicz function, and covering-number
 machinery with the epsilon schedule built from it.
 
 Everything here is exact finite-dimensional computation: the Fortet-Mourier
-distance is a linear program over function values, the Prohorov distance
-takes its worst-set deficiencies from maximum flows over couplings, and
-covering numbers are minimal set covers (up to 20 support points). All
-types are immutable and all operations are pure.
+distance is a flow LP (the dual of its LP over function values) solved by
+the simplex of iproj, the Prohorov distance takes its worst-set deficiencies
+from maximum flows over couplings, and covering numbers are minimal set
+covers (up to 20 support points). All types are immutable and all
+operations are pure.
 """
 from __future__ import annotations
 
@@ -317,39 +318,27 @@ def tv_distance(nu1: FiniteMeasure, nu2: FiniteMeasure) -> float:
 
 
 def fm_distance(nu1: FiniteMeasure, nu2: FiniteMeasure) -> float:
-    """Fortet-Mourier (bounded Lipschitz) distance, solved as an exact LP.
-
-    Maximizes sum f_i (nu1 - nu2)_i over f with ||f||_inf + Lip(f) <= 1.
-    Variables are (f_1..f_N, a, L) with |f_i| <= a, |f_i - f_j| <= L d_ij
-    and a + L <= 1.
+    """Fortet-Mourier (bounded Lipschitz) distance, max sum f_i (nu1 - nu2)_i
+    over f with ||f||_inf + Lip(f) <= 1, as an exact LP. ``iproj.linprog``
+    solves its dual (Dudley, Real Analysis and Probability, 2002, ch. 11):
+    the least s such that nu1 - nu2 = u + out-flow - in-flow of a flow
+    pi >= 0 on ordered pairs, sum |u| <= s and sum pi_ij d_ij <= s. With
+    u = p - q it has N + 2 rows; u = nu1 - nu2, pi = 0, s = sum |u| starts it.
     """
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
+    from . import iproj
 
     _require_same_support(nu1, nu2)
-    n = len(nu1.space)
-    d = nu1.space.dist
-    c_obj = np.concatenate([-(nu1.weights - nu2.weights), [0.0, 0.0]])
-
-    i, j = np.triu_indices(n, 1)
-    # rows in order: f_i - a <= 0 and -f_i - a <= 0 for each point, then
-    # f_i - f_j - L d_ij <= 0 and its mirror for each pair i < j, then a + L <= 1
-    point_cols = np.column_stack([np.arange(n), np.full(n, n)]).repeat(2, axis=0)
-    pair_cols = np.column_stack([i, j, np.full(len(i), n + 1)]).repeat(2, axis=0)
-    sign = np.tile([1.0, -1.0], len(i))[:, None]
-    pair_vals = np.column_stack([sign, -sign, -d[i, j].repeat(2)])
-    r = 2 * n + 2 * len(i) + 1
-    rows = np.concatenate([np.arange(2 * n).repeat(2), np.arange(2 * n, r - 1).repeat(3), [r - 1] * 2])
-    cols = np.concatenate([point_cols.ravel(), pair_cols.ravel(), [n, n + 1]])
-    vals = np.concatenate([np.tile([1.0, -1.0, -1.0, -1.0], n), pair_vals.ravel(), [1.0, 1.0]])
-    rhs = np.append(np.zeros(r - 1), 1.0)
-
-    A = csr_matrix((vals, (rows, cols)), shape=(r, n + 2))
-    bounds = [(-1.0, 1.0)] * n + [(0.0, 1.0), (0.0, 1.0)]
-    res = linprog(c_obj, A_ub=A, b_ub=rhs, bounds=bounds, method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"Fortet-Mourier LP failed: {res.message}")
-    return max(0.0, -float(res.fun))  # a tie keeps +0.0, never -0.0
+    n, delta = len(nu1.space), nu1.weights - nu2.weights
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    eye = np.eye(n)
+    # columns: p, q, pi, s and the slacks of sum(p + q) <= s and sum pi d <= s
+    A = np.block([[eye, -eye, eye[:, i] - eye[:, j], np.zeros((n, 3))],
+                  [np.ones(2 * n), np.zeros(len(i)), -1.0, 1.0, 0.0],
+                  [np.zeros(2 * n), nu1.space.dist[i, j], -1.0, 0.0, 1.0]])
+    c = np.append(np.zeros(2 * n + len(i)), [1.0, 0.0, 0.0])  # minimize s
+    basis = [*(np.where(delta >= 0, 0, n) + np.arange(n)), len(c) - 3, len(c) - 1]
+    value, _ = iproj.linprog(c, A, np.append(delta, [0.0, 0.0]), basis)
+    return max(0.0, value)  # a tie keeps +0.0, never -0.0
 
 
 def prohorov_distance(nu1: FiniteMeasure, nu2: FiniteMeasure) -> float:
@@ -478,28 +467,27 @@ def luxemburg_norm(g, alpha: FiniteMeasure) -> float:
     """Luxemburg gauge inf{s > 0 : sum alpha_i tau(g_i/s) <= 1}.
 
     tau(u) = e^|u| - |u| - 1. The map s -> integral is strictly decreasing
-    for nonzero g, so the gauge is the root of (integral - 1), bracketed and
-    solved to 1e-12. Returns 0 for the zero function.
+    for nonzero g, so the gauge is the root of (integral - 1). Halvings of
+    s = max |g| bracket it in [lo, 2 lo], and bisection halves the bracket
+    until its midpoint rounds to an end. The upper end, where the integral
+    is at most 1, is returned. Returns 0 for the zero function.
     """
-    from scipy.optimize import brentq
-
-    g = np.asarray(g, dtype=float)
-    support = alpha.weights > 0
-    gs = g[support]
-    ws = alpha.weights[support]
-    scale = float(np.max(np.abs(gs))) if gs.size else 0.0
+    support = alpha.weights > 0  # never empty: the weights sum to 1
+    gs, ws = np.asarray(g, dtype=float)[support], alpha.weights[support]
+    scale = float(np.max(np.abs(gs)))
     if scale == 0.0:
         return 0.0
 
     def excess(s):
         return float(np.dot(ws, _tau(gs / s))) - 1.0
 
-    hi = scale  # tau(1) = e - 2 < 1, so the integral at s=scale is below 1
-    lo = hi / 2.0
+    # tau(1) = e - 2 < 1, so the integral at s = scale is below 1
+    lo, hi = scale / 2.0, scale
     while excess(lo) <= 0.0:
-        hi = lo
-        lo /= 2.0
-    return float(brentq(excess, lo, hi, xtol=1e-15, rtol=1e-12))
+        lo, hi = lo / 2.0, lo
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
+    return hi
 
 
 def covering_number(space: MetricSpacePoints, epsilon: float) -> CoveringReport:

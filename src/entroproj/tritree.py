@@ -38,6 +38,13 @@ class CalibrationInfeasible(ValueError):
     """No parameter in the family satisfies the moment band at this (n, epsilon)."""
 
 
+def _integer(name, value):
+    """value, if an int or a numpy integer but not a bool; else a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Lattice geometry and coefficient ranges.
@@ -56,8 +63,7 @@ class LatticeSpec:
     s: float
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise ValueError(f"n must be an integer, not {self.n!r}")
+        _integer("n", self.n)
         ranges = dict(alpha_tick=self.alpha_tick, sigma_min=self.sigma_min,
                       sigma_max=self.sigma_max, b0=self.b0, s=self.s)
         named = ", ".join(f"{key}={value!r}" for key, value in ranges.items())
@@ -82,7 +88,7 @@ class LatticeSpec:
         return self.alpha_tick / math.sqrt(self.n)
 
     def positions(self, level: int) -> np.ndarray:
-        return np.arange(-level, level + 1) * self.dx
+        return np.arange(-_integer("level", level), level + 1) * self.dx
 
 
 def min_level_n0(spec: LatticeSpec) -> int:
@@ -144,7 +150,7 @@ class VolSurface:
         return cls(sigma=tuple(sig), b=tuple(drift))
 
     def truncated(self, levels: int) -> "VolSurface":
-        if levels < 0:
+        if _integer("levels", levels) < 0:
             raise ValueError("level out of range")
         if levels > self.levels:
             raise ValueError("cannot extend a surface by truncation")
@@ -257,7 +263,7 @@ def build_tree(surface: VolSurface, spec: LatticeSpec) -> TrinomialTree:
 
 def expectation(tree: TrinomialTree, payoff, level: int) -> float:
     """Mean of payoff(X) at the given level; payoff maps a real to a real."""
-    if not 0 <= level <= tree.spec.n:
+    if not 0 <= _integer("level", level) <= tree.spec.n:
         raise ValueError("level out of range")
     xs = tree.spec.positions(level)
     values = np.array([float(payoff(x)) for x in xs])

@@ -855,8 +855,9 @@ def test_every_mutated_config_runs_or_fails_typed(tmp_path_factory, mutation):
 
 
 # validates and runs each config in this fresh interpreter, printing after
-# each whether any scipy module is loaded; then conditions on a
-# Fortet-Mourier ball and prints whether scipy.optimize is loaded
+# each whether any scipy module is loaded; then does the same after
+# conditioning on a Fortet-Mourier ball and calling fm_distance and
+# luxemburg_norm; then imports scipy.optimize and prints that it is loaded
 _SCIPY_PROBE = """
 import sys
 import entroproj as ep
@@ -869,6 +870,10 @@ for cfg in sys.argv[2:]:
     print("scipy", loaded("scipy"))
 alpha = ep.FiniteMeasure.uniform(ep.MetricSpacePoints.from_coordinates([0.0, 1.0]))
 ep.exact_conditional(alpha, 4, ep.metric_ball(alpha, "fm", 0.5), 1)
+ep.fm_distance(alpha, ep.FiniteMeasure.point_mass(alpha.space, 0))
+ep.luxemburg_norm([1.0, -2.0], alpha)
+print("scipy", loaded("scipy"))
+import scipy.optimize
 print("scipy.optimize", loaded("scipy.optimize"))
 """
 
@@ -894,10 +899,10 @@ def test_experiment_runs_load_no_scipy(tmp_path):
     probe = fresh_python("-c", _SCIPY_PROBE, str(tmp_path), *cfgs)
     assert probe.returncode == 0, probe.stderr
     assert all(any(tmp_path.glob(f"{name}{i}*.csv")) for i, (name, _) in enumerate(runs))
-    # no run loads any scipy module; the Fortet-Mourier LP of a metric-ball
-    # event, run last, does load scipy.optimize, so the probe sees imports
+    # no run loads any scipy module, nor do the Fortet-Mourier LP and the
+    # Luxemburg norm; the explicit import, run last, shows the probe sees imports
     loaded = [line for line in probe.stdout.splitlines() if line.endswith(("True", "False"))]
-    assert loaded == ["scipy False"] * len(runs) + ["scipy.optimize True"]
+    assert loaded == ["scipy False"] * (len(runs) + 1) + ["scipy.optimize True"]
 
 
 # prints, in this fresh interpreter, the entroproj submodules loaded by a

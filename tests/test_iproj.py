@@ -437,6 +437,19 @@ class TestHullLP:
         assert np.all(A.T @ y <= c + 1e-12)
         assert b @ y == pytest.approx(value, abs=1e-12)
 
+    def test_beales_cycling_lp(self):
+        # Beale (1955): from the slack basis {x1, x2, x3}, the most negative
+        # reduced cost with the lowest-index leaving row cycles at pivot 6;
+        # the lowest-index entering rule after a zero step reaches -5/4
+        A = np.array([[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+                      [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+                      [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
+        b, c = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+        value, y = iproj.linprog(c, A, b, [0, 1, 2])
+        assert value == pytest.approx(-1.25, abs=1e-12)
+        assert np.all(A.T @ y <= c + 1e-12)
+        assert b @ y == pytest.approx(value, abs=1e-12)
+
     def test_pivot_cap_raises(self, monkeypatch):
         monkeypatch.setattr(iproj, "_PIVOTS_PER_COLUMN", 0)
         with pytest.raises(RuntimeError, match="feasibility LP failed"):

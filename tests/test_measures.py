@@ -240,7 +240,49 @@ class TestTotalVariation:
             assert tv <= math.sqrt(2.0 * kl) + 1e-12
 
 
+def highs_fm_distance(nu1, nu2):
+    """Reference for fm_distance: the primal LP, max sum f_i (nu1 - nu2)_i
+    over (f, a, L) with |f_i| <= a, f_i - f_j <= L d_ij for i != j and
+    a + L <= 1, from scipy's HiGHS."""
+    n, d = len(nu1.space), nu1.space.dist
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    eye, ones, zeros = np.eye(n), np.ones((n, 1)), np.zeros((n, 1))
+    A = np.block([[eye, -ones, zeros], [-eye, -ones, zeros],
+                  [eye[i] - eye[j], np.zeros((len(i), 1)), -d[i, j][:, None]],
+                  [np.zeros((1, n)), np.ones((1, 2))]])
+    b = np.append(np.zeros(len(A) - 1), 1.0)
+    res = linprog(np.append(nu2.weights - nu1.weights, [0.0, 0.0]), A_ub=A, b_ub=b,
+                  bounds=[(None, None)] * n + [(0.0, None)] * 2, method="highs")
+    assert res.status == 0, res.message
+    return max(0.0, -float(res.fun))
+
+
+def fm_sweep_cases(rng, count):
+    """Pairs of measures on at most 20 points: random 1-D and 2-D points,
+    and integer grids on a line and in the plane, whose distances tie; some
+    weights are zero, and one pair in ten is two equal measures."""
+    for case in range(count):
+        n = int(rng.integers(1, 21))
+        kind = case % 4
+        if kind == 0:
+            coords = rng.uniform(-2.0, 2.0, size=n)
+        elif kind == 1:
+            coords = rng.uniform(-2.0, 2.0, size=(n, 2))
+        elif kind == 2:
+            coords = np.arange(n, dtype=float)
+        else:
+            coords = np.unique(rng.integers(0, 5, size=(n, 2)), axis=0).astype(float)
+        space = ep.MetricSpacePoints.from_coordinates(coords)
+        nu1 = sparse_measure(rng, space, 0.2)
+        yield nu1, nu1 if rng.random() < 0.1 else sparse_measure(rng, space, 0.2)
+
+
 class TestFortetMourier:
+    def test_matches_highs_on_a_seeded_sweep(self, rng):
+        for nu1, nu2 in fm_sweep_cases(rng, 240):
+            assert ep.fm_distance(nu1, nu2) == pytest.approx(highs_fm_distance(nu1, nu2),
+                                                             rel=0, abs=1e-12)
+
     def test_unit_separated_point_masses(self):
         # Witness f needs |f| <= a and Lip(f) <= L with a + L <= 1. The
         # integral gap f(1) - f(0) is capped by both 2a and L * d(0, 1) = L,
@@ -449,6 +491,23 @@ class TestLuxemburgNorm:
         u = np.abs(g) / s
         modular = alpha.integrate(np.exp(u) - u - 1.0)
         assert modular == pytest.approx(1.0, abs=1e-9)
+
+    def test_matches_brentq(self, rng):
+        from scipy.optimize import brentq
+
+        for _ in range(200):
+            m = int(rng.integers(1, 12))
+            alpha = sparse_measure(rng, line_space(m), 0.2)
+            g = rng.normal(size=m) * 10.0 ** rng.integers(-6, 7)
+            ws, gs = alpha.weights[alpha.weights > 0], g[alpha.weights > 0]
+            excess = lambda s: float(np.dot(ws, np.expm1(np.abs(gs / s)) - np.abs(gs / s))) - 1.0
+            # the root lies in (0, max |g|]; halve to bracket it, and ask
+            # brentq for a tolerance relative to the bracket
+            hi = float(np.abs(gs).max())
+            while excess(hi / 2.0) <= 0.0:
+                hi /= 2.0
+            want = brentq(excess, hi / 2.0, hi, xtol=1e-15 * hi, rtol=1e-12)
+            assert ep.luxemburg_norm(g, alpha) == pytest.approx(want, rel=1e-9)
 
     def test_ignores_nullsets(self):
         # mass zero at a point makes its value irrelevant

@@ -131,6 +131,14 @@ class TestLatticeSpec:
             LatticeSpec(n, 2.0, 1.0, 1.4, 0.15, 0.03)
         assert LatticeSpec(np.int64(40), 2.0, 1.0, 1.4, 0.15, 0.03).n == 40
 
+    @pytest.mark.parametrize("level", [2.5, 3.0, np.float64(3.0), True, "3"],
+                             ids=["fraction", "float", "numpy_float", "bool", "str"])
+    def test_positions_need_an_integer_level(self, level):
+        spec = tick_spec(100)
+        with pytest.raises(ValueError, match="^level must be an integer, not "):
+            spec.positions(level)
+        assert np.array_equal(spec.positions(np.int64(3)), spec.positions(3))
+
     def test_tick_and_positions(self):
         spec = tick_spec(100)
         assert spec.dx == pytest.approx(0.2, abs=1e-15)
@@ -202,6 +210,14 @@ class TestVolSurface:
             short.truncated(4)
         with pytest.raises(ValueError, match="level out of range"):
             short.truncated(-1)
+
+    @pytest.mark.parametrize("levels", [2.5, 3.0, True, "3"],
+                             ids=["fraction", "float", "bool", "str"])
+    def test_truncation_needs_an_integer_level(self, levels):
+        surf = VolSurface.constant(wide_spec(6), 1.0, 0.15)
+        with pytest.raises(ValueError, match="^levels must be an integer, not "):
+            surf.truncated(levels)
+        assert surf.truncated(np.int64(3)).levels == 3
 
     def test_level_length_validation(self):
         with pytest.raises(ValueError, match="must have length"):
@@ -288,6 +304,15 @@ class TestTrinomialTree:
 
 
 class TestExpectation:
+    @pytest.mark.parametrize("level", [2.5, 3.0, True, "3"],
+                             ids=["fraction", "float", "bool", "str"])
+    def test_level_must_be_an_integer(self, level):
+        spec = wide_spec(30)
+        tree = build_tree(VolSurface.constant(spec, 1.0, 0.15), spec)
+        with pytest.raises(ValueError, match="^level must be an integer, not "):
+            expectation(tree, lambda x: x, level)
+        assert expectation(tree, lambda x: x, np.int64(3)) == expectation(tree, lambda x: x, 3)
+
     def test_constant_payoff(self):
         spec = wide_spec(30)
         tree = build_tree(VolSurface.constant(spec, 1.0, 0.15), spec)
