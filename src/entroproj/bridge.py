@@ -22,7 +22,7 @@ _MARGINAL_TOL = 1e-10
 _RELAX_AFTER = 8
 _RATE_AGREEMENT = 0.01
 _RELAX_PATIENCE = 50
-# cells of the reference joint summed at a time by bridge_entropy
+# cells per row block of the joint table in bridge_entropy and bridge_measure
 _ENTROPY_CELLS = 1 << 16
 
 
@@ -57,19 +57,16 @@ class BridgeProblem:
             p = np.array(p, dtype=float)
         if p.shape != (len(self.mu0.space), len(self.mu1.space)):
             raise ValueError("p must be a (|grid_u|, |grid_v|) table")
-        if np.any(p < 0):
-            raise ValueError("p must be nonnegative")
+        # reductions, not an N^2 mask; a NaN fails the comparisons too
+        if not 0.0 <= p.min() <= p.max() < math.inf:
+            raise ValueError("p must hold finite nonnegative numbers")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
         w0, w1 = self.mu0.weights, self.mu1.weights
-        rows = p @ w1
-        cols = p.T @ w0
-        bad_row = np.max(np.abs(rows[w0 > 0] - 1.0)) if np.any(w0 > 0) else 0.0
-        bad_col = np.max(np.abs(cols[w1 > 0] - 1.0)) if np.any(w1 > 0) else 0.0
-        if max(bad_row, bad_col) > _MARGINAL_TOL:
-            raise ValueError(
-                f"p is not a conditional density pair (marginal defect {max(bad_row, bad_col):.3e})"
-            )
+        sums = np.concatenate([(p @ w1)[w0 > 0], (p.T @ w0)[w1 > 0]])
+        defect = float(np.max(np.abs(sums - 1.0), initial=0.0))
+        if not defect <= _MARGINAL_TOL:
+            raise ValueError(f"p is not a conditional density pair (marginal defect {defect:.3e})")
         _density_ratio(self.nu0, self.mu0)
         _density_ratio(self.nu1, self.mu1)
 
@@ -83,7 +80,8 @@ class BridgeProblem:
 
     def reference_joint(self) -> np.ndarray:
         """Weights of the reference joint law, a probability table."""
-        return self.p * np.outer(self.mu0.weights, self.mu1.weights)
+        w = np.multiply.outer(self.mu0.weights, self.mu1.weights)
+        return np.multiply(self.p, w, out=w)
 
     def joint_space(self) -> MetricSpacePoints:
         """Product support with the max metric; it holds only its two factors."""
@@ -236,14 +234,29 @@ def _finite_potentials(potentials: BridgePotentials):
     return f, g
 
 
+def _row_blocks(problem: BridgeProblem):
+    """Slices of consecutive rows of the N0 x N1 table, about _ENTROPY_CELLS
+    cells each, and an empty buffer the size of the first."""
+    n0, n1 = problem.p.shape
+    rows = max(1, _ENTROPY_CELLS // n1)
+    return [slice(i, min(i + rows, n0)) for i in range(0, n0, rows)], np.empty((min(rows, n0), n1))
+
+
 def bridge_measure(problem: BridgeProblem, potentials: BridgePotentials) -> FiniteMeasure:
-    """The tilted joint law f(u)g(v) dmu01 as a measure on the product grid."""
+    """The tilted joint law f(u)g(v) dmu01 as a measure on the product grid.
+
+    The reference joint is tilted in place, a block of rows at a time."""
     f, g = _finite_potentials(potentials)
-    w = f[:, None] * g[None, :] * problem.reference_joint()
+    w = problem.reference_joint()
+    blocks, fg = _row_blocks(problem)
+    for block in blocks:
+        tilt = np.multiply(f[block, None], g[None, :], out=fg[:block.stop - block.start])
+        np.multiply(tilt, w[block], out=w[block])
     total = w.sum()
     if not np.isfinite(total) or total <= 0:
         raise ValueError("potentials produce a degenerate joint law")
-    return FiniteMeasure(problem.joint_space(), (w / total).ravel())
+    w /= total
+    return FiniteMeasure(problem.joint_space(), w.ravel())
 
 
 def bridge_entropy(problem: BridgeProblem, potentials: BridgePotentials):
@@ -254,19 +267,26 @@ def bridge_entropy(problem: BridgeProblem, potentials: BridgePotentials):
     converged fixed point the two agree within a few residuals. The table
     is summed in blocks of rows of about _ENTROPY_CELLS cells, unnormalized:
     with Z the total of pi, the sum of (pi/Z) log(pi/(Z ref)) is
-    (sum of pi log(pi/ref)) / Z - log Z.
+    (sum of pi log(pi/ref)) / Z - log Z. Two block buffers hold every
+    temporary; only a block with a zero cell is compacted to its charged
+    cells.
     """
     f, g = _finite_potentials(potentials)
     w0, w1 = problem.mu0.weights, problem.mu1.weights
-    rows = max(1, _ENTROPY_CELLS // len(w1))
+    blocks, ref_rows = _row_blocks(problem)
+    pi_rows = np.empty_like(ref_rows)
     total = weighted_log = 0.0
-    for i in range(0, len(w0), rows):
-        block = slice(i, i + rows)
-        ref = problem.p[block] * np.outer(w0[block], w1)
-        pi = f[block, None] * g[None, :] * ref
-        mask = pi > 0
+    for block in blocks:
+        k = block.stop - block.start
+        ref, pi = ref_rows[:k], pi_rows[:k]
+        np.multiply(problem.p[block], np.multiply.outer(w0[block], w1, out=ref), out=ref)
+        np.multiply(np.multiply(f[block, None], g[None, :], out=pi), ref, out=pi)
         total += float(pi.sum())
-        weighted_log += float(np.sum(pi[mask] * np.log(pi[mask] / ref[mask])))
+        if not pi.min() > 0:
+            mask = pi > 0
+            pi, ref = pi[mask], ref[mask]
+        np.log(np.divide(pi, ref, out=ref), out=ref)
+        weighted_log += float(np.multiply(pi, ref, out=ref).sum())
     if not np.isfinite(total) or total <= 0:
         raise ValueError("potentials produce a degenerate joint law")
     h_direct = weighted_log / total - math.log(total)

@@ -209,12 +209,12 @@ def linprog(c, A, b, basis):
         column = np.linalg.solve(B, A[:, entering])
         rows = np.flatnonzero(column > 1e-11)
         if rows.size == 0:
-            raise RuntimeError("feasibility LP failed: the objective is unbounded below")
+            raise RuntimeError("revised simplex LP failed: the objective is unbounded below")
         ratios = np.maximum(x[rows], 0.0) / column[rows]
         step = ratios.min()
         tied = rows[ratios <= step + tol]
         basis[min(tied, key=basis.__getitem__)] = entering
-    raise RuntimeError("feasibility LP failed: no optimal basis within the pivot cap")
+    raise RuntimeError("revised simplex LP failed: no optimal basis within the pivot cap")
 
 
 def _hull_certificate(problem: MomentProblem, lo, hi, tol=1e-11):

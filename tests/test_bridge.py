@@ -76,6 +76,50 @@ PLAIN_H_DIRECT = {
 }
 
 
+def reference_entropy_loop(problem, potentials):
+    """bridge_entropy's H_direct from fresh tables per block, each block
+    compacted by its mask: the oracle the in-place blocks must match bit
+    for bit."""
+    f, g = potentials.f, potentials.g
+    w0, w1 = problem.mu0.weights, problem.mu1.weights
+    rows = max(1, bridge._ENTROPY_CELLS // len(w1))
+    total = weighted_log = 0.0
+    for i in range(0, len(w0), rows):
+        block = slice(i, i + rows)
+        ref = problem.p[block] * np.outer(w0[block], w1)
+        pi = f[block, None] * g[None, :] * ref
+        mask = pi > 0
+        total += float(pi.sum())
+        weighted_log += float(np.sum(pi[mask] * np.log(pi[mask] / ref[mask])))
+    return weighted_log / total - math.log(total)
+
+
+def reference_measure_table(problem, potentials):
+    """bridge_measure's weights as one expression over fresh tables."""
+    f, g = potentials.f, potentials.g
+    w = f[:, None] * g[None, :] * (problem.p * np.outer(problem.mu0.weights, problem.mu1.weights))
+    return (w / w.sum()).ravel()
+
+
+def truncated_problem(n=1000):
+    """benchmark_problem(0.05, n) with a first target that vanishes on the
+    left third of the grid, so f is 0 there and the blocks of those rows
+    hold zero cells, while the others hold none."""
+    prob = benchmark_problem(0.05, n)
+    nu0 = np.where(np.linspace(-2.0, 2.0, n) > -2.0 / 3.0, prob.nu0.weights, 0.0)
+    return ep.with_targets(prob, ep.FiniteMeasure(prob.mu0.space, nu0 / nu0.sum()), prob.nu1)
+
+
+@pytest.fixture(scope="module")
+def solved_at_1000():
+    """(problem, potentials) on 1000 points: the benchmark bridge, its
+    truncated twin, and a wide kernel whose H_direct also moves when the
+    cells are multiplied in another order (the benchmark's does not)."""
+    problems = {"benchmark": benchmark_problem(0.05, 1000), "truncated": truncated_problem(),
+                "wide": benchmark_problem(0.5, 1000)}
+    return {name: (prob, ep.sinkhorn(prob)) for name, prob in problems.items()}
+
+
 def two_by_two_problem(nu0_w, nu1_w):
     """Independence reference (p identically 1) with explicit targets."""
     space = ep.MetricSpacePoints.from_coordinates(np.array([0.0, 1.0]))
@@ -94,6 +138,30 @@ class TestBridgeProblem:
         p = np.array([[1.2, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError):
             ep.BridgeProblem(mu0=mu, mu1=mu, p=p, nu0=mu, nu1=mu)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-300])
+    def test_rejects_a_nonfinite_or_negative_entry(self, bad):
+        # row 1 and column 1 carry no mass, so the marginal identities
+        # never read the bad entry; the cell check alone must catch it
+        space = ep.MetricSpacePoints.from_coordinates(np.array([0.0, 1.0]))
+        mu = ep.FiniteMeasure(space, np.array([1.0, 0.0]))
+        p = np.array([[1.0, 1.0], [1.0, bad]])
+        with pytest.raises(ValueError, match="finite nonnegative"):
+            ep.BridgeProblem(mu0=mu, mu1=mu, p=p, nu0=mu, nu1=mu)
+
+    def test_nan_marginal_defect_is_refused(self):
+        # FiniteMeasure refuses NaN weights; one smuggled past it makes the
+        # marginal defect NaN, which must fail the tolerance, not pass it
+        space = ep.MetricSpacePoints.from_coordinates(np.array([0.0, 1.0]))
+        mu = ep.FiniteMeasure(space, np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            ep.FiniteMeasure(space, np.array([np.nan, 1.0]))
+        smuggled = ep.FiniteMeasure(space, np.array([0.5, 0.5]))
+        weights = np.array([np.nan, 0.5])
+        weights.setflags(write=False)
+        object.__setattr__(smuggled, "weights", weights)
+        with pytest.raises(ValueError, match="marginal defect nan"):
+            ep.BridgeProblem(mu0=mu, mu1=smuggled, p=np.ones((2, 2)), nu0=mu, nu1=mu)
 
     def test_rejects_target_outside_reference_support(self):
         space = ep.MetricSpacePoints.from_coordinates(np.array([0.0, 1.0]))
@@ -145,7 +213,8 @@ class TestBridgeProblem:
         assert peak < 16 * 2 ** 20
 
     def test_bridge_entropy_builds_no_joint_table(self):
-        # one 1000^2 table is 7.6 MiB; the unblocked sum held seven
+        # one 1000^2 table is 7.6 MiB; the unblocked sum held seven, and
+        # fresh temporaries per block 2.5 MiB; two blocks take 0.99 MiB
         prob = benchmark_problem(0.5, n=1000)
         pots = ep.sinkhorn(prob)
         tracemalloc.start()
@@ -155,7 +224,30 @@ class TestBridgeProblem:
         finally:
             tracemalloc.stop()
         assert abs(h_direct - h_pot) <= 10.0 * pots.residual
-        assert peak < 4 * 2 ** 20
+        assert peak < 1.25 * 2 ** 20
+
+    def test_bridge_measure_holds_two_tables(self, solved_at_1000):
+        # the tilted joint and FiniteMeasure's copy of it, 7.6 MiB each;
+        # a fresh table per product and the quotient held 23.8 MiB
+        prob, pots = solved_at_1000["benchmark"]
+        tracemalloc.start()
+        try:
+            ep.bridge_measure(prob, pots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 17 * 2 ** 20
+
+    def test_new_targets_check_p_without_a_table(self):
+        # a boolean mask of the 1000^2 table alone would be 0.95 MiB
+        prob = benchmark_problem(0.05, n=1000)
+        tracemalloc.start()
+        try:
+            ep.with_targets(prob, prob.nu1, prob.nu0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 2 ** 20
 
     def test_new_targets_share_the_frozen_reference(self):
         base = ep.gaussian_reference(np.linspace(-1.0, 1.0, 30), 0.3)
@@ -387,6 +479,31 @@ class TestBridgeEntropy:
         h_direct_p, h_pot_p = ep.bridge_entropy(prob_p, pots_p)
         assert h_direct_p == pytest.approx(h_direct, abs=1e-10)
         assert h_pot_p == pytest.approx(h_pot, abs=1e-10)
+
+
+class TestInPlaceTables:
+    """The in-place tables against fresh-table references, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["benchmark", "truncated", "wide"])
+    def test_entropy_matches_the_reference_loop(self, solved_at_1000, name):
+        prob, pots = solved_at_1000[name]
+        h_direct, h_pot = ep.bridge_entropy(prob, pots)
+        assert h_direct == reference_entropy_loop(prob, pots)
+        assert abs(h_direct - h_pot) <= 10.0 * pots.residual
+
+    @pytest.mark.parametrize("name", ["benchmark", "truncated"])
+    def test_measure_matches_the_reference_table(self, solved_at_1000, name):
+        prob, pots = solved_at_1000[name]
+        assert np.array_equal(ep.bridge_measure(prob, pots).weights,
+                              reference_measure_table(prob, pots))
+
+    def test_truncated_targets_leave_zero_cells(self, solved_at_1000):
+        # the compacted path runs: some blocks hold zero cells, some none
+        prob, pots = solved_at_1000["truncated"]
+        pi = pots.f[:, None] * pots.g[None, :]
+        rows = bridge._ENTROPY_CELLS // len(pots.g)
+        has_zero = [bool(np.any(pi[i:i + rows] == 0)) for i in range(0, len(pots.f), rows)]
+        assert any(has_zero) and not all(has_zero)
 
 
 class TestGaussianReference:

@@ -452,7 +452,8 @@ class TestHullLP:
 
     def test_pivot_cap_raises(self, monkeypatch):
         monkeypatch.setattr(iproj, "_PIVOTS_PER_COLUMN", 0)
-        with pytest.raises(RuntimeError, match="feasibility LP failed"):
+        with pytest.raises(RuntimeError, match=r"^revised simplex LP failed: "
+                                                r"no optimal basis within the pivot cap$"):
             ep.solve_dual(bern_problem())
 
     def test_starts_at_the_support_row_nearest_lo(self, monkeypatch):
