@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -66,6 +65,10 @@ class MomentBand:
         object.__setattr__(self, "F", F)
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
         object.__setattr__(self, "center", c)
+        if c.shape != F.shape[1:]:
+            raise ValueError(f"center has {c.size} entries for {F.shape[1]} columns of F")
+        if not (np.all(np.isfinite(F)) and np.all(np.isfinite(c))):
+            raise ValueError("F and center must be finite")
         if not self.radius >= 0:  # NaN fails this too
             raise ValueError("radius must be nonnegative")
         if self.norm not in ("sup", "euclidean"):
@@ -117,8 +120,9 @@ class ConditionalEstimate:
     """Law of the first k coordinates of a conditioned i.i.d. block.
 
     For exact enumeration ``acceptance_rate`` is the exact event probability
-    and ``n_trials`` counts the enumerated type classes; for Monte Carlo it
-    is the accepted fraction over ``n_trials`` sampled blocks.
+    and ``n_trials`` counts the positive-mass type classes the walk visited,
+    which hold every accepted one; for Monte Carlo it is the accepted
+    fraction over ``n_trials`` sampled blocks.
     ``log_acceptance`` is its logarithm, finite even where the probability
     underflows to 0.0.
     """
@@ -155,14 +159,9 @@ def product_law(nu: FiniteMeasure, k: int) -> FiniteMeasure:
     return FiniteMeasure(space_k, w / w.sum())
 
 
-def _check_budget(n, m):
-    """Bound the type classes and the n + 1 entries of the log-factorial
-    table; for m >= 2 the first bound implies the second."""
-    classes = comb(n + m - 1, m - 1)
-    if classes > ENUMERATION_BUDGET:
-        raise ValueError(
-            f"{classes} type classes exceed the enumeration budget {ENUMERATION_BUDGET}"
-        )
+def _check_budget(n):
+    """Bound the n + 1 entries of the log-factorial table; the walk over
+    type classes counts the classes it visits against the same budget."""
     if n + 1 > ENUMERATION_BUDGET:
         raise ValueError(
             f"{n + 1} log factorials for block length {n} exceed the enumeration "
@@ -182,6 +181,12 @@ def _check_window(n, k, m):
         raise ValueError("window k cannot exceed the block length n")
     if m ** k > _PATTERN_BUDGET:
         raise ValueError("pattern alphabet too large for the window size")
+
+
+def _check_event(event, m):
+    """Require a moment band's F to have one row per letter."""
+    if isinstance(event, MomentBand) and len(event.F) != m:
+        raise ValueError(f"F has {len(event.F)} rows for an alphabet of {m} letters")
 
 
 def _accepts(event, counts, n, space, memo):
@@ -212,17 +217,27 @@ def _type_class_sums(alpha: FiniteMeasure, n: int, event, k: int):
     whose empirical measure satisfies the event, all in log space.
 
     Returns (log P(event), log-weights proportional to the law of the first
-    k coordinates given the event, number of positive-mass classes). Within
-    a class of counts c the first k coordinates are drawn without
+    k coordinates given the event, number of positive-mass classes visited).
+    Within a class of counts c the first k coordinates are drawn without
     replacement, so a pattern with letter counts r has probability
     prod_s (c_s)_(r_s) / (n)_k in falling factorials; it is computed once
-    per distinct r. Classes are visited in blocks, so memory stays bounded.
-    The window and the enumeration budget are checked first.
+    per distinct r. A moment band's walk visits only the classes whose
+    moment can still reach the box that encloses the band (see
+    iproj.composition_blocks); a metric ball's visits every class. Classes
+    come in blocks, so memory stays bounded, and the walk stops with the
+    enumeration budget's ValueError once it has visited more classes than
+    the budget. The window, the event's F and the n + 1 log factorials are
+    checked first.
     """
     w = alpha.weights
     m = len(w)
     _check_window(n, k, m)
-    _check_budget(n, m)
+    _check_event(event, m)
+    _check_budget(n)
+    box = ()
+    if isinstance(event, MomentBand):
+        with np.errstate(over="ignore"):  # an infinite bound is no bound
+            box = event.F, n * (event.center - event.radius), n * (event.center + event.radius)
     zero = w == 0
     log_w = np.log(np.where(zero, 1.0, w))
     log_fact = log_factorials(n)
@@ -230,8 +245,12 @@ def _type_class_sums(alpha: FiniteMeasure, n: int, event, k: int):
     slab = max(1, _LAW_CELLS // r_types.size)
     log_p_event = -math.inf
     log_law = np.full(len(r_types), -math.inf)
-    n_classes = 0
-    for counts in iproj.composition_blocks(n, m):
+    n_visited = n_classes = 0
+    for counts in iproj.composition_blocks(n, m, *box):
+        n_visited += len(counts)
+        if n_visited > ENUMERATION_BUDGET:
+            raise ValueError(f"the walk visits more type classes than the enumeration "
+                             f"budget {ENUMERATION_BUDGET}")
         counts = counts[~np.any(counts[:, zero] > 0, axis=1)]
         n_classes += len(counts)
         counts = counts[_accepts(event, counts, n, alpha.space, {})]
@@ -251,9 +270,10 @@ def exact_conditional(alpha: FiniteMeasure, n: int, event, k: int) -> Conditiona
     """Exact law of (X_1..X_k) given that the empirical measure of an
     i.i.d.(alpha) n-block satisfies the event.
 
-    Enumerates all type classes (budget-checked), keeps the accepted ones,
-    and averages each class's exact within-class pattern law weighted by the
-    class probability. Raises ZeroAcceptanceError when the event has
+    Walks the type classes that can reach the event (all of them for a
+    metric ball), at most ENUMERATION_BUDGET of them, keeps the accepted
+    ones, and averages each class's exact within-class pattern law weighted
+    by the class probability. Raises ZeroAcceptanceError when the event has
     probability zero, which is the thin-set situation.
     """
     log_p, log_law, n_classes = _type_class_sums(alpha, n, event, k)
@@ -330,6 +350,7 @@ def _accepted_patterns(gen, alpha: FiniteMeasure, n: int, event, k: int, trials:
     over from block to block, so the call costs one distance per distinct
     sampled type."""
     _check_window(n, k, len(alpha.space))
+    _check_event(event, len(alpha.space))
     hits, memo = np.zeros(len(alpha.space) ** k, dtype=np.int64), {}
     for counts, pids in _sample_types(gen, alpha.weights, n, trials, k):
         np.add.at(hits, pids[_accepts(event, counts, n, alpha.space, memo)], 1)

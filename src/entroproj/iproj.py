@@ -389,38 +389,84 @@ def solve_dual(problem: MomentProblem) -> TiltedSolution:
     raise SolverError("dual did not reach the subgradient tolerance")
 
 
-def composition_blocks(total, parts):
-    """Yield every vector of ``parts`` nonnegative integers summing to
+def composition_blocks(total, parts, F=None, lo=-math.inf, hi=math.inf):
+    """Yield vectors c of ``parts`` nonnegative integers summing to
     ``total``, in lexicographic order, as int64 arrays of at most
-    COMPOSITION_BLOCK_ROWS rows."""
-    def extend(prefix):
-        # each prefix followed by every entry that fits, in increasing order
-        reps = total - prefix.sum(axis=1) + 1
-        heads = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        return np.column_stack([np.repeat(prefix, reps, axis=0), heads])
+    COMPOSITION_BLOCK_ROWS rows: every vector whose sum c @ F may lie in the
+    box [lo, hi] of the (parts, d) array F, or every vector when F is None.
 
-    def walk(prefix):
-        free = parts - prefix.shape[1]
-        size = sum(math.comb(int(r) + free - 1, free - 1) for r in total - prefix.sum(axis=1))
-        if size <= COMPOSITION_BLOCK_ROWS:
-            while prefix.shape[1] < parts - 1:
-                prefix = extend(prefix)
-            yield np.column_stack([prefix, total - prefix.sum(axis=1)])
-        elif len(prefix) == 1:
-            yield from walk(extend(prefix))
-        else:
-            yield from walk(prefix[:len(prefix) // 2])
-            yield from walk(prefix[len(prefix) // 2:])
+    The walk places one count at a time. After c_0..c_j, each column of
+    c @ F ends within the sum so far plus `rest` times that column's min..max
+    over the atoms after j, where `rest` counts what is left to place; so
+    c_j runs only over the integer interval that keeps the box within
+    reach. The box is widened by 1e-9 of each column's scale, so every
+    vector whose sum lies in it or within rounding of it is yielded; some
+    outside may be too. A column whose scale overflows bounds nothing.
+    """
+    F = np.zeros((parts, 0)) if F is None else np.asarray(F, dtype=float)
+    lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), F.shape[1:]) for b in (lo, hi))
+    bounds = np.abs(np.where(np.isfinite([lo, hi]), [lo, hi], 0.0)).max(axis=0)
+    with np.errstate(over="ignore"):
+        slack = 1e-9 * (1.0 + total * np.abs(F).max(axis=0, initial=0.0) + bounds)
+    keep = np.isfinite(slack)
+    F, lo, hi = F[:, keep], lo[keep] - slack[keep], hi[keep] + slack[keep]
+    # the min and max of each column over the atoms after atom j
+    after_min = np.minimum.accumulate(F[::-1], axis=0)[::-1][1:]
+    after_max = np.maximum.accumulate(F[::-1], axis=0)[::-1][1:]
 
-    yield from walk(np.zeros((1, 0), dtype=np.int64))
+    def reach(prefix, sums):
+        # the interval [first, last] of the next count, per prefix
+        j, left = prefix.shape[1], total - prefix.sum(axis=1)
+        first, last = np.zeros_like(left), left.copy()
+        for d in range(F.shape[1]):
+            # base + c_j * slope <= bound, for the upper and the lower bound
+            for base, slope, bound in (
+                    (sums[:, d] + left * after_min[j, d], F[j, d] - after_min[j, d], hi[d]),
+                    (-sums[:, d] - left * after_max[j, d], after_max[j, d] - F[j, d], -lo[d])):
+                if slope == 0:
+                    last = np.where(base <= bound, last, -1)
+                    continue
+                with np.errstate(over="ignore"):
+                    edge = np.clip((bound - base) / slope, -1.0, left + 1.0)
+                if slope > 0:
+                    last = np.minimum(last, np.floor(edge).astype(np.int64))
+                else:
+                    first = np.maximum(first, np.ceil(edge).astype(np.int64))
+        return first, np.maximum(last - first + 1, 0)
+
+    def walk(prefix, sums):
+        # prefix holds the first j counts of each vector, sums their part of c @ F
+        j, rows = prefix.shape[1], COMPOSITION_BLOCK_ROWS
+        if j == parts - 1:
+            done = np.column_stack([prefix, total - prefix.sum(axis=1)])
+            for i in range(0, len(done), rows):
+                yield done[i:i + rows]
+            return
+        first, reps = reach(prefix, sums)
+        ends = np.cumsum(reps)
+        start = 0
+        while start < len(prefix):
+            # the next prefixes whose extensions fit in one block, one at least
+            base = int(ends[start] - reps[start])
+            stop = max(start + 1, int(np.searchsorted(ends, base + rows, side="right")))
+            if ends[stop - 1] > base:
+                # each prefix followed by every count of its interval, in increasing order
+                run = slice(start, stop)
+                heads = np.arange(base, ends[stop - 1]) \
+                    + np.repeat(first[run] + reps[run] - ends[run], reps[run])
+                yield from walk(np.column_stack([np.repeat(prefix[run], reps[run], axis=0), heads]),
+                                np.repeat(sums[run], reps[run], axis=0) + heads[:, None] * F[j])
+            start = stop
+
+    yield from walk(np.zeros((1, 0), dtype=np.int64), np.zeros((1, F.shape[1])))
 
 
 def brute_force_projection(problem: MomentProblem, grid_step: float):
     """Exhaustive entropy minimization over the probability simplex grid.
 
-    The oracle for the dual solver: scans every grid measure (resolution
-    grid_step) on supports of at most 4 points and returns the feasible one
-    with minimal relative entropy. A thin coordinate (lo == hi) accepts a
+    The oracle for the dual solver: scans the grid measures (resolution
+    grid_step) on supports of at most 4 points whose moment can reach the
+    target box, and returns the feasible one with minimal relative entropy. A thin coordinate (lo == hi) accepts a
     moment within grid_step times the spread of its column of F, the
     distance in it between neighbouring grid measures (an exact hit is
     generally impossible on a grid). Cost grows like
@@ -440,7 +486,7 @@ def brute_force_projection(problem: MomentProblem, grid_step: float):
     log_alpha = np.where(alpha_w > 0, np.log(np.where(alpha_w > 0, alpha_w, 1.0)), 0.0)
     best_entropy = math.inf
     best_weights = None
-    for block in composition_blocks(M, n):
+    for block in composition_blocks(M, n, problem.F, M * (lo - tol), M * (hi + tol)):
         W = block / M
         moments = W @ problem.F
         feasible = np.all(moments >= lo - tol, axis=1) & np.all(moments <= hi + tol, axis=1)

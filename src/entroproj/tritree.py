@@ -478,7 +478,13 @@ def _runs_law(m, r, d):
         firsts = np.flatnonzero(np.concatenate([[True], pattern]))
         out = None
         for first, s in zip(firsts, np.diff(np.append(firsts, n))):
-            part = _trinomial_law(int(s), *(a[first, cols] for a in (m, r, d)))
+            kernels = [a[first, cols] for a in (m, r, d)]
+            if all(np.all(a == a[0]) for a in kernels):
+                # one kernel for every column: one law, broadcast
+                part = np.broadcast_to(_trinomial_law(int(s), *(a[:1] for a in kernels)),
+                                       (len(cols), 2 * s + 1))
+            else:
+                part = _trinomial_law(int(s), *kernels)
             out = part if out is None else _convolve(out, part)
         if law is None:
             return out

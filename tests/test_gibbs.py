@@ -71,20 +71,22 @@ def _pattern_law_of_class(counts, n, k, m):
 
 
 def reference_conditional(alpha, n, event, k):
-    """(normalized law or None, event probability, positive-mass classes)."""
+    """(normalized law or None, event probability, positive-mass classes,
+    accepted positive-mass classes)."""
     m = len(alpha.space)
     law = np.zeros(m ** k)
     accepted_p = 0.0
-    n_classes = 0
+    n_classes = n_accepted = 0
     for counts, p in _type_classes(alpha, n):
         n_classes += 1
         if not event.contains(ep.FiniteMeasure(alpha.space, counts / n)):
             continue
+        n_accepted += 1
         accepted_p += p
         law += p * _pattern_law_of_class(counts, n, k, m)
     if accepted_p <= 0.0:
-        return None, accepted_p, n_classes
-    return law / law.sum(), accepted_p, n_classes
+        return None, accepted_p, n_classes, n_accepted
+    return law / law.sum(), accepted_p, n_classes, n_accepted
 
 
 def mean_band(center, radius):
@@ -106,6 +108,21 @@ class TestEvents:
         for radius in (-0.1, math.nan):
             with pytest.raises(ValueError, match="radius must be nonnegative"):
                 mean_band(0.5, radius)
+
+    @pytest.mark.parametrize("center", [[0.5], [0.5, 0.5, 0.5]])
+    def test_moment_band_needs_one_center_entry_per_column(self, center):
+        with pytest.raises(ValueError, match=f"center has {len(center)} entries for 2 columns"):
+            ep.moment_band(np.eye(2), np.array(center), 0.1)
+
+    @pytest.mark.parametrize("F, center", [
+        ([0.0, math.nan], [0.5]),
+        ([0.0, math.inf], [0.5]),
+        ([0.0, 1.0], [math.nan]),
+        ([0.0, 1.0], [-math.inf]),
+    ])
+    def test_moment_band_needs_finite_numbers(self, F, center):
+        with pytest.raises(ValueError, match="F and center must be finite"):
+            ep.moment_band(np.array(F), np.array(center), 0.1)
 
     def test_metric_ball_contains(self):
         # fm between Bernoulli(p) and Bernoulli(q) on unit-separated atoms
@@ -198,10 +215,13 @@ class TestExactConditional:
         assert exc.value.upper_bound == 0.0
 
     def test_budget_guard(self):
+        # a band that holds the whole simplex of 8 letters at n = 600, about
+        # 5e14 classes: the walk stops once it has visited the budget
         space = line_space(8)
         alpha = ep.FiniteMeasure.uniform(space)
-        with pytest.raises(ValueError):
-            ep.exact_conditional(alpha, 600, whole_simplex_band(), 1)
+        band = ep.moment_band(np.linspace(0.0, 1.0, 8), np.array([0.5]), 10.0)
+        with pytest.raises(ValueError, match="enumeration budget"):
+            ep.exact_conditional(alpha, 600, band, 1)
         assert ENUMERATION_BUDGET == 2_000_000
 
     def test_point_mass_budget_bounds_block_length(self, monkeypatch):
@@ -241,6 +261,17 @@ def test_estimators_check_the_window(estimate, n, k, message):
         estimate(alpha, n, band, k)
 
 
+@pytest.mark.parametrize("estimate", [
+    ep.exact_conditional,
+    lambda alpha, n, event, k: ep.exact_event_log_probability(alpha, n, event),
+    lambda alpha, n, event, k: ep.run_conditional_mc(alpha, n, event, k, trials=100, seed=0),
+], ids=["exact", "log_p", "mc"])
+def test_estimators_need_a_row_of_F_per_letter(estimate):
+    alpha = ep.FiniteMeasure.uniform(line_space(3))
+    with pytest.raises(ValueError, match="F has 2 rows for an alphabet of 3 letters"):
+        estimate(alpha, 4, whole_simplex_band(), 1)
+
+
 def test_event_probability_needs_a_positive_block_length():
     # the empirical measure of an empty block is undefined, not a miss
     with pytest.raises(ValueError, match="block length n must be a positive integer"):
@@ -271,7 +302,7 @@ class TestEngineAgainstReference:
         # vector of n <= 12 sits within rounding of the band's edge
         event = ep.moment_band(np.array(F, dtype=float), np.array(center) / 12.0,
                                r / 12.0 + 1e-7, norm=norm)
-        law, p, n_classes = reference_conditional(alpha, n, event, k)
+        law, p, n_classes, n_accepted = reference_conditional(alpha, n, event, k)
         # small sizes split the classes into many blocks and slabs
         rows, cells = sizes
         with patch.object(iproj, "COMPOSITION_BLOCK_ROWS", rows), \
@@ -283,7 +314,8 @@ class TestEngineAgainstReference:
                     ep.exact_conditional(alpha, n, event, k)
                 return
             est = ep.exact_conditional(alpha, n, event, k)
-        assert est.n_trials == n_classes
+        # the walk visits every accepted class and no class twice
+        assert n_accepted <= est.n_trials <= n_classes
         assert est.acceptance_rate == pytest.approx(p, rel=1e-12, abs=0.0)
         assert est.log_acceptance == pytest.approx(math.log(p), rel=1e-12, abs=1e-13)
         np.testing.assert_allclose(est.law.weights, law, rtol=1e-12, atol=0.0)
@@ -293,7 +325,7 @@ class TestEngineAgainstReference:
         space = line_space(3)
         alpha = ep.FiniteMeasure(space, np.array([0.5, 0.3, 0.2]))
         event = ep.metric_ball(ep.FiniteMeasure.uniform(space), metric, 0.12)
-        law, p, n_classes = reference_conditional(alpha, 9, event, 2)
+        law, p, n_classes, _ = reference_conditional(alpha, 9, event, 2)
         est = ep.exact_conditional(alpha, 9, event, 2)
         assert est.n_trials == n_classes
         assert est.acceptance_rate == pytest.approx(p, rel=1e-12)
@@ -307,6 +339,124 @@ class TestEngineAgainstReference:
             assert all(1 <= len(b) <= rows for b in blocks)
             np.testing.assert_array_equal(
                 np.concatenate(blocks), np.array(list(_compositions(n, m))))
+
+
+def walked_classes(alpha, n, event, rows):
+    """The blocks of the walk of gibbs._type_class_sums at k = 0, with
+    COMPOSITION_BLOCK_ROWS = rows, and its class count."""
+    blocks, walk = [], iproj.composition_blocks
+
+    def record(*args):
+        for block in walk(*args):
+            blocks.append(block.copy())
+            yield block
+
+    with patch.object(iproj, "composition_blocks", record), \
+            patch.object(iproj, "COMPOSITION_BLOCK_ROWS", rows):
+        n_classes = gibbs._type_class_sums(alpha, n, event, 0)[2]
+    return blocks, n_classes
+
+
+def assert_walk_keeps_the_accepted_classes(alpha, n, event, rows):
+    """The band's walk is a lexicographic subsequence of the full walk, in
+    blocks of at most `rows`, that holds every class _accepts accepts.
+
+    Acceptance is read once, on the full walk: a matrix product rounds a
+    row by the shape of its block, so a class on the band's edge may be
+    answered differently in a block of another size."""
+    m = len(alpha.space)
+    blocks, n_classes = walked_classes(alpha, n, event, rows)
+    assert all(1 <= len(block) <= rows for block in blocks)
+    walked = np.concatenate(blocks) if blocks else np.zeros((0, m), dtype=np.int64)
+    full = np.concatenate(list(iproj.composition_blocks(n, m)))
+    rank = {row: i for i, row in enumerate(map(tuple, full.tolist()))}
+    order = [rank[row] for row in map(tuple, walked.tolist())]
+    assert order == sorted(set(order))
+    accepted = np.flatnonzero(gibbs._accepts(event, full, n, alpha.space, {}))
+    assert np.isin(accepted, order).all()
+    # n_trials counts the walked classes with no letter of weight 0
+    assert n_classes == np.sum(~np.any(walked[:, alpha.weights == 0] > 0, axis=1))
+
+
+CURVE_F = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+class TestReachableWalk:
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_walk_keeps_exactly_the_accepted_classes(self, data):
+        m, d, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3)), data.draw(
+            st.integers(1, 12))
+        raw_w = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any))
+        alpha = ep.FiniteMeasure(line_space(m), np.array(raw_w) / sum(raw_w))
+        # integer, float, negative and tied values
+        value = st.one_of(st.integers(-3, 3).map(float), st.floats(-2.0, 2.0))
+        F = np.array(data.draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                                        min_size=m, max_size=m)))
+        # centred on a class's moment, or near it; radius 0, a 1/12 grid
+        # step (on a lattice edge for integer F) or any
+        full = np.concatenate(list(iproj.composition_blocks(n, m)))
+        c0 = full[data.draw(st.integers(0, len(full) - 1))]
+        center = c0 / n @ F + data.draw(st.one_of(st.just(0.0), st.floats(-0.5, 0.5)))
+        radius = data.draw(st.one_of(st.just(0.0), st.integers(1, 12).map(lambda i: i / 12),
+                                     st.floats(0.0, 2.0)))
+        event = ep.moment_band(F, center, radius, norm=data.draw(st.sampled_from(
+            ["sup", "euclidean"])))
+        assert_walk_keeps_the_accepted_classes(alpha, n, event, data.draw(
+            st.sampled_from([1, 3, 8192])))
+
+    @pytest.mark.parametrize("norm", ["sup", "euclidean"])
+    @pytest.mark.parametrize("rows", [64, 8192])
+    def test_walk_keeps_the_classes_on_a_lattice_edge(self, norm, rows):
+        # the skewed band at n = 400 and radius 0.4 / sqrt(n) = 0.02: the
+        # classes with c_1 + 2 c_2 = 728 sit on its upper edge and are
+        # accepted; those with 712 sit on its lower edge, and rounding
+        # rejects them
+        alpha = ep.FiniteMeasure(line_space(3, 0.0, 2.0), np.array([0.98, 0.01, 0.01]))
+        band = ep.moment_band(np.array([0.0, 1.0, 2.0]), np.array([1.8]),
+                              0.4 / math.sqrt(400), norm=norm)
+        assert_walk_keeps_the_accepted_classes(alpha, 400, band, rows)
+
+    def test_walk_keeps_the_classes_of_a_moment_map_near_overflow(self):
+        # n |F| overflows a double, so the walk cannot bound this column's
+        # moment and walks every class
+        alpha = ep.FiniteMeasure.uniform(line_space(3))
+        band = ep.moment_band(np.array([0.0, 1e308, -1e308]), np.array([0.0]), 1e307)
+        assert_walk_keeps_the_accepted_classes(alpha, 20, band, 64)
+        assert len(np.concatenate(walked_classes(alpha, 20, band, 64)[0])) == math.comb(22, 2)
+
+    def test_curve_beyond_the_simplex_budget_runs(self):
+        # at n = 1999 the simplex holds C(2001, 2) = 2,001,000 classes, more
+        # than the budget; the band reaches about 2,000 of them
+        n = 1999
+        assert math.comb(n + 2, 2) > ENUMERATION_BUDGET
+        alpha = ep.FiniteMeasure.uniform(line_space(3))
+        band = ep.moment_band(CURVE_F, np.array([0.35, 0.25]),
+                              ep.ScheduleParams("sqrt_n", 0.5).epsilon(n), norm="euclidean")
+        est = ep.exact_conditional(alpha, n, band, 2)
+        assert 0 < est.n_trials <= 2500
+        assert 0.0 < est.acceptance_rate < 1.0
+        assert est.law.weights.sum() == pytest.approx(1.0, rel=1e-12)
+
+    def test_benchmark_bands_visit_few_classes(self):
+        # the benchmark's curve (n = 100, 200, 400) and skewed (n = 400)
+        # ops; a walk of the whole simplex visits 186,654 classes
+        visited = []
+
+        def estimate(alpha, n, event, k):
+            est = ep.exact_conditional(alpha, n, event, k)
+            visited.append(est.n_trials)
+            return est
+
+        for weights, F, x0, c, n_list, k in [
+                ([1 / 3] * 3, CURVE_F, [0.35, 0.25], 0.5, [100, 200, 400], 2),
+                ([0.98, 0.01, 0.01], [0.0, 1.0, 2.0], [1.8], 0.4, [400], 1)]:
+            alpha = ep.FiniteMeasure(line_space(3), np.array(weights))
+            problem = ep.MomentProblem(alpha, np.array(F), ep.Box.point(x0))
+            ep.conditional_tv_curve(alpha, ep.solve_dual(problem), ep.ScheduleParams("sqrt_n", c),
+                                    n_list, k, estimate)
+        assert len(visited) == 4
+        assert sum(visited) <= 2000
 
 
 class TestLogProbabilityBelowDoubleRange:

@@ -909,6 +909,26 @@ class TestLawKernels:
         assert np.array_equal(tritree._trinomial_law(41, m, r, d),
                               dense_trinomial_law(41, m, r, d))
 
+    @pytest.mark.parametrize("width", [1, 2, 30])
+    def test_shared_runs_keep_the_bits_of_the_per_column_law(self, monkeypatch, rng, width):
+        # three runs of 20 levels; the middle one differs between columns,
+        # so only it needs a law per column, as every run did before
+        spec = wide_spec(60)
+        sigma = np.repeat(np.stack([np.full(width, 1.1), rng.uniform(0.7, 1.3, width),
+                                    np.full(width, 0.9)]), 20, axis=0)
+        m, r, d = tritree._kernel_arrays(sigma, np.full(sigma.shape, spec.b0), spec)
+        want = None
+        for run in (slice(0, 20), slice(20, 40), slice(40, 60)):
+            part = tritree._trinomial_law(20, m[run.start], r[run.start], d[run.start])
+            want = part if want is None else tritree._convolve(want, part)
+        widths, law_of = [], tritree._trinomial_law
+        monkeypatch.setattr(tritree, "_trinomial_law",
+                            lambda s, m, r, d: widths.append(len(m)) or law_of(s, m, r, d))
+        law = tritree._runs_law(m, r, d)
+        assert widths == [1, width, 1]
+        assert law.shape == (width, 121)
+        assert law.tobytes() == want.tobytes()
+
     def test_cell_tables_are_read_only_and_few(self):
         cells = tritree._trinomial_cells(40, 0, 81)
         assert not any(a.flags.writeable for a in cells)
