@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -159,9 +160,15 @@ def product_law(nu: FiniteMeasure, k: int) -> FiniteMeasure:
     return FiniteMeasure(space_k, w / w.sum())
 
 
-def _check_budget(n):
-    """Bound the n + 1 entries of the log-factorial table; the walk over
-    type classes counts the classes it visits against the same budget."""
+def _check_budget(n, m, event):
+    """Bound the type classes of a walk that visits them all (any event but
+    a moment band), and the n + 1 entries of the log-factorial table; a
+    moment band's walk counts what it visits against the same budget."""
+    classes = comb(n + m - 1, m - 1)
+    if not isinstance(event, MomentBand) and classes > ENUMERATION_BUDGET:
+        raise ValueError(
+            f"{classes} type classes exceed the enumeration budget {ENUMERATION_BUDGET}"
+        )
     if n + 1 > ENUMERATION_BUDGET:
         raise ValueError(
             f"{n + 1} log factorials for block length {n} exceed the enumeration "
@@ -225,15 +232,15 @@ def _type_class_sums(alpha: FiniteMeasure, n: int, event, k: int):
     moment can still reach the box that encloses the band (see
     iproj.composition_blocks); a metric ball's visits every class. Classes
     come in blocks, so memory stays bounded, and the walk stops with the
-    enumeration budget's ValueError once it has visited more classes than
-    the budget. The window, the event's F and the n + 1 log factorials are
-    checked first.
+    enumeration budget's ValueError once it has visited more classes and
+    dead-end prefixes than the budget. The window, the event's F, the n + 1
+    log factorials and a metric ball's count of classes are checked first.
     """
     w = alpha.weights
     m = len(w)
     _check_window(n, k, m)
     _check_event(event, m)
-    _check_budget(n)
+    _check_budget(n, m, event)
     box = ()
     if isinstance(event, MomentBand):
         with np.errstate(over="ignore"):  # an infinite bound is no bound
@@ -245,12 +252,8 @@ def _type_class_sums(alpha: FiniteMeasure, n: int, event, k: int):
     slab = max(1, _LAW_CELLS // r_types.size)
     log_p_event = -math.inf
     log_law = np.full(len(r_types), -math.inf)
-    n_visited = n_classes = 0
-    for counts in iproj.composition_blocks(n, m, *box):
-        n_visited += len(counts)
-        if n_visited > ENUMERATION_BUDGET:
-            raise ValueError(f"the walk visits more type classes than the enumeration "
-                             f"budget {ENUMERATION_BUDGET}")
+    n_classes = 0
+    for counts in iproj.composition_blocks(n, m, *box, budget=ENUMERATION_BUDGET):
         counts = counts[~np.any(counts[:, zero] > 0, axis=1)]
         n_classes += len(counts)
         counts = counts[_accepts(event, counts, n, alpha.space, {})]

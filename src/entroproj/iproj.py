@@ -389,7 +389,7 @@ def solve_dual(problem: MomentProblem) -> TiltedSolution:
     raise SolverError("dual did not reach the subgradient tolerance")
 
 
-def composition_blocks(total, parts, F=None, lo=-math.inf, hi=math.inf):
+def composition_blocks(total, parts, F=None, lo=-math.inf, hi=math.inf, budget=math.inf):
     """Yield vectors c of ``parts`` nonnegative integers summing to
     ``total``, in lexicographic order, as int64 arrays of at most
     COMPOSITION_BLOCK_ROWS rows: every vector whose sum c @ F may lie in the
@@ -402,6 +402,10 @@ def composition_blocks(total, parts, F=None, lo=-math.inf, hi=math.inf):
     reach. The box is widened by 1e-9 of each column's scale, so every
     vector whose sum lies in it or within rounding of it is yielded; some
     outside may be too. A column whose scale overflows bounds nothing.
+
+    ValueError is raised once more than ``budget`` vectors and dead ends
+    (prefixes with no next count in reach) are visited; every other prefix
+    leads to one of these, so at most about parts * budget rows are made.
     """
     F = np.zeros((parts, 0)) if F is None else np.asarray(F, dtype=float)
     lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), F.shape[1:]) for b in (lo, hi))
@@ -434,15 +438,26 @@ def composition_blocks(total, parts, F=None, lo=-math.inf, hi=math.inf):
                     first = np.maximum(first, np.ceil(edge).astype(np.int64))
         return first, np.maximum(last - first + 1, 0)
 
+    visited = 0
+
+    def visit(count):
+        nonlocal visited
+        visited += count
+        if visited > budget:
+            raise ValueError(f"the walk visits more classes and dead ends than the "
+                             f"enumeration budget {budget}")
+
     def walk(prefix, sums):
         # prefix holds the first j counts of each vector, sums their part of c @ F
         j, rows = prefix.shape[1], COMPOSITION_BLOCK_ROWS
         if j == parts - 1:
+            visit(len(prefix))
             done = np.column_stack([prefix, total - prefix.sum(axis=1)])
             for i in range(0, len(done), rows):
                 yield done[i:i + rows]
             return
         first, reps = reach(prefix, sums)
+        visit(np.count_nonzero(reps == 0))
         ends = np.cumsum(reps)
         start = 0
         while start < len(prefix):
@@ -464,9 +479,9 @@ def composition_blocks(total, parts, F=None, lo=-math.inf, hi=math.inf):
 def brute_force_projection(problem: MomentProblem, grid_step: float):
     """Exhaustive entropy minimization over the probability simplex grid.
 
-    The oracle for the dual solver: scans the grid measures (resolution
-    grid_step) on supports of at most 4 points whose moment can reach the
-    target box, and returns the feasible one with minimal relative entropy. A thin coordinate (lo == hi) accepts a
+    The oracle for the dual solver: scans every grid measure (resolution
+    grid_step) on supports of at most 4 points and returns the feasible one
+    with minimal relative entropy. A thin coordinate (lo == hi) accepts a
     moment within grid_step times the spread of its column of F, the
     distance in it between neighbouring grid measures (an exact hit is
     generally impossible on a grid). Cost grows like
@@ -486,7 +501,7 @@ def brute_force_projection(problem: MomentProblem, grid_step: float):
     log_alpha = np.where(alpha_w > 0, np.log(np.where(alpha_w > 0, alpha_w, 1.0)), 0.0)
     best_entropy = math.inf
     best_weights = None
-    for block in composition_blocks(M, n, problem.F, M * (lo - tol), M * (hi + tol)):
+    for block in composition_blocks(M, n):
         W = block / M
         moments = W @ problem.F
         feasible = np.all(moments >= lo - tol, axis=1) & np.all(moments <= hi + tol, axis=1)

@@ -346,8 +346,8 @@ def walked_classes(alpha, n, event, rows):
     COMPOSITION_BLOCK_ROWS = rows, and its class count."""
     blocks, walk = [], iproj.composition_blocks
 
-    def record(*args):
-        for block in walk(*args):
+    def record(*args, **kwargs):
+        for block in walk(*args, **kwargs):
             blocks.append(block.copy())
             yield block
 
@@ -437,6 +437,24 @@ class TestReachableWalk:
         assert 0 < est.n_trials <= 2500
         assert 0.0 < est.acceptance_rate < 1.0
         assert est.law.weights.sum() == pytest.approx(1.0, rel=1e-12)
+
+    def test_dead_ends_spend_the_budget(self):
+        # c @ F is an integer and the band a half-integer point, so every
+        # prefix of two counts, about n^2 / 2 of them, has no third count
+        # in reach; the walk stops at the budget, not after 5e9 prefixes
+        alpha = ep.FiniteMeasure.uniform(line_space(4))
+        n = 10 ** 5
+        band = ep.moment_band(np.array([1.0, -1.0, 1.0, 2.0]), np.array([0.5 / n]), 0.0)
+        with pytest.raises(ValueError, match="classes and dead ends than the enumeration budget"):
+            ep.exact_conditional(alpha, n, band, 1)
+
+    def test_metric_ball_beyond_the_budget_fails_before_any_distance(self, monkeypatch):
+        # a metric ball walks every class, so its count is known up front
+        space = line_space(3)
+        ball = ep.metric_ball(ep.FiniteMeasure.uniform(space), "fm", 0.1)
+        monkeypatch.setattr(gibbs, "_accepts", lambda *args: pytest.fail("distance computed"))
+        with pytest.raises(ValueError, match="2001000 type classes exceed the enumeration budget"):
+            ep.exact_conditional(ep.FiniteMeasure.uniform(space), 1999, ball, 1)
 
     def test_benchmark_bands_visit_few_classes(self):
         # the benchmark's curve (n = 100, 200, 400) and skewed (n = 400)

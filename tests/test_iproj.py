@@ -304,27 +304,6 @@ class TestSolveDualBox:
         slack = np.abs(sol.lambda_star) @ (0.005 * np.ptp(F, axis=0))
         assert bf_entropy == pytest.approx(sol.entropy, abs=slack)
 
-    def test_brute_force_box_bounds_keep_the_result(self, monkeypatch, rng):
-        # the walk that skips grid measures outside the target box finds
-        # the same measure as the walk over the whole grid
-        alpha = ep.FiniteMeasure(line_space(3), np.array([0.5, 0.3, 0.2]))
-        two_dim = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        cases = [
-            (ep.MomentProblem(alpha, np.array([0.13, 1.07, 2.31]), ep.Box([0.9], [0.9])), 1e-3),
-            (ep.MomentProblem(alpha, two_dim, ep.Box.point([0.3141, 0.2718])), 1e-3),
-            (ep.MomentProblem(alpha, two_dim, ep.Box([0.3141, 0.2], [0.3141, 0.3])), 1e-3),
-            (ep.MomentProblem(alpha, np.array([[-1.55, 0.17], [-0.46, 1.23], [0.96, -2.71]]),
-                              ep.Box.point([-0.27, -0.7])), 0.005),
-        ] + [(random_problem(rng, n_points=3, target=target), 1e-3)
-             for target in ("point", "point", "box", "box")]
-        bounded = [ep.brute_force_projection(prob, step) for prob, step in cases]
-        walk = iproj.composition_blocks
-        monkeypatch.setattr(iproj, "composition_blocks", lambda total, parts, *box: walk(total, parts))
-        for (prob, step), (measure, entropy) in zip(cases, bounded):
-            full_measure, full_entropy = ep.brute_force_projection(prob, step)
-            assert entropy == full_entropy
-            np.testing.assert_array_equal(measure.weights, full_measure.weights)
-
     def test_benchmark_box_needs_few_dual_evaluations(self, monkeypatch):
         # the benchmark's `box` op; its layer trace counts the calls through
         # the module binding
