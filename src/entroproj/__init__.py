@@ -64,3 +64,19 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *_EXPORTS, *_MODULE_OF})
+
+
+def _frozen(a, ndmin=0):
+    """The one way a record takes an array: ``a`` itself when it is a
+    read-only float64 array that owns its data, else a read-only float64
+    copy with at least ``ndmin`` dimensions. So no write through a caller's
+    array can reach a record; code that builds a fresh array freezes it
+    before handing it over, and it is adopted, not copied."""
+    import numpy as np  # here, so that importing the package loads no numpy
+
+    if not (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata
+            and not a.flags.writeable and a.ndim >= ndmin):
+        a = np.array(a, dtype=np.float64, ndmin=ndmin)
+        a = a if a.flags.owndata else a.copy()  # axes ndmin adds make a view
+        a.setflags(write=False)
+    return a

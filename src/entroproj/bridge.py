@@ -11,10 +11,12 @@ on.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _frozen
 from .measures import FiniteMeasure, MetricSpacePoints
 
 _MARGINAL_TOL = 1e-10
@@ -50,17 +52,12 @@ class BridgeProblem:
     nu1: FiniteMeasure
 
     def __post_init__(self):
-        p = self.p
-        # a p frozen by an earlier problem is shared, not copied again
-        if not (isinstance(p, np.ndarray) and p.dtype == np.float64
-                and p.flags.owndata and not p.flags.writeable):
-            p = np.array(p, dtype=float)
+        p = _frozen(self.p)
         if p.shape != (len(self.mu0.space), len(self.mu1.space)):
             raise ValueError("p must be a (|grid_u|, |grid_v|) table")
         # reductions, not an N^2 mask; a NaN fails the comparisons too
         if not 0.0 <= p.min() <= p.max() < math.inf:
             raise ValueError("p must hold finite nonnegative numbers")
-        p.setflags(write=False)
         object.__setattr__(self, "p", p)
         w0, w1 = self.mu0.weights, self.mu1.weights
         sums = np.concatenate([(p @ w1)[w0 > 0], (p.T @ w0)[w1 > 0]])
@@ -107,6 +104,10 @@ class BridgePotentials:
     omega: float = 1.0
     relaxed_at: int | None = None
 
+    def __post_init__(self):
+        for name in ("f", "g"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+
 
 def sinkhorn(problem: BridgeProblem, tol: float = 1e-12, max_iter: int = 500) -> BridgePotentials:
     """Over-relaxed alternating marginal fitting for the potential system.
@@ -138,9 +139,9 @@ def sinkhorn(problem: BridgeProblem, tol: float = 1e-12, max_iter: int = 500) ->
     being finite raise ValueError: the reference kernel has underflowed
     too far for the scalings to compensate in floating point.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails this too
         raise ValueError("tol must be positive")
-    if max_iter < 1:
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
         raise ValueError("max_iter must be a positive integer")
     a0 = _density_ratio(problem.nu0, problem.mu0)
     a1 = _density_ratio(problem.nu1, problem.mu1)
@@ -177,10 +178,9 @@ def sinkhorn(problem: BridgeProblem, tol: float = 1e-12, max_iter: int = 500) ->
                 raise ValueError("reference density vanishes where the second target is charged")
             g = _fit(g, a1, den_g, omega)
             if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
-                raise ValueError(
-                    f"potentials stopped being finite at sweep {sweep}: the reference "
-                    "kernel underflows too far for the scalings to compensate"
-                )
+                raise ValueError(f"potentials stopped being finite at sweep {sweep}: the "
+                                 "reference kernel underflows too far for the scalings to "
+                                 "compensate")
             # the next sweep's den_f; with den_g it gives both coupled marginals
             den_f = p @ (g * w1)
             residual = float(max(
@@ -198,6 +198,8 @@ def sinkhorn(problem: BridgeProblem, tol: float = 1e-12, max_iter: int = 500) ->
     )
     f = f * math.exp(-balance)
     g = g * math.exp(balance)
+    f.setflags(write=False)
+    g.setflags(write=False)
     return BridgePotentials(f=f, g=g, residual=history[-1], history=tuple(history),
                             omega=omega, relaxed_at=relaxed_at)
 
@@ -256,7 +258,9 @@ def bridge_measure(problem: BridgeProblem, potentials: BridgePotentials) -> Fini
     if not np.isfinite(total) or total <= 0:
         raise ValueError("potentials produce a degenerate joint law")
     w /= total
-    return FiniteMeasure(problem.joint_space(), w.ravel())
+    w.shape = (w.size,)  # flattened and frozen in place: the measure adopts it
+    w.setflags(write=False)
+    return FiniteMeasure(problem.joint_space(), w)
 
 
 def bridge_entropy(problem: BridgeProblem, potentials: BridgePotentials):
@@ -319,7 +323,7 @@ def gaussian_reference(grid, t: float, mu0: FiniteMeasure | None = None,
     giving the trivial bridge; callers swap in their own nu0, nu1.
     """
     x = increasing_grid(grid)
-    if t <= 0:
+    if not t > 0:  # NaN fails this too
         raise ValueError("kernel variance t must be positive")
     space = MetricSpacePoints.from_coordinates(x)
     if mu0 is None:
@@ -333,7 +337,9 @@ def gaussian_reference(grid, t: float, mu0: FiniteMeasure | None = None,
     np.exp(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
     w1 = p.T @ mu0.weights
-    mu1 = FiniteMeasure(mu0.space, w1 / w1.sum())
+    w1 /= w1.sum()
+    w1.setflags(write=False)
+    mu1 = FiniteMeasure(mu0.space, w1)
     p /= np.where(mu1.weights > 0, mu1.weights, np.inf)
     p.setflags(write=False)
     if nu0 is None:

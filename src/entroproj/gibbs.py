@@ -17,10 +17,11 @@ from math import comb
 
 import numpy as np
 
-from . import iproj
+from . import _frozen, iproj
 from .measures import (
     FiniteMeasure,
     MetricSpacePoints,
+    _table,
     fm_distance,
     log_factorials,
     logsumexp,
@@ -58,13 +59,8 @@ class MomentBand:
     norm: str = "sup"
 
     def __post_init__(self):
-        F = np.asarray(self.F, dtype=float)
-        if F.ndim == 1:
-            F = F[:, None]
-        F = F.copy()
-        F.setflags(write=False)
+        F, c = _table(self.F), _frozen(self.center, 1)
         object.__setattr__(self, "F", F)
-        c = np.atleast_1d(np.asarray(self.center, dtype=float))
         object.__setattr__(self, "center", c)
         if c.shape != F.shape[1:]:
             raise ValueError(f"center has {c.size} entries for {F.shape[1]} columns of F")
@@ -144,6 +140,8 @@ def _patterns(m, k):
 
 def product_space(space: MetricSpacePoints, k: int) -> MetricSpacePoints:
     """k-fold product support with the max metric; k=1 returns the space."""
+    if not (isinstance(k, numbers.Integral) and k >= 0):
+        raise ValueError("window k must be a nonnegative integer")
     if k == 1:
         return space
     if len(space) ** k > _PATTERN_BUDGET:
@@ -157,7 +155,9 @@ def product_law(nu: FiniteMeasure, k: int) -> FiniteMeasure:
         return nu
     space_k = product_space(nu.space, k)
     w = nu.weights[_patterns(len(nu.space), k)].prod(axis=1)
-    return FiniteMeasure(space_k, w / w.sum())
+    w /= w.sum()
+    w.setflags(write=False)  # fresh, so the measure adopts it
+    return FiniteMeasure(space_k, w)
 
 
 def _check_budget(n, m, event):
@@ -166,14 +166,11 @@ def _check_budget(n, m, event):
     moment band's walk counts what it visits against the same budget."""
     classes = comb(n + m - 1, m - 1)
     if not isinstance(event, MomentBand) and classes > ENUMERATION_BUDGET:
-        raise ValueError(
-            f"{classes} type classes exceed the enumeration budget {ENUMERATION_BUDGET}"
-        )
+        raise ValueError(f"{classes} type classes exceed the enumeration budget "
+                         f"{ENUMERATION_BUDGET}")
     if n + 1 > ENUMERATION_BUDGET:
-        raise ValueError(
-            f"{n + 1} log factorials for block length {n} exceed the enumeration "
-            f"budget {ENUMERATION_BUDGET}"
-        )
+        raise ValueError(f"{n + 1} log factorials for block length {n} exceed the "
+                         f"enumeration budget {ENUMERATION_BUDGET}")
 
 
 def _check_window(n, k, m):
@@ -281,19 +278,13 @@ def exact_conditional(alpha: FiniteMeasure, n: int, event, k: int) -> Conditiona
     """
     log_p, log_law, n_classes = _type_class_sums(alpha, n, event, k)
     if log_p == -math.inf:
-        raise ZeroAcceptanceError(
-            "the event has probability zero under every type class",
-            upper_bound=0.0,
-        )
+        raise ZeroAcceptanceError("the event has probability zero under every type class",
+                                  upper_bound=0.0)
     weights = np.exp(log_law - logsumexp(log_law))
-    return ConditionalEstimate(
-        k=k,
-        law=FiniteMeasure(product_space(alpha.space, k), weights),
-        acceptance_rate=math.exp(log_p),
-        log_acceptance=log_p,
-        n_trials=n_classes,
-        exact=True,
-    )
+    weights.setflags(write=False)  # fresh, so the law adopts it
+    return ConditionalEstimate(k=k, law=FiniteMeasure(product_space(alpha.space, k), weights),
+                               acceptance_rate=math.exp(log_p), log_acceptance=log_p,
+                               n_trials=n_classes, exact=True)
 
 
 def exact_event_log_probability(alpha: FiniteMeasure, n: int, event) -> float:
@@ -310,6 +301,8 @@ def exact_event_probability(alpha: FiniteMeasure, n: int, event) -> float:
 
 def mc_stream(seed):
     """The counter-based stream of one Monte Carlo call, keyed by (seed, 0)."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2 ** 64):
+        raise ValueError("seed must be an integer in [0, 2**64)")
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
 
 
@@ -330,7 +323,7 @@ def _sample_types(gen, weights, n, trials, k):
     binomial draws call libm's log and exp, which another libm may round
     differently.
     """
-    if trials < 1:
+    if not (isinstance(trials, numbers.Integral) and trials >= 1):
         raise ValueError("trials must be a positive integer")
     m, rows = len(weights), iproj.COMPOSITION_BLOCK_ROWS
     cumw = np.append(np.minimum(np.cumsum(weights[:-1]), 1.0), 1.0)
@@ -380,14 +373,12 @@ def run_conditional_mc(alpha: FiniteMeasure, n: int, event, k: int,
             f"3/trials = {3.0 / trials:.3g} with 95% confidence",
             upper_bound=3.0 / trials,
         )
-    return ConditionalEstimate(
-        k=k,
-        law=FiniteMeasure(product_space(alpha.space, k), hits / accepted),
-        acceptance_rate=accepted / trials,
-        log_acceptance=math.log(accepted / trials),
-        n_trials=trials,
-        exact=False,
-    )
+    weights = hits / accepted
+    weights.setflags(write=False)  # fresh, so the law adopts it
+    return ConditionalEstimate(k=k, law=FiniteMeasure(product_space(alpha.space, k), weights),
+                               acceptance_rate=accepted / trials,
+                               log_acceptance=math.log(accepted / trials), n_trials=trials,
+                               exact=False)
 
 
 def sanov_sandwich(alpha: FiniteMeasure, solution, event_fn, n_list,
@@ -429,6 +420,8 @@ def csiszar_bound_check(alpha: FiniteMeasure, n: int, event, k: int,
     -(1/floor(n/k)) log(P(event) e^{n H_event}). Returns (lhs, rhs, ok)
     with ok = lhs <= rhs + 1e-9. The integer bracket is read as floor.
     """
+    if not (isinstance(k, numbers.Integral) and k >= 1):
+        raise ValueError("window k must be a positive integer")
     est = exact_conditional(alpha, n, event, k)
     lhs = relative_entropy(est.law, product_law(alpha_star, k))
     rhs = -(est.log_acceptance + n * H_event) / math.floor(n / k)
@@ -449,6 +442,7 @@ def conditional_tv_curve(alpha: FiniteMeasure, solution, schedule, n_list, k: in
     problem = solution.problem
     lo, hi = problem.target.lo, problem.target.hi
     center = np.where(lo == hi, lo, solution.moment)
+    center.setflags(write=False)  # each n's band adopts it, and problem.F
     ref = product_law(solution.alpha_star, k)
     rows = []
     for n in n_list:

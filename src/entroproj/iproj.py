@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import FiniteMeasure, logsumexp, relative_entropy
+from . import _frozen
+from .measures import FiniteMeasure, _table, logsumexp, relative_entropy
 
 _NEWTON_TOL = 1e-10
 _NEWTON_CAP = 200
@@ -56,8 +57,7 @@ class Box:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        lo, hi = _frozen(self.lo, 1), _frozen(self.hi, 1)
         if lo.shape != hi.shape:
             raise ValueError("lo and hi must have the same shape")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
@@ -69,7 +69,8 @@ class Box:
 
     @classmethod
     def point(cls, x0) -> "Box":
-        """The thin target {x0}: the zero-width box [x0, x0]."""
+        """The thin target {x0}: the zero-width box [x0, x0], one array."""
+        x0 = _frozen(x0, 1)
         return cls(x0, x0)
 
 
@@ -82,15 +83,11 @@ class MomentProblem:
     target: object
 
     def __post_init__(self):
-        F = np.asarray(self.F, dtype=float)
-        if F.ndim == 1:
-            F = F[:, None]
+        F = _table(self.F)
         if not np.all(np.isfinite(F)):
             raise ValueError("moment map must be finite")
         if F.shape[0] != len(self.alpha.space):
             raise ValueError("moment map rows must match the support size")
-        F = F.copy()
-        F.setflags(write=False)
         object.__setattr__(self, "F", F)
         if not isinstance(self.target, Box):
             raise TypeError("target must be a Box")
@@ -120,6 +117,10 @@ class TiltedSolution:
     variance: float
     third_abs_moment: Optional[float]
     problem: MomentProblem = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("lambda_star", "moment"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -169,9 +170,7 @@ def log_laplace(problem: MomentProblem, lam):
 
 def tilt(alpha: FiniteMeasure, F, lam) -> FiniteMeasure:
     """Exponential tilt: weights proportional to alpha_i e^{<lam, F_i>}."""
-    F = np.asarray(F, dtype=float)
-    if F.ndim == 1:
-        F = F[:, None]
+    F = _table(F)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     # massless atoms stay out of the exponent: a far heavier one would
     # underflow every weight to zero, or overflow to inf times zero
@@ -179,7 +178,9 @@ def tilt(alpha: FiniteMeasure, F, lam) -> FiniteMeasure:
     scores = (F @ lam)[mass]
     w = np.zeros(len(alpha.weights))
     w[mass] = alpha.weights[mass] * np.exp(scores - float(np.max(scores)))
-    return FiniteMeasure(alpha.space, w / w.sum())
+    w /= w.sum()
+    w.setflags(write=False)
+    return FiniteMeasure(alpha.space, w)
 
 
 def linprog(c, A, b, basis):
@@ -259,16 +260,10 @@ def _finalize(problem: MomentProblem, lam) -> TiltedSolution:
     if problem.dim == 1:
         centered = problem.F[:, 0] - grad[0]
         kappa = float(np.dot(alpha_star.weights, np.abs(centered) ** 3))
-    return TiltedSolution(
-        lambda_star=lam.copy(),
-        log_Z=value,
-        alpha_star=alpha_star,
-        entropy=entropy,
-        moment=grad,
-        variance=variance,
-        third_abs_moment=kappa,
-        problem=problem,
-    )
+    grad.setflags(write=False)  # fresh from log_laplace: adopted, not copied
+    return TiltedSolution(lambda_star=_frozen(lam), log_Z=value, alpha_star=alpha_star,
+                          entropy=entropy, moment=grad, variance=variance,
+                          third_abs_moment=kappa, problem=problem)
 
 
 def _descend(evaluate, lam, obj, step, decrease):
@@ -341,10 +336,8 @@ def solve_dual(problem: MomentProblem) -> TiltedSolution:
     lo, hi = problem.target.lo, problem.target.hi
     cert = _hull_certificate(problem, lo, hi)
     if cert is not None:
-        raise InfeasibleTargetError(
-            "target does not meet the convex hull of the moment map",
-            direction=cert,
-        )
+        raise InfeasibleTargetError("target does not meet the convex hull of the moment map",
+                                    direction=cert)
     c, w = 0.5 * (lo + hi), 0.5 * (hi - lo)
     # the rounding noise of each Hessian diagonal entry. The model moves no
     # coordinate whose curvature is below it and whose subgradient is within
@@ -494,13 +487,11 @@ def brute_force_projection(problem: MomentProblem, grid_step: float):
         raise ValueError("grid_step below 1e-3 is not supported")
     M = max(1, round(1.0 / grid_step))
     alpha_w = problem.alpha.weights
-    lo = problem.target.lo
-    hi = problem.target.hi
+    lo, hi = problem.target.lo, problem.target.hi
     tol = np.where(lo == hi, grid_step * np.ptp(problem.F, axis=0), 0.0) + 1e-12
 
     log_alpha = np.where(alpha_w > 0, np.log(np.where(alpha_w > 0, alpha_w, 1.0)), 0.0)
-    best_entropy = math.inf
-    best_weights = None
+    best_entropy, best_weights = math.inf, None
     for block in composition_blocks(M, n):
         W = block / M
         moments = W @ problem.F

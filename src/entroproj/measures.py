@@ -23,6 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _frozen
+
 EXACT_SCAN_LIMIT = 20
 _GRID_RATIO = 0.95
 _GRID_DEPTH = 400
@@ -41,10 +43,11 @@ class SupportMismatchError(ValueError):
     """Raised when two measures do not live on the same support."""
 
 
-def _as_readonly(a, dtype=float):
-    arr = np.array(a, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
+def _table(a):
+    """``a`` read-only and owned as ``entroproj._frozen`` makes it, with one
+    row per point or atom; a vector is one column."""
+    a = _frozen(a)
+    return _frozen(a[:, None]) if a.ndim == 1 else a
 
 
 def logsumexp(a, axis=None, b=None):
@@ -130,7 +133,7 @@ class MetricSpacePoints:
     def __init__(self, points, dist):
         self.points = tuple(points)
         self._kind = "table"
-        self._source = self.dist = d = _as_readonly(dist)
+        self._source = self.dist = d = _frozen(dist)
         n = len(self.points)
         if d.shape != (n, n):
             raise ValueError(f"distance table shape {d.shape} does not match {n} points")
@@ -171,13 +174,15 @@ class MetricSpacePoints:
         """The N x N distance table, built on first read and kept."""
         if self._kind == "euclidean":
             diff = self._source[:, None, :] - self._source[None, :, :]
-            return _as_readonly(np.sqrt((diff ** 2).sum(axis=2)))
-        # gather each factor's distances between the product's points; keep the largest
-        idx = np.indices([len(f) for f in self._source]).reshape(len(self._source), len(self))
-        d = np.zeros((len(self), len(self)))
-        for f, i in zip(self._source, idx):
-            np.maximum(d, f.dist[i[:, None], i], out=d)
-        return _as_readonly(d)
+            d = np.sqrt((diff ** 2).sum(axis=2))
+        else:
+            # gather each factor's distances between the product's points; keep the largest
+            idx = np.indices([len(f) for f in self._source]).reshape(len(self._source), len(self))
+            d = np.zeros((len(self), len(self)))
+            for f, i in zip(self._source, idx):
+                np.maximum(d, f.dist[i[:, None], i], out=d)
+        d.setflags(write=False)
+        return d
 
     def __eq__(self, other):
         if self is other:
@@ -206,15 +211,13 @@ class MetricSpacePoints:
     @classmethod
     def from_coordinates(cls, coords):
         """Euclidean space on finite coordinates (1-D or d-dimensional)."""
-        arr = np.asarray(coords, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
+        arr = _table(coords)
         # the diagonal of the bounding box bounds every distance
         with np.errstate(over="ignore", invalid="ignore"):
             if arr.ndim != 2 or arr.size == 0 or not np.isfinite(np.linalg.norm(np.ptp(arr, axis=0))):
                 raise ValueError("coordinates must be a nonempty 1-D or 2-D array at finite distances")
         points = tuple(float(x) for x in arr[:, 0]) if arr.shape[1] == 1 else tuple(map(tuple, arr))
-        return cls._by_formula("euclidean", _as_readonly(arr), points)
+        return cls._by_formula("euclidean", arr, points)
 
     @classmethod
     def product(cls, factors):
@@ -230,11 +233,12 @@ class FiniteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _as_readonly(self.weights)
+        w = _frozen(self.weights)
         object.__setattr__(self, "weights", w)
         if w.shape != (len(self.space),):
             raise ValueError("weights length does not match the space")
-        if not np.all(w >= 0):  # NaN fails this too
+        # a reduction, not an N-sized mask; a NaN fails the comparison too
+        if not w.min(initial=0.0) >= 0:
             raise ValueError("weights must be nonnegative numbers")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1 within 1e-12")
@@ -243,12 +247,13 @@ class FiniteMeasure:
     def point_mass(cls, space, index):
         w = np.zeros(len(space))
         w[index] = 1.0
+        w.setflags(write=False)
         return cls(space, w)
 
     @classmethod
     def uniform(cls, space):
         n = len(space)
-        return cls(space, np.full(n, 1.0 / n))
+        return cls(space, _frozen([1.0 / n] * n))
 
     def integrate(self, values):
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))
@@ -283,8 +288,7 @@ def relative_entropy(beta: FiniteMeasure, gamma: FiniteMeasure) -> float:
     where gamma has none.
     """
     _require_same_support(beta, gamma)
-    b = beta.weights
-    g = gamma.weights
+    b, g = beta.weights, gamma.weights
     pos = b > 0
     if np.any(g[pos] == 0):
         return math.inf
@@ -475,6 +479,8 @@ def luxemburg_norm(g, alpha: FiniteMeasure) -> float:
     support = alpha.weights > 0  # never empty: the weights sum to 1
     gs, ws = np.asarray(g, dtype=float)[support], alpha.weights[support]
     scale = float(np.max(np.abs(gs)))
+    if math.isnan(scale):
+        raise ValueError("g must hold numbers on the support of alpha, not NaN")
     if scale == 0.0:
         return 0.0
 
@@ -506,15 +512,11 @@ def covering_number(space: MetricSpacePoints, epsilon: float) -> CoveringReport:
     if n <= EXACT_SCAN_LIMIT:
         masks = {}
         for x in range(n):
-            m = int(np.sum(1 << np.nonzero(balls[x])[0].astype(np.int64)))
-            if m not in masks:
-                masks[m] = x
+            masks.setdefault(int(np.sum(1 << np.nonzero(balls[x])[0].astype(np.int64))), x)
         # drop masks strictly contained in another; a minimal cover never
         # needs a dominated ball
-        keep = {}
-        for m, x in masks.items():
-            if not any(other != m and (m | other) == other for other in masks):
-                keep[m] = x
+        keep = {m: x for m, x in masks.items()
+                if not any(other != m and (m | other) == other for other in masks)}
         centers = _min_cover(keep, n)
         return CoveringReport(epsilon=epsilon, count=len(centers), method="exact",
                               centers=tuple(space.points[x] for x in centers))
@@ -528,12 +530,8 @@ def covering_number(space: MetricSpacePoints, epsilon: float) -> CoveringReport:
             break
         centers_idx.append(far)
         mind = np.minimum(mind, d[far])
-    return CoveringReport(
-        epsilon=epsilon,
-        count=len(centers_idx),
-        method="greedy",
-        centers=tuple(space.points[i] for i in centers_idx),
-    )
+    return CoveringReport(epsilon=epsilon, count=len(centers_idx), method="greedy",
+                          centers=tuple(space.points[i] for i in centers_idx))
 
 
 def _min_cover(balls, n):
@@ -613,10 +611,7 @@ def epsilon_schedule_metric(covering_fn, n: int) -> float:
         if crit >= root_n:
             satisfying.append(eps)
     if not satisfying:
-        warnings.warn(
-            "epsilon_schedule_metric: no grid point satisfies the criterion; "
-            "returning the grid floor",
-            stacklevel=2,
-        )
+        warnings.warn("epsilon_schedule_metric: no grid point satisfies the criterion; "
+                      "returning the grid floor", stacklevel=2)
         return _GRID_RATIO ** _GRID_DEPTH
     return min(satisfying)

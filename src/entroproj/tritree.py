@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _frozen
 
 _THETA_SCAN = 400
 # Steps of calibrate's line searches scored per walk: a bisection round scores
@@ -79,9 +80,7 @@ class LatticeSpec:
             raise ValueError(f"the minimal level (alpha_tick (b0 + s) / sigma_min^2)^2 "
                              f"is out of range for {named}") from None
         if self.n < n0:
-            raise ValueError(
-                f"n={self.n} is below the minimal level {n0} for these ranges"
-            )
+            raise ValueError(f"n={self.n} is below the minimal level {n0} for these ranges")
 
     @property
     def dx(self) -> float:
@@ -113,8 +112,7 @@ class VolSurface:
     b: tuple
 
     def __post_init__(self):
-        sig = tuple(np.asarray(a, dtype=float).copy() for a in self.sigma)
-        drift = tuple(np.asarray(a, dtype=float).copy() for a in self.b)
+        sig, drift = tuple(map(_frozen, self.sigma)), tuple(map(_frozen, self.b))
         if len(sig) != len(drift):
             raise ValueError("sigma and b must have the same number of levels")
         for k, (a, c) in enumerate(zip(sig, drift)):
@@ -122,8 +120,6 @@ class VolSurface:
                 raise ValueError(f"level {k} tables must have length {2 * k + 1}")
             if not (np.all(np.isfinite(a)) and np.all(np.isfinite(c))):
                 raise ValueError("surface tables must be finite")
-            a.setflags(write=False)
-            c.setflags(write=False)
         object.__setattr__(self, "sigma", sig)
         object.__setattr__(self, "b", drift)
 
@@ -133,10 +129,7 @@ class VolSurface:
 
     @classmethod
     def constant(cls, spec: LatticeSpec, sigma_value: float, b_value: float) -> "VolSurface":
-        return cls(
-            sigma=tuple(np.full(2 * k + 1, float(sigma_value)) for k in range(spec.n)),
-            b=tuple(np.full(2 * k + 1, float(b_value)) for k in range(spec.n)),
-        )
+        return cls(sigma=_level_tables([sigma_value] * spec.n), b=_level_tables([b_value] * spec.n))
 
     @classmethod
     def from_function(cls, spec: LatticeSpec, sigma_fn, b_fn) -> "VolSurface":
@@ -145,8 +138,8 @@ class VolSurface:
         for k in range(spec.n):
             t = k / spec.n
             xs = spec.positions(k)
-            sig.append(np.array([sigma_fn(t, x) for x in xs]))
-            drift.append(np.array([b_fn(t, x) for x in xs]))
+            sig.append(_frozen([sigma_fn(t, x) for x in xs]))
+            drift.append(_frozen([b_fn(t, x) for x in xs]))
         return cls(sigma=tuple(sig), b=tuple(drift))
 
     def truncated(self, levels: int) -> "VolSurface":
@@ -155,6 +148,11 @@ class VolSurface:
         if levels > self.levels:
             raise ValueError("cannot extend a surface by truncation")
         return VolSurface(sigma=self.sigma[:levels], b=self.b[:levels])
+
+
+def _level_tables(values):
+    """Read-only node tables, level k holding values[k] at its 2k + 1 nodes."""
+    return tuple(_frozen([float(v)] * (2 * k + 1)) for k, v in enumerate(values))
 
 
 def _kernel_arrays(y, z, spec):
@@ -221,9 +219,7 @@ class TrinomialTree:
     node_prob: tuple = field(init=False)
 
     def __post_init__(self):
-        # copied, so that no later write through the caller's arrays can
-        # change the transitions behind node_prob's back
-        trans = tuple(np.array(a, dtype=float) for a in self.transitions)
+        trans = tuple(map(_frozen, self.transitions))
         if len(trans) != self.spec.n:
             raise ValueError(f"need transitions for levels 0..{self.spec.n - 1}")
         probs = [np.ones(1)]
@@ -233,7 +229,7 @@ class TrinomialTree:
             if np.any(t < 0) or np.max(np.abs(t.sum(axis=1) - 1.0)) > 1e-12:
                 raise ValueError(f"level {k} transition rows are not stochastic")
             probs.append(_push(probs[k], *t.T))
-        for a in trans + tuple(probs):
+        for a in probs:
             a.setflags(write=False)
         object.__setattr__(self, "transitions", trans)
         object.__setattr__(self, "node_prob", tuple(probs))
@@ -351,9 +347,8 @@ def entropy_decomposition_check(Q: np.ndarray, surface: VolSurface,
         cond = np.divide(agg, mass, out=np.array(tree.transitions[k]), where=mass > 0)
         bad = np.flatnonzero(np.abs(cond - tree.transitions[k]).max(axis=1) > _COND_TOL)
         if bad.size:
-            raise ValueError(
-                f"Q violates the one-step conditional at level {k}, offset {bad[0] - k}"
-            )
+            raise ValueError(f"Q violates the one-step conditional at level {k}, "
+                             f"offset {bad[0] - k}")
 
     _, lt = _paths(n, tree.transitions)
     _, lt0 = _paths(n, tree0.transitions)
@@ -662,6 +657,9 @@ class CalibrationResult:
     moment: float
     slack: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "theta_star", _frozen(self.theta_star))
+
 
 def _keys(points):
     """Each point's bit pattern, so that a table tells -0.0 from 0.0."""
@@ -856,9 +854,8 @@ def calibrate(problem: CalibProblem, spec: LatticeSpec, epsilon: float) -> Calib
     theta = np.zeros(p)
     t, entropy, best_gap = search(np.ones(p, dtype=bool), _THETA_SCAN)
     if t is None:
-        raise CalibrationInfeasible(
-            f"no constant parameter meets the band; smallest |gap| is {best_gap:.3e}"
-        )
+        raise CalibrationInfeasible(f"no constant parameter meets the band; smallest |gap| is "
+                                    f"{best_gap:.3e}")
     theta[:] = t
     for _ in range(30 if p > 1 else 0):
         moved = 0.0
@@ -872,13 +869,10 @@ def calibrate(problem: CalibProblem, spec: LatticeSpec, epsilon: float) -> Calib
 
     moment = float(moments(theta[None, :])[0])
     if abs(moment - problem.target) > epsilon + 1e-9:
-        raise CalibrationInfeasible(
-            f"search ended outside the band (|gap| = {abs(moment - problem.target):.3e})"
-        )
-    sigma_star = VolSurface(
-        sigma=tuple(np.full(2 * k + 1, theta[i]) for k, i in enumerate(block)),
-        b=tuple(np.full(2 * k + 1, spec.b0) for k in range(n)),
-    )
+        raise CalibrationInfeasible(f"search ended outside the band "
+                                    f"(|gap| = {abs(moment - problem.target):.3e})")
+    sigma_star = VolSurface(sigma=_level_tables(theta[block]), b=_level_tables([spec.b0] * n))
+    theta.setflags(write=False)
     return CalibrationResult(
         theta_star=theta,
         sigma_star=sigma_star,

@@ -226,17 +226,19 @@ class TestBridgeProblem:
         assert abs(h_direct - h_pot) <= 10.0 * pots.residual
         assert peak < 1.25 * 2 ** 20
 
-    def test_bridge_measure_holds_two_tables(self, solved_at_1000):
-        # the tilted joint and FiniteMeasure's copy of it, 7.6 MiB each;
-        # a fresh table per product and the quotient held 23.8 MiB
+    def test_bridge_measure_holds_one_table(self, solved_at_1000):
+        # the tilted joint, 7.6 MiB, which the measure adopts, and a block
+        # buffer (8.25 MiB in all); a copy for the measure and a sign mask
+        # held 16.7 MiB, a fresh table per product and the quotient 23.8 MiB
         prob, pots = solved_at_1000["benchmark"]
         tracemalloc.start()
         try:
-            ep.bridge_measure(prob, pots)
+            measure = ep.bridge_measure(prob, pots)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 17 * 2 ** 20
+        assert peak < 9 * 2 ** 20
+        assert measure.weights.flags.owndata and not measure.weights.flags.writeable
 
     def test_new_targets_check_p_without_a_table(self):
         # a boolean mask of the 1000^2 table alone would be 0.95 MiB
@@ -311,6 +313,18 @@ class TestSinkhorn:
     def test_rejects_no_sweeps(self):
         with pytest.raises(ValueError, match="max_iter"):
             ep.sinkhorn(criterion_problem(5), max_iter=0)
+
+    @pytest.mark.parametrize("max_iter", [2.5, math.nan])
+    def test_rejects_a_sweep_count_that_is_not_an_integer(self, max_iter):
+        # range() used to raise TypeError
+        with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+            ep.sinkhorn(criterion_problem(5), max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_rejects_a_tolerance_that_is_not_positive(self, tol):
+        # a NaN tol ran every sweep and then divided by zero
+        with pytest.raises(ValueError, match="tol must be positive"):
+            ep.sinkhorn(criterion_problem(5), tol=tol)
 
     @pytest.mark.parametrize("t", sorted(PLAIN_H_DIRECT, reverse=True))
     def test_relaxed_sweeps_converge_on_the_benchmark_grid(self, t):
@@ -398,6 +412,29 @@ class TestBridgeMeasure:
         pi = ep.bridge_measure(prob, pots)
         expect = np.outer(prob.nu0.weights, prob.nu1.weights).ravel()
         np.testing.assert_allclose(pi.weights, expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, t", [(4, 0.5), (6, 0.2), (10, 0.1)])
+def test_bridge_is_the_i_projection_onto_its_marginals(n, t):
+    # the static bridge is the I-projection of the reference joint onto the
+    # couplings of (nu0, nu1): solve_dual on the n^2 pair atoms, with the
+    # row and column indicators (the last of each dropped, as the total mass
+    # fixes it) as F and the targets' weights as the point, must give the
+    # same coupling and entropy as the potentials
+    x = np.linspace(-1.0, 1.0, n)
+    space = ep.MetricSpacePoints.from_coordinates(x)
+    base = ep.gaussian_reference(x, t, mu0=ep.FiniteMeasure(space, gaussian_weights(x, 0.0, 1.0)))
+    prob = ep.with_targets(base, ep.FiniteMeasure(space, gaussian_weights(x, 0.3, 0.36)),
+                           ep.FiniteMeasure(space, gaussian_weights(x, -0.2, 0.49)))
+    pots = ep.sinkhorn(prob)
+    joint = prob.reference_joint().ravel()
+    alpha = ep.FiniteMeasure(prob.joint_space(), joint / joint.sum())
+    F = np.hstack([np.repeat(np.eye(n), n, axis=0)[:, :-1], np.tile(np.eye(n), (n, 1))[:, :-1]])
+    target = ep.Box.point(np.concatenate([prob.nu0.weights[:-1], prob.nu1.weights[:-1]]))
+    sol = ep.solve_dual(ep.MomentProblem(alpha, F, target))
+    np.testing.assert_allclose(sol.alpha_star.weights, ep.bridge_measure(prob, pots).weights,
+                               rtol=0, atol=1e-10)
+    assert abs(sol.entropy - ep.bridge_entropy(prob, pots)[1]) <= 1e-12
 
 
 class TestBridgeEntropy:
@@ -554,6 +591,12 @@ class TestGaussianReference:
             ep.gaussian_reference(np.array([0.0, 0.0, 1.0]), 0.5)
         with pytest.raises(ValueError):
             ep.gaussian_reference(np.linspace(0, 1, 5), 0.0)
+
+    @pytest.mark.parametrize("t", [math.nan, -0.5])
+    def test_names_a_kernel_variance_that_is_not_positive(self, t):
+        # a NaN t used to fail later, as "weights must be nonnegative numbers"
+        with pytest.raises(ValueError, match="kernel variance t must be positive"):
+            ep.gaussian_reference(np.linspace(0, 1, 5), t)
 
 
 class TestMarginalScheduleCheck:

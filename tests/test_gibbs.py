@@ -272,6 +272,25 @@ def test_estimators_need_a_row_of_F_per_letter(estimate):
         estimate(alpha, 4, whole_simplex_band(), 1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda alpha, band: ep.csiszar_bound_check(alpha, 4, band, 0, alpha, 0.0),
+     "window k must be a positive integer"),
+    (lambda alpha, band: ep.product_space(alpha.space, -1),
+     "window k must be a nonnegative integer"),
+    (lambda alpha, band: ep.run_conditional_mc(alpha, 4, band, 1, trials=2.5, seed=0),
+     "trials must be a positive integer"),
+    (lambda alpha, band: ep.run_conditional_mc(alpha, 4, band, 1, trials=10, seed=-1),
+     r"seed must be an integer in \[0, 2\*\*64\)"),
+], ids=["csiszar_k0", "product_space_negative", "mc_fractional_trials", "mc_negative_seed"])
+def test_invalid_scalars_raise_typed_errors(call, message):
+    # each leaked a ZeroDivisionError, TypeError or OverflowError, or (the
+    # product space) returned the one-point space
+    alpha = ep.FiniteMeasure.uniform(line_space(3))
+    band = ep.moment_band(np.arange(3.0), np.array([1.0]), 0.5)
+    with pytest.raises(ValueError, match=message):
+        call(alpha, band)
+
+
 def test_event_probability_needs_a_positive_block_length():
     # the empirical measure of an empty block is undefined, not a miss
     with pytest.raises(ValueError, match="block length n must be a positive integer"):
@@ -513,6 +532,27 @@ class TestLogProbabilityBelowDoubleRange:
         (row,) = ep.sanov_sandwich(alpha, sol, lambda _: band, [n])
         assert math.isfinite(row["log_p_over_n"]) and math.isfinite(row["slack"])
         assert row["log_p_over_n"] == pytest.approx(log_p_over_n, rel=1e-9)
+
+
+def test_permuting_the_atoms_permutes_the_conditional_law():
+    # relabelling the letters (weights and rows of F together) relabels the
+    # law of the window; 200 seeded cases on up to 4 letters, k = 1 and 2
+    rng = np.random.default_rng(20261020)
+    for case in range(200):
+        m, n, k, d = rng.integers(2, 5), rng.integers(2, 9), rng.integers(1, 3), rng.integers(1, 3)
+        weights = rng.dirichlet(np.ones(m))
+        F = rng.integers(-3, 4, size=(m, d)).astype(float)
+        # a band around the moment of one class holds that class
+        counts, radius = rng.multinomial(n, np.ones(m) / m), rng.uniform(0.05, 1.5)
+        band = ep.moment_band(F, counts @ F / n + rng.uniform(-0.9, 0.9, d) * radius, radius)
+        perm = rng.permutation(m)
+        space = line_space(m)
+        law = ep.exact_conditional(ep.FiniteMeasure(space, weights), n, band, k).law
+        permuted = ep.exact_conditional(ep.FiniteMeasure(space, weights[perm]), n,
+                                        ep.moment_band(F[perm], band.center, band.radius), k)
+        want = law.weights.reshape((m,) * k)[np.ix_(*[perm] * k)].ravel()
+        np.testing.assert_allclose(permuted.law.weights, want, rtol=0, atol=1e-12,
+                                   err_msg=f"case {case}")
 
 
 class TestExactEventProbability:

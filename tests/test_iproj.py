@@ -520,6 +520,22 @@ class TestPythagoras:
             checked += 1
 
 
+def test_permuting_the_atoms_permutes_the_projection():
+    # relabelling the atoms (weights and rows of F together) keeps the
+    # entropy and relabels alpha_star; 200 seeded point and box problems
+    rng = np.random.default_rng(20261020)
+    for case in range(200):
+        prob = random_problem(rng, int(rng.integers(2, 7)), int(rng.integers(1, 3)),
+                              ("point", "box")[case % 2])
+        perm = rng.permutation(len(prob.F))
+        alpha = ep.FiniteMeasure(prob.alpha.space, prob.alpha.weights[perm])
+        sol = ep.solve_dual(prob)
+        permuted = ep.solve_dual(ep.MomentProblem(alpha, prob.F[perm], prob.target))
+        assert abs(permuted.entropy - sol.entropy) <= 1e-12, case
+        np.testing.assert_allclose(permuted.alpha_star.weights, sol.alpha_star.weights[perm],
+                                   rtol=0, atol=1e-12, err_msg=f"case {case}")
+
+
 class TestSchedules:
     def test_kind_is_validated(self):
         with pytest.raises(ValueError):

@@ -520,6 +520,35 @@ class TestLuxemburgNorm:
         )
 
 
+    @pytest.mark.parametrize("g", [[math.nan, 1.0, 2.0], [1.0, math.nan, 2.0],
+                                   [math.nan] * 3], ids=["first", "second", "all"])
+    def test_nan_on_the_support_is_refused(self, g):
+        # the bisection used to end on NaN and return it
+        alpha = ep.FiniteMeasure(line_space(3), np.array([0.5, 0.5, 0.0]))
+        with pytest.raises(ValueError, match="not NaN"):
+            ep.luxemburg_norm(g, alpha)
+        # off the support a NaN is as irrelevant as any other value
+        assert ep.luxemburg_norm([1.0, 1.0, math.nan], alpha) == ep.luxemburg_norm(
+            [1.0, 1.0, 0.0], alpha)
+
+
+def test_distances_of_1d_points_are_invariant_under_reflection_and_translation():
+    # x -> x + c, -x and c - x are isometries of the line, so they keep the
+    # Prohorov and Fortet-Mourier distances; 200 seeded pairs of measures
+    rng = np.random.default_rng(20261020)
+    for case in range(200):
+        x = rng.uniform(-2.0, 2.0, int(rng.integers(2, 8)))
+        w = rng.dirichlet(np.ones(len(x)), size=2)
+        shift = rng.uniform(-3.0, 3.0)
+        for metric in (ep.prohorov_distance, ep.fm_distance):
+            want = None
+            for y in (x, x + shift, -x, shift - x):
+                space = ep.MetricSpacePoints.from_coordinates(y)
+                got = metric(*(ep.FiniteMeasure(space, v) for v in w))
+                want = got if want is None else want
+                assert abs(got - want) <= 1e-12, (case, metric.__name__)
+
+
 def subset_scan_covering(space, epsilon):
     """Reference for the exact covering path: the same kept ball masks,
     then every subset of them by size until one covers."""
