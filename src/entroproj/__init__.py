@@ -3,7 +3,8 @@
 Entropy projections under moment constraints, conditional laws of i.i.d.
 blocks given empirical-measure events, discrete entropic bridges, and
 trinomial-lattice entropy calibration, with the metric toolbox (total
-variation, bounded-Lipschitz, Prohorov, coverings) they lean on.
+variation, bounded-Lipschitz, Prohorov, coverings) they lean on and the
+paper's non-asymptotic bounds on them.
 
 The submodules load on first use (PEP 562), so a CLI run compiles only
 the modules its experiment needs; ``entroproj.solve_dual`` and
@@ -15,26 +16,31 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "measures": (
         "CoveringReport", "FiniteMeasure", "MetricSpacePoints", "SupportMismatchError",
-        "covering_bound_measures", "covering_number", "epsilon_schedule_metric",
+        "covering_number", "tv_distance",
+    ),
+    "distances": (
         "fm_distance", "luxemburg_norm", "prohorov_distance", "relative_entropy",
-        "tv_distance", "variational_entropy_lower", "weighted_tv_ratio",
+        "variational_entropy_lower", "weighted_tv_ratio",
     ),
     "iproj": (
         "Box", "InfeasibleTargetError", "MomentProblem", "ScheduleParams", "SolverError",
-        "TiltedSolution", "brute_force_projection", "centering_lower_bound",
-        "dst_lower_bound", "enlargement_berry_esseen", "enlargement_sqrt", "log_laplace",
-        "schedule_from_solution", "solve_dual", "tilt", "yurinskii_tail",
+        "TiltedSolution", "enlargement_berry_esseen", "enlargement_sqrt", "log_laplace",
+        "schedule_from_solution", "solve_dual", "tilt",
     ),
     "gibbs": (
         "ConditionalEstimate", "MetricBall", "MomentBand", "ZeroAcceptanceError",
-        "csiszar_bound_check", "conditional_tv_curve", "exact_conditional",
-        "exact_event_log_probability", "exact_event_probability", "metric_ball",
-        "moment_band", "product_law", "product_space", "run_conditional_mc",
-        "sanov_sandwich",
+        "conditional_tv_curve", "exact_conditional", "exact_event_log_probability",
+        "exact_event_probability", "metric_ball", "moment_band", "product_law",
+        "product_space", "run_conditional_mc",
     ),
     "bridge": (
         "BridgePotentials", "BridgeProblem", "bridge_entropy", "bridge_measure",
-        "gaussian_reference", "marginal_schedule_check", "sinkhorn", "with_targets",
+        "gaussian_reference", "sinkhorn", "with_targets",
+    ),
+    "bounds": (
+        "brute_force_projection", "centering_lower_bound", "covering_bound_measures",
+        "csiszar_bound_check", "dst_lower_bound", "epsilon_schedule_metric",
+        "marginal_schedule_check", "sanov_sandwich", "yurinskii_tail",
     ),
     "tritree": (
         "CalibProblem", "CalibrationInfeasible", "CalibrationResult", "LatticeSpec",
@@ -71,7 +77,10 @@ def _frozen(a, ndmin=0):
     read-only float64 array that owns its data, else a read-only float64
     copy with at least ``ndmin`` dimensions. So no write through a caller's
     array can reach a record; code that builds a fresh array freezes it
-    before handing it over, and it is adopted, not copied."""
+    before handing it over, and it is adopted, not copied.
+
+    An array handed over read-only must stay read-only: numpy lets its
+    owner set ``write=True`` again, and the record would change with it."""
     import numpy as np  # here, so that importing the package loads no numpy
 
     if not (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata

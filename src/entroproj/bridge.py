@@ -352,22 +352,3 @@ def gaussian_reference(grid, t: float, mu0: FiniteMeasure | None = None,
 def with_targets(problem: BridgeProblem, nu0: FiniteMeasure, nu1: FiniteMeasure) -> BridgeProblem:
     """Same reference, new target marginals."""
     return replace(problem, nu0=nu0, nu1=nu1)
-
-
-def marginal_schedule_check(nu: FiniteMeasure, metric: str, epsilon_fn, n_list,
-                            trials: int, seed: int):
-    """Empirical P(d(L_n, nu) <= epsilon_n) for i.i.d.(nu) samples.
-
-    Rows (n, epsilon, prob). The schedule condition behind total-variation
-    convergence of conditioned bridges asks for this probability to reach 1
-    along the sequence; a too-fast schedule shows up as a stalled column.
-    """
-    from .gibbs import _accepted_patterns, mc_stream, metric_ball
-
-    gen = mc_stream(seed)
-    rows = []
-    for n in n_list:
-        ball = metric_ball(nu, metric, float(epsilon_fn(n)))
-        hits = int(_accepted_patterns(gen, nu, n, ball, 0, trials)[0])
-        rows.append({"n": n, "epsilon": ball.radius, "prob": hits / trials})
-    return rows

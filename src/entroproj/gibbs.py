@@ -4,9 +4,8 @@ Two engines drive everything: exact enumeration over type classes
 (multinomial count vectors), vectorized over blocks of classes and summed in
 log space so that events far below the double range keep a finite log
 probability, and Monte Carlo rejection on one counter-based stream per call,
-in blocks of trials. On top of them sit the quantitative checks: the Csiszar
-information inequality for conditional block laws, the Sanov sandwich for
-event probabilities, and total-variation curves along enlargement schedules.
+in blocks of trials. On top of them sit total-variation curves along
+enlargement schedules; the paper's bounds on these laws live in ``bounds``.
 """
 from __future__ import annotations
 
@@ -22,11 +21,8 @@ from .measures import (
     FiniteMeasure,
     MetricSpacePoints,
     _table,
-    fm_distance,
     log_factorials,
     logsumexp,
-    prohorov_distance,
-    relative_entropy,
     tv_distance,
 )
 
@@ -72,8 +68,13 @@ class MomentBand:
             raise ValueError(f"unknown norm {self.norm!r}")
 
     def contains_weights(self, weights):
-        """Membership of each row of ``weights`` (one answer for a vector)."""
-        gap = weights @ self.F - self.center
+        """Membership of each row of ``weights`` (one answer for a vector).
+
+        The moment is an einsum, which sums each row in the same fixed order
+        whatever the block's shape, so a row gets the same answer alone as in
+        any block; a BLAS product can round it by the kernel the shape picks.
+        """
+        gap = np.einsum("...j,jk->...k", weights, self.F) - self.center
         if self.norm == "sup":
             dev = np.abs(gap).max(axis=-1)
         else:
@@ -99,9 +100,10 @@ class MetricBall:
             raise ValueError("radius must be nonnegative")
 
     def contains(self, nu: FiniteMeasure) -> bool:
-        if self.metric == "fm":
-            return fm_distance(nu, self.target) <= self.radius
-        return prohorov_distance(nu, self.target) <= self.radius
+        from . import distances  # here, so that no experiment run loads it
+
+        distance = distances.fm_distance if self.metric == "fm" else distances.prohorov_distance
+        return distance(nu, self.target) <= self.radius
 
 
 def moment_band(F, center, radius, norm="sup") -> MomentBand:
@@ -379,53 +381,6 @@ def run_conditional_mc(alpha: FiniteMeasure, n: int, event, k: int,
                                acceptance_rate=accepted / trials,
                                log_acceptance=math.log(accepted / trials), n_trials=trials,
                                exact=False)
-
-
-def sanov_sandwich(alpha: FiniteMeasure, solution, event_fn, n_list,
-                   lower_bound_fn=None):
-    """Table of (1/n) log P(L_n in event) against the entropy level.
-
-    ``event_fn`` maps n to the conditioning event (the enlargement family),
-    ``solution`` supplies H = H(C | alpha) for the limiting constraint set.
-    Each row records the normalized log-probability, -H, the slack
-    (1/n) log P + H, and, when ``lower_bound_fn`` is given, the certified
-    lower bound together with whether it is respected.
-    """
-    rows = []
-    H = solution.entropy
-    for n in n_list:
-        log_p = exact_event_log_probability(alpha, n, event_fn(n))
-        log_p_over_n = log_p / n
-        row = {
-            "n": n,
-            "p_event": math.exp(log_p),
-            "log_p_over_n": log_p_over_n,
-            "neg_entropy": -H,
-            "slack": log_p_over_n + H,
-        }
-        if lower_bound_fn is not None:
-            lb = lower_bound_fn(n)
-            row["lower_bound"] = lb
-            row["ok_lower"] = bool(log_p_over_n >= lb - 1e-12)
-        rows.append(row)
-    return rows
-
-
-def csiszar_bound_check(alpha: FiniteMeasure, n: int, event, k: int,
-                        alpha_star: FiniteMeasure, H_event: float):
-    """Information inequality for the conditioned block law.
-
-    lhs is the relative entropy of the exact conditional k-law with respect
-    to the k-fold product of the projection alpha_star; rhs is
-    -(1/floor(n/k)) log(P(event) e^{n H_event}). Returns (lhs, rhs, ok)
-    with ok = lhs <= rhs + 1e-9. The integer bracket is read as floor.
-    """
-    if not (isinstance(k, numbers.Integral) and k >= 1):
-        raise ValueError("window k must be a positive integer")
-    est = exact_conditional(alpha, n, event, k)
-    lhs = relative_entropy(est.law, product_law(alpha_star, k))
-    rhs = -(est.log_acceptance + n * H_event) / math.floor(n / k)
-    return lhs, rhs, bool(lhs <= rhs + 1e-9)
 
 
 def conditional_tv_curve(alpha: FiniteMeasure, solution, schedule, n_list, k: int,

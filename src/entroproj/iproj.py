@@ -5,10 +5,9 @@ exponential tilt of the base measure. This module computes it through the
 convex dual: one proximal-Newton loop on the log partition function plus
 a weighted l1 term of the box half-widths. A point target is a zero-width
 box, so its l1 term vanishes. It also provides the
-quantitative enlargement schedules (sqrt(n) and 1/n radii), two tail lower
-bounds, and a simplex-grid brute-force projection used as an oracle in
-tests, driven by the same blocked enumerator of integer compositions that
-gibbs uses for type classes.
+quantitative enlargement schedules (sqrt(n) and 1/n radii), the simplex LP
+behind the hull test, and the blocked enumerator of integer compositions
+that gibbs walks type classes with.
 """
 from __future__ import annotations
 
@@ -19,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import _frozen
-from .measures import FiniteMeasure, _table, logsumexp, relative_entropy
+from .measures import FiniteMeasure, _table, logsumexp
 
 _NEWTON_TOL = 1e-10
 _NEWTON_CAP = 200
@@ -469,50 +468,6 @@ def composition_blocks(total, parts, F=None, lo=-math.inf, hi=math.inf, budget=m
     yield from walk(np.zeros((1, 0), dtype=np.int64), np.zeros((1, F.shape[1])))
 
 
-def brute_force_projection(problem: MomentProblem, grid_step: float):
-    """Exhaustive entropy minimization over the probability simplex grid.
-
-    The oracle for the dual solver: scans every grid measure (resolution
-    grid_step) on supports of at most 4 points and returns the feasible one
-    with minimal relative entropy. A thin coordinate (lo == hi) accepts a
-    moment within grid_step times the spread of its column of F, the
-    distance in it between neighbouring grid measures (an exact hit is
-    generally impossible on a grid). Cost grows like
-    (1/grid_step)^(support-1).
-    """
-    n = len(problem.alpha.space)
-    if n > 4:
-        raise ValueError("brute-force projection is limited to 4 support points")
-    if not grid_step >= 1e-3:
-        raise ValueError("grid_step below 1e-3 is not supported")
-    M = max(1, round(1.0 / grid_step))
-    alpha_w = problem.alpha.weights
-    lo, hi = problem.target.lo, problem.target.hi
-    tol = np.where(lo == hi, grid_step * np.ptp(problem.F, axis=0), 0.0) + 1e-12
-
-    log_alpha = np.where(alpha_w > 0, np.log(np.where(alpha_w > 0, alpha_w, 1.0)), 0.0)
-    best_entropy, best_weights = math.inf, None
-    for block in composition_blocks(M, n):
-        W = block / M
-        moments = W @ problem.F
-        feasible = np.all(moments >= lo - tol, axis=1) & np.all(moments <= hi + tol, axis=1)
-        if problem.alpha.weights.min() <= 0:
-            feasible &= ~np.any((W > 0) & (alpha_w == 0), axis=1)
-        if not np.any(feasible):
-            continue
-        Wf = W[feasible]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(Wf > 0, Wf * (np.log(np.where(Wf > 0, Wf, 1.0)) - log_alpha), 0.0)
-        ent = terms.sum(axis=1)
-        i = int(np.argmin(ent))
-        if ent[i] < best_entropy:
-            best_entropy = float(ent[i])
-            best_weights = Wf[i]
-    if best_weights is None:
-        raise ValueError("no feasible grid point at this resolution")
-    return FiniteMeasure(problem.alpha.space, best_weights), max(best_entropy, 0.0)
-
-
 def schedule_from_solution(solution: TiltedSolution, kind: str,
                            a: float = 1.0, margin: float = 1.1) -> ScheduleParams:
     """The enlargement schedule whose constant matches the solution.
@@ -551,49 +506,3 @@ def enlargement_sqrt(solution: TiltedSolution, a: float = 1.0, n: int = 1) -> fl
 def enlargement_berry_esseen(solution: TiltedSolution, n: int, margin: float = 1.1) -> float:
     """Radius c/n of the 'inv_n' schedule, c = margin * 10 sqrt(2 pi) kappa / sigma^3."""
     return schedule_from_solution(solution, "inv_n", margin=margin).epsilon(n)
-
-
-def yurinskii_tail(b: float, M: float, n: int, t: float) -> float:
-    """Bernstein-type tail exp(-(1/8) n t^2 / (b^2 + t M))."""
-    if not (b > 0 and M > 0 and t > 0):
-        raise ValueError("b, M and t must be positive")
-    if not n >= 1:
-        raise ValueError("n must be a positive integer")
-    return math.exp(-0.125 * n * t * t / (b * b + t * M))
-
-
-def centering_lower_bound(solution: TiltedSolution, epsilon: float,
-                          p_ball: float, n: int) -> float:
-    """Certified lower bound (1/n) log p_ball - |lambda*| epsilon for
-    (1/n) log(P(L_n in C_eps) e^{n H}).
-
-    p_ball is the caller-estimated probability, under the tilted measure,
-    that the empirical F-mean lands within epsilon of its target. The
-    original recipe leaves n implicit in the normalization; it is an
-    explicit argument here.
-    """
-    if not 0 < p_ball <= 1:
-        raise ValueError("p_ball must lie in (0, 1]")
-    if not epsilon >= 0:
-        raise ValueError("epsilon must be nonnegative")
-    if not n >= 1:
-        raise ValueError("n must be a positive integer")
-    lam_norm = float(np.linalg.norm(solution.lambda_star))
-    return math.log(p_ball) / n - lam_norm * epsilon
-
-
-def dst_lower_bound(entropy: float, p_in: float, n: int) -> float:
-    """Lower bound -H (1-p)/p + (1/n) log p - 1/(n e (1-p)) on the
-    normalized log-probability complement term, with p = P(L_n in A).
-
-    p must lie strictly inside (0, 1): at the endpoints the formula
-    degenerates (division by zero on one side, log 0 on the other)."""
-    if not entropy >= 0:
-        raise ValueError("entropy must be nonnegative")
-    if not 0 < p_in < 1:
-        raise ValueError("p_in must lie strictly between 0 and 1")
-    if not n >= 1:
-        raise ValueError("n must be a positive integer")
-    return (-entropy * (1.0 - p_in) / p_in
-            + math.log(p_in) / n
-            - 1.0 / (n * math.e * (1.0 - p_in)))

@@ -1,8 +1,13 @@
 """Shared fixtures and small builders used across the test modules."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import entroproj
 from entroproj import FiniteMeasure, MetricSpacePoints
 
 
@@ -50,3 +55,12 @@ def per_trial_types(gen, weights, n, trials, k):
     counts = np.array([gen.multinomial(n - k, p) + np.bincount(row, minlength=len(p))
                        for row in heads])
     return counts, heads
+
+
+def fresh_python(*args):
+    """Run ``python *args`` in a fresh interpreter that imports entroproj
+    from this checkout."""
+    src = os.path.dirname(os.path.dirname(entroproj.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import entroproj as ep
-from entroproj import bridge, gibbs
+from entroproj import bridge, distances
 
 from conftest import line_space, per_trial_types
 
@@ -648,7 +648,7 @@ class TestMarginalScheduleCheck:
         nu = ep.FiniteMeasure(line_space(m), w / w.sum())
         n_list, seed = [4, 9], 8
         eps = lambda n: c / n ** 0.5
-        real = getattr(gibbs, f"{metric}_distance")
+        real = getattr(distances, f"{metric}_distance")
         # per-trial loop over the same stream
         gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
         want, n_types = [], 0
@@ -660,7 +660,7 @@ class TestMarginalScheduleCheck:
             want.append({"n": n, "epsilon": eps(n), "prob": hits / trials})
 
         calls = []
-        monkeypatch.setattr(gibbs, f"{metric}_distance",
+        monkeypatch.setattr(distances, f"{metric}_distance",
                             lambda *a: calls.append(1) or real(*a))
         rows = ep.marginal_schedule_check(nu, metric, eps, n_list, trials=trials, seed=seed)
         assert 0 < len(calls) <= n_types

@@ -6,8 +6,6 @@ import importlib.util
 import json
 import math
 import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -28,6 +26,8 @@ from entroproj.iproj import (
 )
 from entroproj.gibbs import conditional_tv_curve
 from entroproj.measures import FiniteMeasure, MetricSpacePoints
+
+from conftest import fresh_python
 
 # multiplier log(7/3) and value log(5/3) of the two-point tilt hitting
 # mean 0.7 from the fair reference
@@ -876,15 +876,6 @@ print("scipy", loaded("scipy"))
 import scipy.optimize
 print("scipy.optimize", loaded("scipy.optimize"))
 """
-
-
-def fresh_python(*args):
-    """Run ``python *args`` in a fresh interpreter that imports entroproj
-    from this checkout."""
-    src = os.path.dirname(os.path.dirname(entroproj.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=120)
 
 
 def test_experiment_runs_load_no_scipy(tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entroproj as ep
-from entroproj import gibbs, iproj
+from entroproj import distances, gibbs, iproj
 from entroproj.gibbs import ENUMERATION_BUDGET
 
 from conftest import bernoulli, line_space, per_trial_types, two_point_space
@@ -123,6 +123,37 @@ class TestEvents:
     def test_moment_band_needs_finite_numbers(self, F, center):
         with pytest.raises(ValueError, match="F and center must be finite"):
             ep.moment_band(np.array(F), np.array(center), 0.1)
+
+    def test_band_answer_does_not_depend_on_the_block(self):
+        # the class (1, 1, 0, 1, 3) has exactly the centre as its moment; a
+        # BLAS product over the 210 classes of the simplex rounded it off
+        # the centre, so it was accepted alone and rejected in the walk
+        F = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 0.0], [0.0, 3.0], [2.0, 0.0]])
+        band = ep.moment_band(F, np.array([1.1666666666666667, 0.33333333333333337]), 0.0)
+        full = np.concatenate(list(iproj.composition_blocks(6, 5)))
+        row = np.flatnonzero((full == [1, 1, 0, 1, 3]).all(axis=1))[0]
+        assert len(full) == 210
+        assert band.contains_weights(full[row] / 6)
+        assert band.contains_weights(full[row:row + 1] / 6)[0]
+        assert band.contains_weights(full / 6)[row]
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_each_class_gets_the_same_answer_alone_as_in_the_walk(self, data):
+        m, d, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3)), data.draw(
+            st.integers(1, 10))
+        value = st.one_of(st.integers(-3, 3).map(float), st.floats(-2.0, 2.0))
+        F = np.array(data.draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                                        min_size=m, max_size=m)))
+        full = np.concatenate(list(iproj.composition_blocks(n, m)))
+        # centred on a class's moment, with radius 0 or a 1/10 grid step
+        center = full[data.draw(st.integers(0, len(full) - 1))] / n @ F
+        radius = data.draw(st.sampled_from([0.0, 0.1, 0.2, 0.5]))
+        band = ep.moment_band(F, center, radius, norm=data.draw(st.sampled_from(
+            ["sup", "euclidean"])))
+        in_walk = band.contains_weights(full / n)
+        alone = [bool(band.contains_weights(c / n)) for c in full]
+        assert in_walk.tolist() == alone
 
     def test_metric_ball_contains(self):
         # fm between Bernoulli(p) and Bernoulli(q) on unit-separated atoms
@@ -758,8 +789,8 @@ class TestMonteCarlo:
         want = np.bincount(heads[ok] @ 3 ** np.arange(k - 1, -1, -1), minlength=3 ** k)
         monkeypatch.setattr(iproj, "COMPOSITION_BLOCK_ROWS", 7)
         calls = []
-        real = gibbs.fm_distance
-        monkeypatch.setattr(gibbs, "fm_distance", lambda *a: calls.append(1) or real(*a))
+        real = distances.fm_distance
+        monkeypatch.setattr(distances, "fm_distance", lambda *a: calls.append(1) or real(*a))
         est = ep.run_conditional_mc(alpha, n, event, k, trials=trials, seed=seed)
         # a ball's answers carry over from block to block
         assert len(calls) == (0 if isinstance(event, ep.MomentBand)
@@ -788,8 +819,8 @@ class TestMonteCarlo:
         want = np.bincount(heads[ok] @ np.array([3, 1]), minlength=9) / ok.sum()
 
         calls = []
-        real = gibbs.fm_distance
-        monkeypatch.setattr(gibbs, "fm_distance",
+        real = distances.fm_distance
+        monkeypatch.setattr(distances, "fm_distance",
                             lambda *a: calls.append(1) or real(*a))
         est = ep.run_conditional_mc(alpha, n, ball, k, trials=trials, seed=seed)
         assert 0 < len(calls) <= len(np.unique(counts, axis=0))

@@ -15,6 +15,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 import entroproj as ep
+from entroproj import distances
 from entroproj.measures import EXACT_SCAN_LIMIT, log_factorials, logsumexp
 
 from conftest import bernoulli, line_space, random_measure, random_space, two_point_space
@@ -471,6 +472,17 @@ class TestLuxemburgNorm:
     def test_zero_function(self):
         assert ep.luxemburg_norm(np.zeros(2), bernoulli(0.5)) == 0.0
 
+    def test_infinite_value_on_the_support(self):
+        # no finite s brings the integral down to 1; the bisection used to
+        # reach inf through inf / inf = NaN, which warns
+        alpha = ep.FiniteMeasure.uniform(line_space(3))
+        assert distances.luxemburg_norm([math.inf, 1.0, 0.0], alpha) == math.inf
+        assert distances.luxemburg_norm([0.0, -math.inf, 2.0], alpha) == math.inf
+        # off the support an infinite value counts for nothing
+        half = ep.FiniteMeasure(line_space(3), np.array([0.0, 0.5, 0.5]))
+        assert distances.luxemburg_norm([math.inf, 1.0, 0.0], half) == \
+            distances.luxemburg_norm([0.0, 1.0, 0.0], half)
+
     def test_constant_one(self):
         got = ep.luxemburg_norm(np.ones(2), bernoulli(0.5))
         assert got == pytest.approx(1.0 / ORLICZ_UNIT_ROOT, abs=1e-10)
@@ -628,6 +640,27 @@ class TestCoveringNumber:
         for epsilon in (0.0, math.nan):
             with pytest.raises(ValueError, match="epsilon must be positive"):
                 ep.covering_number(self.grid11(), epsilon)
+
+    @given(st.integers(1, EXACT_SCAN_LIMIT + 6), st.integers(1, 3), st.integers(-30, 30),
+           st.integers(0, 2 ** 32 - 1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_rescaling_keeps_the_cover(self, n, dim, k, seed, data):
+        # x -> 2^k x with eps -> 2^k eps, and x -> -x, map every distance
+        # exactly, so each ball holds the same points and the cover, exact
+        # or greedy, picks the same centers; eps may sit on a distance
+        coords = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, dim))
+        space = ep.MetricSpacePoints.from_coordinates(coords)
+        eps = data.draw(st.one_of(st.sampled_from(sorted(set(space.dist.ravel()) - {0.0})
+                                                  or [1.0]),
+                                  st.floats(1e-3, 3.0)))
+        report = ep.covering_number(space, eps)
+        scale = 2.0 ** k
+        for image, image_eps in ((coords * scale, eps * scale), (-coords, eps)):
+            image_space = ep.MetricSpacePoints.from_coordinates(image)
+            got = ep.covering_number(image_space, image_eps)
+            assert (got.count, got.method) == (report.count, report.method)
+            assert [image_space.index_of(c) for c in got.centers] == \
+                [space.index_of(c) for c in report.centers]
 
 
 class TestCoveringBoundMeasures:

@@ -6,6 +6,8 @@ import pytest
 
 import entroproj
 
+from conftest import fresh_python
+
 PUBLIC_NAMES = [
     "Box", "BridgePotentials", "BridgeProblem", "CalibProblem", "CalibrationInfeasible",
     "CalibrationResult", "ConditionalEstimate", "CoveringReport", "FiniteMeasure", "I_rate",
@@ -26,7 +28,7 @@ PUBLIC_NAMES = [
     "tv_distance", "variational_entropy_lower", "weighted_tv_ratio", "with_targets",
     "yurinskii_tail",
 ]
-SUBMODULES = ["bridge", "gibbs", "iproj", "measures", "tritree"]
+SUBMODULES = ["bounds", "bridge", "distances", "gibbs", "iproj", "measures", "tritree"]
 
 
 def test_all_lists_the_public_names():
@@ -57,3 +59,16 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(ImportError):
         from entroproj import no_such_name  # noqa: F401
     assert not hasattr(entroproj, "_MISSING")
+
+
+@pytest.mark.parametrize("module", ["bridge", "gibbs", "iproj", "measures"])
+def test_experiment_modules_load_neither_bounds_nor_distances(module):
+    # no CLI run executes the bounds or the distance toolbox, so no module an
+    # experiment imports may load them at its top level: every CLI process
+    # would compile them again
+    probe = fresh_python("-c", f"import sys, entroproj.{module}; print(*sorted("
+                               "m for m in sys.modules if m.startswith('entroproj.')))")
+    assert probe.returncode == 0, probe.stderr
+    loaded = probe.stdout.split()
+    assert f"entroproj.{module}" in loaded
+    assert "entroproj.bounds" not in loaded and "entroproj.distances" not in loaded
