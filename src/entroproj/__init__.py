@@ -18,29 +18,26 @@ _EXPORTS = {
         "CoveringReport", "FiniteMeasure", "MetricSpacePoints", "SupportMismatchError",
         "covering_number", "tv_distance",
     ),
-    "distances": (
-        "fm_distance", "luxemburg_norm", "prohorov_distance", "relative_entropy",
-        "variational_entropy_lower", "weighted_tv_ratio",
-    ),
     "iproj": (
         "Box", "InfeasibleTargetError", "MomentProblem", "ScheduleParams", "SolverError",
         "TiltedSolution", "enlargement_berry_esseen", "enlargement_sqrt", "log_laplace",
         "schedule_from_solution", "solve_dual", "tilt",
     ),
     "gibbs": (
-        "ConditionalEstimate", "MetricBall", "MomentBand", "ZeroAcceptanceError",
-        "conditional_tv_curve", "exact_conditional", "exact_event_log_probability",
-        "exact_event_probability", "metric_ball", "moment_band", "product_law",
-        "product_space", "run_conditional_mc",
+        "ConditionalEstimate", "MomentBand", "ZeroAcceptanceError", "conditional_tv_curve",
+        "exact_conditional", "exact_event_log_probability", "exact_event_probability",
+        "moment_band", "product_law", "product_space", "run_conditional_mc",
     ),
     "bridge": (
         "BridgePotentials", "BridgeProblem", "bridge_entropy", "bridge_measure",
         "gaussian_reference", "sinkhorn", "with_targets",
     ),
     "bounds": (
-        "brute_force_projection", "centering_lower_bound", "covering_bound_measures",
-        "csiszar_bound_check", "dst_lower_bound", "epsilon_schedule_metric",
-        "marginal_schedule_check", "sanov_sandwich", "yurinskii_tail",
+        "MetricBall", "brute_force_projection", "centering_lower_bound",
+        "covering_bound_measures", "csiszar_bound_check", "dst_lower_bound",
+        "epsilon_schedule_metric", "fm_distance", "luxemburg_norm", "marginal_schedule_check",
+        "metric_ball", "prohorov_distance", "relative_entropy", "sanov_sandwich",
+        "variational_entropy_lower", "weighted_tv_ratio", "yurinskii_tail",
     ),
     "tritree": (
         "CalibProblem", "CalibrationInfeasible", "CalibrationResult", "LatticeSpec",

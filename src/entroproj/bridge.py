@@ -54,7 +54,7 @@ class BridgeProblem:
     def __post_init__(self):
         p = _frozen(self.p)
         if p.shape != (len(self.mu0.space), len(self.mu1.space)):
-            raise ValueError("p must be a (|grid_u|, |grid_v|) table")
+            raise ValueError("p must have a row per point of mu0 and a column per point of mu1")
         # reductions, not an N^2 mask; a NaN fails the comparisons too
         if not 0.0 <= p.min() <= p.max() < math.inf:
             raise ValueError("p must hold finite nonnegative numbers")
@@ -66,14 +66,6 @@ class BridgeProblem:
             raise ValueError(f"p is not a conditional density pair (marginal defect {defect:.3e})")
         _density_ratio(self.nu0, self.mu0)
         _density_ratio(self.nu1, self.mu1)
-
-    @property
-    def grid_u(self):
-        return self.mu0.space.points
-
-    @property
-    def grid_v(self):
-        return self.mu1.space.points
 
     def reference_joint(self) -> np.ndarray:
         """Weights of the reference joint law, a probability table."""

@@ -202,7 +202,14 @@ def _target(value, path):
         return _build(path, iproj.Box, doc.get("lo", _numbers), doc.get("hi", _numbers))
 
 
-def _schedule(value, path):
+def _one_dimensional(kind, path, problem):
+    """Reject the 1/n schedule's computed constant on an F of several columns."""
+    if kind == "inv_n" and problem.dim > 1:
+        raise ConfigError(f"{path} inv_n: the 1/n schedule needs a one-dimensional moment "
+                          f"map, and params.F has {problem.dim} columns")
+
+
+def _schedule(value, path, problem):
     """The enlargement schedule, as a function of the solved projection."""
     from . import iproj
     with _Doc(value, path) as doc:
@@ -211,6 +218,7 @@ def _schedule(value, path):
         if c is not None:
             fixed = iproj.ScheduleParams(kind=kind, c=c)
             return lambda sol: fixed
+        _one_dimensional(kind, f"{path}.kind", problem)
         return functools.partial(iproj.schedule_from_solution, kind=kind,
                                  a=doc.get("a", _positive, 1.0),
                                  margin=doc.get("margin", _positive, 1.1))
@@ -239,9 +247,12 @@ def _iproj(p):
 def _gibbs(p):
     from . import gibbs, iproj
     problem = _problem(p, iproj.Box.point(p.get("x0", _numbers)))
-    schedule_of = p.get("schedule", _schedule, {})
+    schedule_of = p.get("schedule", functools.partial(_schedule, problem=problem), {})
     n_list = p.get("n_list", _items(_integer))
     k = p.get("k", _integer, 1)
+    if k > min(n_list):
+        raise ConfigError(f"params.k {k} exceeds the smallest params.n_list entry "
+                          f"{min(n_list)}: window k cannot exceed the block length n")
     mode = p.get("mode", _kind("exact", "mc"), "exact")
     trials = p.get("trials", _integer, 20000)
 
@@ -286,8 +297,7 @@ def _bridge(p):
     max_iter = p.get("max_iter", _integer, 500)
 
     def compute(seed):
-        base = bridge.gaussian_reference(x, t, mu0=mu0)
-        problem = bridge.with_targets(base, nu0 or base.nu0, nu1 or base.nu1)
+        problem = bridge.gaussian_reference(x, t, mu0=mu0, nu0=nu0, nu1=nu1)
         pots = bridge.sinkhorn(problem, tol=tol, max_iter=max_iter)
         h_direct, h_pot = bridge.bridge_entropy(problem, pots)
         history_rows = [[i + 1, r] for i, r in enumerate(pots.history)]
@@ -400,6 +410,8 @@ def _schedules(p):
     problem = _problem(p, iproj.Box.point(p.get("x0", _numbers)))
     n_list = p.get("n_list", _items(_integer))
     kinds = p.get("kinds", _items(_kind("sqrt_n", "inv_n")), ["sqrt_n"])
+    for i, kind in enumerate(kinds):
+        _one_dimensional(kind, f"params.kinds[{i}]", problem)
     a, margin = p.get("a", _positive, 1.0), p.get("margin", _positive, 1.1)
 
     def compute(seed):

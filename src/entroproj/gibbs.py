@@ -5,7 +5,8 @@ Two engines drive everything: exact enumeration over type classes
 log space so that events far below the double range keep a finite log
 probability, and Monte Carlo rejection on one counter-based stream per call,
 in blocks of trials. On top of them sit total-variation curves along
-enlargement schedules; the paper's bounds on these laws live in ``bounds``.
+enlargement schedules. The metric-ball event and the paper's bounds on these
+laws live in ``bounds``.
 """
 from __future__ import annotations
 
@@ -85,33 +86,8 @@ class MomentBand:
         return bool(self.contains_weights(nu.weights))
 
 
-@dataclass(frozen=True)
-class MetricBall:
-    """Event {nu : d(nu, target) <= radius} for d in {fm, prohorov}."""
-
-    target: FiniteMeasure
-    metric: str
-    radius: float
-
-    def __post_init__(self):
-        if self.metric not in ("fm", "prohorov"):
-            raise ValueError(f"unknown metric {self.metric!r}")
-        if not self.radius >= 0:  # NaN fails this too
-            raise ValueError("radius must be nonnegative")
-
-    def contains(self, nu: FiniteMeasure) -> bool:
-        from . import distances  # here, so that no experiment run loads it
-
-        distance = distances.fm_distance if self.metric == "fm" else distances.prohorov_distance
-        return distance(nu, self.target) <= self.radius
-
-
 def moment_band(F, center, radius, norm="sup") -> MomentBand:
     return MomentBand(F=F, center=center, radius=radius, norm=norm)
-
-
-def metric_ball(target, metric, radius) -> MetricBall:
-    return MetricBall(target=target, metric=metric, radius=radius)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Metric spaces and the measures on them, total variation, covering numbers,
 and the log-space sums (logsumexp, log factorials) the engines share. The
-other distances and divergences live in ``distances``.
+other distances and divergences live in ``bounds``.
 
 Everything here is exact finite-dimensional computation: covering numbers
 are minimal set covers (up to 20 support points). All types are immutable

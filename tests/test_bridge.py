@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import entroproj as ep
-from entroproj import bridge, distances
+from entroproj import bounds, bridge
 
 from conftest import line_space, per_trial_types
 
@@ -398,7 +398,7 @@ class TestBridgeMeasure:
         prob = criterion_problem(50)
         pots = ep.sinkhorn(prob, tol=1e-12)
         pi = ep.bridge_measure(prob, pots)
-        n = len(prob.grid_u)
+        n = len(prob.mu0.space.points)
         table = pi.weights.reshape(n, n)
         row_tv = np.abs(table.sum(axis=1) - prob.nu0.weights).sum()
         col_tv = np.abs(table.sum(axis=0) - prob.nu1.weights).sum()
@@ -480,7 +480,7 @@ class TestBridgeEntropy:
         pi_star = ep.bridge_measure(prob, pots)
         ref = prob.reference_joint()
         ref_measure = ep.FiniteMeasure(prob.joint_space(), ref.ravel())
-        n = len(prob.grid_u)
+        n = len(prob.mu0.space.points)
         base = np.outer(prob.nu0.weights, prob.nu1.weights)
         checked = 0
         while checked < 100:
@@ -506,7 +506,7 @@ class TestBridgeEntropy:
         h_direct, h_pot = ep.bridge_entropy(prob, pots)
 
         perm = np.array([3, 0, 6, 1, 5, 2, 4])
-        x = np.asarray(prob.grid_u)[perm]
+        x = np.asarray(prob.mu0.space.points)[perm]
         space_p = ep.MetricSpacePoints.from_coordinates(x)
         mu0_p = ep.FiniteMeasure(space_p, prob.mu0.weights[perm])
         nu0_p = ep.FiniteMeasure(space_p, prob.nu0.weights[perm])
@@ -648,7 +648,7 @@ class TestMarginalScheduleCheck:
         nu = ep.FiniteMeasure(line_space(m), w / w.sum())
         n_list, seed = [4, 9], 8
         eps = lambda n: c / n ** 0.5
-        real = getattr(distances, f"{metric}_distance")
+        real = getattr(bounds, f"{metric}_distance")
         # per-trial loop over the same stream
         gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
         want, n_types = [], 0
@@ -660,7 +660,7 @@ class TestMarginalScheduleCheck:
             want.append({"n": n, "epsilon": eps(n), "prob": hits / trials})
 
         calls = []
-        monkeypatch.setattr(distances, f"{metric}_distance",
+        monkeypatch.setattr(bounds, f"{metric}_distance",
                             lambda *a: calls.append(1) or real(*a))
         rows = ep.marginal_schedule_check(nu, metric, eps, n_list, trials=trials, seed=seed)
         assert 0 < len(calls) <= n_types

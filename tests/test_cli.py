@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entroproj
-from entroproj import __version__, cli, tritree
+from entroproj import __version__, bridge, cli, tritree
 from entroproj.cli import main, run, validate_config
 from entroproj.iproj import (
     Box,
@@ -89,6 +89,11 @@ def gibbs_config(mode="exact", **params):
         "params": base,
         "output": {"path": "curve.csv"},
     }
+
+
+# a moment map of two columns, on which the 1/n constant of the solution is undefined
+TWO_COLUMNS = {"alpha_weights": [0.4, 0.3, 0.3], "F": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+               "x0": [0.3, 0.3]}
 
 
 class TestValidate:
@@ -235,8 +240,17 @@ class TestValidate:
           "params": {"n": 16, "alpha_tick": 2.0, "sigma_min": 0.6, "sigma_max": 1.4, "b0": 0.15,
                      "s": 0.03, "sigma0": 1.2, "epsilon": 0.01, "n_pieces": 20}},
          "params.n_pieces 20 exceeds params.n=16"),
+        (gibbs_config(n_list=[8, 3], k=4), "params.k 4 exceeds the smallest params.n_list "
+         "entry 3: window k cannot exceed the block length n"),
+        # the 1/n constant computed from the solution, not given as c
+        (gibbs_config(**TWO_COLUMNS, schedule={"kind": "inv_n"}), "params.schedule.kind inv_n: "
+         "the 1/n schedule needs a one-dimensional moment map, and params.F has 2 columns"),
+        ({"experiment": "schedules", "params": {**TWO_COLUMNS, "n_list": [4],
+                                                "kinds": ["sqrt_n", "inv_n"]}},
+         "params.kinds[1] inv_n: the 1/n schedule needs a one-dimensional moment map"),
     ], ids=["mc_trials", "weights_sum", "scalar_F", "k_string", "target_kind",
-            "bridge_grid_num", "covering_grid_num", "schedule_kind", "calibrate_n_pieces"])
+            "bridge_grid_num", "covering_grid_num", "schedule_kind", "calibrate_n_pieces",
+            "window_beyond_block", "gibbs_inv_n_two_columns", "schedules_inv_n_two_columns"])
     def test_configs_that_used_to_fail_in_run_exit_config(self, runner, tmp_path, command,
                                                           doc, key):
         cfg = write_config(tmp_path, {"seed": 1, "output": {"path": "x.csv"}, **doc})
@@ -244,6 +258,12 @@ class TestValidate:
         result = runner.invoke(main, [command, "--config", cfg, *out])
         assert result.exit_code == 2, result.output
         assert any(key in d for d in json.loads(result.output)["diagnostics"])
+
+    def test_inv_n_with_its_constant_runs_on_two_columns(self, tmp_path):
+        # c fixes the 1/n schedule, so no one-dimensional moment map is needed
+        doc = gibbs_config(**TWO_COLUMNS, schedule={"kind": "inv_n", "c": 2.0})
+        assert validate_config(doc) == []
+        assert run(doc, out_dir=str(tmp_path))["row_counts"] == {"curve": 2}
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("value", [0, -1.2])
@@ -543,6 +563,17 @@ class TestRunBridge:
         assert result.exit_code == 0, result.output
         summary = field_map(read_table(tmp_path / "bridge.summary.csv")[1])
         assert summary["H_direct"] == summary["H_potentials"] == summary["residual"] == 0.0
+
+    def test_a_run_builds_one_problem(self, runner, tmp_path, monkeypatch):
+        # the targets go to gaussian_reference, so the N^2 checks of p run once
+        calls = []
+        check = bridge.BridgeProblem.__post_init__
+        monkeypatch.setattr(bridge.BridgeProblem, "__post_init__",
+                            lambda problem: calls.append(1) or check(problem))
+        cfg = write_config(tmp_path, self._doc(t=0.5, max_iter=50))
+        result = runner.invoke(main, ["run", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
 
     def test_kernel_underflow_exits_numeric(self, runner, tmp_path):
         # unrelaxed sweeps ended here with NaN in the coupling and H_direct 0.0

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entroproj as ep
-from entroproj import distances, gibbs, iproj
+from entroproj import bounds, gibbs, iproj
 from entroproj.gibbs import ENUMERATION_BUDGET
 
 from conftest import bernoulli, line_space, per_trial_types, two_point_space
@@ -789,8 +789,8 @@ class TestMonteCarlo:
         want = np.bincount(heads[ok] @ 3 ** np.arange(k - 1, -1, -1), minlength=3 ** k)
         monkeypatch.setattr(iproj, "COMPOSITION_BLOCK_ROWS", 7)
         calls = []
-        real = distances.fm_distance
-        monkeypatch.setattr(distances, "fm_distance", lambda *a: calls.append(1) or real(*a))
+        real = bounds.fm_distance
+        monkeypatch.setattr(bounds, "fm_distance", lambda *a: calls.append(1) or real(*a))
         est = ep.run_conditional_mc(alpha, n, event, k, trials=trials, seed=seed)
         # a ball's answers carry over from block to block
         assert len(calls) == (0 if isinstance(event, ep.MomentBand)
@@ -819,8 +819,8 @@ class TestMonteCarlo:
         want = np.bincount(heads[ok] @ np.array([3, 1]), minlength=9) / ok.sum()
 
         calls = []
-        real = distances.fm_distance
-        monkeypatch.setattr(distances, "fm_distance",
+        real = bounds.fm_distance
+        monkeypatch.setattr(bounds, "fm_distance",
                             lambda *a: calls.append(1) or real(*a))
         est = ep.run_conditional_mc(alpha, n, ball, k, trials=trials, seed=seed)
         assert 0 < len(calls) <= len(np.unique(counts, axis=0))

@@ -1,6 +1,8 @@
 """The package's public names, which load their submodules on first use."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +30,7 @@ PUBLIC_NAMES = [
     "tv_distance", "variational_entropy_lower", "weighted_tv_ratio", "with_targets",
     "yurinskii_tail",
 ]
-SUBMODULES = ["bounds", "bridge", "distances", "gibbs", "iproj", "measures", "tritree"]
+SUBMODULES = ["bounds", "bridge", "gibbs", "iproj", "measures", "tritree"]
 
 
 def test_all_lists_the_public_names():
@@ -71,4 +73,26 @@ def test_experiment_modules_load_neither_bounds_nor_distances(module):
     assert probe.returncode == 0, probe.stderr
     loaded = probe.stdout.split()
     assert f"entroproj.{module}" in loaded
-    assert "entroproj.bounds" not in loaded and "entroproj.distances" not in loaded
+    assert "entroproj.bounds" not in loaded
+
+
+def _imports_the_package(node):
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or node.module.split(".")[0] == "entroproj"
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "entroproj" for alias in node.names)
+
+
+def test_no_library_module_imports_a_sibling_inside_a_function():
+    # a module's siblings are imported at its top, so its import edges are
+    # all in one place; only cli's parsers import theirs when they run, so
+    # that a process loads just the modules its experiment computes with
+    local = set()
+    for path in sorted(Path(entroproj.__file__).parent.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        for scope in ast.walk(ast.parse(path.read_text())):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local.update(f"{path.name}:{node.lineno}" for node in ast.walk(scope)
+                             if _imports_the_package(node))
+    assert not local
