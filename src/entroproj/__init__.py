@@ -20,31 +20,30 @@ _EXPORTS = {
     ),
     "iproj": (
         "Box", "InfeasibleTargetError", "MomentProblem", "ScheduleParams", "SolverError",
-        "TiltedSolution", "enlargement_berry_esseen", "enlargement_sqrt", "log_laplace",
-        "schedule_from_solution", "solve_dual", "tilt",
+        "TiltedSolution", "log_laplace", "schedule_from_solution", "solve_dual", "tilt",
     ),
     "gibbs": (
         "ConditionalEstimate", "MomentBand", "ZeroAcceptanceError", "conditional_tv_curve",
-        "exact_conditional", "exact_event_log_probability", "exact_event_probability",
-        "moment_band", "product_law", "product_space", "run_conditional_mc",
+        "exact_conditional", "exact_event_log_probability", "product_law", "product_space",
+        "run_conditional_mc",
     ),
     "bridge": (
         "BridgePotentials", "BridgeProblem", "bridge_entropy", "bridge_measure",
-        "gaussian_reference", "sinkhorn", "with_targets",
+        "gaussian_reference", "sinkhorn",
     ),
     "bounds": (
         "MetricBall", "brute_force_projection", "centering_lower_bound",
         "covering_bound_measures", "csiszar_bound_check", "dst_lower_bound",
         "epsilon_schedule_metric", "fm_distance", "luxemburg_norm", "marginal_schedule_check",
-        "metric_ball", "prohorov_distance", "relative_entropy", "sanov_sandwich",
-        "variational_entropy_lower", "weighted_tv_ratio", "yurinskii_tail",
+        "prohorov_distance", "relative_entropy", "sanov_sandwich", "variational_entropy_lower",
+        "weighted_tv_ratio", "yurinskii_tail",
     ),
     "tritree": (
         "CalibProblem", "CalibrationInfeasible", "CalibrationResult", "LatticeSpec",
         "TrinomialTree", "VolSurface", "I_rate", "build_tree", "calibrate", "dl_gap",
         "entropy_decomposition_check", "epsilon0", "expectation", "kernel",
         "local_entropy", "min_level_n0", "path_marginal", "q_rate", "tree_entropy_chain",
-        "tree_entropy_paths", "trinomial_weak_convergence_probe",
+        "tree_entropy_paths",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -203,10 +203,6 @@ class MetricBall:
         return distance(nu, self.target) <= self.radius
 
 
-def metric_ball(target, metric, radius) -> MetricBall:
-    return MetricBall(target=target, metric=metric, radius=radius)
-
-
 def weighted_tv_ratio(f, nu1: FiniteMeasure, nu2: FiniteMeasure, delta: float):
     """Weighted total-variation diagnostic (lhs, factor, ratio).
 
@@ -461,7 +457,7 @@ def marginal_schedule_check(nu: FiniteMeasure, metric: str, epsilon_fn, n_list,
     gen = gibbs.mc_stream(seed)
     rows = []
     for n in n_list:
-        ball = metric_ball(nu, metric, float(epsilon_fn(n)))
+        ball = MetricBall(nu, metric, float(epsilon_fn(n)))
         hits = int(gibbs._accepted_patterns(gen, nu, n, ball, 0, trials)[0])
         rows.append({"n": n, "epsilon": ball.radius, "prob": hits / trials})
     return rows

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -339,8 +339,3 @@ def gaussian_reference(grid, t: float, mu0: FiniteMeasure | None = None,
     if nu1 is None:
         nu1 = mu1
     return BridgeProblem(mu0=mu0, mu1=mu1, p=p, nu0=nu0, nu1=nu1)
-
-
-def with_targets(problem: BridgeProblem, nu0: FiniteMeasure, nu1: FiniteMeasure) -> BridgeProblem:
-    """Same reference, new target marginals."""
-    return replace(problem, nu0=nu0, nu1=nu1)

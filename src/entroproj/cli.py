@@ -202,11 +202,14 @@ def _target(value, path):
         return _build(path, iproj.Box, doc.get("lo", _numbers), doc.get("hi", _numbers))
 
 
-def _one_dimensional(kind, path, problem):
-    """Reject the 1/n schedule's computed constant on an F of several columns."""
-    if kind == "inv_n" and problem.dim > 1:
-        raise ConfigError(f"{path} inv_n: the 1/n schedule needs a one-dimensional moment "
-                          f"map, and params.F has {problem.dim} columns")
+def _constants(doc, kinds, paths, problem):
+    """schedule_from_solution's constants: ``a`` only for sqrt_n, and
+    ``margin`` only for inv_n, which needs one column of F."""
+    if "inv_n" in kinds and problem.dim > 1:
+        raise ConfigError(f"{paths[kinds.index('inv_n')]} inv_n: the 1/n schedule needs a "
+                          f"one-dimensional moment map, and params.F has {problem.dim} columns")
+    return {key: doc.get(key, _positive, default) for key, kind, default
+            in (("a", "sqrt_n", 1.0), ("margin", "inv_n", 1.1)) if kind in kinds}
 
 
 def _schedule(value, path, problem):
@@ -218,10 +221,8 @@ def _schedule(value, path, problem):
         if c is not None:
             fixed = iproj.ScheduleParams(kind=kind, c=c)
             return lambda sol: fixed
-        _one_dimensional(kind, f"{path}.kind", problem)
         return functools.partial(iproj.schedule_from_solution, kind=kind,
-                                 a=doc.get("a", _positive, 1.0),
-                                 margin=doc.get("margin", _positive, 1.1))
+                                 **_constants(doc, [kind], [f"{path}.kind"], problem))
 
 
 def _iproj(p):
@@ -410,15 +411,13 @@ def _schedules(p):
     problem = _problem(p, iproj.Box.point(p.get("x0", _numbers)))
     n_list = p.get("n_list", _items(_integer))
     kinds = p.get("kinds", _items(_kind("sqrt_n", "inv_n")), ["sqrt_n"])
-    for i, kind in enumerate(kinds):
-        _one_dimensional(kind, f"params.kinds[{i}]", problem)
-    a, margin = p.get("a", _positive, 1.0), p.get("margin", _positive, 1.1)
+    constants = _constants(p, kinds, [f"params.kinds[{i}]" for i in range(len(kinds))], problem)
 
     def compute(seed):
         sol = iproj.solve_dual(problem)
         rows = []
         for kind in kinds:
-            schedule = iproj.schedule_from_solution(sol, kind, a=a, margin=margin)
+            schedule = iproj.schedule_from_solution(sol, kind, **constants)
             for n in n_list:
                 rows.append([kind, n, schedule.epsilon(n)])
         return {"schedules": (["kind", "n", "epsilon"], rows)}

@@ -86,10 +86,6 @@ class MomentBand:
         return bool(self.contains_weights(nu.weights))
 
 
-def moment_band(F, center, radius, norm="sup") -> MomentBand:
-    return MomentBand(F=F, center=center, radius=radius, norm=norm)
-
-
 @dataclass(frozen=True)
 class ConditionalEstimate:
     """Law of the first k coordinates of a conditioned i.i.d. block.
@@ -271,12 +267,6 @@ def exact_event_log_probability(alpha: FiniteMeasure, n: int, event) -> float:
     return min(_type_class_sums(alpha, n, event, 0)[0], 0.0)
 
 
-def exact_event_probability(alpha: FiniteMeasure, n: int, event) -> float:
-    """Exact P(empirical measure of an n-block satisfies the event), capped
-    at 1.0; it underflows to 0.0 where exact_event_log_probability does not."""
-    return math.exp(exact_event_log_probability(alpha, n, event))
-
-
 def mc_stream(seed):
     """The counter-based stream of one Monte Carlo call, keyed by (seed, 0)."""
     if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2 ** 64):
@@ -378,7 +368,7 @@ def conditional_tv_curve(alpha: FiniteMeasure, solution, schedule, n_list, k: in
     rows = []
     for n in n_list:
         eps = schedule.epsilon(n)
-        event = moment_band(problem.F, center, eps, norm="euclidean")
+        event = MomentBand(problem.F, center, eps, "euclidean")
         est = estimate(alpha, n, event, k)
         rows.append({
             "n": n,

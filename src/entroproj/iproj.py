@@ -496,13 +496,3 @@ def schedule_from_solution(solution: TiltedSolution, kind: str,
         c = margin * 10.0 * math.sqrt(2.0 * math.pi) * solution.third_abs_moment / sigma ** 3
         return ScheduleParams(kind="inv_n", c=c)
     raise ValueError(f"unknown schedule kind {kind!r}")
-
-
-def enlargement_sqrt(solution: TiltedSolution, a: float = 1.0, n: int = 1) -> float:
-    """Radius (1+1e-6) sqrt(a Var) / sqrt(n) of the 'sqrt_n' schedule."""
-    return schedule_from_solution(solution, "sqrt_n", a=a).epsilon(n)
-
-
-def enlargement_berry_esseen(solution: TiltedSolution, n: int, margin: float = 1.1) -> float:
-    """Radius c/n of the 'inv_n' schedule, c = margin * 10 sqrt(2 pi) kappa / sigma^3."""
-    return schedule_from_solution(solution, "inv_n", margin=margin).epsilon(n)

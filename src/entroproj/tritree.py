@@ -131,17 +131,6 @@ class VolSurface:
     def constant(cls, spec: LatticeSpec, sigma_value: float, b_value: float) -> "VolSurface":
         return cls(sigma=_level_tables([sigma_value] * spec.n), b=_level_tables([b_value] * spec.n))
 
-    @classmethod
-    def from_function(cls, spec: LatticeSpec, sigma_fn, b_fn) -> "VolSurface":
-        """Evaluate callables (t, x) -> value on every lattice node."""
-        sig, drift = [], []
-        for k in range(spec.n):
-            t = k / spec.n
-            xs = spec.positions(k)
-            sig.append(_frozen([sigma_fn(t, x) for x in xs]))
-            drift.append(_frozen([b_fn(t, x) for x in xs]))
-        return cls(sigma=tuple(sig), b=tuple(drift))
-
     def truncated(self, levels: int) -> "VolSurface":
         if _integer("levels", levels) < 0:
             raise ValueError("level out of range")
@@ -632,18 +621,17 @@ class CalibProblem:
 
     sigma0 is the reference variance (a constant or a full surface), drift
     is pinned at the lattice's b0 throughout, payoff maps the terminal value
-    to a real, and the constraint is |E[payoff(X_1)] - target| <= epsilon
-    with target normalized to 1. The family is piecewise constant in time
+    to a real, and the constraint is |E[payoff(X_1)] - 1| <= epsilon, the
+    target normalized to 1. The family is piecewise constant in time
     with n_pieces equal blocks; n_pieces=1 is the constant family.
     """
 
     sigma0: object
     payoff: object
-    target: float = 1.0
     n_pieces: int = 1
 
     def __post_init__(self):
-        if self.n_pieces < 1:
+        if _integer("n_pieces", self.n_pieces) < 1:
             raise ValueError("n_pieces must be at least 1")
         if not callable(self.payoff):
             raise ValueError("payoff must be callable")
@@ -788,7 +776,7 @@ def calibrate(problem: CalibProblem, spec: LatticeSpec, epsilon: float) -> Calib
     """Entropy-minimal family member subject to the terminal moment band.
 
     One search serves every line through parameter space: scan it, refine
-    the feasible segments where |E[payoff] - target| <= epsilon by
+    the feasible segments where |E[payoff] - 1| <= epsilon by
     bisection, and golden-section the chain entropy inside each, the
     segment ends included. Several parameters add coordinate descent,
     seeded at the best feasible constant. The scan walks all its points in
@@ -803,7 +791,7 @@ def calibrate(problem: CalibProblem, spec: LatticeSpec, epsilon: float) -> Calib
     moment. At n = 40 that is 21 walks for one piece, 13 of them law walks,
     and 65 for two, 39 of them law walks.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN fails this too
         raise ValueError("epsilon must be positive")
     n, p = spec.n, problem.n_pieces
     if p > n:
@@ -841,7 +829,7 @@ def calibrate(problem: CalibProblem, spec: LatticeSpec, epsilon: float) -> Calib
             return np.where(axis, t[:, None], theta)
 
         segments, best_gap = _feasible_segments(
-            lambda t: moments(line(t)) - problem.target, lo, hi, epsilon, n_scan)
+            lambda t: moments(line(t)) - 1.0, lo, hi, epsilon, n_scan)
         if not segments:
             return None, None, best_gap
         points, values = _golden_min(
@@ -868,9 +856,9 @@ def calibrate(problem: CalibProblem, spec: LatticeSpec, epsilon: float) -> Calib
             break
 
     moment = float(moments(theta[None, :])[0])
-    if abs(moment - problem.target) > epsilon + 1e-9:
+    if abs(moment - 1.0) > epsilon + 1e-9:
         raise CalibrationInfeasible(f"search ended outside the band "
-                                    f"(|gap| = {abs(moment - problem.target):.3e})")
+                                    f"(|gap| = {abs(moment - 1.0):.3e})")
     sigma_star = VolSurface(sigma=_level_tables(theta[block]), b=_level_tables([spec.b0] * n))
     theta.setflags(write=False)
     return CalibrationResult(
@@ -878,7 +866,7 @@ def calibrate(problem: CalibProblem, spec: LatticeSpec, epsilon: float) -> Calib
         sigma_star=sigma_star,
         entropy=entropy,
         moment=moment,
-        slack=abs(moment - problem.target),
+        slack=abs(moment - 1.0),
     )
 
 
@@ -886,26 +874,3 @@ def epsilon0(result: CalibrationResult, spec: LatticeSpec) -> float:
     """Attainable band radius at this level: the calibrated constraint
     slack plus the 1/n resolution term, clipped at s."""
     return min(result.slack + 1.0 / spec.n, spec.s)
-
-
-def trinomial_weak_convergence_probe(sigma_sequence, spec_sequence,
-                                     reference_sde_moments):
-    """Terminal mean and variance gaps against the constant-coefficient limit.
-
-    Rows (n, mean_gap, variance_gap, max_increment) for each (sigma, spec)
-    pair, compared to the reference (mean, variance) pair of the limiting
-    diffusion at time 1.
-    """
-    ref_mean, ref_var = reference_sde_moments
-    rows = []
-    for sigma_value, spec in zip(sigma_sequence, spec_sequence):
-        law = _terminal_law([float(sigma_value)] * spec.n, [spec.b0] * spec.n, spec)
-        xs = spec.positions(spec.n)
-        mean, second = float(law @ xs), float(law @ (xs * xs))
-        rows.append({
-            "n": spec.n,
-            "mean_gap": abs(mean - ref_mean),
-            "variance_gap": abs(second - mean ** 2 - ref_var),
-            "max_increment": spec.dx,
-        })
-    return rows

@@ -12,6 +12,7 @@ enumeration scripts) and are frozen here as literals.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 from click.testing import CliRunner
@@ -109,7 +110,7 @@ def test_criterion_03_block_conditional_entropy_bound():
         # so solve the box problem for each band half-width
         band_sol = ep.solve_dual(bern_problem(
             ep.Box(np.array([0.7 - eps]), np.array([0.7 + eps]))))
-        event = ep.moment_band(F, np.array([0.7]), eps)
+        event = ep.MomentBand(F, np.array([0.7]), eps)
         for n in (8, 16, 32):
             for k in (1, 2):
                 lhs, rhs, ok = ep.csiszar_bound_check(
@@ -158,7 +159,7 @@ def test_criterion_05_bridge_fixed_point_and_projection():
     base = ep.gaussian_reference(x, 0.5, mu0=mu0)
     nu0 = ep.FiniteMeasure(space, gaussian_weights(x, 0.3, 0.36))
     nu1 = ep.FiniteMeasure(space, gaussian_weights(x, -0.2, 0.49))
-    problem = ep.with_targets(base, nu0, nu1)
+    problem = replace(base, nu0=nu0, nu1=nu1)
 
     result = ep.sinkhorn(problem, tol=1e-12, max_iter=500)
     assert len(result.history) <= 500
@@ -242,7 +243,7 @@ def test_criterion_08_calibration_round_trip():
     scale = ep.expectation(target_tree, lambda v: v * v, spec.n)
     payoff = lambda v: v * v / scale
 
-    problem = ep.CalibProblem(sigma0=1.2, payoff=payoff, target=1.0, n_pieces=1)
+    problem = ep.CalibProblem(sigma0=1.2, payoff=payoff, n_pieces=1)
     result = ep.calibrate(problem, spec, epsilon=0.01)
     assert abs(result.theta_star[0] - sigma_target) <= 0.05
     assert result.slack <= 0.01 + 1e-9
@@ -269,8 +270,8 @@ def test_criterion_09_enlargement_schedule_trend():
     F = np.array([[0.0], [1.0]])
 
     def event_fn(n):
-        return ep.moment_band(
-            F, np.array([0.7]), ep.enlargement_berry_esseen(sol, n))
+        return ep.MomentBand(
+            F, np.array([0.7]), ep.schedule_from_solution(sol, "inv_n").epsilon(n))
 
     table = ep.sanov_sandwich(alpha, sol, event_fn, [64, 512])
     slack = {row["n"]: row["slack"] for row in table}

@@ -26,7 +26,7 @@ def criterion_problem(n=50):
     base = ep.gaussian_reference(x, 0.5, mu0=mu0)
     nu0 = ep.FiniteMeasure(space, gaussian_weights(x, 0.3, 0.36))
     nu1 = ep.FiniteMeasure(space, gaussian_weights(x, -0.2, 0.49))
-    return ep.with_targets(base, nu0, nu1)
+    return replace(base, nu0=nu0, nu1=nu1)
 
 
 def benchmark_problem(t, n=200):
@@ -37,7 +37,7 @@ def benchmark_problem(t, n=200):
     base = ep.gaussian_reference(x, t, mu0=mu0)
     nu0 = ep.FiniteMeasure(space, gaussian_weights(x, 0.3, 0.36))
     nu1 = ep.FiniteMeasure(space, gaussian_weights(x, -0.2, 0.49))
-    return ep.with_targets(base, nu0, nu1)
+    return replace(base, nu0=nu0, nu1=nu1)
 
 
 def plain_sinkhorn(problem, tol, max_iter):
@@ -107,7 +107,7 @@ def truncated_problem(n=1000):
     hold zero cells, while the others hold none."""
     prob = benchmark_problem(0.05, n)
     nu0 = np.where(np.linspace(-2.0, 2.0, n) > -2.0 / 3.0, prob.nu0.weights, 0.0)
-    return ep.with_targets(prob, ep.FiniteMeasure(prob.mu0.space, nu0 / nu0.sum()), prob.nu1)
+    return replace(prob, nu0=ep.FiniteMeasure(prob.mu0.space, nu0 / nu0.sum()))
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +245,7 @@ class TestBridgeProblem:
         prob = benchmark_problem(0.05, n=1000)
         tracemalloc.start()
         try:
-            ep.with_targets(prob, prob.nu1, prob.nu0)
+            replace(prob, nu0=prob.nu1, nu1=prob.nu0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -254,7 +254,7 @@ class TestBridgeProblem:
     def test_new_targets_share_the_frozen_reference(self):
         base = ep.gaussian_reference(np.linspace(-1.0, 1.0, 30), 0.3)
         assert not base.p.flags.writeable
-        swapped = ep.with_targets(base, base.nu1, base.nu0)
+        swapped = replace(base, nu0=base.nu1, nu1=base.nu0)
         assert swapped.p is base.p
 
     def test_caller_table_is_copied(self):
@@ -424,8 +424,8 @@ def test_bridge_is_the_i_projection_onto_its_marginals(n, t):
     x = np.linspace(-1.0, 1.0, n)
     space = ep.MetricSpacePoints.from_coordinates(x)
     base = ep.gaussian_reference(x, t, mu0=ep.FiniteMeasure(space, gaussian_weights(x, 0.0, 1.0)))
-    prob = ep.with_targets(base, ep.FiniteMeasure(space, gaussian_weights(x, 0.3, 0.36)),
-                           ep.FiniteMeasure(space, gaussian_weights(x, -0.2, 0.49)))
+    prob = replace(base, nu0=ep.FiniteMeasure(space, gaussian_weights(x, 0.3, 0.36)),
+                   nu1=ep.FiniteMeasure(space, gaussian_weights(x, -0.2, 0.49)))
     pots = ep.sinkhorn(prob)
     joint = prob.reference_joint().ravel()
     alpha = ep.FiniteMeasure(prob.joint_space(), joint / joint.sum())
@@ -559,7 +559,7 @@ class TestGaussianReference:
         np.testing.assert_array_equal(prob.mu1.weights, [1.0, 0.0])
         np.testing.assert_array_equal(prob.p, [[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="absolutely continuous"):
-            ep.with_targets(prob, prob.nu0, ep.FiniteMeasure(prob.mu1.space, [0.5, 0.5]))
+            replace(prob, nu1=ep.FiniteMeasure(prob.mu1.space, [0.5, 0.5]))
         pots = ep.sinkhorn(prob)
         assert pots.residual == 0.0
         assert ep.bridge_entropy(prob, pots) == (0.0, 0.0)

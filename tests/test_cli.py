@@ -834,6 +834,11 @@ def test_a_key_no_parser_reads_exits_config(runner, tmp_path, command, experimen
     ("covering", {"points": [0.0, 0.5, 1.0]}, ["params.grid"]),
     ("gibbs", {"schedule": {"kind": "sqrt_n", "c": 0.5, "a": 2.0, "margin": 1.5}},
      ["params.schedule.a", "params.schedule.margin"]),
+    # a feeds only the sqrt(n) constant and margin only the 1/n one
+    ("gibbs", {"schedule": {"kind": "sqrt_n", "margin": 7.0}}, ["params.schedule.margin"]),
+    ("gibbs", {"schedule": {"kind": "inv_n", "a": 3.0}}, ["params.schedule.a"]),
+    ("schedules", {"kinds": ["sqrt_n"], "margin": 7.0}, ["params.margin"]),
+    ("schedules", {"kinds": ["inv_n"], "a": 3.0}, ["params.a"]),
     ("bridge", {"grid": {"start": -1.0, "stop": 1.0, "num": 5, "step": 0.5}},
      ["params.grid.step"]),
     ("bridge", {"nu0": {"kind": "uniform", "std": 2.0}}, ["params.nu0.std"]),
@@ -841,8 +846,10 @@ def test_a_key_no_parser_reads_exits_config(runner, tmp_path, command, experimen
     # the target value used to be dropped for the one sigma_target gives
     ("calibrate", {"payoff": {"kind": "square", "sigma_target": 1.1, "target_value": 5.0}},
      ["params.payoff.target_value"]),
-], ids=["typo", "covering_points_and_grid", "schedule_c_with_a_and_margin", "grid", "weights",
-        "target", "payoff_sigma_target_and_target_value"])
+], ids=["typo", "covering_points_and_grid", "schedule_c_with_a_and_margin",
+        "schedule_sqrt_n_with_margin", "schedule_inv_n_with_a", "schedules_sqrt_n_with_margin",
+        "schedules_inv_n_with_a", "grid", "weights", "target",
+        "payoff_sigma_target_and_target_value"])
 def test_keys_the_other_keys_leave_unread_exit_config(runner, tmp_path, command, experiment,
                                                       params, keys):
     doc = {"experiment": experiment, "seed": 1, "output": {"path": "x.csv"},
@@ -900,7 +907,7 @@ for cfg in sys.argv[2:]:
     main(["run", "--config", cfg, "--out", sys.argv[1]], standalone_mode=False)
     print("scipy", loaded("scipy"))
 alpha = ep.FiniteMeasure.uniform(ep.MetricSpacePoints.from_coordinates([0.0, 1.0]))
-ep.exact_conditional(alpha, 4, ep.metric_ball(alpha, "fm", 0.5), 1)
+ep.exact_conditional(alpha, 4, ep.MetricBall(alpha, "fm", 0.5), 1)
 ep.fm_distance(alpha, ep.FiniteMeasure.point_mass(alpha.space, 0))
 ep.luxemburg_norm([1.0, -2.0], alpha)
 print("scipy", loaded("scipy"))

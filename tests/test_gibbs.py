@@ -91,11 +91,11 @@ def reference_conditional(alpha, n, event, k):
 
 def mean_band(center, radius):
     """Band on the empirical mean of the coordinate for a {0, 1} alphabet."""
-    return ep.moment_band(np.array([0.0, 1.0]), np.array([center]), radius)
+    return ep.MomentBand(np.array([0.0, 1.0]), np.array([center]), radius)
 
 
 def whole_simplex_band():
-    return ep.moment_band(np.array([0.0, 1.0]), np.array([0.5]), 10.0)
+    return ep.MomentBand(np.array([0.0, 1.0]), np.array([0.5]), 10.0)
 
 
 class TestEvents:
@@ -112,7 +112,7 @@ class TestEvents:
     @pytest.mark.parametrize("center", [[0.5], [0.5, 0.5, 0.5]])
     def test_moment_band_needs_one_center_entry_per_column(self, center):
         with pytest.raises(ValueError, match=f"center has {len(center)} entries for 2 columns"):
-            ep.moment_band(np.eye(2), np.array(center), 0.1)
+            ep.MomentBand(np.eye(2), np.array(center), 0.1)
 
     @pytest.mark.parametrize("F, center", [
         ([0.0, math.nan], [0.5]),
@@ -122,14 +122,14 @@ class TestEvents:
     ])
     def test_moment_band_needs_finite_numbers(self, F, center):
         with pytest.raises(ValueError, match="F and center must be finite"):
-            ep.moment_band(np.array(F), np.array(center), 0.1)
+            ep.MomentBand(np.array(F), np.array(center), 0.1)
 
     def test_band_answer_does_not_depend_on_the_block(self):
         # the class (1, 1, 0, 1, 3) has exactly the centre as its moment; a
         # BLAS product over the 210 classes of the simplex rounded it off
         # the centre, so it was accepted alone and rejected in the walk
         F = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 0.0], [0.0, 3.0], [2.0, 0.0]])
-        band = ep.moment_band(F, np.array([1.1666666666666667, 0.33333333333333337]), 0.0)
+        band = ep.MomentBand(F, np.array([1.1666666666666667, 0.33333333333333337]), 0.0)
         full = np.concatenate(list(iproj.composition_blocks(6, 5)))
         row = np.flatnonzero((full == [1, 1, 0, 1, 3]).all(axis=1))[0]
         assert len(full) == 210
@@ -149,7 +149,7 @@ class TestEvents:
         # centred on a class's moment, with radius 0 or a 1/10 grid step
         center = full[data.draw(st.integers(0, len(full) - 1))] / n @ F
         radius = data.draw(st.sampled_from([0.0, 0.1, 0.2, 0.5]))
-        band = ep.moment_band(F, center, radius, norm=data.draw(st.sampled_from(
+        band = ep.MomentBand(F, center, radius, norm=data.draw(st.sampled_from(
             ["sup", "euclidean"])))
         in_walk = band.contains_weights(full / n)
         alone = [bool(band.contains_weights(c / n)) for c in full]
@@ -158,13 +158,13 @@ class TestEvents:
     def test_metric_ball_contains(self):
         # fm between Bernoulli(p) and Bernoulli(q) on unit-separated atoms
         # is |p - q| * 2/3
-        ball = ep.metric_ball(bernoulli(0.5), "fm", 0.2)
+        ball = ep.MetricBall(bernoulli(0.5), "fm", 0.2)
         assert ball.contains(bernoulli(0.55))
         assert not ball.contains(bernoulli(0.9))
 
     def test_metric_ball_rejects_unknown_metric(self):
         with pytest.raises(ValueError):
-            ep.metric_ball(bernoulli(0.5), "hellinger", 0.2)
+            ep.MetricBall(bernoulli(0.5), "hellinger", 0.2)
 
 
 class TestProductConstructions:
@@ -233,7 +233,7 @@ class TestExactConditional:
         space = line_space(3)
         alpha = ep.FiniteMeasure.uniform(space)
         F = np.eye(3)
-        event = ep.moment_band(F, np.full(3, 1.0 / 3.0), 1e-9)
+        event = ep.MomentBand(F, np.full(3, 1.0 / 3.0), 1e-9)
         est = ep.exact_conditional(alpha, 3, event, 1)
         np.testing.assert_allclose(est.law.weights, 1.0 / 3.0, atol=1e-14)
         # 3! orderings out of 27 strings
@@ -250,7 +250,7 @@ class TestExactConditional:
         # 5e14 classes: the walk stops once it has visited the budget
         space = line_space(8)
         alpha = ep.FiniteMeasure.uniform(space)
-        band = ep.moment_band(np.linspace(0.0, 1.0, 8), np.array([0.5]), 10.0)
+        band = ep.MomentBand(np.linspace(0.0, 1.0, 8), np.array([0.5]), 10.0)
         with pytest.raises(ValueError, match="enumeration budget"):
             ep.exact_conditional(alpha, 600, band, 1)
         assert ENUMERATION_BUDGET == 2_000_000
@@ -259,7 +259,7 @@ class TestExactConditional:
         # One letter gives one type class at every n; the log-factorial
         # table of n + 1 entries is what the budget must bound.
         delta = ep.FiniteMeasure(line_space(1), np.array([1.0]))
-        band = ep.moment_band(np.array([0.0]), np.array([0.0]), 0.1)
+        band = ep.MomentBand(np.array([0.0]), np.array([0.0]), 0.1)
         monkeypatch.setattr(gibbs, "log_factorials", lambda n: pytest.fail("table built"))
         with pytest.raises(ValueError, match="enumeration budget"):
             ep.exact_event_log_probability(delta, ENUMERATION_BUDGET, band)
@@ -287,7 +287,7 @@ class TestExactConditional:
 def test_estimators_check_the_window(estimate, n, k, message):
     # 8 letters, so a window of 7 asks for 8**7 > 10**6 patterns
     alpha = ep.FiniteMeasure.uniform(line_space(8))
-    band = ep.moment_band(np.arange(8.0), np.array([3.5]), 1.0)
+    band = ep.MomentBand(np.arange(8.0), np.array([3.5]), 1.0)
     with pytest.raises(ValueError, match=message):
         estimate(alpha, n, band, k)
 
@@ -317,7 +317,7 @@ def test_invalid_scalars_raise_typed_errors(call, message):
     # each leaked a ZeroDivisionError, TypeError or OverflowError, or (the
     # product space) returned the one-point space
     alpha = ep.FiniteMeasure.uniform(line_space(3))
-    band = ep.moment_band(np.arange(3.0), np.array([1.0]), 0.5)
+    band = ep.MomentBand(np.arange(3.0), np.array([1.0]), 0.5)
     with pytest.raises(ValueError, match=message):
         call(alpha, band)
 
@@ -350,14 +350,14 @@ class TestEngineAgainstReference:
         alpha = ep.FiniteMeasure(line_space(m), np.array(raw_w) / sum(raw_w))
         # center on a 1/12 grid and radius 1e-7 off a 1/12 grid: no count
         # vector of n <= 12 sits within rounding of the band's edge
-        event = ep.moment_band(np.array(F, dtype=float), np.array(center) / 12.0,
-                               r / 12.0 + 1e-7, norm=norm)
+        event = ep.MomentBand(np.array(F, dtype=float), np.array(center) / 12.0,
+                              r / 12.0 + 1e-7, norm=norm)
         law, p, n_classes, n_accepted = reference_conditional(alpha, n, event, k)
         # small sizes split the classes into many blocks and slabs
         rows, cells = sizes
         with patch.object(iproj, "COMPOSITION_BLOCK_ROWS", rows), \
                 patch.object(gibbs, "_LAW_CELLS", cells):
-            assert ep.exact_event_probability(alpha, n, event) == pytest.approx(
+            assert math.exp(ep.exact_event_log_probability(alpha, n, event)) == pytest.approx(
                 min(p, 1.0), rel=1e-12, abs=0.0)
             if law is None:
                 with pytest.raises(ep.ZeroAcceptanceError):
@@ -374,7 +374,7 @@ class TestEngineAgainstReference:
     def test_metric_ball_matches_loop_engine(self, metric):
         space = line_space(3)
         alpha = ep.FiniteMeasure(space, np.array([0.5, 0.3, 0.2]))
-        event = ep.metric_ball(ep.FiniteMeasure.uniform(space), metric, 0.12)
+        event = ep.MetricBall(ep.FiniteMeasure.uniform(space), metric, 0.12)
         law, p, n_classes, _ = reference_conditional(alpha, 9, event, 2)
         est = ep.exact_conditional(alpha, 9, event, 2)
         assert est.n_trials == n_classes
@@ -450,7 +450,7 @@ class TestReachableWalk:
         center = c0 / n @ F + data.draw(st.one_of(st.just(0.0), st.floats(-0.5, 0.5)))
         radius = data.draw(st.one_of(st.just(0.0), st.integers(1, 12).map(lambda i: i / 12),
                                      st.floats(0.0, 2.0)))
-        event = ep.moment_band(F, center, radius, norm=data.draw(st.sampled_from(
+        event = ep.MomentBand(F, center, radius, norm=data.draw(st.sampled_from(
             ["sup", "euclidean"])))
         assert_walk_keeps_the_accepted_classes(alpha, n, event, data.draw(
             st.sampled_from([1, 3, 8192])))
@@ -463,15 +463,15 @@ class TestReachableWalk:
         # accepted; those with 712 sit on its lower edge, and rounding
         # rejects them
         alpha = ep.FiniteMeasure(line_space(3, 0.0, 2.0), np.array([0.98, 0.01, 0.01]))
-        band = ep.moment_band(np.array([0.0, 1.0, 2.0]), np.array([1.8]),
-                              0.4 / math.sqrt(400), norm=norm)
+        band = ep.MomentBand(np.array([0.0, 1.0, 2.0]), np.array([1.8]),
+                             0.4 / math.sqrt(400), norm=norm)
         assert_walk_keeps_the_accepted_classes(alpha, 400, band, rows)
 
     def test_walk_keeps_the_classes_of_a_moment_map_near_overflow(self):
         # n |F| overflows a double, so the walk cannot bound this column's
         # moment and walks every class
         alpha = ep.FiniteMeasure.uniform(line_space(3))
-        band = ep.moment_band(np.array([0.0, 1e308, -1e308]), np.array([0.0]), 1e307)
+        band = ep.MomentBand(np.array([0.0, 1e308, -1e308]), np.array([0.0]), 1e307)
         assert_walk_keeps_the_accepted_classes(alpha, 20, band, 64)
         assert len(np.concatenate(walked_classes(alpha, 20, band, 64)[0])) == math.comb(22, 2)
 
@@ -481,8 +481,8 @@ class TestReachableWalk:
         n = 1999
         assert math.comb(n + 2, 2) > ENUMERATION_BUDGET
         alpha = ep.FiniteMeasure.uniform(line_space(3))
-        band = ep.moment_band(CURVE_F, np.array([0.35, 0.25]),
-                              ep.ScheduleParams("sqrt_n", 0.5).epsilon(n), norm="euclidean")
+        band = ep.MomentBand(CURVE_F, np.array([0.35, 0.25]),
+                             ep.ScheduleParams("sqrt_n", 0.5).epsilon(n), norm="euclidean")
         est = ep.exact_conditional(alpha, n, band, 2)
         assert 0 < est.n_trials <= 2500
         assert 0.0 < est.acceptance_rate < 1.0
@@ -494,14 +494,14 @@ class TestReachableWalk:
         # in reach; the walk stops at the budget, not after 5e9 prefixes
         alpha = ep.FiniteMeasure.uniform(line_space(4))
         n = 10 ** 5
-        band = ep.moment_band(np.array([1.0, -1.0, 1.0, 2.0]), np.array([0.5 / n]), 0.0)
+        band = ep.MomentBand(np.array([1.0, -1.0, 1.0, 2.0]), np.array([0.5 / n]), 0.0)
         with pytest.raises(ValueError, match="classes and dead ends than the enumeration budget"):
             ep.exact_conditional(alpha, n, band, 1)
 
     def test_metric_ball_beyond_the_budget_fails_before_any_distance(self, monkeypatch):
         # a metric ball walks every class, so its count is known up front
         space = line_space(3)
-        ball = ep.metric_ball(ep.FiniteMeasure.uniform(space), "fm", 0.1)
+        ball = ep.MetricBall(ep.FiniteMeasure.uniform(space), "fm", 0.1)
         monkeypatch.setattr(gibbs, "_accepts", lambda *args: pytest.fail("distance computed"))
         with pytest.raises(ValueError, match="2001000 type classes exceed the enumeration budget"):
             ep.exact_conditional(ep.FiniteMeasure.uniform(space), 1999, ball, 1)
@@ -535,11 +535,11 @@ class TestLogProbabilityBelowDoubleRange:
         weights = [0.98, 0.01, 0.01]
         alpha = ep.FiniteMeasure(line_space(3, 0.0, 2.0), np.array(weights))
         F = np.array([0.0, 1.0, 2.0])
-        band = ep.moment_band(F, np.array([1.8]), 0.02)
+        band = ep.MomentBand(F, np.array([1.8]), 0.02)
 
         est = ep.exact_conditional(alpha, n, band, 1)
         assert est.acceptance_rate == 0.0
-        assert ep.exact_event_probability(alpha, n, band) == 0.0
+        assert math.exp(ep.exact_event_log_probability(alpha, n, band)) == 0.0
 
         # exact integer sum over the classes the band accepts, with every
         # float weight scaled to a common power-of-two denominator
@@ -575,12 +575,12 @@ def test_permuting_the_atoms_permutes_the_conditional_law():
         F = rng.integers(-3, 4, size=(m, d)).astype(float)
         # a band around the moment of one class holds that class
         counts, radius = rng.multinomial(n, np.ones(m) / m), rng.uniform(0.05, 1.5)
-        band = ep.moment_band(F, counts @ F / n + rng.uniform(-0.9, 0.9, d) * radius, radius)
+        band = ep.MomentBand(F, counts @ F / n + rng.uniform(-0.9, 0.9, d) * radius, radius)
         perm = rng.permutation(m)
         space = line_space(m)
         law = ep.exact_conditional(ep.FiniteMeasure(space, weights), n, band, k).law
         permuted = ep.exact_conditional(ep.FiniteMeasure(space, weights[perm]), n,
-                                        ep.moment_band(F[perm], band.center, band.radius), k)
+                                        ep.MomentBand(F[perm], band.center, band.radius), k)
         want = law.weights.reshape((m,) * k)[np.ix_(*[perm] * k)].ravel()
         np.testing.assert_allclose(permuted.law.weights, want, rtol=0, atol=1e-12,
                                    err_msg=f"case {case}")
@@ -588,27 +588,27 @@ def test_permuting_the_atoms_permutes_the_conditional_law():
 
 class TestExactEventProbability:
     def test_unconstrained_is_one(self):
-        assert ep.exact_event_probability(
+        assert math.exp(ep.exact_event_log_probability(
             bernoulli(0.3), 7, whole_simplex_band()
-        ) == pytest.approx(1.0)
+        )) == pytest.approx(1.0)
 
     def test_four_flips_three_heads(self):
-        assert ep.exact_event_probability(
+        assert math.exp(ep.exact_event_log_probability(
             bernoulli(0.5), 4, mean_band(0.75, 0.01)
-        ) == pytest.approx(0.25)
+        )) == pytest.approx(0.25)
 
     def test_empty_event_is_zero(self):
-        assert ep.exact_event_probability(
+        assert math.exp(ep.exact_event_log_probability(
             bernoulli(0.5), 4, mean_band(0.6, 0.01)
-        ) == 0.0
+        )) == 0.0
 
     def test_metric_ball_event(self):
         # fm ball of radius 0.25 around Bernoulli(0.5) on 4 flips accepts
         # types 1/4, 2/4, 3/4 (fm values 1/6, 0, 1/6) and rejects 0/4 and
         # 4/4 (fm value 1/3): P = (4 + 6 + 4) / 16
-        p = ep.exact_event_probability(
-            bernoulli(0.5), 4, ep.metric_ball(bernoulli(0.5), "fm", 0.25)
-        )
+        p = math.exp(ep.exact_event_log_probability(
+            bernoulli(0.5), 4, ep.MetricBall(bernoulli(0.5), "fm", 0.25)
+        ))
         assert p == pytest.approx(14.0 / 16.0)
 
 
@@ -635,7 +635,7 @@ class TestMonteCarlo:
     def test_acceptance_rate_matches_exact_probability(self):
         alpha = bernoulli(0.5)
         event = mean_band(0.75, 0.01)
-        p = ep.exact_event_probability(alpha, 4, event)
+        p = math.exp(ep.exact_event_log_probability(alpha, 4, event))
         trials = 20000
         mc = ep.run_conditional_mc(alpha, 4, event, 1, trials=trials, seed=3)
         se = math.sqrt(p * (1.0 - p) / trials)
@@ -667,7 +667,7 @@ class TestMonteCarlo:
         # that fails on a host whose libm rounds them differently.
         alpha = ep.FiniteMeasure.uniform(line_space(3, 0.0, 2.0))
         eps = iproj.ScheduleParams(kind="sqrt_n", c=0.5).epsilon(n)
-        band = ep.moment_band(np.array([0.0, 1.0, 2.0]), np.array([0.85]), eps, norm="euclidean")
+        band = ep.MomentBand(np.array([0.0, 1.0, 2.0]), np.array([0.85]), eps, norm="euclidean")
         est = ep.run_conditional_mc(alpha, n, band, 1, trials=100_000, seed=7)
         assert est.acceptance_rate == accepted / 100_000
         np.testing.assert_array_equal(est.law.weights, np.array(heads) / accepted)
@@ -743,7 +743,7 @@ class TestMonteCarlo:
             np.random.default_rng(0).multinomial(5, alpha.weights)
         counts, _ = stacked(gibbs._sample_types(gibbs.mc_stream(1), alpha.weights, 9, 50, 2))
         assert np.all(counts.sum(axis=1) == 9) and np.all(counts[:, 6] == 0)
-        band = ep.moment_band(np.arange(7.0), np.array([3.0]), 100.0)
+        band = ep.MomentBand(np.arange(7.0), np.array([3.0]), 100.0)
         est = ep.run_conditional_mc(alpha, 9, band, 1, trials=50, seed=1)
         assert est.acceptance_rate == 1.0
 
@@ -762,8 +762,8 @@ class TestMonteCarlo:
         # a million trials hold one byte of pattern id each plus one block
         # of draws; their (trials, 3) int64 counts alone would take 24 MB
         alpha = ep.FiniteMeasure.uniform(line_space(3, 0.0, 2.0))
-        band = ep.moment_band(np.array([0.0, 1.0, 2.0]), np.array([0.85]), 0.05,
-                              norm="euclidean")
+        band = ep.MomentBand(np.array([0.0, 1.0, 2.0]), np.array([0.85]), 0.05,
+                             norm="euclidean")
         tracemalloc.start()
         try:
             est = ep.run_conditional_mc(alpha, 200, band, 1, trials=10 ** 6, seed=7)
@@ -780,9 +780,9 @@ class TestMonteCarlo:
         space = line_space(3)
         alpha = ep.FiniteMeasure(space, np.array([0.5, 0.3, 0.2]))
         if event == "band":
-            event = ep.moment_band(np.array([0.0, 0.5, 1.0]), np.array([0.4]), 0.1)
+            event = ep.MomentBand(np.array([0.0, 0.5, 1.0]), np.array([0.4]), 0.1)
         else:
-            event = ep.metric_ball(ep.FiniteMeasure.uniform(space), "fm", 0.2)
+            event = ep.MetricBall(ep.FiniteMeasure.uniform(space), "fm", 0.2)
         n, trials, seed = 6, 50, 5
         counts, heads = per_trial_types(gibbs.mc_stream(seed), alpha.weights, n, trials, k)
         ok = np.array([event.contains(ep.FiniteMeasure(space, c / n)) for c in counts])
@@ -810,7 +810,7 @@ class TestMonteCarlo:
     def test_metric_ball_costs_one_distance_per_type(self, monkeypatch):
         space = line_space(3)
         alpha = ep.FiniteMeasure(space, np.array([0.5, 0.3, 0.2]))
-        ball = ep.metric_ball(alpha, "fm", 0.15)
+        ball = ep.MetricBall(alpha, "fm", 0.15)
         n, k, trials, seed = 6, 2, 400, 21
         # per-trial loop over the same stream
         gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
@@ -956,5 +956,5 @@ class TestConditionalTvCurve:
             assert row["epsilon"] == pytest.approx(sched.epsilon(n))
             band = mean_band(0.7, row["epsilon"])
             assert row["p_event"] == pytest.approx(
-                ep.exact_event_probability(alpha, n, band))
+                math.exp(ep.exact_event_log_probability(alpha, n, band)))
             assert 0.0 <= row["tv_k"] <= 2.0

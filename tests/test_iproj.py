@@ -536,6 +536,42 @@ def test_permuting_the_atoms_permutes_the_projection():
                                    rtol=0, atol=1e-12, err_msg=f"case {case}")
 
 
+def test_an_affine_map_of_the_moment_keeps_the_projection():
+    # F -> s F + t with the target mapped alike is the same constraint, so
+    # the entropy and alpha_star stay; 300 seeded 1-D point and box problems
+    # with |s| in [0.1, 10] of either sign and t in [-5, 5]
+    rng = np.random.default_rng(20261022)
+    for case in range(300):
+        prob = random_problem(rng, int(rng.integers(2, 7)), 1, ("point", "box")[case % 2])
+        s = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, 1.0)
+        t = rng.uniform(-5.0, 5.0)
+        ends = s * np.array([prob.target.lo, prob.target.hi]) + t
+        mapped = ep.solve_dual(ep.MomentProblem(prob.alpha, s * prob.F + t,
+                                                ep.Box(ends.min(axis=0), ends.max(axis=0))))
+        sol = ep.solve_dual(prob)
+        assert abs(mapped.entropy - sol.entropy) <= 1e-9, case
+        np.testing.assert_allclose(mapped.alpha_star.weights, sol.alpha_star.weights,
+                                   rtol=0, atol=1e-9, err_msg=f"case {case}")
+
+
+def test_a_duplicated_column_keeps_the_projection():
+    # repeating a column of F and its target entry repeats a constraint, so
+    # the entropy and alpha_star stay; 200 seeded point and box problems
+    rng = np.random.default_rng(20261022)
+    for case in range(200):
+        prob = random_problem(rng, int(rng.integers(2, 7)), int(rng.integers(1, 3)),
+                              ("point", "box")[case % 2])
+        j = int(rng.integers(prob.dim))
+        lo, hi = prob.target.lo, prob.target.hi
+        doubled = ep.solve_dual(ep.MomentProblem(
+            prob.alpha, np.column_stack([prob.F, prob.F[:, j]]),
+            ep.Box(np.append(lo, lo[j]), np.append(hi, hi[j]))))
+        sol = ep.solve_dual(prob)
+        assert abs(doubled.entropy - sol.entropy) <= 1e-9, case
+        np.testing.assert_allclose(doubled.alpha_star.weights, sol.alpha_star.weights,
+                                   rtol=0, atol=1e-9, err_msg=f"case {case}")
+
+
 class TestSchedules:
     def test_kind_is_validated(self):
         with pytest.raises(ValueError):
@@ -557,19 +593,13 @@ class TestSchedules:
     def test_berry_esseen_constant(self):
         # 1.1 * 10 * sqrt(2 pi) * kappa / sigma^3 for the Bernoulli(0.7)
         # tilt, evaluated with mpmath
-        sol = ep.solve_dual(bern_problem())
-        assert ep.enlargement_berry_esseen(sol, 1) == pytest.approx(
-            34.898034329796036, rel=1e-9
-        )
-        assert ep.enlargement_berry_esseen(sol, 100) == pytest.approx(
-            0.34898034329796037, rel=1e-9
-        )
+        sched = ep.schedule_from_solution(ep.solve_dual(bern_problem()), "inv_n")
+        assert sched.epsilon(1) == pytest.approx(34.898034329796036, rel=1e-9)
+        assert sched.epsilon(100) == pytest.approx(0.34898034329796037, rel=1e-9)
 
     def test_sqrt_enlargement_scaling(self):
-        sol = ep.solve_dual(bern_problem())
-        e1 = ep.enlargement_sqrt(sol, a=1.0, n=1)
-        e4 = ep.enlargement_sqrt(sol, a=1.0, n=4)
-        assert e4 == pytest.approx(e1 / 2.0)
+        sched = ep.schedule_from_solution(ep.solve_dual(bern_problem()), "sqrt_n", a=1.0)
+        assert sched.epsilon(4) == pytest.approx(sched.epsilon(1) / 2.0)
 
 
     @pytest.mark.parametrize("a", [-1.0, 0.0])
@@ -578,17 +608,13 @@ class TestSchedules:
         with pytest.raises(ValueError, match="type-2 constant must be positive"):
             ep.schedule_from_solution(sol, "sqrt_n", a=a)
 
-    @pytest.mark.parametrize("make", [
-        lambda sol: ep.schedule_from_solution(sol, "sqrt_n"),
-        lambda sol: ep.enlargement_sqrt(sol),
-    ])
-    def test_sqrt_schedule_needs_positive_variance(self, make):
+    def test_sqrt_schedule_needs_positive_variance(self):
         # a constant moment map: the tilted law has no spread to scale by
         alpha = bernoulli(0.5)
         sol = ep.solve_dual(ep.MomentProblem(alpha, np.array([0.4, 0.4]), ep.Box.point([0.4])))
         assert sol.variance == 0.0
         with pytest.raises(ValueError, match=r"the sqrt\(n\) schedule needs positive variance"):
-            make(sol)
+            ep.schedule_from_solution(sol, "sqrt_n")
 
 
 class TestTailBounds:
@@ -633,13 +659,14 @@ class TestTailBounds:
         (lambda sol: ep.yurinskii_tail(1.0, 1.0, math.nan, 1.0), "positive integer"),
         (lambda sol: ep.yurinskii_tail(1.0, 1.0, -100, 1.0), "positive integer"),
         (lambda sol: ep.centering_lower_bound(sol, 0.1, 0.9, math.nan), "positive integer"),
-        (lambda sol: ep.enlargement_sqrt(sol, n=math.nan), "positive integer"),
+        (lambda sol: ep.schedule_from_solution(sol, "sqrt_n").epsilon(math.nan),
+         "positive integer"),
         (lambda sol: ep.ScheduleParams(kind="inv_n", c=1.0).epsilon(math.nan), "positive integer"),
         (lambda sol: ep.epsilon_schedule_metric(lambda r: 1.0, math.nan), "positive integer"),
         (lambda sol: ep.centering_lower_bound(sol, math.nan, 0.9, 10), "epsilon"),
-        (lambda sol: ep.enlargement_sqrt(sol, a=math.nan), "type-2 constant"),
-        (lambda sol: ep.enlargement_berry_esseen(sol, 1, margin=math.nan), "margin"),
-        (lambda sol: ep.enlargement_berry_esseen(sol, 1, margin=0.0), "margin"),
+        (lambda sol: ep.schedule_from_solution(sol, "sqrt_n", a=math.nan), "type-2 constant"),
+        (lambda sol: ep.schedule_from_solution(sol, "inv_n", margin=math.nan), "margin"),
+        (lambda sol: ep.schedule_from_solution(sol, "inv_n", margin=0.0), "margin"),
         (lambda sol: ep.dst_lower_bound(math.nan, 0.9, 10), "entropy"),
         (lambda sol: ep.dst_lower_bound(-0.1, 0.9, 10), "entropy"),
         (lambda sol: ep.brute_force_projection(sol.problem, grid_step=math.nan), "grid_step"),

@@ -113,7 +113,7 @@ def test_a_point_target_is_one_array():
 
 def test_moment_band():
     F, center = np.array([0.0, 1.0, 2.0]), np.array([1.0])
-    band = ep.moment_band(F, center, 0.3)
+    band = ep.MomentBand(F, center, 0.3)
     assert_owned(band.F, band.center)
     alpha = ep.FiniteMeasure.uniform(line_space(3))
     log_p = ep.exact_event_log_probability(alpha, 12, band)
@@ -121,7 +121,7 @@ def test_moment_band():
     assert ep.exact_event_log_probability(alpha, 12, band) == log_p
     # a band built on a record's moment map adopts it, as the TV curve's do
     problem = x0_problem(np.array([0.85]))
-    assert ep.moment_band(problem.F, band.center, 0.3).F is problem.F
+    assert ep.MomentBand(problem.F, band.center, 0.3).F is problem.F
 
 
 def test_the_curve_bands_adopt_the_moment_map():

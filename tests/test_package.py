@@ -18,23 +18,20 @@ PUBLIC_NAMES = [
     "TrinomialTree", "VolSurface", "ZeroAcceptanceError", "bridge_entropy", "bridge_measure",
     "brute_force_projection", "build_tree", "calibrate", "centering_lower_bound",
     "conditional_tv_curve", "covering_bound_measures", "covering_number",
-    "csiszar_bound_check", "dl_gap", "dst_lower_bound", "enlargement_berry_esseen",
-    "enlargement_sqrt", "entropy_decomposition_check", "epsilon0", "epsilon_schedule_metric",
-    "exact_conditional", "exact_event_log_probability", "exact_event_probability",
+    "csiszar_bound_check", "dl_gap", "dst_lower_bound", "entropy_decomposition_check",
+    "epsilon0", "epsilon_schedule_metric", "exact_conditional", "exact_event_log_probability",
     "expectation", "fm_distance", "gaussian_reference", "kernel", "local_entropy",
-    "log_laplace", "luxemburg_norm", "marginal_schedule_check", "metric_ball",
-    "min_level_n0", "moment_band", "path_marginal", "product_law", "product_space",
-    "prohorov_distance", "q_rate", "relative_entropy", "run_conditional_mc",
-    "sanov_sandwich", "schedule_from_solution", "sinkhorn", "solve_dual", "tilt",
-    "tree_entropy_chain", "tree_entropy_paths", "trinomial_weak_convergence_probe",
-    "tv_distance", "variational_entropy_lower", "weighted_tv_ratio", "with_targets",
-    "yurinskii_tail",
+    "log_laplace", "luxemburg_norm", "marginal_schedule_check", "min_level_n0",
+    "path_marginal", "product_law", "product_space", "prohorov_distance", "q_rate",
+    "relative_entropy", "run_conditional_mc", "sanov_sandwich", "schedule_from_solution",
+    "sinkhorn", "solve_dual", "tilt", "tree_entropy_chain", "tree_entropy_paths",
+    "tv_distance", "variational_entropy_lower", "weighted_tv_ratio", "yurinskii_tail",
 ]
 SUBMODULES = ["bounds", "bridge", "gibbs", "iproj", "measures", "tritree"]
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC_NAMES) == 74
+    assert len(PUBLIC_NAMES) == 67
     assert sorted(entroproj.__all__) == PUBLIC_NAMES
     assert set(PUBLIC_NAMES) | set(SUBMODULES) <= set(dir(entroproj))
 

@@ -36,7 +36,6 @@ from entroproj.tritree import (
     q_rate,
     tree_entropy_chain,
     tree_entropy_paths,
-    trinomial_weak_convergence_probe,
 )
 
 # q(1, 1.44) on the alpha_tick = 2 lattice:
@@ -187,19 +186,6 @@ class TestVolSurface:
             assert surf.sigma[k].shape == (2 * k + 1,)
             assert_allclose(surf.sigma[k], 1.1)
             assert_allclose(surf.b[k], 0.15)
-
-    def test_from_function_samples_nodes(self):
-        spec = wide_spec(5)
-        surf = VolSurface.from_function(
-            spec,
-            lambda t, x: 0.8 + 0.1 * t + 0.05 * x,
-            lambda t, x: 0.15 + 0.01 * t,
-        )
-        for k in range(5):
-            t = k / spec.n
-            xs = spec.positions(k)
-            assert_allclose(surf.sigma[k], 0.8 + 0.1 * t + 0.05 * xs, atol=1e-15)
-            assert_allclose(surf.b[k], 0.15 + 0.01 * t, atol=1e-15)
 
     def test_truncated(self):
         spec = wide_spec(6)
@@ -1336,6 +1322,10 @@ class TestCalibrate:
         spec = wide_spec(20)
         with pytest.raises(ValueError, match="epsilon must be positive"):
             calibrate(CalibProblem(sigma0=1.0, payoff=lambda x: x), spec, 0.0)
+        # NaN fails every comparison: it used to reach the scan, whose empty
+        # band read as an infeasible problem
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            calibrate(CalibProblem(sigma0=1.0, payoff=lambda x: x), spec, math.nan)
         with pytest.raises(ValueError, match="n_pieces"):
             CalibProblem(sigma0=1.0, payoff=lambda x: x, n_pieces=0)
         # a piece beyond the n levels would own none and report the scan's end
@@ -1343,6 +1333,11 @@ class TestCalibrate:
             calibrate(CalibProblem(sigma0=1.0, payoff=lambda x: x, n_pieces=21), spec, 0.01)
         with pytest.raises(ValueError, match="payoff must be callable"):
             CalibProblem(sigma0=1.0, payoff=3.0)
+
+    @pytest.mark.parametrize("n_pieces", [1.5, math.nan, True, "2"])
+    def test_n_pieces_must_be_an_integer(self, n_pieces):
+        with pytest.raises(ValueError, match="n_pieces must be an integer"):
+            CalibProblem(sigma0=1.0, payoff=lambda x: x, n_pieces=n_pieces)
 
 
 class TestEpsilonZero:
@@ -1370,18 +1365,16 @@ class TestEpsilonZero:
 
 class TestWeakConvergenceProbe:
     def test_gaps_track_the_limit_moments(self):
-        specs = [wide_spec(n) for n in (16, 32, 64)]
-        rows = trinomial_weak_convergence_probe(
-            [1.0, 1.0, 1.0], specs, (0.15, 1.0)
-        )
-        assert [r["n"] for r in rows] == [16, 32, 64]
-        for row, spec in zip(rows, specs):
-            assert row["mean_gap"] < 1e-12
+        # the terminal law at sigma = 1 against the limit diffusion's time-1
+        # mean b0 = 0.15 and variance 1
+        variance_gaps = []
+        for n in (16, 32, 64):
+            spec = wide_spec(n)
+            law = tritree._terminal_law([1.0] * n, [spec.b0] * n, spec)
+            xs = spec.positions(n)
+            mean = float(law @ xs)
+            assert abs(mean - 0.15) < 1e-12
+            variance_gaps.append(abs(float(law @ (xs * xs)) - mean ** 2 - 1.0))
             # iid increments leave exactly b0^2/n of the variance unexplained
-            assert row["variance_gap"] == pytest.approx(
-                0.15 ** 2 / row["n"], rel=1e-9
-            )
-            assert row["max_increment"] == spec.dx
-        assert rows[0]["variance_gap"] == pytest.approx(
-            2.0 * rows[1]["variance_gap"], rel=1e-9
-        )
+            assert variance_gaps[-1] == pytest.approx(0.15 ** 2 / n, rel=1e-9)
+        assert variance_gaps[0] == pytest.approx(2.0 * variance_gaps[1], rel=1e-9)
