@@ -608,13 +608,17 @@ class TestSchedules:
         with pytest.raises(ValueError, match="type-2 constant must be positive"):
             ep.schedule_from_solution(sol, "sqrt_n", a=a)
 
-    def test_sqrt_schedule_needs_positive_variance(self):
+    @pytest.mark.parametrize("make", [
+        lambda sol: ep.schedule_from_solution(sol, "sqrt_n"),
+        lambda sol: ep.schedule_from_solution(sol, "sqrt_n").epsilon(1),
+    ])
+    def test_sqrt_schedule_needs_positive_variance(self, make):
         # a constant moment map: the tilted law has no spread to scale by
         alpha = bernoulli(0.5)
         sol = ep.solve_dual(ep.MomentProblem(alpha, np.array([0.4, 0.4]), ep.Box.point([0.4])))
         assert sol.variance == 0.0
         with pytest.raises(ValueError, match=r"the sqrt\(n\) schedule needs positive variance"):
-            ep.schedule_from_solution(sol, "sqrt_n")
+            make(sol)
 
 
 class TestTailBounds:
